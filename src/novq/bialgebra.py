@@ -24,16 +24,17 @@ from .structures import (
     Presentation,
     PresentationError,
     QLocus,
-    RepAdmDiff,
     RepNov,
     Space,
+    _toggle_prime,
     check_axiom,
     combine_loci,
     scan_residuals,
     vanishing_locus,
-    _toggle_prime,
 )
 from .constructions import (
+    _names,
+    _require,
     descendent_commdiff,
     descendent_novikov,
     dual_rep_admdiff,
@@ -41,6 +42,7 @@ from .constructions import (
     induce_nov_coalg,
     induce_novikov,
     pre_novikov_from_zinbiel,
+    regular_rep_admdiff,
     semidirect_admdiff,
     semidirect_novikov,
 )
@@ -53,10 +55,6 @@ NOV_BIALG_AXIOMS = ("NOV_LSYM", "NOV_RCOMM", "NOV_COALG_1", "NOV_COALG_2",
 BIALG_Q_AXIOMS = ("BIALG_Q_1", "BIALG_Q_2", "BIALG_Q_3")
 
 
-def _names(n: int) -> tuple[str, ...]:
-    return tuple(f"e{i + 1}" for i in range(n))
-
-
 def _doubled_names(names) -> tuple[str, ...]:
     out = list(names)
     for nm in names:
@@ -67,21 +65,11 @@ def _doubled_names(names) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _require(reports: dict) -> None:
-    bad = [str(r) for r in reports.values() if not r.holds]
-    if bad:
-        raise PresentationError("precondition failed: " + "; ".join(bad))
-
-
 def standard_form(ring: str, dim_a: int) -> Tensor2:
     """The hyperbolic pairing on A + A*: B(e_i, e_j') = B(e_j', e_i) = [i = j]."""
-    n = 2 * dim_a
-    z, one = Scalar.zero(ring), Scalar.one(ring)
-    rows = [[z] * n for _ in range(n)]
-    for i in range(dim_a):
-        rows[i][dim_a + i] = one
-        rows[dim_a + i][i] = one
-    return Tensor2(ring, rows)
+    ident = LinMap.identity(ring, dim_a)
+    return Tensor2.from_blocks(ring, (2 * dim_a, 2 * dim_a),
+                               [((0, dim_a), ident), ((dim_a, 0), ident)])
 
 
 def adjoint_map(D: LinMap, B: Tensor2) -> LinMap:
@@ -98,13 +86,13 @@ def adjoint_map(D: LinMap, B: Tensor2) -> LinMap:
     det = bareiss_det([row[:] for row in base], B.ring)
     if det.is_zero():
         raise PresentationError("the form is degenerate")
-    rhs = D.transpose() @ LinMap(B.ring, B.rows)
+    rhs = LinMap.einsum("kj,ki->ij", B, D)  # D^T B
     rows = [[Scalar.zero(B.ring)] * n for _ in range(n)]
     for j in range(n):
         for i in range(n):
             mat = [row[:] for row in base]
             for k in range(n):
-                mat[k][i] = rhs.rows[k][j]
+                mat[k][i] = rhs.entry(k, j)
             rows[i][j] = exact_div(bareiss_det(mat, B.ring), det)
     return LinMap(B.ring, rows)
 
@@ -174,22 +162,14 @@ def double_construction(pres: Presentation, dot: str = "dot", delta: str = "delt
         _require(check_diff_asi_bialgebra(pres, dot, delta, D, Q))
     n = pres.dim
     ring = pres.ring
-    nn = 2 * n
-    z = Scalar.zero(ring)
-    c = [[[z] * nn for _ in range(nn)] for _ in range(nn)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = op.c[i][j][k]
-                c[n + i][n + j][n + k] = cop.d[k][i][j]
-    for i in range(n):
-        for b in range(n):
-            for k in range(n):
-                c[i][n + b][k] = cop.d[i][b][k]
-                c[n + b][i][k] = cop.d[i][b][k]
-                c[i][n + b][n + k] = op.c[i][k][b]
-                c[n + b][i][n + k] = op.c[i][k][b]
-    total = BinOpTensor(ring, c)
+    total = BinOpTensor.from_blocks(ring, (2 * n,) * 3, [
+        ((0, 0, 0), op),
+        ((n, n, n), BinOpTensor.einsum("kij->ijk", cop)),
+        ((0, n, 0), cop),
+        ((n, 0, 0), BinOpTensor.einsum("bik->ibk", cop)),
+        ((0, n, n), BinOpTensor.einsum("ikb->ibk", op)),
+        ((n, 0, n), BinOpTensor.einsum("ikb->bik", op)),
+    ])
     out = Presentation(
         ring=ring,
         space=Space(_doubled_names(pres.space.names)),
@@ -224,9 +204,7 @@ def zinbiel_double(pres: Presentation, zin: str = "zin", D: str = "D", Q: str = 
         })
     ring = pres.ring
     n = pres.dim
-    basis = [Vector.basis(ring, n, i) for i in range(n)]
-    base_rep = RepAdmDiff(pres.space.names, tuple(zop.left_mult(e) for e in basis),
-                          dmap, qmap)
+    base_rep = regular_rep_admdiff(zop, dmap, qmap, pres.space.names)
     apres = Presentation(ring=ring, space=pres.space,
                          binops={"dot": descendent_commdiff(zop)},
                          maps={"D": dmap, "Q": qmap})
@@ -252,8 +230,8 @@ def prenov_double_family(pres: Presentation, zin: str = "zin", D: str = "D",
     lhd, rhd = pre_novikov_from_zinbiel(zop, dmap, qmap)
     basis = [Vector.basis(POLY, n, i) for i in range(n)]
     rep = RepNov(p.space.names,
-                 tuple(rhd.left_mult(e) for e in basis),
-                 tuple(lhd.right_mult(e) for e in basis))
+                 tuple(LinMap.einsum("i,ijk->kj", e, rhd) for e in basis),
+                 tuple(LinMap.einsum("j,ijk->ki", e, lhd) for e in basis))
     apres = Presentation(ring=POLY, space=p.space,
                          binops={"circ": descendent_novikov(lhd, rhd)})
     dbl = semidirect_novikov(apres, dual_rep_novikov(rep))
@@ -280,16 +258,7 @@ def family_difference_locus(pa: Presentation, pb: Presentation, circ: str = "cir
     da, db = pa.coop(Delta), pb.coop(Delta)
     if ca.dim != cb.dim or da.dim != db.dim:
         raise PresentationError("families live on different spaces")
-    n = ca.dim
-
-    def entries():
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    yield ca.c[i][j][k] - cb.c[i][j][k]
-                    yield da.d[i][j][k] - db.d[i][j][k]
-
-    return vanishing_locus(entries())
+    return vanishing_locus(entry[-1] for diff in (ca - cb, da - db) for entry in diff.nonzero())
 
 
 def _subalgebra_report(axiom_id: str, op: BinOpTensor, names, inside: range) -> AxiomReport:
@@ -299,7 +268,7 @@ def _subalgebra_report(axiom_id: str, op: BinOpTensor, names, inside: range) -> 
     def items():
         for i in inside:
             for j in inside:
-                leak = Vector(op.ring, [op.c[i][j][k] for k in outside])
+                leak = Vector(op.ring, [op.entry(i, j, k) for k in outside])
                 yield (names[i], names[j]), leak
 
     return scan_residuals(axiom_id, op.ring, items())

@@ -110,6 +110,9 @@ def _run_verify(args) -> tuple[int, dict]:
         reports = check_novikov_bialgebra(pres.binop(circ), pres.coop(Delta))
     elif profile == "manin":
         circ = _pick(pres.binops, "circ", "product")
+        if args.dimA is not None and 2 * args.dimA != pres.dim:
+            raise _Usage(f"--dimA {args.dimA} does not split the {pres.dim}-dimensional "
+                         "space in half")
         dim_left = args.dimA if args.dimA is not None else pres.dim // 2
         reports = check_manin_triple(pres, dim_left, circ)
     else:  # quadratic
@@ -206,6 +209,8 @@ def _run_locus(args) -> tuple[int, dict]:
 
 
 def _run_window(args) -> tuple[int, dict]:
+    if args.min > args.max:
+        raise _Usage(f"empty degree window: --min {args.min} is above --max {args.max}")
     pres = load(args.file)
     if pres.ring != RATIONAL:
         raise _Usage("window checks want a rational presentation; induce first")
@@ -226,6 +231,8 @@ def _run_window(args) -> tuple[int, dict]:
 
 
 def _run_polywindow(args) -> tuple[int, dict]:
+    if args.N < 2:
+        raise _Usage(f"--N must be at least 2 for a nontrivial coproduct, got {args.N}")
     q = None if args.q == "sym" else _fraction(args.q, "--q")
     reports = polyalg_window_check(args.N, q)
     return _finish_checks(reports)

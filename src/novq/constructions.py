@@ -13,7 +13,7 @@ keeping the coefficient ring univariate.
 
 from fractions import Fraction
 
-from .exactcore import LinMap, POLY, Scalar, Vector, qvar
+from .exactcore import LinMap, POLY, Scalar, Tensor, Vector, qvar
 from .structures import (
     BinOpTensor,
     CoOpTensor,
@@ -22,6 +22,7 @@ from .structures import (
     RepAdmDiff,
     RepNov,
     Space,
+    _toggle_prime,
     check_axiom,
 )
 
@@ -66,11 +67,7 @@ def induce_novikov(dot: BinOpTensor, D: LinMap, Q: LinMap, p=1, q=None,
                             binops={"dot": dot}, maps={"D": D, "Q": Q})
         _require({aid: check_axiom(aid, pres) for aid in ("COMM", "ASSOC", "DERIV", "ADMISS")})
     K = D.scale(_param(ring, p)) + Q.scale(_qparam(ring, q))
-    n = dot.dim
-    images = [K.column(j) for j in range(n)]
-    grid = [[dot.apply(Vector.basis(ring, n, i), images[j]) for j in range(n)]
-            for i in range(n)]
-    return BinOpTensor.from_vectors(ring, grid)
+    return BinOpTensor.einsum("mj,imk->ijk", K, dot)
 
 
 def induce_nov_coalg(delta: CoOpTensor, Q: LinMap, D: LinMap, q=None,
@@ -82,8 +79,22 @@ def induce_nov_coalg(delta: CoOpTensor, Q: LinMap, D: LinMap, q=None,
                             coops={"delta": delta}, maps={"D": D, "Q": Q})
         _require({"CO_ADMISS": check_axiom("CO_ADMISS", pres)})
     K = Q + D.scale(_qparam(ring, q))
-    images = [delta.image(i).apply_maps(None, K) for i in range(delta.dim)]
-    return CoOpTensor.from_tensors(ring, images)
+    return CoOpTensor.einsum("ijm,km->ijk", delta, K)
+
+
+def _semidirect(apres: Presentation, op: BinOpTensor, rep, right) -> BinOpTensor:
+    """Constants of (a+u)(b+v) = ab + l(a)v + right(b)u on A + V, A block first."""
+    if rep.ring != apres.ring:
+        raise PresentationError("representation ring differs from the algebra ring")
+    if rep.alg_dim != apres.dim:
+        raise PresentationError("representation is over a different algebra dimension")
+    na, nv = apres.dim, rep.dim
+    n = na + nv
+    return BinOpTensor.from_blocks(apres.ring, (n, n, n), [
+        ((0, 0, 0), op),
+        ((0, na, na), Tensor.einsum("igb->ibg", Tensor.stack(rep.l))),
+        ((na, 0, na), Tensor.einsum("igb->big", Tensor.stack(right))),
+    ])
 
 
 def semidirect_novikov(apres: Presentation, rep: RepNov, circ: str = "circ",
@@ -92,29 +103,12 @@ def semidirect_novikov(apres: Presentation, rep: RepNov, circ: str = "circ",
 
     (a+u) circ (b+v) = a circ b + l(a)v + r(b)u.
     """
-    op = apres.binop(circ)
-    if rep.ring != apres.ring:
-        raise PresentationError("representation ring differs from the algebra ring")
-    if rep.alg_dim != apres.dim:
-        raise PresentationError("representation is over a different algebra dimension")
+    total = _semidirect(apres, apres.binop(circ), rep, rep.r)
     if verify:
         _require({aid: check_axiom(aid, apres, {"circ": circ}, rep=rep)
                   for aid in ("REP_NOV_1", "REP_NOV_2", "REP_NOV_3", "REP_NOV_4")})
-    na, nv = apres.dim, rep.dim
-    n = na + nv
-    z = Scalar.zero(apres.ring)
-    c = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                c[i][j][k] = op.entry(i, j, k)
-    for i in range(na):
-        for b in range(nv):
-            for g in range(nv):
-                c[i][na + b][na + g] = rep.l[i].rows[g][b]
-                c[na + b][i][na + g] = rep.r[i].rows[g][b]
     return Presentation(ring=apres.ring, space=Space(apres.space.names + rep.names),
-                        binops={circ: BinOpTensor(apres.ring, c)})
+                        binops={circ: total})
 
 
 def semidirect_admdiff(apres: Presentation, rep: RepAdmDiff, dot: str = "dot",
@@ -125,37 +119,17 @@ def semidirect_admdiff(apres: Presentation, rep: RepAdmDiff, dot: str = "dot",
     """
     op = apres.binop(dot)
     dmap, qmap = apres.linmap(D), apres.linmap(Q)
-    if rep.ring != apres.ring:
-        raise PresentationError("representation ring differs from the algebra ring")
-    if rep.alg_dim != apres.dim:
-        raise PresentationError("representation is over a different algebra dimension")
+    total = _semidirect(apres, op, rep, rep.l)
     if verify:
         binds = {"dot": dot, "D": D, "Q": Q}
         _require({aid: check_axiom(aid, apres, binds, rep=rep)
                   for aid in ("REP_MOD", "REP_DIFF", "REP_ADM")})
-    na, nv = apres.dim, rep.dim
-    n = na + nv
-    z = Scalar.zero(apres.ring)
-    c = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                c[i][j][k] = op.entry(i, j, k)
-    for i in range(na):
-        for b in range(nv):
-            for g in range(nv):
-                c[i][na + b][na + g] = rep.l[i].rows[g][b]
-                c[na + b][i][na + g] = rep.l[i].rows[g][b]
     return Presentation(
         ring=apres.ring,
         space=Space(apres.space.names + rep.names),
-        binops={dot: BinOpTensor(apres.ring, c)},
+        binops={dot: total},
         maps={D: LinMap.block_diag(dmap, rep.alpha), Q: LinMap.block_diag(qmap, rep.beta)},
     )
-
-
-def _toggle_prime(name: str) -> str:
-    return name[:-1] if name.endswith("'") else name + "'"
 
 
 def dual_rep_novikov(rep: RepNov) -> RepNov:
@@ -191,16 +165,10 @@ def induced_rep_q(rep: RepAdmDiff, D: LinMap, Q: LinMap, q=None,
         _require({aid: check_axiom(aid, pres, rep=rep) for aid in ("REP_DIFF", "REP_ADM")})
     inner = rep.alpha + rep.beta.scale(qs)
     K = D + Q.scale(qs)
-    lq = tuple(l @ inner for l in rep.l)
-    rq = []
-    for i in range(rep.alg_dim):
-        acc = LinMap.zero(ring, rep.dim, rep.dim)
-        for m in range(rep.alg_dim):
-            coeff = K.rows[m][i]
-            if not coeff.is_zero():
-                acc = acc + rep.l[m].scale(coeff)
-        rq.append(acc)
-    return RepNov(rep.names, lq, tuple(rq))
+    lq = tuple(LinMap.einsum("kj,ik->ij", inner, l) for l in rep.l)
+    ls = Tensor.stack(rep.l)
+    rq = tuple(LinMap.einsum("m,mab->ab", K.column(i), ls) for i in range(rep.alg_dim))
+    return RepNov(rep.names, lq, rq)
 
 
 def pre_novikov_from_zinbiel(diamond: BinOpTensor, D: LinMap, Q: LinMap, q=None,
@@ -219,27 +187,24 @@ def pre_novikov_from_zinbiel(diamond: BinOpTensor, D: LinMap, Q: LinMap, q=None,
             "ZINB_ADMISS": check_axiom("ZINB_ADMISS", pres),
         })
     K = D + Q.scale(_qparam(ring, q))
-    n = diamond.dim
-    images = [K.column(j) for j in range(n)]
-    basis = [Vector.basis(ring, n, i) for i in range(n)]
-    lhd = [[diamond.apply(images[j], basis[i]) for j in range(n)] for i in range(n)]
-    rhd = [[diamond.apply(basis[i], images[j]) for j in range(n)] for i in range(n)]
-    return (BinOpTensor.from_vectors(ring, lhd), BinOpTensor.from_vectors(ring, rhd))
+    # a lhd b = K(b) diamond a and a rhd b = a diamond K(b)
+    return (BinOpTensor.einsum("mj,mik->ijk", K, diamond),
+            BinOpTensor.einsum("mj,imk->ijk", K, diamond))
 
 
 def descendent_novikov(lhd: BinOpTensor, rhd: BinOpTensor) -> BinOpTensor:
     """a circ b = a lhd b + a rhd b."""
-    return lhd.plus(rhd)
+    return lhd + rhd
 
 
 def descendent_commdiff(diamond: BinOpTensor) -> BinOpTensor:
     """a . b = a diamond b + b diamond a."""
-    return diamond.plus(diamond.opposite())
+    return star(diamond)
 
 
 def star(circ: BinOpTensor) -> BinOpTensor:
     """a star b = a circ b + b circ a."""
-    return circ.plus(circ.opposite())
+    return circ + BinOpTensor.einsum("jik->ijk", circ)
 
 
 def zinbiel_from_oop(T: LinMap, rep: RepAdmDiff) -> BinOpTensor:
@@ -248,38 +213,13 @@ def zinbiel_from_oop(T: LinMap, rep: RepAdmDiff) -> BinOpTensor:
     T must be a verified operator for rep (the Yang-Baxter module has the
     checker); this builder only assembles the product.
     """
-    n = rep.dim
-    ring = rep.ring
-    z = Scalar.zero(ring)
-    c = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for m in range(rep.alg_dim):
-            w = T.rows[m][i]
-            if w.is_zero():
-                continue
-            for j in range(n):
-                for k in range(n):
-                    c[i][j][k] = c[i][j][k] + w * rep.l[m].rows[k][j]
-    return BinOpTensor(ring, c)
+    return BinOpTensor.einsum("mi,mkj->ijk", T, Tensor.stack(rep.l))
 
 
 def pre_novikov_from_oop(T: LinMap, rep: RepNov) -> tuple[BinOpTensor, BinOpTensor]:
     """(lhd, rhd) with u rhd v = l(T(u))v and u lhd v = r(T(v))u."""
-    n = rep.dim
-    ring = rep.ring
-    z = Scalar.zero(ring)
-    rhd = [[[z] * n for _ in range(n)] for _ in range(n)]
-    lhd = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for m in range(rep.alg_dim):
-            w = T.rows[m][i]
-            if w.is_zero():
-                continue
-            for j in range(n):
-                for k in range(n):
-                    rhd[i][j][k] = rhd[i][j][k] + w * rep.l[m].rows[k][j]
-                    lhd[j][i][k] = lhd[j][i][k] + w * rep.r[m].rows[k][j]
-    return (BinOpTensor(ring, lhd), BinOpTensor(ring, rhd))
+    return (BinOpTensor.einsum("mj,mki->ijk", T, Tensor.stack(rep.r)),
+            BinOpTensor.einsum("mi,mkj->ijk", T, Tensor.stack(rep.l)))
 
 
 def deformation_family_check(circ: BinOpTensor, f: BinOpTensor) -> dict:
@@ -294,15 +234,14 @@ def deformation_family_check(circ: BinOpTensor, f: BinOpTensor) -> dict:
 
 def regular_rep_novikov(circ: BinOpTensor, names) -> RepNov:
     """The adjoint module (A, L_circ, R_circ)."""
-    n = circ.dim
-    basis = [Vector.basis(circ.ring, n, i) for i in range(n)]
+    basis = [Vector.basis(circ.ring, circ.dim, i) for i in range(circ.dim)]
     return RepNov(tuple(names),
-                  tuple(circ.left_mult(e) for e in basis),
-                  tuple(circ.right_mult(e) for e in basis))
+                  tuple(LinMap.einsum("i,ijk->kj", e, circ) for e in basis),
+                  tuple(LinMap.einsum("j,ijk->ki", e, circ) for e in basis))
 
 
 def regular_rep_admdiff(dot: BinOpTensor, D: LinMap, Q: LinMap, names) -> RepAdmDiff:
     """The regular module (A, L_dot, D, Q)."""
-    n = dot.dim
-    basis = [Vector.basis(dot.ring, n, i) for i in range(n)]
-    return RepAdmDiff(tuple(names), tuple(dot.left_mult(e) for e in basis), D, Q)
+    basis = [Vector.basis(dot.ring, dot.dim, i) for i in range(dot.dim)]
+    return RepAdmDiff(tuple(names), tuple(LinMap.einsum("i,ijk->kj", e, dot) for e in basis),
+                      D, Q)

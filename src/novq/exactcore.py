@@ -1,4 +1,4 @@
-"""Exact scalars over Q and Q[q], plus dense vectors, matrices and tensors.
+"""Exact scalars over Q and Q[q], plus sparse tensors of structure constants.
 
 Everything in the package bottoms out here.  A scalar is either a rational
 number or a univariate polynomial in the deformation parameter q with
@@ -7,13 +7,20 @@ coefficient tuple); there is no floating point and no tolerance anywhere.
 
 Polynomials are stored as ascending coefficient tuples with no trailing
 zeros, so the zero polynomial is the empty tuple and degree is len-1.
+
+Vectors, maps, r-elements, products and coproducts are all one sparse
+tensor class that stores only its nonzero entries; products, map
+applications and leg changes all go through its single contraction,
+Tensor.einsum.  No other module knows how entries are stored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 RATIONAL = "Q"
 POLY = "Q[q]"
@@ -351,404 +358,398 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     return q
 
 
-# -- dense linear algebra -----------------------------------------------------
+# -- sparse tensors -------------------------------------------------------------
 
 
-def _freeze_scalars(ring: str, row: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    for s in row:
-        if not isinstance(s, Scalar):
-            raise TypeError("entries must be Scalar values")
-        if s.ring != ring:
-            raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
-    return tuple(row)
+def _check_scalar(ring: str, s) -> None:
+    if not isinstance(s, Scalar):
+        raise TypeError("entries must be Scalar values")
+    if s.ring != ring:
+        raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
 
 
-class Vector:
-    """A dense coordinate vector over one ring."""
+@functools.lru_cache(maxsize=None)
+def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """A function taking an index tuple to the tuple of its entries at positions."""
+    if not positions:
+        return lambda key: ()
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda key: (key[p],)
+    return operator.itemgetter(*positions)
 
-    __slots__ = ("ring", "coords")
+
+class _Plan(NamedTuple):
+    operands: int
+    # one join per later operand: (operand, picks the shared legs of the running
+    # result, shared legs of the operand, its legs to carry on, picks the legs of
+    # the running result to carry on or None for all of them)
+    steps: tuple
+    final: Callable | None  # puts the result legs in output order
+    out_legs: tuple  # (operand, leg) giving the size of each output leg
+    same_size: tuple  # pairs of (operand, leg) that carry one label
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(spec: str) -> _Plan:
+    lhs, arrow, out = spec.partition("->")
+    ins = lhs.split(",")
+    labels = set(lhs) - {","}
+    if (not arrow or any(len(set(s)) != len(s) for s in (*ins, out))
+            or not set(out) <= labels or not set(ins[0]) <= set(out).union(*ins[1:])):
+        raise ValueError(f"bad contraction spec {spec!r}")
+    where: dict[str, tuple[int, int]] = {}
+    same_size = []
+    for o, legs in enumerate(ins):
+        for p, label in enumerate(legs):
+            if label in where:
+                same_size.append((where[label], (o, p)))
+            else:
+                where[label] = (o, p)
+
+    def needed(o: int) -> set:
+        return set(out).union(*ins[o + 1:])
+
+    acc = ins[0]
+    steps = []
+    for o in range(1, len(ins)):
+        legs, need = ins[o], needed(o)
+        shared = [label for label in legs if label in acc]
+        rest = [label for label in legs if label not in acc and label in need]
+        keep = [label for label in acc if label in need]
+        steps.append((o,
+                      _picker(tuple(acc.index(label) for label in shared)),
+                      tuple(legs.index(label) for label in shared),
+                      tuple(legs.index(label) for label in rest),
+                      None if len(keep) == len(acc)
+                      else _picker(tuple(acc.index(label) for label in keep))))
+        acc = "".join(keep + rest)
+    final = None if acc == out else _picker(tuple(acc.index(label) for label in out))
+    return _Plan(len(ins), tuple(steps), final, tuple(where[label] for label in out),
+                 tuple(same_size))
+
+
+class Tensor:
+    """A sparse order-k tensor over one ring.
+
+    Only nonzero entries are stored, keyed by index tuple, so equality and
+    hashing are canonical.  Every product, map application and change of
+    legs is one call of ``einsum``; the subclasses below are views that add
+    a constructor from dense nested sequences and read-only dense accessors.
+    """
+
+    __slots__ = ("ring", "shape", "_entries", "_index")
+
+    def _set(self, ring: str, shape: tuple[int, ...], entries: dict) -> None:
+        self.ring = ring
+        self.shape = shape
+        self._entries = entries
+        self._index = None
+
+    @classmethod
+    def _make(cls, ring: str, shape: tuple[int, ...], entries: dict):
+        # trusted: entries already hold nonzero Scalars of ring only
+        t = object.__new__(cls)
+        t._set(ring, shape, entries)
+        return t
+
+    @classmethod
+    def from_entries(cls, ring: str, shape: Sequence[int], entries):
+        """A tensor from (index tuple, Scalar) pairs or a mapping; zero values are dropped."""
+        shape = tuple(shape)
+        out = {}
+        for key, s in dict(entries).items():
+            key = tuple(key)
+            if len(key) != len(shape) or not all(0 <= i < d for i, d in zip(key, shape)):
+                raise ShapeError(f"index {key} lies outside shape {shape}")
+            _check_scalar(ring, s)
+            if not s.is_zero():
+                out[key] = s
+        return cls._make(ring, shape, out)
+
+    def _init_dense(self, ring: str, nested, order: int, equal_legs: bool = False) -> None:
+        shape = []
+        level = nested
+        for _ in range(order):
+            shape.append(len(level))
+            level = level[0] if len(level) else ()
+        if equal_legs and len(set(shape)) > 1:
+            raise ShapeError(f"order-{order} tensor must have legs of one size")
+        entries = {}
+
+        def walk(seq, key):
+            if len(seq) != shape[len(key)]:
+                raise ShapeError("ragged nested sequence")
+            if len(key) == order - 1:
+                for i, s in enumerate(seq):
+                    _check_scalar(ring, s)
+                    if not s.is_zero():
+                        entries[key + (i,)] = s
+            else:
+                for i, sub in enumerate(seq):
+                    walk(sub, key + (i,))
+
+        walk(nested, ())
+        self._set(ring, tuple(shape), entries)
+
+    @classmethod
+    def stack(cls, parts: Sequence["Tensor"]):
+        """The tensor whose slices along a new first leg are parts[0], parts[1], ..."""
+        parts = tuple(parts)
+        if not parts:
+            raise ShapeError("nothing to stack")
+        ring, shape = parts[0].ring, parts[0].shape
+        entries = {}
+        for i, t in enumerate(parts):
+            if t.ring != ring:
+                raise RingMismatchError(f"cannot mix {ring} with {t.ring}")
+            if t.shape != shape:
+                raise ShapeError("stacked tensors differ in shape")
+            for key, s in t._entries.items():
+                entries[(i,) + key] = s
+        return cls._make(ring, (len(parts),) + shape, entries)
+
+    @classmethod
+    def from_blocks(cls, ring: str, shape: Sequence[int], blocks):
+        """The sum of (offsets, tensor) blocks, each shifted by its per-leg offsets."""
+        shape = tuple(shape)
+        out = {}
+        for offsets, t in blocks:
+            if t.ring != ring:
+                raise RingMismatchError(f"cannot mix {ring} with {t.ring}")
+            if len(offsets) != len(shape) or len(t.shape) != len(shape) or any(
+                    o + d > n for o, d, n in zip(offsets, t.shape, shape)):
+                raise ShapeError(f"block of shape {t.shape} does not fit into {shape}")
+            for key, s in t._entries.items():
+                key = tuple(map(operator.add, key, offsets))
+                prev = out.get(key)
+                out[key] = s if prev is None else prev + s
+        return cls._make(ring, shape, {k: s for k, s in out.items() if not s.is_zero()})
+
+    @classmethod
+    def einsum(cls, spec: str, *operands: "Tensor"):
+        """Contract tensors by leg labels, as in "i,j,ijk->k" for a product of two vectors.
+
+        The operands are joined from left to right.  Each later operand is
+        looked up through an index on the legs it shares with the running
+        result, built once and kept on that operand, so a call only visits
+        nonzero entries.  Pass sparse arguments first and the structure
+        constants they hit last.  Labels missing from the output are summed;
+        every leg of the first operand must meet a later operand or the output.
+        """
+        plan = _plan(spec)
+        if len(operands) != plan.operands:
+            raise ValueError(f"{spec!r} takes {plan.operands} operands, got {len(operands)}")
+        ring = operands[0].ring
+        for t in operands:
+            if t.ring != ring:
+                raise RingMismatchError(f"cannot mix {ring} with {t.ring}")
+        for (o1, p1), (o2, p2) in plan.same_size:
+            if operands[o1].shape[p1] != operands[o2].shape[p2]:
+                raise ShapeError(f"leg sizes differ in {spec!r}")
+        acc = operands[0]._entries
+        for o, shared_of, shared, rest, keep in plan.steps:
+            index = operands[o]._index_on(shared, rest)
+            out: dict = {}
+            get = out.get
+            for key, s in acc.items():
+                hits = index.get(shared_of(key))
+                if hits:
+                    head = key if keep is None else keep(key)
+                    for tail, w in hits:
+                        k = head + tail
+                        prev = get(k)
+                        out[k] = s * w if prev is None else prev + s * w
+            acc = out
+        if plan.steps or plan.final is not None:
+            final = plan.final or (lambda key: key)
+            acc = {final(key): s for key, s in acc.items() if not s.is_zero()}
+        shape = tuple(operands[o].shape[p] for o, p in plan.out_legs)
+        return cls._make(ring, shape, acc)
+
+    def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...]) -> dict:
+        """Entries grouped by their shared legs, each as (rest legs, value)."""
+        if self._index is None:
+            self._index = {}
+        index = self._index.get((shared, rest))
+        if index is None:
+            of, tail = _picker(shared), _picker(rest)
+            index = {}
+            for key, s in self._entries.items():
+                index.setdefault(of(key), []).append((tail(key), s))
+            self._index[(shared, rest)] = index
+        return index
+
+    # -- reading -------------------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        """Size of the first leg."""
+        return self.shape[0]
+
+    def entry(self, *index: int) -> Scalar:
+        s = self._entries.get(index)
+        return Scalar.zero(self.ring) if s is None else s
+
+    def nonzero(self) -> list[tuple]:
+        """(*index, value) for every nonzero entry, in row-major order."""
+        entries = self._entries
+        return [(*key, entries[key]) for key in sorted(entries)]
+
+    def is_zero(self) -> bool:
+        return not self._entries
+
+    @property
+    def dense(self) -> tuple:
+        """The entries as nested tuples in row-major order, zeros included."""
+        zero = Scalar.zero(self.ring)
+        get, shape = self._entries.get, self.shape
+
+        def build(key):
+            depth = len(key)
+            if depth == len(shape) - 1:
+                return tuple(get(key + (i,), zero) for i in range(shape[depth]))
+            return tuple(build(key + (i,)) for i in range(shape[depth]))
+
+        return build(())
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _combine(self, other: "Tensor", sign: int):
+        if self.ring != other.ring:
+            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
+        if self.shape != other.shape:
+            raise ShapeError(f"shapes {self.shape} and {other.shape} differ")
+        out = dict(self._entries)
+        for key, s in other._entries.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = s if sign > 0 else -s
+                continue
+            total = prev + s if sign > 0 else prev - s
+            if total.is_zero():
+                del out[key]
+            else:
+                out[key] = total
+        return self._make(self.ring, self.shape, out)
+
+    def __add__(self, other: "Tensor"):
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Tensor"):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._make(self.ring, self.shape, {k: -s for k, s in self._entries.items()})
+
+    def scale(self, s: Scalar):
+        if s.is_zero():
+            return self._make(self.ring, self.shape, {})
+        return self._make(self.ring, self.shape, {k: s * a for k, a in self._entries.items()})
+
+    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str):
+        """Apply fn to every entry, landing in ring; entries that become zero are dropped."""
+        out = {}
+        for key, s in self._entries.items():
+            t = fn(s)
+            if not t.is_zero():
+                out[key] = t
+        return self._make(ring, self.shape, out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (type(self) is type(other) and self.ring == other.ring
+                and self.shape == other.shape and self._entries == other._entries)
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.ring, self.shape,
+                     frozenset(self._entries.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.ring}, {self.shape}, {len(self._entries)} nonzero)"
+
+
+class Vector(Tensor):
+    """A coordinate vector over one ring."""
+
+    __slots__ = ()
+    coords = Tensor.dense
 
     def __init__(self, ring: str, coords: Sequence[Scalar]):
-        self.ring = ring
-        self.coords = _freeze_scalars(ring, coords)
+        self._init_dense(ring, coords, 1)
 
     @staticmethod
     def zero(ring: str, dim: int) -> "Vector":
-        return Vector(ring, [Scalar.zero(ring)] * dim)
+        return Vector._make(ring, (dim,), {})
 
     @staticmethod
     def basis(ring: str, dim: int, i: int) -> "Vector":
-        coords = [Scalar.zero(ring)] * dim
-        coords[i] = Scalar.one(ring)
-        return Vector(ring, coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return Vector(self.ring, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return Vector(self.ring, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.ring, [-a for a in self.coords])
-
-    def scale(self, s: Scalar) -> "Vector":
-        return Vector(self.ring, [s * a for a in self.coords])
-
-    def _check(self, other: "Vector"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-        if self.dim != other.dim:
-            raise ShapeError(f"vector dims {self.dim} and {other.dim} differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.ring == other.ring and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.coords))
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str) -> "Vector":
-        return Vector(ring, [fn(c) for c in self.coords])
-
-    def __repr__(self) -> str:
-        return f"Vector[{', '.join(str(c) for c in self.coords)}]"
+        if not 0 <= i < dim:
+            raise ShapeError(f"basis index {i} outside dimension {dim}")
+        return Vector._make(ring, (dim,), {(i,): Scalar.one(ring)})
 
 
-class LinMap:
-    """A linear map stored as rows[codomain][domain]; column j is the image of basis j."""
+class LinMap(Tensor):
+    """A linear map; rows[i][j] is the e_i coefficient of the image of e_j."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ()
+    rows = Tensor.dense
 
     def __init__(self, ring: str, rows: Sequence[Sequence[Scalar]]):
-        self.ring = ring
-        frozen = tuple(_freeze_scalars(ring, r) for r in rows)
-        if frozen and any(len(r) != len(frozen[0]) for r in frozen):
-            raise ShapeError("ragged matrix rows")
-        self.rows = frozen
+        self._init_dense(ring, rows, 2)
 
     @staticmethod
     def identity(ring: str, dim: int) -> "LinMap":
-        one, zero = Scalar.one(ring), Scalar.zero(ring)
-        return LinMap(ring, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        one = Scalar.one(ring)
+        return LinMap._make(ring, (dim, dim), {(i, i): one for i in range(dim)})
 
     @staticmethod
     def zero(ring: str, cod: int, dom: int) -> "LinMap":
-        z = Scalar.zero(ring)
-        return LinMap(ring, [[z] * dom for _ in range(cod)])
+        return LinMap._make(ring, (cod, dom), {})
 
     @staticmethod
     def block_diag(a: "LinMap", b: "LinMap") -> "LinMap":
-        if a.ring != b.ring:
-            raise RingMismatchError(f"cannot mix {a.ring} with {b.ring}")
-        z = Scalar.zero(a.ring)
-        rows = [list(r) + [z] * b.dom for r in a.rows]
-        rows += [[z] * a.dom + list(r) for r in b.rows]
-        return LinMap(a.ring, rows)
+        return LinMap.from_blocks(a.ring, (a.cod + b.cod, a.dom + b.dom),
+                                  [((0, 0), a), ((a.cod, a.dom), b)])
 
     @property
     def cod(self) -> int:
-        return len(self.rows)
+        return self.shape[0]
 
     @property
     def dom(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
+        return self.shape[1]
 
     def column(self, j: int) -> Vector:
-        return Vector(self.ring, [r[j] for r in self.rows])
-
-    def apply(self, v: Vector) -> Vector:
-        if v.dim != self.dom:
-            raise ShapeError(f"map domain {self.dom} vs vector dim {v.dim}")
-        out = [Scalar.zero(self.ring)] * self.cod
-        for j, c in enumerate(v.coords):
-            if c.is_zero():
-                continue
-            for i in range(self.cod):
-                e = self.rows[i][j]
-                if not e.is_zero():
-                    out[i] = out[i] + e * c
-        return Vector(self.ring, out)
-
-    def __matmul__(self, other: "LinMap") -> "LinMap":
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-        if self.dom != other.cod:
-            raise ShapeError(f"inner dims {self.dom} and {other.cod} differ")
-        z = Scalar.zero(self.ring)
-        out = [[z] * other.dom for _ in range(self.cod)]
-        for k in range(other.cod):
-            for j in range(other.dom):
-                b = other.rows[k][j]
-                if b.is_zero():
-                    continue
-                for i in range(self.cod):
-                    a = self.rows[i][k]
-                    if not a.is_zero():
-                        out[i][j] = out[i][j] + a * b
-        return LinMap(self.ring, out)
-
-    def __add__(self, other: "LinMap") -> "LinMap":
-        self._check_same_shape(other)
-        return LinMap(self.ring, [[a + b for a, b in zip(ra, rb)]
-                                  for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        self._check_same_shape(other)
-        return LinMap(self.ring, [[a - b for a, b in zip(ra, rb)]
-                                  for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "LinMap":
-        return LinMap(self.ring, [[-a for a in r] for r in self.rows])
-
-    def scale(self, s: Scalar) -> "LinMap":
-        return LinMap(self.ring, [[s * a for a in r] for r in self.rows])
+        return Vector.einsum("j,ij->i", Vector.basis(self.ring, self.dom, j), self)
 
     def transpose(self) -> "LinMap":
-        return LinMap(self.ring, [[self.rows[i][j] for i in range(self.cod)]
-                                  for j in range(self.dom)])
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
-
-    def _check_same_shape(self, other: "LinMap"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-        if self.cod != other.cod or self.dom != other.dom:
-            raise ShapeError("matrix shapes differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinMap):
-            return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows))
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str) -> "LinMap":
-        return LinMap(ring, [[fn(a) for a in r] for r in self.rows])
-
-    def __repr__(self) -> str:
-        return f"LinMap({self.cod}x{self.dom})"
+        return LinMap.einsum("ij->ji", self)
 
 
-class Tensor2:
-    """An order-2 tensor (element of W (x) W) with entries t[i][j]."""
+class Tensor2(Tensor):
+    """An order-2 tensor (element of W (x) W) with entries rows[i][j]."""
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ()
+    rows = Tensor.dense
 
     def __init__(self, ring: str, rows: Sequence[Sequence[Scalar]]):
-        self.ring = ring
-        frozen = tuple(_freeze_scalars(ring, r) for r in rows)
-        if any(len(r) != len(frozen) for r in frozen):
-            raise ShapeError("order-2 tensor must be square")
-        self.rows = frozen
+        self._init_dense(ring, rows, 2, equal_legs=True)
 
     @staticmethod
     def zero(ring: str, dim: int) -> "Tensor2":
-        z = Scalar.zero(ring)
-        return Tensor2(ring, [[z] * dim for _ in range(dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
-
-    def nonzero(self) -> Iterator[tuple[int, int, Scalar]]:
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if not a.is_zero():
-                    yield i, j, a
-
-    def flip(self) -> "Tensor2":
-        """Swap the two tensor legs."""
-        n = self.dim
-        return Tensor2(self.ring, [[self.rows[j][i] for j in range(n)] for i in range(n)])
-
-    def apply_maps(self, f: LinMap | None, g: LinMap | None) -> "Tensor2":
-        """Apply f to the first leg and g to the second (None means identity)."""
-        n = self.dim
-        for m in (f, g):
-            if m is not None and (m.dom != n or m.cod != n):
-                raise ShapeError("leg map shape does not match tensor dimension")
-        z = Scalar.zero(self.ring)
-        out = [[z] * n for _ in range(n)]
-        for a, b, coeff in self.nonzero():
-            if f is None:
-                fi = ((a, Scalar.one(self.ring)),)
-            else:
-                fi = tuple((i, f.rows[i][a]) for i in range(n) if not f.rows[i][a].is_zero())
-            if g is None:
-                gj = ((b, Scalar.one(self.ring)),)
-            else:
-                gj = tuple((j, g.rows[j][b]) for j in range(n) if not g.rows[j][b].is_zero())
-            for i, fa in fi:
-                for j, gb in gj:
-                    out[i][j] = out[i][j] + coeff * fa * gb
-        return Tensor2(self.ring, out)
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        self._check(other)
-        return Tensor2(self.ring, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        self._check(other)
-        return Tensor2(self.ring, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2(self.ring, [[-a for a in r] for r in self.rows])
-
-    def scale(self, s: Scalar) -> "Tensor2":
-        return Tensor2(self.ring, [[s * a for a in r] for r in self.rows])
-
-    def _check(self, other: "Tensor2"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-        if self.dim != other.dim:
-            raise ShapeError("tensor dims differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self.ring == other.ring and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows))
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str) -> "Tensor2":
-        return Tensor2(ring, [[fn(a) for a in r] for r in self.rows])
-
-    def __repr__(self) -> str:
-        return f"Tensor2({self.dim})"
+        return Tensor2._make(ring, (dim, dim), {})
 
 
-class Tensor3:
-    """An order-3 tensor with entries t[i][j][k], all three legs the same dimension."""
+class Tensor3(Tensor):
+    """An order-3 tensor with entries data[i][j][k], all three legs the same dimension."""
 
-    __slots__ = ("ring", "data")
+    __slots__ = ()
+    data = Tensor.dense
 
     def __init__(self, ring: str, data: Sequence[Sequence[Sequence[Scalar]]]):
-        self.ring = ring
-        frozen = tuple(tuple(_freeze_scalars(ring, r) for r in plane) for plane in data)
-        n = len(frozen)
-        for plane in frozen:
-            if len(plane) != n or any(len(r) != n for r in plane):
-                raise ShapeError("order-3 tensor must be cubical")
-        self.data = frozen
-
-    @staticmethod
-    def zero(ring: str, dim: int) -> "Tensor3":
-        z = Scalar.zero(ring)
-        return Tensor3(ring, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.data)
-
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.data[i][j][k]
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for plane in self.data for r in plane for a in r)
-
-    def nonzero(self) -> Iterator[tuple[int, int, int, Scalar]]:
-        for i, plane in enumerate(self.data):
-            for j, row in enumerate(plane):
-                for k, a in enumerate(row):
-                    if not a.is_zero():
-                        yield i, j, k, a
-
-    def permute(self, p: tuple[int, int, int]) -> "Tensor3":
-        """Reorder legs: result[idx] = self[idx[p[0]], idx[p[1]], idx[p[2]]].
-
-        With this convention (t.permute(p)).permute(r) == t.permute(c) where
-        c[k] = r[p[k]].  The leg swap tau(x)id is permute((1, 0, 2)) and
-        id(x)tau is permute((0, 2, 1)).
-        """
-        if sorted(p) != [0, 1, 2]:
-            raise ShapeError(f"not a permutation of (0,1,2): {p}")
-        n = self.dim
-        return Tensor3(self.ring, [
-            [[self.data[(i, j, k)[p[0]]][(i, j, k)[p[1]]][(i, j, k)[p[2]]]
-              for k in range(n)] for j in range(n)] for i in range(n)])
-
-    def apply_maps(self, f: "LinMap | None", g: "LinMap | None", h: "LinMap | None") -> "Tensor3":
-        """Apply one linear map per leg; None leaves that leg alone."""
-        n = self.dim
-        z = Scalar.zero(self.ring)
-        out = [[[z] * n for _ in range(n)] for _ in range(n)]
-
-        def expand(m, i):
-            if m is None:
-                return ((i, None),)  # None weight: keep the entry as is
-            return tuple((t, s) for t, s in enumerate(m.column(i)) if not s.is_zero())
-
-        for i, j, k, a in self.nonzero():
-            for ii, si in expand(f, i):
-                ai = a if si is None else a * si
-                for jj, sj in expand(g, j):
-                    aj = ai if sj is None else ai * sj
-                    for kk, sk in expand(h, k):
-                        ak = aj if sk is None else aj * sk
-                        out[ii][jj][kk] = out[ii][jj][kk] + ak
-        return Tensor3(self.ring, out)
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        self._check(other)
-        return Tensor3(self.ring, [
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(pa, pb)]
-            for pa, pb in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        self._check(other)
-        return Tensor3(self.ring, [
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(pa, pb)]
-            for pa, pb in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(self.ring, [[[-a for a in r] for r in plane] for plane in self.data])
-
-    def scale(self, s: Scalar) -> "Tensor3":
-        return Tensor3(self.ring, [[[s * a for a in r] for r in plane] for plane in self.data])
-
-    def _check(self, other: "Tensor3"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-        if self.dim != other.dim:
-            raise ShapeError("tensor dims differ")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.ring == other.ring and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.data))
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str) -> "Tensor3":
-        return Tensor3(ring, [[[fn(a) for a in r] for r in plane] for plane in self.data])
-
-    def __repr__(self) -> str:
-        return f"Tensor3({self.dim})"
+        self._init_dense(ring, data, 3, equal_legs=True)
 
 
 def bareiss_det(rows: list[list[Scalar]], ring: str) -> Scalar:
@@ -777,23 +778,3 @@ def bareiss_det(rows: list[list[Scalar]], ring: str) -> Scalar:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def contract(t, perm=None, maps=None):
-    """Permute tensor legs, then apply one linear map per leg.
-
-    perm is a leg permutation ((1, 0) swaps the legs of an order-2 tensor);
-    maps is a sequence with one LinMap per leg, None meaning the identity.
-    """
-    if perm is not None:
-        p = tuple(perm)
-        if isinstance(t, Tensor2):
-            if p == (1, 0):
-                t = t.flip()
-            elif p != (0, 1):
-                raise ShapeError(f"not a permutation of (0,1): {perm}")
-        else:
-            t = t.permute(p)
-    if maps is not None:
-        t = t.apply_maps(*maps)
-    return t

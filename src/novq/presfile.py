@@ -34,6 +34,7 @@ parse and emit are inverse on canonical files: emit writes entries in basis
 order with normalized scalars, and parse(emit(p)) reproduces p exactly.
 """
 
+import itertools
 from fractions import Fraction
 
 from .exactcore import POLY, RATIONAL, Scalar, Tensor2, qvar
@@ -415,44 +416,37 @@ def emit(pres: Presentation) -> str:
     out = [f"space {n} {' '.join(names)}",
            "ring " + ("Q" if pres.ring == RATIONAL else "Q[q]")]
 
+    def grouped(t, legs):
+        # nonzero entries in row-major order, grouped by their first legs
+        return itertools.groupby(t.nonzero(), key=lambda entry: entry[:legs])
+
     for name in sorted(pres.binops):
-        op = pres.binops[name]
         out.append("")
         out.append(f"product {name}")
-        for i in range(n):
-            for j in range(n):
-                pairs = [(k, s) for k, s in enumerate(op.c[i][j]) if not s.is_zero()]
-                if pairs:
-                    out.append(f"{names[i]} {names[j]} -> {_vector_terms(pairs, names)}")
+        for (i, j), terms in grouped(pres.binops[name], 2):
+            pairs = [(k, s) for _, _, k, s in terms]
+            out.append(f"{names[i]} {names[j]} -> {_vector_terms(pairs, names)}")
 
     for name in sorted(pres.coops):
-        cop = pres.coops[name]
         out.append("")
         out.append(f"coproduct {name}")
-        for i in range(n):
-            triples = [(j, k, s) for j in range(n) for k, s in enumerate(cop.d[i][j])
-                       if not s.is_zero()]
-            if triples:
-                out.append(f"{names[i]} -> {_tensor_terms(triples, names)}")
+        for (i,), terms in grouped(pres.coops[name], 1):
+            triples = [(j, k, s) for _, j, k, s in terms]
+            out.append(f"{names[i]} -> {_tensor_terms(triples, names)}")
 
     for name in sorted(pres.maps):
-        m = pres.maps[name]
         out.append("")
         out.append(f"map {name}")
-        for j in range(n):
-            pairs = [(k, m.rows[k][j]) for k in range(n) if not m.rows[k][j].is_zero()]
-            if pairs:
-                out.append(f"{names[j]} -> {_vector_terms(pairs, names)}")
+        for (j,), terms in grouped(pres.maps[name].transpose(), 1):
+            pairs = [(k, s) for _, k, s in terms]
+            out.append(f"{names[j]} -> {_vector_terms(pairs, names)}")
 
     for label, table in (("form", pres.forms), ("relement", pres.relements)):
         for name in sorted(table):
-            t = table[name]
             out.append("")
             out.append(f"{label} {name}")
-            for i in range(n):
-                for j in range(n):
-                    if not t.rows[i][j].is_zero():
-                        out.append(f"{names[i]} {names[j]} -> {t.rows[i][j]}")
+            for i, j, s in table[name].nonzero():
+                out.append(f"{names[i]} {names[j]} -> {s}")
 
     return "\n".join(out) + "\n"
 

@@ -2,7 +2,9 @@
 
 A presentation bundles one basis with any number of binary products,
 coproducts, linear maps, bilinear forms and order-2 tensors, all over a
-single ring (Q or Q[q]).  Axioms are data: each catalog entry is a syntax
+single ring (Q or Q[q]).  Products and coproducts are sparse order-3
+tensors from exactcore and every evaluation step is one contraction of
+them.  Axioms are data: each catalog entry is a syntax
 tree for a multilinear residual, and one evaluator checks any of them on
 any presentation by running over basis tuples in row-major order.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactcore import (
     POLY,
@@ -24,6 +26,7 @@ from .exactcore import (
     LinMap,
     RingMismatchError,
     Scalar,
+    Tensor,
     Tensor2,
     Tensor3,
     Vector,
@@ -58,215 +61,42 @@ class Space:
             raise PresentationError(f"unknown basis element {name!r}") from None
 
 
-class BinOpTensor:
+class BinOpTensor(Tensor):
     """A bilinear product: c[i][j][k] is the e_k coefficient of e_i * e_j."""
 
-    __slots__ = ("ring", "c")
+    __slots__ = ()
+    c = Tensor.dense
 
     def __init__(self, ring: str, c: Sequence[Sequence[Sequence[Scalar]]]):
-        t3 = Tensor3(ring, c)  # reuse shape and ring validation
-        self.ring = ring
-        self.c = t3.data
-
-    @staticmethod
-    def zero(ring: str, dim: int) -> "BinOpTensor":
-        z = Scalar.zero(ring)
-        return BinOpTensor(ring, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
-
-    @staticmethod
-    def from_vectors(ring: str, grid: Sequence[Sequence[Vector]]) -> "BinOpTensor":
-        return BinOpTensor(ring, [[list(v.coords) for v in row] for row in grid])
-
-    @property
-    def dim(self) -> int:
-        return len(self.c)
-
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.c[i][j][k]
-
-    def product(self, i: int, j: int) -> Vector:
-        return Vector(self.ring, self.c[i][j])
-
-    def apply(self, x: Vector, y: Vector) -> Vector:
-        out = [Scalar.zero(self.ring)] * self.dim
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y.coords):
-                if yj.is_zero():
-                    continue
-                s = xi * yj
-                for k, cc in enumerate(self.c[i][j]):
-                    if not cc.is_zero():
-                        out[k] = out[k] + s * cc
-        return Vector(self.ring, out)
-
-    def left_mult(self, a: Vector) -> LinMap:
-        """The map x -> a * x."""
-        n = self.dim
-        rows = [[Scalar.zero(self.ring)] * n for _ in range(n)]
-        for i, ai in enumerate(a.coords):
-            if ai.is_zero():
-                continue
-            for j in range(n):
-                for k, cc in enumerate(self.c[i][j]):
-                    if not cc.is_zero():
-                        rows[k][j] = rows[k][j] + ai * cc
-        return LinMap(self.ring, rows)
-
-    def right_mult(self, b: Vector) -> LinMap:
-        """The map x -> x * b."""
-        n = self.dim
-        rows = [[Scalar.zero(self.ring)] * n for _ in range(n)]
-        for j, bj in enumerate(b.coords):
-            if bj.is_zero():
-                continue
-            for i in range(n):
-                for k, cc in enumerate(self.c[i][j]):
-                    if not cc.is_zero():
-                        rows[k][i] = rows[k][i] + bj * cc
-        return LinMap(self.ring, rows)
-
-    def opposite(self) -> "BinOpTensor":
-        n = self.dim
-        return BinOpTensor(self.ring, [[self.c[j][i] for j in range(n)] for i in range(n)])
-
-    def plus(self, other: "BinOpTensor") -> "BinOpTensor":
-        if self.ring != other.ring:
-            raise RingMismatchError("cannot add products over different rings")
-        if self.dim != other.dim:
-            raise PresentationError("cannot add products of different dimensions")
-        return BinOpTensor(self.ring, [
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(pa, pb)]
-            for pa, pb in zip(self.c, other.c)])
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str) -> "BinOpTensor":
-        return BinOpTensor(ring, [[[fn(a) for a in r] for r in plane] for plane in self.c])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinOpTensor):
-            return NotImplemented
-        return self.ring == other.ring and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.c))
-
-    def __repr__(self) -> str:
-        return f"BinOpTensor({self.dim})"
+        self._init_dense(ring, c, 3, equal_legs=True)
 
 
-class CoOpTensor:
+class CoOpTensor(Tensor):
     """A linear coproduct: d[i][j][k] is the e_j (x) e_k coefficient of delta(e_i)."""
 
-    __slots__ = ("ring", "d")
+    __slots__ = ()
+    d = Tensor.dense
 
     def __init__(self, ring: str, d: Sequence[Sequence[Sequence[Scalar]]]):
-        t3 = Tensor3(ring, d)
-        self.ring = ring
-        self.d = t3.data
-
-    @staticmethod
-    def zero(ring: str, dim: int) -> "CoOpTensor":
-        z = Scalar.zero(ring)
-        return CoOpTensor(ring, [[[z] * dim for _ in range(dim)] for _ in range(dim)])
+        self._init_dense(ring, d, 3, equal_legs=True)
 
     @staticmethod
     def from_tensors(ring: str, images: Sequence[Tensor2]) -> "CoOpTensor":
-        return CoOpTensor(ring, [[list(row) for row in t.rows] for t in images])
-
-    @property
-    def dim(self) -> int:
-        return len(self.d)
-
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.d[i][j][k]
+        out = CoOpTensor.stack(images)
+        if out.ring != ring:
+            raise RingMismatchError(f"cannot mix {ring} with {out.ring}")
+        return out
 
     def image(self, i: int) -> Tensor2:
-        return Tensor2(self.ring, self.d[i])
-
-    def apply(self, x: Vector) -> Tensor2:
-        n = self.dim
-        out = [[Scalar.zero(self.ring)] * n for _ in range(n)]
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
-            for j in range(n):
-                for k, dd in enumerate(self.d[i][j]):
-                    if not dd.is_zero():
-                        out[j][k] = out[j][k] + xi * dd
-        return Tensor2(self.ring, out)
-
-    def expand_leg(self, t: Tensor2, leg: int) -> Tensor3:
-        """Apply the coproduct to one leg of an order-2 tensor.
-
-        leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]
-        leg 2: out[i][j][k] = sum_m t[i][m] d[m][j][k]
-        """
-        n = self.dim
-        if t.dim != n:
-            raise PresentationError("tensor dimension does not match coproduct")
-        z = Scalar.zero(self.ring)
-        out = [[[z] * n for _ in range(n)] for _ in range(n)]
-        if leg == 1:
-            for m, k, coeff in t.nonzero():
-                for i in range(n):
-                    for j, dd in enumerate(self.d[m][i]):
-                        if not dd.is_zero():
-                            out[i][j][k] = out[i][j][k] + coeff * dd
-        elif leg == 2:
-            for i, m, coeff in t.nonzero():
-                for j in range(n):
-                    for k, dd in enumerate(self.d[m][j]):
-                        if not dd.is_zero():
-                            out[i][j][k] = out[i][j][k] + coeff * dd
-        else:
-            raise ValueError("leg must be 1 or 2")
-        return Tensor3(self.ring, out)
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str) -> "CoOpTensor":
-        return CoOpTensor(ring, [[[fn(a) for a in r] for r in plane] for plane in self.d])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoOpTensor):
-            return NotImplemented
-        return self.ring == other.ring and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.d))
-
-    def __repr__(self) -> str:
-        return f"CoOpTensor({self.dim})"
+        return Tensor2.einsum("i,ijk->jk", Vector.basis(self.ring, self.dim, i), self)
 
 
-def apply_binop_into_leg(t: Tensor3, op: BinOpTensor, legs: tuple[int, int], out_leg: int) -> Tensor2:
-    """Multiply two legs of an order-3 tensor through a product.
-
-    legs gives the (left factor, right factor) positions in t; the product
-    lands at position out_leg (0 or 1) of the order-2 result and the
-    untouched leg at the other position.
-    """
-    a_leg, b_leg = legs
-    if {a_leg, b_leg} not in ({0, 1}, {0, 2}, {1, 2}):
-        raise ValueError(f"legs must be two distinct positions in 0..2: {legs}")
-    if out_leg not in (0, 1):
-        raise ValueError("out_leg must be 0 or 1")
-    if t.dim != op.dim:
-        raise PresentationError("tensor dimension does not match the product")
-    rest = 3 - a_leg - b_leg
-    n = t.dim
-    z = Scalar.zero(t.ring)
-    out = [[z] * n for _ in range(n)]
-    for idx0, idx1, idx2, coeff in t.nonzero():
-        idx = (idx0, idx1, idx2)
-        u, v, w = idx[a_leg], idx[b_leg], idx[rest]
-        for m, cc in enumerate(op.c[u][v]):
-            if cc.is_zero():
-                continue
-            if out_leg == 0:
-                out[m][w] = out[m][w] + coeff * cc
-            else:
-                out[w][m] = out[w][m] + coeff * cc
-    return Tensor2(t.ring, out)
+def _act(family: Sequence[LinMap], a: Vector, v: Vector) -> Vector:
+    """Apply sum_i a[i] * family[i] to v."""
+    out = Vector.zero(v.ring, family[0].cod)
+    for i, ai in a.nonzero():
+        out = out + Vector.einsum("j,kj->k", v, family[i]).scale(ai)
+    return out
 
 
 @dataclass
@@ -365,18 +195,11 @@ class Presentation:
 
     def __post_init__(self):
         n = self.space.dim
-        for name, op in self.binops.items():
-            if op.ring != self.ring or op.dim != n:
-                raise PresentationError(f"product {name!r} has wrong ring or dimension")
-        for name, op in self.coops.items():
-            if op.ring != self.ring or op.dim != n:
-                raise PresentationError(f"coproduct {name!r} has wrong ring or dimension")
-        for name, m in self.maps.items():
-            if m.ring != self.ring or m.cod != n or m.dom != n:
-                raise PresentationError(f"map {name!r} has wrong ring or shape")
-        for kind, bag in (("form", self.forms), ("tensor", self.relements)):
+        for kind, bag, order in (("product", self.binops, 3), ("coproduct", self.coops, 3),
+                                 ("map", self.maps, 2), ("form", self.forms, 2),
+                                 ("tensor", self.relements, 2)):
             for name, t in bag.items():
-                if t.ring != self.ring or t.dim != n:
+                if t.ring != self.ring or t.shape != (n,) * order:
                     raise PresentationError(f"{kind} {name!r} has wrong ring or dimension")
 
     @property
@@ -412,9 +235,6 @@ class Presentation:
             return self.relements[name]
         except KeyError:
             raise PresentationError(f"no order-2 tensor named {name!r}") from None
-
-    def basis_vector(self, i: int) -> Vector:
-        return Vector.basis(self.ring, self.dim, i)
 
     def lift(self) -> "Presentation":
         """Embed a rational presentation into Q[q]."""
@@ -996,10 +816,10 @@ def _eval_map(me, ctx: _Ctx) -> LinMap | None:
     kind = me[0]
     if kind == "m":
         return ctx.pres.linmap(ctx.key(me[1]))
-    if kind == "ml":
-        return ctx.pres.binop(ctx.key(me[1])).left_mult(_eval(me[2], ctx))
-    if kind == "mr":
-        return ctx.pres.binop(ctx.key(me[1])).right_mult(_eval(me[2], ctx))
+    if kind == "ml":  # x -> a * x
+        return LinMap.einsum("i,ijk->kj", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
+    if kind == "mr":  # x -> x * b
+        return LinMap.einsum("j,ijk->ki", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
     if kind == "mlin":
         acc = None
         for coeffs, sub in me[1]:
@@ -1016,7 +836,7 @@ def _eval_map(me, ctx: _Ctx) -> LinMap | None:
             return inner
         if inner is None:
             return outer
-        return outer @ inner
+        return LinMap.einsum("kj,ik->ij", inner, outer)
     raise ValueError(f"unknown map expression {kind!r}")
 
 
@@ -1025,9 +845,10 @@ def _eval(e, ctx: _Ctx):
     if kind == "var":
         return ctx.vals[e[1]]
     if kind == "op":
-        return ctx.pres.binop(ctx.key(e[1])).apply(_eval(e[2], ctx), _eval(e[3], ctx))
+        return Vector.einsum("i,j,ijk->k", _eval(e[2], ctx), _eval(e[3], ctx),
+                             ctx.pres.binop(ctx.key(e[1])))
     if kind == "map":
-        return ctx.pres.linmap(ctx.key(e[1])).apply(_eval(e[2], ctx))
+        return Vector.einsum("j,ij->i", _eval(e[2], ctx), ctx.pres.linmap(ctx.key(e[1])))
     if kind == "lin":
         acc = None
         for coeffs, sub in e[1]:
@@ -1035,27 +856,28 @@ def _eval(e, ctx: _Ctx):
             acc = part if acc is None else acc + part
         return acc
     if kind == "cop":
-        return ctx.pres.coop(ctx.key(e[1])).apply(_eval(e[2], ctx))
+        return Tensor2.einsum("i,ijk->jk", _eval(e[2], ctx), ctx.pres.coop(ctx.key(e[1])))
     if kind == "tau":
-        return _eval(e[1], ctx).flip()
+        return Tensor2.einsum("ji->ij", _eval(e[1], ctx))
     if kind == "tmap2":
-        m1, m2 = e[1]
-        return _eval(e[2], ctx).apply_maps(_eval_map(m1, ctx), _eval_map(m2, ctx))
+        t = _eval(e[2], ctx)
+        f, g = _eval_map(e[1][0], ctx), _eval_map(e[1][1], ctx)
+        if g is None:
+            return t if f is None else Tensor2.einsum("ab,ia->ib", t, f)
+        if f is None:
+            return Tensor2.einsum("ab,jb->aj", t, g)
+        return Tensor2.einsum("ab,ia,jb->ij", t, f, g)
     if kind == "coleg":
-        return ctx.pres.coop(ctx.key(e[1])).expand_leg(_eval(e[3], ctx), e[2])
+        # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
+        spec = {1: "mk,mij->ijk", 2: "im,mjk->ijk"}[e[2]]
+        return Tensor3.einsum(spec, _eval(e[3], ctx), ctx.pres.coop(ctx.key(e[1])))
     if kind == "perm":
-        return _eval(e[2], ctx).permute(e[1])
+        # result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
+        return Tensor3.einsum("".join("ijk"[x] for x in e[1]) + "->ijk", _eval(e[2], ctx))
     if kind == "pair":
-        form = ctx.pres.form(ctx.key(e[1]))
-        x, y = _eval(e[2], ctx), _eval(e[3], ctx)
-        acc = Scalar.zero(ctx.pres.ring)
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
-                continue
-            for j, yj in enumerate(y.coords):
-                if not yj.is_zero():
-                    acc = acc + xi * form.entry(i, j) * yj
-        return Vector(ctx.pres.ring, [acc])
+        value = Tensor.einsum("i,j,ij->", _eval(e[2], ctx), _eval(e[3], ctx),
+                              ctx.pres.form(ctx.key(e[1]))).entry()
+        return Vector(ctx.pres.ring, [value])
     if kind == "rep":
         if ctx.rep is None:
             raise PresentationError("this axiom needs a representation")
@@ -1063,36 +885,22 @@ def _eval(e, ctx: _Ctx):
         if which == "r" and not hasattr(ctx.rep, "r"):
             raise PresentationError("this representation has no right operator family")
         fam = ctx.rep.r if which == "r" else ctx.rep.l
-        avec = _eval(e[2], ctx)
-        vvec = _eval(e[3], ctx)
-        out = Vector.zero(ctx.rep.ring, ctx.rep.dim)
-        for i, ai in enumerate(avec.coords):
-            if not ai.is_zero():
-                out = out + fam[i].apply(vvec).scale(ai)
-        return out
+        return _act(fam, _eval(e[2], ctx), _eval(e[3], ctx))
     if kind == "rmap":
         if ctx.rep is None:
             raise PresentationError("this axiom needs a representation")
         if not hasattr(ctx.rep, e[1]):
             raise PresentationError(f"this representation has no map {e[1]!r}")
-        return getattr(ctx.rep, e[1]).apply(_eval(e[2], ctx))
+        return Vector.einsum("j,ij->i", _eval(e[2], ctx), getattr(ctx.rep, e[1]))
     raise ValueError(f"unknown expression {kind!r}")
 
 
-def _value_entries(val) -> Iterator[Scalar]:
+def _nonzero_values(val) -> list[Scalar]:
     if isinstance(val, Scalar):
-        yield val
-    elif isinstance(val, Vector):
-        yield from val.coords
-    elif isinstance(val, (LinMap, Tensor2)):
-        for row in val.rows:
-            yield from row
-    elif isinstance(val, Tensor3):
-        for plane in val.data:
-            for row in plane:
-                yield from row
-    else:
-        raise TypeError(f"unexpected residual value {type(val).__name__}")
+        return [] if val.is_zero() else [val]
+    if isinstance(val, Tensor):
+        return [entry[-1] for entry in val.nonzero()]
+    raise TypeError(f"unexpected residual value {type(val).__name__}")
 
 
 def check_axiom(
@@ -1132,10 +940,10 @@ def check_axiom(
     elif axdef.uses_q and pres.ring == RATIONAL:
         raise ValueError(f"{axiom_id} uses q; pass q= or work over Q[q]")
 
-    dims = []
+    spaces = []  # (basis vectors, basis names) per variable
     for _, sp in axdef.variables:
         if sp == "A":
-            dims.append(pres.dim)
+            names = pres.space.names
         else:
             if rep is None:
                 raise PresentationError(f"{axiom_id} needs a representation")
@@ -1143,20 +951,18 @@ def check_axiom(
                 raise RingMismatchError("representation ring differs from presentation ring")
             if rep.alg_dim != pres.dim:
                 raise PresentationError("representation is over a different algebra dimension")
-            dims.append(rep.dim)
+            names = rep.names
+        basis = [Vector.basis(pres.ring, len(names), i) for i in range(len(names))]
+        spaces.append((basis, names))
 
     def items():
-        for idx in itertools.product(*(range(d) for d in dims)):
+        for idx in itertools.product(*(range(len(names)) for _, names in spaces)):
             if tuple_filter is not None and not tuple_filter(idx):
                 continue
-            vals = {}
-            names = []
-            for (name, sp), i in zip(axdef.variables, idx):
-                dim = pres.dim if sp == "A" else rep.dim
-                vals[name] = Vector.basis(pres.ring, dim, i)
-                names.append(pres.space.names[i] if sp == "A" else rep.names[i])
+            vals = {name: basis[i] for (name, _), (basis, _), i in
+                    zip(axdef.variables, spaces, idx)}
             ctx = _Ctx(pres, binds, vals, rep, qpoint)
-            yield tuple(names), _eval(axdef.expr, ctx)
+            yield tuple(names[i] for (_, names), i in zip(spaces, idx)), _eval(axdef.expr, ctx)
 
     return scan_residuals(axiom_id, pres.ring, items())
 
@@ -1170,42 +976,53 @@ def scan_residuals(axiom_id: str, ring: str, items) -> AxiomReport:
     intersected, stopping early once the intersection is empty and no
     non-rational common zero is possible.
     """
-    witness = None
-    wres = None
+    first = None  # (witness, residual) of the first nonzero item
     maxdeg = -1
-    roots_running: set[Fraction] | None = None
-    may_be_nonrational = True
-    found = False
 
-    for names, val in items:
-        nonzero = [s for s in _value_entries(val) if not s.is_zero()]
-        if not nonzero:
-            continue
-        if not found:
-            found = True
-            witness = tuple(names)
-            wres = val
-        for s in nonzero:
-            maxdeg = max(maxdeg, s.degree())
-        if ring == RATIONAL:
-            break  # first witness settles a rational check
-        for s in nonzero:
-            rr = rational_roots(s)
-            roots_running = set(rr.roots) if roots_running is None else roots_running & rr.roots
-            may_be_nonrational = may_be_nonrational and rr.has_nonrational_factor
-        if roots_running is not None and not roots_running and not may_be_nonrational:
-            break
+    def constraints():
+        nonlocal first, maxdeg
+        for names, val in items:
+            nonzero = _nonzero_values(val)
+            if not nonzero:
+                continue
+            if first is None:
+                first = (tuple(names), val)
+            maxdeg = max(maxdeg, max(s.degree() for s in nonzero))
+            if ring == RATIONAL:
+                return  # first witness settles a rational check
+            for s in nonzero:
+                yield rational_roots(s)
 
-    if not found:
+    locus = _fold_roots(constraints())
+    if first is None:
         locus = QLocus(ALL_Q) if ring == POLY else None
         return AxiomReport(axiom_id, HOLDS, None, None, -1, locus)
+    witness, wres = first
     if ring == RATIONAL:
         return AxiomReport(axiom_id, FAILS, witness, wres, maxdeg, None)
-    if roots_running:
-        locus = QLocus(FINITE, frozenset(roots_running), may_be_nonrational)
-        return AxiomReport(axiom_id, HOLDS_ON_LOCUS, witness, wres, maxdeg, locus)
-    locus = QLocus(EMPTY, frozenset(), may_be_nonrational)
-    return AxiomReport(axiom_id, FAILS, witness, wres, maxdeg, locus)
+    verdict = HOLDS_ON_LOCUS if locus.points else FAILS
+    return AxiomReport(axiom_id, verdict, witness, wres, maxdeg, locus)
+
+
+def _fold_roots(constraints) -> QLocus:
+    """Intersect (rational roots, may have non-rational zeros) pairs into a locus.
+
+    No constraint at all gives all_q.  The fold stops pulling constraints
+    once no rational point is left and no non-rational common zero is
+    possible, since nothing can change the result after that.
+    """
+    points: set[Fraction] | None = None
+    flag = True
+    for roots, nonrational in constraints:
+        points = set(roots) if points is None else points & roots
+        flag = flag and nonrational
+        if not points and not flag:
+            break
+    if points is None:
+        return QLocus(ALL_Q)
+    if points:
+        return QLocus(FINITE, frozenset(points), flag)
+    return QLocus(EMPTY, frozenset(), flag)
 
 
 def vanishing_locus(entries) -> QLocus:
@@ -1214,35 +1031,13 @@ def vanishing_locus(entries) -> QLocus:
     Identically zero entries impose no constraint; the result is all_q when
     every entry is zero.
     """
-    roots_running: set[Fraction] | None = None
-    may_be_nonrational = True
-    for s in entries:
-        if s.is_zero():
-            continue
-        rr = rational_roots(s)
-        roots_running = set(rr.roots) if roots_running is None else roots_running & rr.roots
-        may_be_nonrational = may_be_nonrational and rr.has_nonrational_factor
-    if roots_running is None:
-        return QLocus(ALL_Q)
-    if roots_running:
-        return QLocus(FINITE, frozenset(roots_running), may_be_nonrational)
-    return QLocus(EMPTY, frozenset(), may_be_nonrational)
+    return _fold_roots(rational_roots(s) for s in entries if not s.is_zero())
 
 
 def combine_loci(loci) -> QLocus:
     """Intersection of q-loci; with no constraints the result is all_q."""
-    points: set[Fraction] | None = None
-    flag = True
-    for lc in loci:
-        if lc is None or lc.kind == ALL_Q:
-            continue
-        points = set(lc.points) if points is None else points & lc.points
-        flag = flag and lc.has_nonrational_factor
-    if points is None:
-        return QLocus(ALL_Q)
-    if points:
-        return QLocus(FINITE, frozenset(points), flag)
-    return QLocus(EMPTY, frozenset(), flag)
+    return _fold_roots((lc.points, lc.has_nonrational_factor) for lc in loci
+                       if lc is not None and lc.kind != ALL_Q)
 
 
 def all_hold(reports: Iterable[AxiomReport]) -> bool:
@@ -1272,20 +1067,11 @@ def dualize(pres: Presentation) -> Presentation:
     transpose, and bilinear forms trade places with order-2 tensors.  The
     operation is an exact involution.
     """
-    n = pres.dim
-    dual_binops = {}
-    for name, coop in pres.coops.items():
-        c = [[[coop.d[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-        dual_binops[name] = BinOpTensor(pres.ring, c)
-    dual_coops = {}
-    for name, binop in pres.binops.items():
-        d = [[[binop.c[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
-        dual_coops[name] = CoOpTensor(pres.ring, d)
     return Presentation(
         ring=pres.ring,
         space=Space(tuple(_toggle_prime(nm) for nm in pres.space.names)),
-        binops=dual_binops,
-        coops=dual_coops,
+        binops={k: BinOpTensor.einsum("kij->ijk", v) for k, v in pres.coops.items()},
+        coops={k: CoOpTensor.einsum("jki->ijk", v) for k, v in pres.binops.items()},
         maps={k: m.transpose() for k, m in pres.maps.items()},
         forms=dict(pres.relements),
         relements=dict(pres.forms),

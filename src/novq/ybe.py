@@ -12,7 +12,7 @@ subscripts share, and the remaining legs keep their factors in summand order:
     r13 . r12 = sum (x_i . x_j) (x) y_j (x) y_i
 """
 
-from .exactcore import LinMap, Scalar, Tensor2, Tensor3, Vector
+from .exactcore import LinMap, Tensor2, Tensor3, Vector
 from .structures import (
     AxiomReport,
     BinOpTensor,
@@ -20,6 +20,7 @@ from .structures import (
     PresentationError,
     RepAdmDiff,
     RepNov,
+    _act,
     scan_residuals,
 )
 from .constructions import star
@@ -32,103 +33,56 @@ def _check_dims(r: Tensor2, op: BinOpTensor) -> None:
         raise PresentationError("r and the product live on different spaces")
 
 
-def _prod_leg1(r: Tensor2, op: BinOpTensor) -> Tensor3:
-    """r13 . r12, multiplied in the first leg."""
-    n = r.dim
-    z = Scalar.zero(r.ring)
-    out = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for a, m, ca in r.nonzero():
-        for c, l, cc in r.nonzero():
-            w = ca * cc
-            for k, ck in enumerate(op.c[a][c]):
-                if not ck.is_zero():
-                    out[k][l][m] = out[k][l][m] + w * ck
-    return Tensor3(r.ring, out)
+# r = sum r[a][b] e_a (x) e_b; the product of two copies lands in leg 1, 2 or 3
+_PROD_LEG_SPECS = {
+    1: "am,cl,ack->klm",  # r13 . r12
+    2: "kb,cm,bcl->klm",  # r12 . r23
+    3: "kb,ld,bdm->klm",  # r13 . r23
+}
 
 
-def _prod_leg2(r: Tensor2, op: BinOpTensor) -> Tensor3:
-    """r12 . r23, multiplied in the middle leg."""
-    n = r.dim
-    z = Scalar.zero(r.ring)
-    out = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for k, b, ca in r.nonzero():
-        for c, m, cc in r.nonzero():
-            w = ca * cc
-            for l, cl in enumerate(op.c[b][c]):
-                if not cl.is_zero():
-                    out[k][l][m] = out[k][l][m] + w * cl
-    return Tensor3(r.ring, out)
-
-
-def _prod_leg3(r: Tensor2, op: BinOpTensor) -> Tensor3:
-    """r13 . r23, multiplied in the last leg."""
-    n = r.dim
-    z = Scalar.zero(r.ring)
-    out = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for k, b, ca in r.nonzero():
-        for l, d, cc in r.nonzero():
-            w = ca * cc
-            for m, cm in enumerate(op.c[b][d]):
-                if not cm.is_zero():
-                    out[k][l][m] = out[k][l][m] + w * cm
-    return Tensor3(r.ring, out)
+def _prod_leg(r: Tensor2, op: BinOpTensor, leg: int) -> Tensor3:
+    """The double product of r with itself that multiplies in the given leg."""
+    return Tensor3.einsum(_PROD_LEG_SPECS[leg], r, r, op)
 
 
 def aybe_residual(r: Tensor2, dot: BinOpTensor) -> Tensor3:
     """r13.r12 + r13.r23 - r12.r23 for a commutative associative product."""
     _check_dims(r, dot)
-    return _prod_leg1(r, dot) + _prod_leg3(r, dot) - _prod_leg2(r, dot)
+    return _prod_leg(r, dot, 1) + _prod_leg(r, dot, 3) - _prod_leg(r, dot, 2)
 
 
 def nybe_residual(r: Tensor2, circ: BinOpTensor) -> Tensor3:
     """r13 circ r23 + r12 star r23 + r13 circ r12, with a star b = a circ b + b circ a."""
     _check_dims(r, circ)
-    return _prod_leg3(r, circ) + _prod_leg2(r, star(circ)) + _prod_leg1(r, circ)
+    return _prod_leg(r, circ, 3) + _prod_leg(r, star(circ), 2) + _prod_leg(r, circ, 1)
 
 
 def r_admissibility(r: Tensor2, D: LinMap, Q: LinMap) -> AxiomReport:
     """(D (x) id - id (x) Q) r = 0 and (id (x) D - Q (x) id) r = 0."""
-    first = r.apply_maps(D, None) - r.apply_maps(None, Q)
-    second = r.apply_maps(None, D) - r.apply_maps(Q, None)
+    first = Tensor2.einsum("ab,ia->ib", r, D) - Tensor2.einsum("ab,jb->aj", r, Q)
+    second = Tensor2.einsum("ab,jb->aj", r, D) - Tensor2.einsum("ab,ia->ib", r, Q)
     items = [(("D(x)id - id(x)Q",), first), (("id(x)D - Q(x)id",), second)]
     return scan_residuals("R_ADMISS", r.ring, items)
 
 
 def is_antisymmetric(r: Tensor2) -> bool:
-    return (r + r.flip()).is_zero()
+    return (r + Tensor2.einsum("ji->ij", r)).is_zero()
 
 
 def delta_r(r: Tensor2, dot: BinOpTensor) -> CoOpTensor:
     """The coboundary coproduct a -> (id (x) L(a) - L(a) (x) id) r."""
     _check_dims(r, dot)
-    n = r.dim
-    images = []
-    for i in range(n):
-        L = dot.left_mult(Vector.basis(r.ring, n, i))
-        images.append(r.apply_maps(None, L) - r.apply_maps(L, None))
-    return CoOpTensor.from_tensors(r.ring, images)
+    # delta(e_i)[a][b] = sum_j r[a][j] (e_i . e_j)_b - r[j][b] (e_i . e_j)_a
+    return (CoOpTensor.einsum("aj,ijb->iab", r, dot)
+            - CoOpTensor.einsum("jb,ija->iab", r, dot))
 
 
 def Delta_qr(r: Tensor2, circ: BinOpTensor) -> CoOpTensor:
     """The coboundary coproduct a -> (L_circ(a) (x) id + id (x) L_star(a)) r."""
     _check_dims(r, circ)
-    st = star(circ)
-    n = r.dim
-    images = []
-    for i in range(n):
-        e = Vector.basis(r.ring, n, i)
-        images.append(r.apply_maps(circ.left_mult(e), None)
-                      + r.apply_maps(None, st.left_mult(e)))
-    return CoOpTensor.from_tensors(r.ring, images)
-
-
-def _act(mats, coeffs: Vector, v: Vector) -> Vector:
-    """Apply sum_m coeffs[m] * mats[m] to v."""
-    out = Vector.zero(v.ring, v.dim)
-    for m, c in enumerate(coeffs.coords):
-        if not c.is_zero():
-            out = out + mats[m].apply(v).scale(c)
-    return out
+    return (CoOpTensor.einsum("jb,ija->iab", r, circ)
+            + CoOpTensor.einsum("aj,ijb->iab", r, star(circ)))
 
 
 def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
@@ -161,9 +115,9 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
         def prod_items():
             for i in range(nv):
                 for j in range(nv):
-                    lhs = circ.apply(timg[i], timg[j])
-                    rhs = T.apply(_act(rep.l, timg[i], basis[j])) \
-                        + T.apply(_act(rep.r, timg[j], basis[i]))
+                    lhs = Vector.einsum("i,j,ijk->k", timg[i], timg[j], circ)
+                    rhs = Vector.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
+                                        + _act(rep.r, timg[j], basis[i]), T)
                     yield (names[i], names[j]), lhs - rhs
 
         return {"OOP_PROD": scan_residuals("OOP_PROD", ring, prod_items())}
@@ -178,23 +132,28 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
     def prod_items():
         for i in range(nv):
             for j in range(nv):
-                lhs = dot.apply(timg[i], timg[j])
-                rhs = T.apply(_act(rep.l, timg[i], basis[j])
-                              + _act(rep.l, timg[j], basis[i]))
+                lhs = Vector.einsum("i,j,ijk->k", timg[i], timg[j], dot)
+                rhs = Vector.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
+                                    + _act(rep.l, timg[j], basis[i]), T)
                 yield (names[i], names[j]), lhs - rhs
 
     out = {
         "OOP_PROD": scan_residuals("OOP_PROD", ring, prod_items()),
-        "OOP_D": scan_residuals("OOP_D", ring, [(("D T - T alpha",), D @ T - T @ rep.alpha)]),
+        "OOP_D": scan_residuals("OOP_D", ring, [(("D T - T alpha",), _twist(D, T, rep.alpha))]),
     }
     if Q is not None:
-        out["OOP_Q"] = scan_residuals("OOP_Q", ring, [(("Q T - T beta",), Q @ T - T @ rep.beta)])
+        out["OOP_Q"] = scan_residuals("OOP_Q", ring, [(("Q T - T beta",), _twist(Q, T, rep.beta))])
     return out
+
+
+def _twist(D: LinMap, T: LinMap, alpha: LinMap) -> LinMap:
+    """D T - T alpha."""
+    return LinMap.einsum("kj,ik->ij", T, D) - LinMap.einsum("kj,ik->ij", alpha, T)
 
 
 def T_from_r(r: Tensor2) -> LinMap:
     """The map A* -> A sending a covector f to (f (x) id) r."""
-    return LinMap(r.ring, [[r.rows[j][i] for j in range(r.dim)] for i in range(r.dim)])
+    return LinMap.einsum("ji->ij", r)
 
 
 def r_from_T(T: LinMap) -> Tensor2:
@@ -204,14 +163,8 @@ def r_from_T(T: LinMap) -> Tensor2:
     summand minus its flip.
     """
     na, nv = T.cod, T.dom
-    n = na + nv
-    z = Scalar.zero(T.ring)
-    rows = [[z] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(nv):
-            rows[i][na + j] = T.rows[i][j]
-            rows[na + j][i] = -T.rows[i][j]
-    return Tensor2(T.ring, rows)
+    return Tensor2.from_blocks(T.ring, (na + nv, na + nv),
+                               [((0, na), T), ((na, 0), -T.transpose())])
 
 
 def canonical_r(ring: str, dim_a: int) -> Tensor2:

@@ -245,3 +245,21 @@ def test_negative_rational_after_space():
     assert main(["induce", "fixtures/exnov1", "--q", "-1/2"]) == 0
     assert main(["window", "fixtures/exnov1", "--q", "-1/2",
                  "--min", "0", "--max", "0"]) == 0
+
+
+def test_manin_dim_a_not_half_is_usage_error(capsys):
+    # a 6-dimensional double cannot split as 2 + 4; that is a bad flag, not a failed check
+    assert main(["verify", "fixtures/examp2-double", "--profile", "manin",
+                 "--dimA", "2"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_polywindow_degree_below_two_is_usage_error(capsys):
+    assert main(["polywindow", "--N", "1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_window_with_min_above_max_is_usage_error(capsys):
+    assert main(["window", "fixtures/exnov1", "--q", "-1/2",
+                 "--min", "3", "--max", "1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")

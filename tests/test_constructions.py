@@ -10,8 +10,9 @@ from novq import (POLY, Presentation, PresentationError, RATIONAL, Scalar,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
                   induce_nov_coalg, induce_novikov, induced_rep_q, load,
                   pre_novikov_from_zinbiel)
-from novq.constructions import (deformation_family_check, regular_rep_admdiff,
-                                regular_rep_novikov, semidirect_novikov, star)
+from novq.constructions import (deformation_family_check, pre_novikov_from_oop,
+                                regular_rep_admdiff, regular_rep_novikov,
+                                semidirect_novikov, star, zinbiel_from_oop)
 
 F = Fraction
 
@@ -240,3 +241,47 @@ def test_induced_quadruple_novikov_random():
         p = Presentation(POLY, pres.space, binops={"circ": circ})
         assert check_axiom("NOV_LSYM", p).holds
         assert check_axiom("NOV_RCOMM", p).holds
+
+
+def _naive_oop_product(T, family, i, j, k):
+    # (family(T(e_i)) e_j)_k from the dense tables
+    n = len(family)
+    return sum((T.rows[m][i] * family[m].rows[k][j] for m in range(n)),
+               Scalar.zero(T.ring))
+
+
+def test_products_from_splitting_operators_on_dual_modules():
+    # the canonical r of the Zinbiel double gives a splitting operator of the
+    # dual module, on the differential side and at q = -1/2 on the Novikov side
+    from novq import Space, T_from_r, canonical_r, oop_check, zinbiel_double
+    dbl = zinbiel_double(load("fixtures/zinb-deriv"))
+    dot, D, Q = dbl.binop("dot"), dbl.linmap("D"), dbl.linmap("Q")
+    T = T_from_r(canonical_r(RATIONAL, 3))
+
+    dual = dual_rep_admdiff(regular_rep_admdiff(dot, D, Q, dbl.space.names))
+    assert all_hold(oop_check(T, dual, dot=dot, D=D, Q=Q).values())
+    zin = zinbiel_from_oop(T, dual)
+    assert not zin.is_zero()
+    for i in range(6):
+        for j in range(6):
+            for k in range(6):
+                assert zin.c[i][j][k] == _naive_oop_product(T, dual.l, i, j, k)
+    p = Presentation(RATIONAL, Space(dual.names), binops={"zin": zin},
+                     maps={"D": dual.alpha, "Q": dual.beta})
+    assert check_axiom("ZINBIEL", p).holds
+    assert check_axiom("DERIV", p, {"dot": "zin"}).holds
+    assert check_axiom("ZINB_ADMISS", p).holds
+
+    circ = induce_novikov(dot, D, Q, q=F(-1, 2))
+    ndual = dual_rep_novikov(regular_rep_novikov(circ, dbl.space.names))
+    assert oop_check(T, ndual, circ=circ)["OOP_PROD"].holds
+    lhd, rhd = pre_novikov_from_oop(T, ndual)
+    assert not lhd.is_zero() and not rhd.is_zero()
+    for i in range(6):
+        for j in range(6):
+            for k in range(6):
+                assert rhd.c[i][j][k] == _naive_oop_product(T, ndual.l, i, j, k)
+                assert lhd.c[i][j][k] == _naive_oop_product(T, ndual.r, j, i, k)
+    p = Presentation(RATIONAL, Space(ndual.names), binops={"lpre": lhd, "rpre": rhd})
+    for aid in ("PRE_NOV_1", "PRE_NOV_2", "PRE_NOV_3", "PRE_NOV_4"):
+        assert check_axiom(aid, p).holds, aid

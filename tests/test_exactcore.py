@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from novq import (LinMap, POLY, RATIONAL, Scalar, Tensor2, Tensor3, Vector,
-                  ZeroPolynomialError, polynomial, qvar, rational_roots)
+import oracles as orc
+from genalg import random_antisym_r, random_quadruple
+from novq import (BinOpTensor, CoOpTensor, LinMap, POLY, RATIONAL, Scalar,
+                  Tensor2, Tensor3, Vector, ZeroPolynomialError,
+                  induce_nov_coalg, induce_novikov, polynomial, qvar,
+                  rational_roots)
 from novq.exactcore import bareiss_det, exact_div
+from novq.ybe import _prod_leg
 
 
 def test_scalar_basic_arithmetic():
@@ -97,13 +102,13 @@ def test_linmap_compose_apply_transpose():
     m = LinMap(RATIONAL, [[Scalar.of(RATIONAL, 1), Scalar.of(RATIONAL, 2)],
                           [Scalar.of(RATIONAL, 0), Scalar.of(RATIONAL, 3)]])
     v = Vector(RATIONAL, [Scalar.of(RATIONAL, 1), Scalar.of(RATIONAL, 1)])
-    assert [c.val for c in m.apply(v).coords] == [3, 3]
-    mm = m @ m
+    assert [c.val for c in Vector.einsum("j,ij->i", v, m).coords] == [3, 3]
+    mm = LinMap.einsum("ik,kj->ij", m, m)
     assert mm.rows[0][1].val == 8
     assert m.transpose().rows[1][0].val == 2
     assert m.column(1).coords[0].val == 2
     ident = LinMap.identity(RATIONAL, 2)
-    assert (m @ ident - m).entry(0, 0).is_zero()
+    assert (LinMap.einsum("ik,kj->ij", m, ident) - m).entry(0, 0).is_zero()
 
 
 def test_linmap_block_diag():
@@ -118,11 +123,12 @@ def test_tensor2_flip_and_maps():
     z = Scalar.zero(RATIONAL)
     one = Scalar.one(RATIONAL)
     t = Tensor2(RATIONAL, [[z, one], [z, z]])
-    assert list(t.flip().nonzero()) == [(1, 0, one)]
+    flip = Tensor2.einsum("ji->ij", t)
+    assert list(flip.nonzero()) == [(1, 0, one)]
     d = LinMap(RATIONAL, [[Scalar.of(RATIONAL, 2), z], [z, Scalar.of(RATIONAL, 3)]])
-    u = t.apply_maps(d, d)
+    u = Tensor2.einsum("ab,ia,jb->ij", t, d, d)
     assert u.entry(0, 1).val == 6
-    assert (t + t.flip() - t.flip() - t).is_zero()
+    assert (t + flip - flip - t).is_zero()
 
 
 def test_tensor3_permute():
@@ -131,8 +137,8 @@ def test_tensor3_permute():
              for _ in range(2)] for _ in range(2)]
     t = Tensor3(RATIONAL, data)
     # permute transports the entry at (i,j,k) to the slot given by the permutation
-    p = t.permute((1, 2, 0))
-    back = p.permute((2, 0, 1))
+    p = Tensor3.einsum("jki->ijk", t)
+    back = Tensor3.einsum("kij->ijk", p)
     assert (back - t).is_zero()
 
 
@@ -166,3 +172,66 @@ def _det_expansion(m):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         tot += (-1) ** j * m[0][j] * _det_expansion(minor)
     return tot
+
+
+def test_sparse_tensors_canonical_and_match_dense_expansions():
+    rng = random.Random(57)
+    for case in range(40):
+        n = rng.choice((2, 3))
+        pres = random_quadruple(rng, n)
+        dot, D, Q = pres.binop("dot"), pres.linmap("D"), pres.linmap("Q")
+        r = random_antisym_r(rng, n)
+        cop = CoOpTensor(RATIONAL, [[[Scalar.of(RATIONAL, rng.randint(-1, 1))
+                                      for _ in range(n)] for _ in range(n)]
+                                    for _ in range(n)])
+        if case % 5 == 0:  # all-zero operands
+            dot = BinOpTensor.from_entries(RATIONAL, (n,) * 3, {})
+            r = Tensor2.zero(RATIONAL, n)
+            cop = CoOpTensor.from_entries(RATIONAL, (n,) * 3, {})
+
+        # explicit zeros are never stored: equal tensors hash alike
+        idx = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        with_zeros = BinOpTensor.from_entries(RATIONAL, (n,) * 3,
+                                              {x: dot.entry(*x) for x in idx})
+        without = BinOpTensor.from_entries(RATIONAL, (n,) * 3,
+                                           {x: dot.entry(*x) for x in idx
+                                            if not dot.entry(*x).is_zero()})
+        dense = BinOpTensor(RATIONAL, dot.c)
+        assert with_zeros == without == dense == dot
+        assert hash(with_zeros) == hash(without) == hash(dense) == hash(dot)
+        assert len(dot.nonzero()) == sum(1 for x in idx if not dot.entry(*x).is_zero())
+
+        ct, rt = orc.op_table(dot), orc.tensor2_table(r)
+        dt, qt = orc.map_table(D), orc.map_table(Q)
+        q = Fraction(rng.randint(-3, 3), 2)
+        # contraction with a map in the middle leg, and with a map on a coproduct leg
+        assert orc.op_table(induce_novikov(dot, D, Q, q=q)) == \
+            orc.induced_product(ct, dt, qt, 1, orc.pconst(q))
+        assert orc.cop_table(induce_nov_coalg(cop, Q, D, q=q)) == \
+            orc.induced_coproduct(orc.cop_table(cop), qt, dt, orc.pconst(q))
+        # three-operand contractions
+        for leg, naive in ((1, orc.ybe_prod13_12), (2, orc.ybe_prod12_23),
+                           (3, orc.ybe_prod13_23)):
+            got = _prod_leg(r, dot, leg)
+            assert [[[orc.from_scalar(x) for x in row] for row in plane]
+                    for plane in got.data] == naive(rt, ct)
+        # leg permutation
+        assert orc.op_table(BinOpTensor.einsum("jki->ijk", dot)) == \
+            [[[ct[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
+        # map application and composition
+        v = Vector(RATIONAL, [Scalar.of(RATIONAL, rng.randint(-2, 2)) for _ in range(n)])
+        vt = [orc.from_scalar(x) for x in v.coords]
+        got = Vector.einsum("j,ij->i", v, D)
+        assert [orc.from_scalar(x) for x in got.coords] == [
+            _psum(orc.pmul(dt[i][j], vt[j]) for j in range(n)) for i in range(n)]
+        got = LinMap.einsum("kj,ik->ij", Q, D)
+        assert orc.map_table(got) == [
+            [_psum(orc.pmul(dt[i][k], qt[k][j]) for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _psum(terms):
+    out = orc.pzero()
+    for t in terms:
+        out = orc.padd(out, t)
+    return out

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
-from novq import POLY, PresFileError, RATIONAL, emit, load, parse
+from novq import POLY, PresFileError, RATIONAL, emit, load, parse, save
 
 F = Fraction
 
@@ -31,6 +31,16 @@ def test_roundtrip_fixtures():
         again = parse(emit(pres))
         _same_tables(pres, again)
         # emitting the reparse gives the same canonical text
+        assert emit(again) == emit(pres)
+
+
+def test_save_load_roundtrip(tmp_path):
+    for fx in FIXTURES:
+        pres = load(fx)
+        target = tmp_path / "copy"
+        save(target, pres)
+        again = load(target)
+        _same_tables(pres, again)
         assert emit(again) == emit(pres)
 
 

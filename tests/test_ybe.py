@@ -14,7 +14,7 @@ from novq import (Delta_qr, LinMap, POLY, Presentation, PresentationError,
                   nybe_residual, oop_check, pre_novikov_from_zinbiel, r_from_T,
                   T_from_r, zinbiel_double)
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
-from novq.ybe import _prod_leg1, _prod_leg2, _prod_leg3
+from novq.ybe import _prod_leg
 
 F = Fraction
 
@@ -39,11 +39,11 @@ def test_leg_conventions_one_summand():
     dot = pres.binop("dot")
     r = _simple_r(RATIONAL, 2, 0, 1)
     # r13.r12 = (e1.e1) (x) e2 (x) e2
-    assert _t3_entries(_prod_leg1(r, dot)) == {(0, 1, 1): 1}
+    assert _t3_entries(_prod_leg(r, dot, 1)) == {(0, 1, 1): 1}
     # r12.r23 = e1 (x) (e2.e1) (x) e2
-    assert _t3_entries(_prod_leg2(r, dot)) == {(0, 1, 1): 1}
+    assert _t3_entries(_prod_leg(r, dot, 2)) == {(0, 1, 1): 1}
     # r13.r23 = e1 (x) e1 (x) (e2.e2) = 0
-    assert _t3_entries(_prod_leg3(r, dot)) == {}
+    assert _t3_entries(_prod_leg(r, dot, 3)) == {}
 
 
 def test_aybe_pinned_one_summand():
@@ -262,8 +262,8 @@ def test_prenov_canonical_solution_symbolic():
         n = circ.dim
         basis = [i for i in range(n)]
         from novq import Vector
-        l = tuple(rhd.left_mult(Vector.basis(POLY, n, i)) for i in basis)
-        rr = tuple(lhd.right_mult(Vector.basis(POLY, n, i)) for i in basis)
+        l = tuple(LinMap.einsum("i,ijk->kj", Vector.basis(POLY, n, i), rhd) for i in basis)
+        rr = tuple(LinMap.einsum("j,ijk->ki", Vector.basis(POLY, n, i), lhd) for i in basis)
         rep = RepNov(pres.space.names, l, rr)
         base = Presentation(POLY, pres.space, binops={"circ": circ})
         from novq.constructions import semidirect_novikov
