@@ -113,6 +113,9 @@ def _run_verify(args) -> tuple[int, dict]:
         if args.dimA is not None and 2 * args.dimA != pres.dim:
             raise _Usage(f"--dimA {args.dimA} does not split the {pres.dim}-dimensional "
                          "space in half")
+        if pres.dim % 2:
+            raise _Usage(f"the manin profile splits the space in half, but its dimension "
+                         f"{pres.dim} is odd")
         dim_left = args.dimA if args.dimA is not None else pres.dim // 2
         reports = check_manin_triple(pres, dim_left, circ)
     else:  # quadratic

@@ -11,12 +11,15 @@ zeros, so the zero polynomial is the empty tuple and degree is len-1.
 Vectors, maps, r-elements, products and coproducts are all one sparse
 tensor class that stores only its nonzero entries; products, map
 applications and leg changes all go through its single contraction,
-Tensor.einsum.  No other module knows how entries are stored.
+Tensor.einsum.  Rational entries are stored unboxed, as an int or a
+Fraction, and Q[q] entries as Scalars; Scalars go in and come out at the
+tensor's edges.  No other module knows how entries are stored.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -361,11 +364,20 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 # -- sparse tensors -------------------------------------------------------------
 
 
-def _check_scalar(ring: str, s) -> None:
+def _unbox(ring: str, s: Scalar):
     if not isinstance(s, Scalar):
         raise TypeError("entries must be Scalar values")
     if s.ring != ring:
         raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
+    if ring == POLY:
+        return s
+    return s.val.numerator if s.val.denominator == 1 else s.val
+
+
+def _box(ring: str, v) -> Scalar:
+    if ring == RATIONAL:
+        return Scalar(RATIONAL, v if type(v) is Fraction else Fraction(v))
+    return v
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,10 +444,12 @@ def _plan(spec: str) -> _Plan:
 class Tensor:
     """A sparse order-k tensor over one ring.
 
-    Only nonzero entries are stored, keyed by index tuple, so equality and
-    hashing are canonical.  Every product, map application and change of
-    legs is one call of ``einsum``; the subclasses below are views that add
-    a constructor from dense nested sequences and read-only dense accessors.
+    Only nonzero entries are stored, keyed by index tuple, as raw
+    coefficients, so equality and hashing are canonical (an int and the
+    equal Fraction compare and hash alike).  Every product, map application
+    and change of legs is one call of ``einsum``; the subclasses below are
+    views that add a constructor from dense nested sequences and read-only
+    dense accessors.  Values go in and come out as Scalars.
     """
 
     __slots__ = ("ring", "shape", "_entries", "_index")
@@ -448,7 +462,7 @@ class Tensor:
 
     @classmethod
     def _make(cls, ring: str, shape: tuple[int, ...], entries: dict):
-        # trusted: entries already hold nonzero Scalars of ring only
+        # trusted: entries already hold nonzero raw coefficients of ring only
         t = object.__new__(cls)
         t._set(ring, shape, entries)
         return t
@@ -462,9 +476,9 @@ class Tensor:
             key = tuple(key)
             if len(key) != len(shape) or not all(0 <= i < d for i, d in zip(key, shape)):
                 raise ShapeError(f"index {key} lies outside shape {shape}")
-            _check_scalar(ring, s)
-            if not s.is_zero():
-                out[key] = s
+            v = _unbox(ring, s)
+            if v:
+                out[key] = v
         return cls._make(ring, shape, out)
 
     def _init_dense(self, ring: str, nested, order: int, equal_legs: bool = False) -> None:
@@ -482,9 +496,9 @@ class Tensor:
                 raise ShapeError("ragged nested sequence")
             if len(key) == order - 1:
                 for i, s in enumerate(seq):
-                    _check_scalar(ring, s)
-                    if not s.is_zero():
-                        entries[key + (i,)] = s
+                    v = _unbox(ring, s)
+                    if v:
+                        entries[key + (i,)] = v
             else:
                 for i, sub in enumerate(seq):
                     walk(sub, key + (i,))
@@ -524,7 +538,7 @@ class Tensor:
                 key = tuple(map(operator.add, key, offsets))
                 prev = out.get(key)
                 out[key] = s if prev is None else prev + s
-        return cls._make(ring, shape, {k: s for k, s in out.items() if not s.is_zero()})
+        return cls._make(ring, shape, {k: s for k, s in out.items() if s})
 
     @classmethod
     def einsum(cls, spec: str, *operands: "Tensor"):
@@ -563,7 +577,7 @@ class Tensor:
             acc = out
         if plan.steps or plan.final is not None:
             final = plan.final or (lambda key: key)
-            acc = {final(key): s for key, s in acc.items() if not s.is_zero()}
+            acc = {final(key): s for key, s in acc.items() if s}
         shape = tuple(operands[o].shape[p] for o, p in plan.out_legs)
         return cls._make(ring, shape, acc)
 
@@ -588,27 +602,33 @@ class Tensor:
         return self.shape[0]
 
     def entry(self, *index: int) -> Scalar:
-        s = self._entries.get(index)
-        return Scalar.zero(self.ring) if s is None else s
+        v = self._entries.get(index)
+        return Scalar.zero(self.ring) if v is None else _box(self.ring, v)
 
     def nonzero(self) -> list[tuple]:
         """(*index, value) for every nonzero entry, in row-major order."""
-        entries = self._entries
-        return [(*key, entries[key]) for key in sorted(entries)]
+        entries, ring = self._entries, self.ring
+        return [(*key, _box(ring, entries[key])) for key in sorted(entries)]
+
+    def slices(self, lead: int, cls: type):
+        """(index on the first lead legs, cls tensor of the rest) per nonzero slice, row-major."""
+        shape = self.shape[lead:]
+        for head, group in itertools.groupby(sorted(self._entries.items()),
+                                             key=lambda item: item[0][:lead]):
+            yield head, cls._make(self.ring, shape, {key[lead:]: v for key, v in group})
 
     def is_zero(self) -> bool:
         return not self._entries
 
     @property
     def dense(self) -> tuple:
-        """The entries as nested tuples in row-major order, zeros included."""
-        zero = Scalar.zero(self.ring)
-        get, shape = self._entries.get, self.shape
+        """The entries as nested tuples of Scalars in row-major order, zeros included."""
+        shape = self.shape
 
         def build(key):
             depth = len(key)
             if depth == len(shape) - 1:
-                return tuple(get(key + (i,), zero) for i in range(shape[depth]))
+                return tuple(self.entry(*key, i) for i in range(shape[depth]))
             return tuple(build(key + (i,)) for i in range(shape[depth]))
 
         return build(())
@@ -627,7 +647,7 @@ class Tensor:
                 out[key] = s if sign > 0 else -s
                 continue
             total = prev + s if sign > 0 else prev - s
-            if total.is_zero():
+            if not total:
                 del out[key]
             else:
                 out[key] = total
@@ -643,16 +663,17 @@ class Tensor:
         return self._make(self.ring, self.shape, {k: -s for k, s in self._entries.items()})
 
     def scale(self, s: Scalar):
-        if s.is_zero():
+        c = _unbox(self.ring, s)
+        if not c:
             return self._make(self.ring, self.shape, {})
-        return self._make(self.ring, self.shape, {k: s * a for k, a in self._entries.items()})
+        return self._make(self.ring, self.shape, {k: c * v for k, v in self._entries.items()})
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str):
         """Apply fn to every entry, landing in ring; entries that become zero are dropped."""
         out = {}
-        for key, s in self._entries.items():
-            t = fn(s)
-            if not t.is_zero():
+        for key, v in self._entries.items():
+            t = _unbox(ring, fn(_box(self.ring, v)))
+            if t:
                 out[key] = t
         return self._make(ring, self.shape, out)
 
@@ -687,7 +708,7 @@ class Vector(Tensor):
     def basis(ring: str, dim: int, i: int) -> "Vector":
         if not 0 <= i < dim:
             raise ShapeError(f"basis index {i} outside dimension {dim}")
-        return Vector._make(ring, (dim,), {(i,): Scalar.one(ring)})
+        return Vector._make(ring, (dim,), {(i,): _unbox(ring, Scalar.one(ring))})
 
 
 class LinMap(Tensor):
@@ -701,7 +722,7 @@ class LinMap(Tensor):
 
     @staticmethod
     def identity(ring: str, dim: int) -> "LinMap":
-        one = Scalar.one(ring)
+        one = _unbox(ring, Scalar.one(ring))
         return LinMap._make(ring, (dim, dim), {(i, i): one for i in range(dim)})
 
     @staticmethod

@@ -51,6 +51,13 @@ class PresFileError(Exception):
 
 _PUNCT = ("(x)", "->", "+", "-", "*", "/", "^", "(", ")")
 
+# Input budgets, so that a short line cannot ask for unbounded work: how
+# deeply coefficients may nest parentheses, and how large a power s^e may
+# be, as e times the size of s: one, plus its degree, plus the bit lengths of
+# the numerators and denominators of its coefficients.
+MAX_NESTING = 100
+MAX_POWER = 4096
+
 
 def _tokenize(line: str, lineno: int) -> list[str]:
     toks = []
@@ -85,6 +92,7 @@ class _TermParser:
         self.lineno = lineno
         self.ring = ring
         self.index = index  # basis name -> position, or None before the space line
+        self.depth = 0  # open parentheses around the current scalar
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -118,8 +126,12 @@ class _TermParser:
         t = self.peek()
         if t == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PresFileError(self.lineno, f"parentheses nested deeper than {MAX_NESTING}")
             s = self.scalar_expr()
             self.expect(")")
+            self.depth -= 1
         elif t == "q":
             self.take()
             if self.ring != POLY:
@@ -140,6 +152,11 @@ class _TermParser:
         if self.peek() == "^":
             self.take()
             e = self._int()
+            size = 1 + max(s.degree(), 0) + sum(
+                c.numerator.bit_length() + c.denominator.bit_length() for c in s.coeffs())
+            if e * size > MAX_POWER:
+                raise PresFileError(self.lineno, f"power with exponent {e} of a base of size "
+                                                 f"{size} exceeds the budget of {MAX_POWER}")
             out = Scalar.one(self.ring)
             for _ in range(e):
                 out = out * s

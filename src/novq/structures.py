@@ -3,10 +3,11 @@
 A presentation bundles one basis with any number of binary products,
 coproducts, linear maps, bilinear forms and order-2 tensors, all over a
 single ring (Q or Q[q]).  Products and coproducts are sparse order-3
-tensors from exactcore and every evaluation step is one contraction of
-them.  Axioms are data: each catalog entry is a syntax
-tree for a multilinear residual, and one evaluator checks any of them on
-any presentation by running over basis tuples in row-major order.
+tensors from exactcore.  Axioms are data: each catalog entry is a syntax
+tree for a multilinear residual.  One evaluator checks any of them on any
+presentation, once per basis vector of the first variable with the other
+variables as free tensor legs; every node is one contraction, and the
+residual of each basis tuple is read off those slices in row-major order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -15,7 +16,6 @@ intersecting rational root sets entry by entry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -89,14 +89,6 @@ class CoOpTensor(Tensor):
 
     def image(self, i: int) -> Tensor2:
         return Tensor2.einsum("i,ijk->jk", Vector.basis(self.ring, self.dim, i), self)
-
-
-def _act(family: Sequence[LinMap], a: Vector, v: Vector) -> Vector:
-    """Apply sum_i a[i] * family[i] to v."""
-    out = Vector.zero(v.ring, family[0].cod)
-    for i, ai in a.nonzero():
-        out = out + Vector.einsum("j,kj->k", v, family[i]).scale(ai)
-    return out
 
 
 @dataclass
@@ -181,6 +173,13 @@ class RepAdmDiff:
                           lifted(self.alpha), lifted(self.beta))
 
 
+def _lookup(bag: dict, name: str, what: str):
+    try:
+        return bag[name]
+    except KeyError:
+        raise PresentationError(f"no {what} named {name!r}") from None
+
+
 @dataclass
 class Presentation:
     """One basis, one ring, and a bag of named operations on it."""
@@ -207,34 +206,19 @@ class Presentation:
         return self.space.dim
 
     def binop(self, name: str) -> BinOpTensor:
-        try:
-            return self.binops[name]
-        except KeyError:
-            raise PresentationError(f"no product named {name!r}") from None
+        return _lookup(self.binops, name, "product")
 
     def coop(self, name: str) -> CoOpTensor:
-        try:
-            return self.coops[name]
-        except KeyError:
-            raise PresentationError(f"no coproduct named {name!r}") from None
+        return _lookup(self.coops, name, "coproduct")
 
     def linmap(self, name: str) -> LinMap:
-        try:
-            return self.maps[name]
-        except KeyError:
-            raise PresentationError(f"no map named {name!r}") from None
+        return _lookup(self.maps, name, "map")
 
     def form(self, name: str) -> Tensor2:
-        try:
-            return self.forms[name]
-        except KeyError:
-            raise PresentationError(f"no bilinear form named {name!r}") from None
+        return _lookup(self.forms, name, "bilinear form")
 
     def relement(self, name: str) -> Tensor2:
-        try:
-            return self.relements[name]
-        except KeyError:
-            raise PresentationError(f"no order-2 tensor named {name!r}") from None
+        return _lookup(self.relements, name, "order-2 tensor")
 
     def lift(self) -> "Presentation":
         """Embed a rational presentation into Q[q]."""
@@ -783,116 +767,116 @@ CATALOG: dict[str, AxiomDef] = _catalog()
 
 
 # -- evaluator ---------------------------------------------------------------
+#
+# check_axiom evaluates an expression once per basis vector of its first
+# variable; the other variables stay free legs.  A value is (tensor, vars):
+# a leg per free variable, labelled by vars (upper case, in declaration
+# order), then the output legs: 1 for an element, 2 for a map or an order-2
+# tensor, 3 for order 3.  A bare variable is (None, label): the node that
+# takes it puts the label on its constant's leg instead of contracting.
+
+# kind: (constant, constant legs, legs bound to the children, output legs)
+_NODES = {
+    "op": ("binop", "ijk", "ij", "k"),
+    "map": ("linmap", "ki", "i", "k"),
+    "cop": ("coop", "ijk", "i", "jk"),
+    "pair": ("form", "kij", "ij", "k"),  # the form on an extra leg of size 1
+    "rep": ("family", "ikj", "ij", "k"),  # operator family, indexed by the algebra leg
+    "rmap": ("repmap", "ki", "i", "k"),
+    "m": ("linmap", "ki", "", "ki"),
+    "ml": ("binop", "ijk", "i", "kj"),
+    "mr": ("binop", "ijk", "j", "ki"),
+}
 
 
-class _Ctx:
-    __slots__ = ("pres", "binds", "vals", "rep", "qpoint")
-
-    def __init__(self, pres, binds, vals, rep, qpoint):
+class _Evaluator:
+    def __init__(self, pres, binds, rep, qpoint, vals):
         self.pres = pres
         self.binds = binds
-        self.vals = vals
         self.rep = rep
         self.qpoint = qpoint
+        self.vals = vals  # variable name -> value
 
-    def key(self, k: str) -> str:
-        return self.binds.get(k, k)
+    def const(self, what: str, key: str) -> Tensor:
+        rep = self.rep  # present: check_axiom requires it for module variables
+        if what == "family":
+            if key == "r" and not hasattr(rep, "r"):
+                raise PresentationError("this representation has no right operator family")
+            return Tensor.stack(rep.r if key == "r" else rep.l)
+        if what == "repmap":
+            if not hasattr(rep, key):
+                raise PresentationError(f"this representation has no map {key!r}")
+            return getattr(rep, key)
+        key = self.binds.get(key, key)
+        if what == "form":
+            return Tensor.stack([self.pres.form(key)])
+        return getattr(self.pres, what)(key)
 
+    def qc(self, coeffs) -> Scalar:
+        p = polynomial(coeffs)
+        if self.qpoint is not None:
+            return p.eval_q(self.qpoint)
+        # over Q without a point only constants occur: uses_q marks the axioms with q
+        return p if self.pres.ring == POLY else Scalar.of(RATIONAL, p.constant_value())
 
-def _qc(coeffs, ctx: _Ctx) -> Scalar:
-    p = polynomial(coeffs)
-    if ctx.qpoint is not None:
-        return p.eval_q(ctx.qpoint)
-    if ctx.pres.ring == POLY:
-        return p
-    if p.degree() <= 0:
-        return Scalar.of(RATIONAL, p.constant_value())
-    raise ValueError("checking a q-dependent identity over Q needs an explicit q value")
+    def join(self, parts, out: str):
+        """Contract (value, output legs) parts; a bare variable renames its leg."""
+        bare = {legs: label for (t, label), legs in parts if t is None}
+        ins, operands, free = [], [], set(bare.values())
+        for (t, names), legs in parts:
+            if t is not None:
+                ins.append(names + "".join(bare.get(c, c) for c in legs))
+                operands.append(t)
+                free.update(names)
+        names = "".join(sorted(free))
+        return Tensor.einsum(",".join(ins) + "->" + names + out, *operands), names
 
-
-def _eval_map(me, ctx: _Ctx) -> LinMap | None:
-    if me is None:
-        return None
-    kind = me[0]
-    if kind == "m":
-        return ctx.pres.linmap(ctx.key(me[1]))
-    if kind == "ml":  # x -> a * x
-        return LinMap.einsum("i,ijk->kj", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
-    if kind == "mr":  # x -> x * b
-        return LinMap.einsum("j,ijk->ki", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
-    if kind == "mlin":
+    def lin(self, terms):
         acc = None
-        for coeffs, sub in me[1]:
-            part = _eval_map(sub, ctx)
-            if part is None:
-                part = LinMap.identity(ctx.pres.ring, ctx.pres.dim)
-            part = part.scale(_qc(coeffs, ctx))
-            acc = part if acc is None else acc + part
-        return acc
-    if kind == "mcomp":
-        outer = _eval_map(me[1], ctx)
-        inner = _eval_map(me[2], ctx)
-        if outer is None:
-            return inner
-        if inner is None:
-            return outer
-        return LinMap.einsum("kj,ik->ij", inner, outer)
-    raise ValueError(f"unknown map expression {kind!r}")
+        for coeffs, sub in terms:
+            t, names = self.eval(sub) or (LinMap.identity(self.pres.ring, self.pres.dim), "")
+            if coeffs not in ((1,), (-1,)):
+                t = t.scale(self.qc(coeffs))
+            if coeffs == (-1,):
+                t = -t if acc is None else acc - t
+            elif acc is not None:
+                t = acc + t
+            acc = t
+        return acc, names
 
-
-def _eval(e, ctx: _Ctx):
-    kind = e[0]
-    if kind == "var":
-        return ctx.vals[e[1]]
-    if kind == "op":
-        return Vector.einsum("i,j,ijk->k", _eval(e[2], ctx), _eval(e[3], ctx),
-                             ctx.pres.binop(ctx.key(e[1])))
-    if kind == "map":
-        return Vector.einsum("j,ij->i", _eval(e[2], ctx), ctx.pres.linmap(ctx.key(e[1])))
-    if kind == "lin":
-        acc = None
-        for coeffs, sub in e[1]:
-            part = _eval(sub, ctx).scale(_qc(coeffs, ctx))
-            acc = part if acc is None else acc + part
-        return acc
-    if kind == "cop":
-        return Tensor2.einsum("i,ijk->jk", _eval(e[2], ctx), ctx.pres.coop(ctx.key(e[1])))
-    if kind == "tau":
-        return Tensor2.einsum("ji->ij", _eval(e[1], ctx))
-    if kind == "tmap2":
-        t = _eval(e[2], ctx)
-        f, g = _eval_map(e[1][0], ctx), _eval_map(e[1][1], ctx)
-        if g is None:
-            return t if f is None else Tensor2.einsum("ab,ia->ib", t, f)
-        if f is None:
-            return Tensor2.einsum("ab,jb->aj", t, g)
-        return Tensor2.einsum("ab,ia,jb->ij", t, f, g)
-    if kind == "coleg":
-        # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
-        spec = {1: "mk,mij->ijk", 2: "im,mjk->ijk"}[e[2]]
-        return Tensor3.einsum(spec, _eval(e[3], ctx), ctx.pres.coop(ctx.key(e[1])))
-    if kind == "perm":
-        # result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
-        return Tensor3.einsum("".join("ijk"[x] for x in e[1]) + "->ijk", _eval(e[2], ctx))
-    if kind == "pair":
-        value = Tensor.einsum("i,j,ij->", _eval(e[2], ctx), _eval(e[3], ctx),
-                              ctx.pres.form(ctx.key(e[1]))).entry()
-        return Vector(ctx.pres.ring, [value])
-    if kind == "rep":
-        if ctx.rep is None:
-            raise PresentationError("this axiom needs a representation")
-        which = e[1]
-        if which == "r" and not hasattr(ctx.rep, "r"):
-            raise PresentationError("this representation has no right operator family")
-        fam = ctx.rep.r if which == "r" else ctx.rep.l
-        return _act(fam, _eval(e[2], ctx), _eval(e[3], ctx))
-    if kind == "rmap":
-        if ctx.rep is None:
-            raise PresentationError("this axiom needs a representation")
-        if not hasattr(ctx.rep, e[1]):
-            raise PresentationError(f"this representation has no map {e[1]!r}")
-        return Vector.einsum("j,ij->i", _eval(e[2], ctx), getattr(ctx.rep, e[1]))
-    raise ValueError(f"unknown expression {kind!r}")
+    def eval(self, e):
+        """The value of an expression; None stands for the identity map."""
+        if e is None:
+            return None
+        kind = e[0]
+        if kind == "var":
+            return self.vals[e[1]]
+        if kind in _NODES:
+            what, legs, slots, out = _NODES[kind]
+            parts = [(self.eval(x), slot) for x, slot in zip(e[2:], slots)]
+            return self.join(parts + [((self.const(what, e[1]), ""), legs)], out)
+        if kind in ("lin", "mlin"):
+            return self.lin(e[1])
+        if kind == "tau":
+            return self.join([(self.eval(e[1]), "ab")], "ba")
+        if kind == "perm":  # result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
+            return self.join([(self.eval(e[2]), "".join("ijk"[x] for x in e[1]))], "ijk")
+        if kind == "tmap2":
+            f, g = self.eval(e[1][0]), self.eval(e[1][1])
+            parts = [(self.eval(e[2]), "ab")] + [(m, legs) for m, legs in ((f, "ia"), (g, "jb"))
+                                                 if m is not None]
+            return self.join(parts, ("a" if f is None else "i") + ("b" if g is None else "j"))
+        if kind == "coleg":
+            # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
+            legs, dlegs = {1: ("mk", "mij"), 2: ("im", "mjk")}[e[2]]
+            return self.join([(self.eval(e[3]), legs), ((self.const("coop", e[1]), ""), dlegs)],
+                             "ijk")
+        if kind == "mcomp":
+            outer, inner = self.eval(e[1]), self.eval(e[2])
+            if outer is None or inner is None:
+                return inner if outer is None else outer
+            return self.join([(inner, "kj"), (outer, "ik")], "ij")
+        raise ValueError(f"unknown expression {kind!r}")
 
 
 def _nonzero_values(val) -> list[Scalar]:
@@ -940,29 +924,30 @@ def check_axiom(
     elif axdef.uses_q and pres.ring == RATIONAL:
         raise ValueError(f"{axiom_id} uses q; pass q= or work over Q[q]")
 
-    spaces = []  # (basis vectors, basis names) per variable
+    spaces = []  # basis names per variable
     for _, sp in axdef.variables:
-        if sp == "A":
-            names = pres.space.names
-        else:
+        if sp == "V":
             if rep is None:
                 raise PresentationError(f"{axiom_id} needs a representation")
             if rep.ring != pres.ring:
                 raise RingMismatchError("representation ring differs from presentation ring")
             if rep.alg_dim != pres.dim:
                 raise PresentationError("representation is over a different algebra dimension")
-            names = rep.names
-        basis = [Vector.basis(pres.ring, len(names), i) for i in range(len(names))]
-        spaces.append((basis, names))
+        spaces.append(pres.space.names if sp == "A" else rep.names)
+
+    first, labels = axdef.variables[0][0], "BCDEFGH"[:len(axdef.variables) - 1]
+    ev = _Evaluator(pres, binds, rep, qpoint,
+                    {name: (None, label) for (name, _), label in zip(axdef.variables[1:], labels)})
 
     def items():
-        for idx in itertools.product(*(range(len(names)) for _, names in spaces)):
-            if tuple_filter is not None and not tuple_filter(idx):
-                continue
-            vals = {name: basis[i] for (name, _), (basis, _), i in
-                    zip(axdef.variables, spaces, idx)}
-            ctx = _Ctx(pres, binds, vals, rep, qpoint)
-            yield tuple(names[i] for (_, names), i in zip(spaces, idx)), _eval(axdef.expr, ctx)
+        for i in range(len(spaces[0])):
+            ev.vals[first] = (Vector.basis(pres.ring, len(spaces[0]), i), "")
+            t, _ = ev.eval(axdef.expr)  # every variable occurs, so t has all their legs
+            cls = (Vector, Tensor2, Tensor3)[len(t.shape) - len(labels) - 1]
+            for rest, residual in t.slices(len(labels), cls):
+                idx = (i, *rest)
+                if tuple_filter is None or tuple_filter(idx):
+                    yield tuple(nm[j] for nm, j in zip(spaces, idx)), residual
 
     return scan_residuals(axiom_id, pres.ring, items())
 

@@ -12,6 +12,8 @@ subscripts share, and the remaining legs keep their factors in summand order:
     r13 . r12 = sum (x_i . x_j) (x) y_j (x) y_i
 """
 
+from typing import Sequence
+
 from .exactcore import LinMap, Tensor2, Tensor3, Vector
 from .structures import (
     AxiomReport,
@@ -20,10 +22,17 @@ from .structures import (
     PresentationError,
     RepAdmDiff,
     RepNov,
-    _act,
     scan_residuals,
 )
 from .constructions import star
+
+
+def _act(family: Sequence[LinMap], a: Vector, v: Vector) -> Vector:
+    """Apply sum_i a[i] * family[i] to v."""
+    out = Vector.zero(v.ring, family[0].cod)
+    for i, ai in a.nonzero():
+        out = out + Vector.einsum("j,kj->k", v, family[i]).scale(ai)
+    return out
 
 
 def _check_dims(r: Tensor2, op: BinOpTensor) -> None:

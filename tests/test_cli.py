@@ -254,6 +254,13 @@ def test_manin_dim_a_not_half_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+def test_manin_on_odd_dimension_is_usage_error(capsys):
+    # without --dimA a 3-dimensional file has no half to split off
+    assert main(["verify", "fixtures/zinb-deriv", "--profile", "manin"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("usage error:") and out.out == ""
+
+
 def test_polywindow_degree_below_two_is_usage_error(capsys):
     assert main(["polywindow", "--N", "1"]) == 2
     assert capsys.readouterr().err.startswith("usage error:")

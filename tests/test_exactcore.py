@@ -235,3 +235,51 @@ def _psum(terms):
     for t in terms:
         out = orc.padd(out, t)
     return out
+
+
+def test_unboxed_entries_are_canonical_and_box_at_the_edges():
+    rng = random.Random(91)
+    for k in (-3, 0, 1, 7):
+        a = Vector.from_entries(RATIONAL, (2,), {(1,): Scalar.of(RATIONAL, k)})
+        b = Vector(RATIONAL, [Scalar.zero(RATIONAL), Scalar(RATIONAL, Fraction(k, 1))])
+        assert a == b and hash(a) == hash(b)
+    # 1/2 * 2 is stored as the Fraction 1, the basis vector as the int 1
+    half = Vector(RATIONAL, [Scalar.of(RATIONAL, Fraction(1, 2))])
+    two = Vector(RATIONAL, [Scalar.of(RATIONAL, 2)])
+    prod = Vector.einsum("i,i->i", half, two)
+    assert prod == Vector.basis(RATIONAL, 1, 0) and hash(prod) == hash(Vector.basis(RATIONAL, 1, 0))
+
+    for ring in (RATIONAL, POLY):
+        def rand():
+            if ring == RATIONAL:
+                return Scalar.of(ring, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            return polynomial([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                               for _ in range(rng.randint(0, 3))])
+
+        n = 3
+        op = BinOpTensor(ring, [[[rand() for _ in range(n)] for _ in range(n)]
+                                for _ in range(n)])
+        x = Vector(ring, [rand() for _ in range(n)])
+        y = Vector(ring, [rand() for _ in range(n)])
+        got = Vector.einsum("i,j,ijk->k", x, y, op)
+        want = []
+        for k in range(n):
+            acc = Scalar.zero(ring)
+            for i in range(n):
+                for j in range(n):
+                    acc = acc + x.coords[i] * y.coords[j] * op.c[i][j][k]
+            want.append(acc)
+        assert list(got.coords) == want
+        for s in (*got.coords, got.entry(0), *(e[-1] for e in got.nonzero())):
+            assert isinstance(s, Scalar) and s.ring == ring
+            vals = s.val if ring == POLY else (s.val,)
+            assert all(type(c) is Fraction for c in vals)
+
+        # e1 e1 -> e1 and e2 e2 -> -e1: (e1 + e2) * (e1 + e2) cancels
+        one = Scalar.one(ring)
+        cancel = BinOpTensor.from_entries(ring, (2, 2, 2), {(0, 0, 0): one, (1, 1, 0): -one})
+        v = Vector(ring, [one, one])
+        zero = Vector.einsum("i,j,ijk->k", v, v, cancel)
+        assert zero.is_zero() and zero.nonzero() == []
+        assert zero == Vector.zero(ring, 2) and hash(zero) == hash(Vector.zero(ring, 2))
+        assert (cancel - cancel).is_zero() and (v + (-v)).is_zero()

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
-from novq import POLY, PresFileError, RATIONAL, emit, load, parse, save
+from novq import POLY, PresFileError, RATIONAL, Scalar, emit, load, parse, save
+from novq.cli import main
+from novq.presfile import MAX_NESTING, MAX_POWER
 
 F = Fraction
 
@@ -144,3 +146,32 @@ def test_emit_parenthesizes_polynomial_coefficients():
     assert "(1 + q)*b" in text
     again = parse(text)
     assert orc.op_table(again.binop("circ")) == orc.op_table(pres.binop("circ"))
+
+
+def _verify_file(tmp_path, coeff, capsys):
+    path = tmp_path / "budget"
+    path.write_text(f"space 2 a b\nring Q[q]\nproduct circ\na a -> {coeff}*b\n")
+    code = main(["verify", str(path), "--profile", "novikov"])
+    return code, capsys.readouterr()
+
+
+def test_nesting_budget_is_a_parse_error(tmp_path, capsys):
+    code, out = _verify_file(tmp_path, "(" * 3000 + "2" + ")" * 3000, capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("parse error: line 4:") and "nested deeper" in out.err
+    ok = "(" * MAX_NESTING + "2" + ")" * MAX_NESTING
+    assert parse(f"space 1 a\nring Q\nproduct dot\na a -> {ok}*a\n").binop("dot").entry(0, 0, 0) \
+        == Scalar.of(RATIONAL, 2)
+
+
+def test_power_budget_is_a_parse_error(tmp_path, capsys):
+    # each would multiply for hours; the budget refuses them before the first product
+    for coeff in ("q^1000000000000", "((q^64)^64)", "0^1000000000000", "(2/3)^100000"):
+        code, out = _verify_file(tmp_path, coeff, capsys)
+        assert code == 2 and out.out == "", coeff
+        assert out.err.startswith("parse error: line 4:") and "budget" in out.err, coeff
+    # q has size 5 (degree 1, coefficient bits 1 and 2), so q^819 is the largest power of q
+    big = parse(f"space 1 a\nring Q[q]\nproduct dot\na a -> q^{MAX_POWER // 5}*a\n")
+    assert big.binop("dot").entry(0, 0, 0).degree() == MAX_POWER // 5
+    with pytest.raises(PresFileError):
+        parse(f"space 1 a\nring Q[q]\nproduct dot\na a -> q^{MAX_POWER // 5 + 1}*a\n")

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import genalg
 import oracles as orc
 from genalg import random_quadruple
 from novq import (BinOpTensor, CoOpTensor, POLY, Presentation,
                   PresentationError, QLocus, RATIONAL, Scalar, Space, all_hold,
                   check_axiom, induce_novikov, is_admissible_quadruple, load,
                   polynomial, scan_residuals, vanishing_locus)
-from novq.structures import ALL_Q, EMPTY, FINITE, combine_loci, dualize
+from novq.structures import ALL_Q, CATALOG, EMPTY, FINITE, combine_loci, dualize
 
 
 def test_space_rejects_duplicates():
@@ -199,3 +200,48 @@ def test_duality_swaps_product_and_coproduct_axioms():
 def test_check_axiom_rejects_unknown_id():
     with pytest.raises(KeyError):
         check_axiom("NO_SUCH_AXIOM", _pres_with_product([[[0]]]))
+
+
+def _nodes(e):
+    """Expression nodes of a catalog syntax tree (tuples tagged by a kind string)."""
+    if isinstance(e, tuple):
+        if e and isinstance(e[0], str):
+            yield e
+        for x in e:
+            yield from _nodes(x)
+
+
+def test_catalog_invariants_the_evaluator_relies_on():
+    for aid, axdef in CATALOG.items():
+        if axdef.expr is None:
+            continue
+        nodes = list(_nodes(axdef.expr))
+        # every variable occurs, so each one is a leg of the evaluated slice
+        assert {n[1] for n in nodes if n[0] == "var"} == {v for v, _ in axdef.variables}, aid
+        # module actions only where a module variable makes check_axiom demand a rep
+        if any(n[0] in ("rep", "rmap") for n in nodes):
+            assert any(sp == "V" for _, sp in axdef.variables), aid
+        # q occurs only in the axioms marked uses_q
+        if not axdef.uses_q:
+            assert all(len(c) <= 1 for n in nodes if n[0] in ("lin", "mlin") for c, _ in n[1]), aid
+
+
+def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
+    # counts only: a return to per-tuple evaluation makes n^3 times the calls
+    from novq.exactcore import Tensor
+    n = 6
+    rng = random.Random(6)
+    # k[x]/(x^6) in a random basis: commutative and associative, hence Novikov
+    c = genalg.change_basis(genalg.seed_products(n)[1], genalg.random_invertible(rng, n))
+    pres = _pres_with_product(c)
+    calls = []
+    einsum = Tensor.einsum.__func__
+
+    def counted(cls, spec, *operands):
+        calls.append(spec)
+        return einsum(cls, spec, *operands)
+
+    monkeypatch.setattr(Tensor, "einsum", classmethod(counted))
+    assert check_axiom("NOV_LSYM", pres).holds  # a full scan, no early exit
+    nodes = len(list(_nodes(CATALOG["NOV_LSYM"].expr)))
+    assert 0 < len(calls) <= n * nodes < n ** 3
