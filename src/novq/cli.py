@@ -25,6 +25,13 @@ from .structures import (FINITE, Presentation, PresentationError, check_axiom,
 from .ybe import aybe_residual, nybe_residual, r_admissibility
 
 
+# Input budgets, checked before any work: a window's graded tensors are
+# allocated up front, and their size and the work of polywindow's checks grow
+# with powers of the window width and of N.
+MAX_WINDOW_DEGREES = 16
+MAX_POLY_N = 24
+
+
 class _Usage(Exception):
     pass
 
@@ -214,6 +221,9 @@ def _run_locus(args) -> tuple[int, dict]:
 def _run_window(args) -> tuple[int, dict]:
     if args.min > args.max:
         raise _Usage(f"empty degree window: --min {args.min} is above --max {args.max}")
+    if args.max - args.min >= MAX_WINDOW_DEGREES:
+        raise _Usage(f"a window of {args.max - args.min + 1} degrees exceeds the budget of "
+                     f"{MAX_WINDOW_DEGREES}")
     pres = load(args.file)
     if pres.ring != RATIONAL:
         raise _Usage("window checks want a rational presentation; induce first")
@@ -236,6 +246,8 @@ def _run_window(args) -> tuple[int, dict]:
 def _run_polywindow(args) -> tuple[int, dict]:
     if args.N < 2:
         raise _Usage(f"--N must be at least 2 for a nontrivial coproduct, got {args.N}")
+    if args.N > MAX_POLY_N:
+        raise _Usage(f"--N {args.N} exceeds the budget of {MAX_POLY_N}")
     q = None if args.q == "sym" else _fraction(args.q, "--q")
     reports = polyalg_window_check(args.N, q)
     return _finish_checks(reports)

@@ -24,6 +24,7 @@ from .structures import (
     Space,
     _toggle_prime,
     check_axiom,
+    is_admissible_quadruple,
 )
 
 
@@ -65,7 +66,7 @@ def induce_novikov(dot: BinOpTensor, D: LinMap, Q: LinMap, p=1, q=None,
     if verify:
         pres = Presentation(ring=ring, space=Space(_names(dot.dim)),
                             binops={"dot": dot}, maps={"D": D, "Q": Q})
-        _require({aid: check_axiom(aid, pres) for aid in ("COMM", "ASSOC", "DERIV", "ADMISS")})
+        _require(is_admissible_quadruple(pres))
     K = D.scale(_param(ring, p)) + Q.scale(_qparam(ring, q))
     return BinOpTensor.einsum("mj,imk->ijk", K, dot)
 

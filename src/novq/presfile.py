@@ -59,6 +59,17 @@ MAX_NESTING = 100
 MAX_POWER = 4096
 
 
+def _number(t: str, lineno: int) -> int:
+    """A decimal literal.  Where int() would raise, on digits outside ASCII or
+    on more digits than the interpreter converts, this is a parse error."""
+    if not (t.isascii() and t.isdigit()):
+        raise PresFileError(lineno, f"expected a number, found {t!r}")
+    try:
+        return int(t)
+    except ValueError:
+        raise PresFileError(lineno, f"a number of {len(t)} digits is too long") from None
+
+
 def _tokenize(line: str, lineno: int) -> list[str]:
     toks = []
     i = 0
@@ -114,10 +125,7 @@ class _TermParser:
             raise PresFileError(self.lineno, f"trailing tokens from {self.peek()!r}")
 
     def _int(self):
-        t = self.take()
-        if not t.isdigit():
-            raise PresFileError(self.lineno, f"expected a number, found {t!r}")
-        return int(t)
+        return _number(self.take(), self.lineno)
 
     def _is_scalar_start(self, t):
         return t is not None and (t.isdigit() or t == "q" or t == "(")
@@ -283,7 +291,7 @@ def parse(text: str) -> Presentation:
             if len(parts) < 3 or not parts[1].isdigit():
                 raise PresFileError(lineno, "space line needs a dimension and basis names")
             names = tuple(parts[2:])
-            if len(names) != int(parts[1]):
+            if len(names) != _number(parts[1], lineno):
                 raise PresFileError(lineno, f"expected {parts[1]} basis names, got {len(names)}")
             if len(set(names)) != len(names):
                 raise PresFileError(lineno, "repeated basis name")

@@ -16,6 +16,7 @@ intersecting rational root sets entry by entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -791,11 +792,9 @@ _NODES = {
 
 class _Evaluator:
     def __init__(self, pres, binds, rep, qpoint, vals):
-        self.pres = pres
-        self.binds = binds
-        self.rep = rep
-        self.qpoint = qpoint
+        self.pres, self.binds, self.rep, self.qpoint = pres, binds, rep, qpoint
         self.vals = vals  # variable name -> value
+        self.const = functools.cache(self.const)  # stacks once; einsum keeps its join index
 
     def const(self, what: str, key: str) -> Tensor:
         rep = self.rep  # present: check_axiom requires it for module variables

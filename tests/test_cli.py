@@ -270,3 +270,62 @@ def test_window_with_min_above_max_is_usage_error(capsys):
     assert main(["window", "fixtures/exnov1", "--q", "-1/2",
                  "--min", "3", "--max", "1"]) == 2
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+WINDOW_STDOUT = """\
+LIE_SKEW: holds
+LIE_JACOBI: holds
+COLIE_ANTICOCOMM: holds
+COLIE_COJACOBI: holds
+LIE_BIALG_COCYCLE: holds
+jacobi triples: 1120 checked, 1624 outside the window
+window-restricted: degrees outside the window are not certified
+all checks hold
+"""
+
+
+def test_window_golden(tmp_path, capsys):
+    side = tmp_path / "window.json"
+    assert main(["window", "fixtures/exnov1", "--q", "-1/2", "--min", "-3", "--max", "3",
+                 "--json-out", str(side)]) == 0
+    assert capsys.readouterr().out == WINDOW_STDOUT
+    checks = [{"check": aid, "id": aid, "locus": None, "residual_degree": -1,
+               "verdict": "holds", "witness": None}
+              for aid in ("LIE_SKEW", "LIE_JACOBI", "COLIE_ANTICOCOMM", "COLIE_COJACOBI",
+                          "LIE_BIALG_COCYCLE")]
+    doc = {"checks": checks, "command": "window", "exit_code": 0, "jacobi_checked": 1120,
+           "jacobi_skipped": 1624,
+           "note": "window-restricted: degrees outside the window are not certified"}
+    assert side.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_window_width_budget_is_usage_error(capsys, monkeypatch):
+    import novq.cli as cli
+    from novq.cli import MAX_WINDOW_DEGREES
+    # refused before the file is read or any tensor is built
+    monkeypatch.setattr(cli, "load", lambda path: pytest.fail("loaded the file"))
+    assert main(["window", "fixtures/exnov1", "--q", "-1/2",
+                 "--min", "-1000000000000", "--max", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"budget of {MAX_WINDOW_DEGREES}" in err
+    assert main(["window", "fixtures/exnov1", "--q", "-1/2",
+                 "--min", "0", "--max", str(MAX_WINDOW_DEGREES)]) == 2
+    monkeypatch.undo()
+    assert main(["window", "fixtures/exnov1", "--q", "-1/2",
+                 "--min", "0", "--max", str(MAX_WINDOW_DEGREES - 1)]) == 0
+
+
+def test_polywindow_degree_budget_is_usage_error(capsys, monkeypatch):
+    import novq.cli as cli
+    from novq.cli import MAX_POLY_N
+    from novq.liewindow import polyalg_window_check
+    seen = []
+    monkeypatch.setattr(cli, "polyalg_window_check",
+                        lambda N, q: seen.append(N) or polyalg_window_check(2, q))
+    assert main(["polywindow", "--N", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"budget of {MAX_POLY_N}" in err
+    assert main(["polywindow", "--N", str(MAX_POLY_N + 1)]) == 2
+    assert seen == []
+    assert main(["polywindow", "--N", str(MAX_POLY_N)]) == 0
+    assert seen == [MAX_POLY_N]

@@ -175,3 +175,21 @@ def test_power_budget_is_a_parse_error(tmp_path, capsys):
     assert big.binop("dot").entry(0, 0, 0).degree() == MAX_POWER // 5
     with pytest.raises(PresFileError):
         parse(f"space 1 a\nring Q[q]\nproduct dot\na a -> q^{MAX_POWER // 5 + 1}*a\n")
+
+
+def test_number_past_the_int_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # 5,000 digits is past the interpreter's default limit of 4,300 for int()
+    code, out = _verify_file(tmp_path, "9" * 5000, capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("parse error: line 4:") and "5000 digits" in out.err
+    # a superscript digit passes str.isdigit but not int()
+    code, out = _verify_file(tmp_path, "\u00b2", capsys)
+    assert code == 2 and out.err.startswith("parse error: line 4:")
+
+
+def test_dimension_past_the_int_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "dim"
+    path.write_text(f"space {'9' * 5000} a b\nring Q\nproduct dot\na a -> a\n")
+    assert main(["verify", str(path), "--profile", "novikov"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("parse error: line 1:")

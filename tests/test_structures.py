@@ -245,3 +245,23 @@ def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
     assert check_axiom("NOV_LSYM", pres).holds  # a full scan, no early exit
     nodes = len(list(_nodes(CATALOG["NOV_LSYM"].expr)))
     assert 0 < len(calls) <= n * nodes < n ** 3
+
+
+def test_check_axiom_stacks_each_constant_once(monkeypatch):
+    # counts only: the operator families are stacked once per check, not per basis vector
+    from novq.constructions import regular_rep_novikov
+    from novq.exactcore import Tensor
+    pres = load("fixtures/examp2-double")
+    circ = induce_novikov(pres.binop("dot"), pres.linmap("D"), pres.linmap("Q"), q=Fraction(-1, 2))
+    rep = regular_rep_novikov(circ, pres.space.names)
+    calls = []
+    stack = Tensor.stack.__func__
+
+    def counted(cls, parts):
+        calls.append(len(parts))
+        return stack(cls, parts)
+
+    monkeypatch.setattr(Tensor, "stack", classmethod(counted))
+    assert check_axiom("REP_NOV_1", Presentation(RATIONAL, pres.space, binops={"circ": circ}),
+                       rep=rep).holds
+    assert calls == [6]  # REP_NOV_1 uses the left family only
