@@ -14,6 +14,14 @@ applications and leg changes all go through its single contraction,
 Tensor.einsum.  Rational entries are stored unboxed, as an int or a
 Fraction, and Q[q] entries as Scalars; Scalars go in and come out at the
 tensor's edges.  No other module knows how entries are stored.
+
+rational_roots finds the rational roots of a Q[q] scalar by p-adic lifting
+(R. Loos, Computing rational zeros of integral polynomials by p-adic
+expansion, SIAM J. Comput. 12, 1983): it takes the square-free primitive
+integer part, lifts its roots modulo a small prime by Newton's iteration
+and reads each back as a fraction with the extended Euclidean algorithm, so
+its time is polynomial in the degree and in the bit size of the
+coefficients.
 """
 
 from __future__ import annotations
@@ -248,6 +256,7 @@ def qvar() -> Scalar:
 
 
 # -- polynomial root finding -------------------------------------------------
+# The helpers work on ascending lists of ints with a nonzero last entry.
 
 
 class RootReport(NamedTuple):
@@ -255,31 +264,85 @@ class RootReport(NamedTuple):
     has_nonrational_factor: bool
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _primitive(f: list[int]) -> list[int]:
+    g = math.gcd(*f)
+    return [c // g for c in f]
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction] | None:
-    # synthetic division by (q - root); None when root is not actually a root
-    acc = Fraction(0)
-    quotient = []
-    for c in reversed(coeffs):
-        acc = acc * root + c
-        quotient.append(acc)
-    if acc != 0:
-        return None
-    quotient.pop()
-    quotient.reverse()
-    return quotient
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b over Z, up to a power of b's leading coefficient."""
+    a, lead, n = list(a), b[-1], len(b)
+    while len(a) >= n:
+        c, k = a[-1], len(a) - n
+        a = [x * lead for x in a]
+        for i, x in enumerate(b):
+            a[k + i] -= c * x
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _squarefree(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive f of positive degree.
+
+    The gcd is the last member of the primitive remainder sequence of f and
+    f' (W. S. Brown, JACM 1971); it is primitive, so the quotient is integral.
+    """
+    a, b = f, _primitive(_derivative(f))
+    while True:
+        r = _prem(a, b)
+        if len(r) <= 1:
+            break
+        a, b = b, _primitive(r)
+    if r:  # a nonzero constant remainder: f and f' are coprime
+        return f
+    f, quo = list(f), [0] * (len(f) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = f[k + len(b) - 1] // b[-1]
+        for i, x in enumerate(b):
+            f[k + i] -= c * x
+    return quo
+
+
+def _mod(f: list[int], p: int) -> list[int]:
+    f = [c % p for c in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _squarefree_mod(f: list[int], p: int) -> bool:
+    """Whether f, of the same degree modulo the prime p, is square-free modulo p."""
+    a, b = _mod(f, p), _mod(_derivative(f), p)
+    while b:  # Euclid in GF(p)[q]: a becomes gcd(f, f') modulo p
+        inv, n = pow(b[-1], -1, p), len(b)
+        while len(a) >= n:
+            c, k = a[-1] * inv % p, len(a) - n
+            for i, x in enumerate(b):
+                a[k + i] = (a[k + i] - c * x) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _horner(f: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _vanishes(f: list[int], a: int, b: int) -> bool:
+    """Whether f(a/b) = 0, from b^deg(f) f(a/b) in integers."""
+    acc, bpow = 0, 1
+    for c in reversed(f):
+        acc, bpow = acc * a + c * bpow, bpow * b
+    return acc == 0
 
 
 def rational_roots(p: Scalar) -> RootReport:
@@ -287,46 +350,52 @@ def rational_roots(p: Scalar) -> RootReport:
 
     ``has_nonrational_factor`` is True exactly when deflating every rational
     root still leaves a factor of positive degree.
+
+    After q^k is split off, f is the primitive integer square-free part,
+    with end coefficients a0 and an.  Each root a/b in lowest terms has
+    |a| <= |a0| and 0 < b <= |an|.  For the smallest prime p that does not
+    divide an and keeps f square-free modulo p, every root of f modulo p is
+    simple; each is lifted by Newton's iteration until p^k > 2 |a0 an|, read
+    back as a/b by the extended Euclidean algorithm, and kept if f(a/b) = 0
+    in exact arithmetic.  The work is polynomial in the degree and in the
+    bit size of the coefficients.
     """
     p = p.lift()
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial vanishes identically")
-    coeffs = list(p.val)
-
-    roots: set[Fraction] = set()
-    # factor out q^k first so the trailing coefficient is nonzero
     shift = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
+    while p.val[shift] == 0:
         shift += 1
-    if shift:
-        roots.add(Fraction(0))
-    if len(coeffs) == 1:
+    roots = {Fraction(0)} if shift else set()
+    den = math.lcm(*(c.denominator for c in p.val))
+    f = _primitive([c.numerator * (den // c.denominator) for c in p.val[shift:]])
+    if len(f) == 1:
         return RootReport(frozenset(roots), False)
 
-    # clear denominators to a primitive integer polynomial
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-
-    candidates: set[Fraction] = set()
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-
-    work = coeffs
-    for cand in sorted(candidates):
-        while True:
-            reduced = _deflate(work, cand)
-            if reduced is None:
-                break
-            roots.add(cand)
-            work = reduced
-            if len(work) == 1:
-                return RootReport(frozenset(roots), False)
-    return RootReport(frozenset(roots), len(work) > 1)
+    f = _squarefree(f)
+    prime = 2
+    while not (f[-1] % prime and _squarefree_mod(f, prime)):
+        prime += 1
+        while any(prime % d == 0 for d in range(2, math.isqrt(prime) + 1)):
+            prime += 1
+    df, bound, found = _derivative(f), 2 * abs(f[0] * f[-1]), 0
+    for r in range(prime):
+        if _horner(f, r, prime):
+            continue
+        m, u = prime, r
+        while m <= bound:
+            m *= m
+            u = (u - _horner(f, u, m) * pow(_horner(df, u, m), -1, m)) % m
+        # extended Euclid on (m, u) down to the first remainder r1 <= |a0|;
+        # then r1 = t1 u (mod m), and r1/t1 is the only candidate
+        r0, r1, t0, t1 = m, u, 0, 1
+        while r1 > abs(f[0]):
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+        if _vanishes(f, r1, t1):
+            roots.add(Fraction(r1, t1))
+            found += 1
+    return RootReport(frozenset(roots), len(f) - 1 > found)
 
 
 def _poly_divmod(a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:

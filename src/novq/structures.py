@@ -260,8 +260,8 @@ class QLocus:
     """Rational q values where a family of polynomial conditions vanishes.
 
     kind is all_q (identically zero), finite (exactly the listed rational
-    points) or empty.  has_nonrational_factor is True when a common zero
-    outside Q cannot be ruled out.
+    points) or empty.  has_nonrational_factor: each nonzero entry has a root
+    outside Q, so no such common zero is missed; {q^2-2, q^2-3} sets it too.
     """
 
     kind: str

@@ -193,3 +193,27 @@ def test_dimension_past_the_int_digit_limit_is_a_parse_error(tmp_path, capsys):
     assert main(["verify", str(path), "--profile", "novikov"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("parse error: line 1:")
+
+
+def test_dimension_budget_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    from novq import presfile
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a space or a block past the dimension budget")
+
+    names = " ".join(f"e{i}" for i in range(presfile.MAX_DIM + 1))
+    path = tmp_path / "wide"
+    path.write_text(f"space {presfile.MAX_DIM + 1} {names}\nring Q\nproduct circ\ne0 e0 -> e0\n")
+    with monkeypatch.context() as m:
+        for name in ("Space", "BinOpTensor", "CoOpTensor", "LinMap", "Tensor2"):
+            m.setattr(presfile, name, never)
+        assert main(["verify", str(path), "--profile", "novikov"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("parse error: line 1:")
+        assert "budget" in out.err
+        # a dimension far past the budget is refused from the number alone
+        with pytest.raises(PresFileError, match="budget"):
+            parse("space 1000000000000 a\nring Q\n")
+    names = " ".join(f"e{i}" for i in range(presfile.MAX_DIM))
+    pres = parse(f"space {presfile.MAX_DIM} {names}\nring Q\nmap D\ne0 -> e1\n")
+    assert pres.dim == presfile.MAX_DIM
