@@ -12,8 +12,11 @@ Vectors, maps, r-elements, products and coproducts are all one sparse
 tensor class that stores only its nonzero entries; products, map
 applications and leg changes all go through its single contraction,
 Tensor.einsum.  Rational entries are stored unboxed, as an int or a
-Fraction, and Q[q] entries as Scalars; Scalars go in and come out at the
-tensor's edges.  No other module knows how entries are stored.
+Fraction, and Q[q] entries as Scalars whose coefficients are unboxed the
+same way, an int when integral and a Fraction otherwise, so that most Q[q]
+arithmetic is integer arithmetic.  Scalars go in and come out at the
+tensor's edges with Fraction payloads, as everywhere outside a tensor.  No
+other module knows how entries are stored.
 
 rational_roots finds the rational roots of a Q[q] scalar by p-adic lifting
 (R. Loos, Computing rational zeros of integral polynomials by p-adic
@@ -60,12 +63,63 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _trim(coeffs: Sequence) -> tuple:
     # canonical form: no trailing zeros, zero polynomial is ()
     n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
+
+
+# The Q[q] kernel on ascending coefficient tuples with no trailing zeros.  A
+# coefficient is an int or a Fraction, and a result coefficient is an int
+# exactly when those it is computed from are: nothing pads with Fraction(0).
+
+def _padd(a: tuple, b: tuple) -> tuple:
+    if len(a) == len(b):
+        return _trim(tuple(map(operator.add, a, b)))
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(operator.add, a, b), *a[len(b):])
+
+
+def _psub(a: tuple, b: tuple) -> tuple:
+    n = len(b)
+    if len(a) == n:
+        return _trim(tuple(map(operator.sub, a, b)))
+    if len(a) > n:
+        return (*map(operator.sub, a, b), *a[n:])
+    return (*map(operator.sub, a, b), *map(operator.neg, b[len(a):]))
+
+
+def _pmul(a: tuple, b: tuple) -> tuple:
+    # every coefficient is a sum of products, never a padding zero, so it is an
+    # int exactly when its products are; the top one is nonzero: nothing to trim
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return ()
+    c = b[0]
+    out = [c * x for x in a]
+    for i in range(1, len(b)):
+        c = b[i]
+        out.append(c * a[-1])
+        if c:
+            for k in range(len(a) - 1):
+                out[i + k] += c * a[k]
+    return tuple(out)
+
+
+def _arith(on_q: Callable, on_poly: Callable) -> Callable:
+    """A binary Scalar operator.  Two Scalars of one ring skip _coerce and the
+    checks of __init__: the payload of the result is already of the right kind."""
+    def op(self, other) -> "Scalar":
+        if type(other) is not Scalar or other.ring != self.ring:
+            other = self._coerce(other)
+        if self.ring == RATIONAL:
+            return _scalar(RATIONAL, on_q(self.val, other.val))
+        return _scalar(POLY, on_poly(self.val, other.val))
+    return op
 
 
 class Scalar:
@@ -105,26 +159,18 @@ class Scalar:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.ring == RATIONAL:
-            return self.val == 0
-        return self.val == ()
+        return not self.val
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.val)
 
     def degree(self) -> int:
         """Degree in q; rationals count as degree 0 (or -1 for zero)."""
-        if self.is_zero():
-            return -1
-        if self.ring == RATIONAL:
-            return 0
-        return len(self.val) - 1
+        return len(self.coeffs()) - 1
 
     def coeffs(self) -> tuple[Fraction, ...]:
         """Ascending coefficient tuple, also for rationals."""
-        if self.ring == RATIONAL:
-            return () if self.val == 0 else (self.val,)
-        return self.val
+        return self.val if self.ring == POLY else (self.val,) if self.val else ()
 
     def constant_value(self) -> Fraction:
         """The value as a Fraction, failing if q actually occurs."""
@@ -132,7 +178,7 @@ class Scalar:
             return self.val
         if len(self.val) > 1:
             raise ZeroPolynomialError("polynomial has positive degree, not a constant")
-        return self.val[0] if self.val else Fraction(0)
+        return _as_fraction(self.val[0]) if self.val else Fraction(0)
 
     # -- ring maps ----------------------------------------------------------
 
@@ -161,45 +207,17 @@ class Scalar:
             return other
         return Scalar.of(self.ring, other)
 
-    def __add__(self, other) -> "Scalar":
-        o = self._coerce(other)
-        if self.ring == RATIONAL:
-            return Scalar(RATIONAL, self.val + o.val)
-        a, b = self.val, o.val
-        n = max(len(a), len(b))
-        return Scalar(POLY, _trim(tuple(
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n))))
+    __add__ = __radd__ = _arith(operator.add, _padd)
+    __sub__ = _arith(operator.sub, _psub)
+    __mul__ = __rmul__ = _arith(operator.mul, _pmul)
 
-    __radd__ = __add__
+    def __rsub__(self, other) -> "Scalar":
+        return self._coerce(other) - self
 
     def __neg__(self) -> "Scalar":
         if self.ring == RATIONAL:
-            return Scalar(RATIONAL, -self.val)
-        return Scalar(POLY, tuple(-c for c in self.val))
-
-    def __sub__(self, other) -> "Scalar":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Scalar":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Scalar":
-        o = self._coerce(other)
-        if self.ring == RATIONAL:
-            return Scalar(RATIONAL, self.val * o.val)
-        a, b = self.val, o.val
-        if not a or not b:
-            return Scalar(POLY, ())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Scalar(POLY, _trim(out))
-
-    __rmul__ = __mul__
+            return _scalar(RATIONAL, -self.val)
+        return _scalar(POLY, tuple(map(operator.neg, self.val)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -218,27 +236,23 @@ class Scalar:
         """Canonical text form; parses back through the fixture-file grammar."""
         if self.ring == RATIONAL:
             return str(self.val)
-        if not self.val:
-            return "0"
-        parts = []
+        text = ""
         for k, c in enumerate(self.val):
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(c)
-            else:
+            if c:
                 base = "q" if k == 1 else f"q^{k}"
-                if c == 1:
-                    term = base
-                elif c == -1:
-                    term = f"-{base}"
-                else:
-                    term = f"{c}*{base}"
-            parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return text
+                term = (str(c) if k == 0 else base if c == 1 else f"-{base}" if c == -1
+                        else f"{c}*{base}")
+                text += (term if not text else f" - {term[1:]}" if term.startswith("-")
+                         else f" + {term}")
+        return text or "0"
+
+
+def _scalar(ring: str, val) -> Scalar:
+    """A Scalar from a payload already known to be valid for ring (no checks)."""
+    s = object.__new__(Scalar)
+    s.ring = ring
+    s.val = val
+    return s
 
 
 def rational(x: RationalLike = 0) -> Scalar:
@@ -398,36 +412,25 @@ def rational_roots(p: Scalar) -> RootReport:
     return RootReport(frozenset(roots), len(f) - 1 > found)
 
 
-def _poly_divmod(a: Scalar, b: Scalar) -> tuple[Scalar, Scalar]:
-    # long division in Q[q]; used by exact determinant/solve routines
-    a, b = a.lift(), b.lift()
-    if b.is_zero():
-        raise ZeroPolynomialError("division by the zero polynomial")
-    rem = list(a.val)
-    div = b.val
-    if len(rem) < len(div):
-        return Scalar(POLY, ()), a
-    quot = [Fraction(0)] * (len(rem) - len(div) + 1)
-    lead = div[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        factor = rem[k + len(div) - 1] / lead
-        quot[k] = factor
-        if factor:
-            for i, d in enumerate(div):
-                rem[k + i] -= factor * d
-    return Scalar(POLY, _trim(quot)), Scalar(POLY, _trim(rem[: len(div) - 1]))
-
-
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """Divide a by b when the division is exact; error otherwise."""
     if a.ring == RATIONAL and b.ring == RATIONAL:
         if b.is_zero():
             raise ZeroPolynomialError("division by zero")
         return Scalar(RATIONAL, a.val / b.val)
-    q, r = _poly_divmod(a, b)
-    if not r.is_zero():
+    # long division in Q[q]; dividing through a Fraction, as int / int is a float
+    rem, div = list(a.lift().val), b.lift().val
+    if not div:
+        raise ZeroPolynomialError("division by the zero polynomial")
+    quot = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        factor = quot[k] = _as_fraction(rem[k + len(div) - 1]) / div[-1]
+        if factor:
+            for i, d in enumerate(div):
+                rem[k + i] -= factor * d
+    if _trim(rem[: len(div) - 1]):
         raise ZeroPolynomialError("division is not exact in Q[q]")
-    return q
+    return Scalar(POLY, _trim(quot))
 
 
 # -- sparse tensors -------------------------------------------------------------
@@ -439,14 +442,14 @@ def _unbox(ring: str, s: Scalar):
     if s.ring != ring:
         raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
     if ring == POLY:
-        return s
+        return _scalar(POLY, tuple([c.numerator if c.denominator == 1 else c for c in s.val]))
     return s.val.numerator if s.val.denominator == 1 else s.val
 
 
 def _box(ring: str, v) -> Scalar:
     if ring == RATIONAL:
-        return Scalar(RATIONAL, v if type(v) is Fraction else Fraction(v))
-    return v
+        return _scalar(RATIONAL, v if type(v) is Fraction else Fraction(v))
+    return _scalar(POLY, tuple([c if type(c) is Fraction else Fraction(c) for c in v.val]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -563,14 +566,11 @@ class Tensor:
         def walk(seq, key):
             if len(seq) != shape[len(key)]:
                 raise ShapeError("ragged nested sequence")
-            if len(key) == order - 1:
-                for i, s in enumerate(seq):
-                    v = _unbox(ring, s)
-                    if v:
-                        entries[key + (i,)] = v
-            else:
-                for i, sub in enumerate(seq):
-                    walk(sub, key + (i,))
+            for i, x in enumerate(seq):
+                if len(key) < order - 1:
+                    walk(x, key + (i,))
+                elif v := _unbox(ring, x):
+                    entries[key + (i,)] = v
 
         walk(nested, ())
         self._set(ring, tuple(shape), entries)

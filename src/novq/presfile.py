@@ -55,10 +55,9 @@ _PUNCT = ("(x)", "->", "+", "-", "*", "/", "^", "(", ")")
 # deeply coefficients may nest parentheses, how large a power s^e may be, as
 # e times the size of s: one, plus its degree, plus the bit lengths of the
 # numerators and denominators of its coefficients, and the dimension of the
-# space, since each product or coproduct block is held as a dense n^3 array
-# while it is read.  At 128 dimensions `verify --profile novikov` on the
-# truncated polynomial algebra (8,256 product entries) takes 5.8 s with
-# Python 3.11 on a 2-vCPU Xeon VM.
+# space, since the checks on a product visit up to n^3 basis tuples.  At 128
+# dimensions `verify --profile novikov` on the truncated polynomial algebra
+# (8,256 product entries) takes 4.0 s with Python 3.11 on a 2-vCPU Xeon VM.
 MAX_NESTING = 100
 MAX_POWER = 4096
 MAX_DIM = 128
@@ -264,23 +263,25 @@ def parse(text: str) -> Presentation:
     maps = {}
     forms = {}
     relements = {}
-    block = None  # (kind, name, accumulator)
+    # (kind, name, entries by index, left sides whose line left a nonzero entry)
+    block = None
 
     def close_block():
         nonlocal block
         if block is None:
             return
-        kind, name, acc, _ = block
+        kind, name, entries, _ = block
+        n = len(space.names)
         if kind == "product":
-            binops[name] = BinOpTensor(ring, acc)
+            binops[name] = BinOpTensor.from_entries(ring, (n, n, n), entries)
         elif kind == "coproduct":
-            coops[name] = CoOpTensor(ring, acc)
+            coops[name] = CoOpTensor.from_entries(ring, (n, n, n), entries)
         elif kind == "map":
-            maps[name] = LinMap(ring, acc)
+            maps[name] = LinMap.from_entries(ring, (n, n), entries)
         elif kind == "form":
-            forms[name] = Tensor2(ring, acc)
+            forms[name] = Tensor2.from_entries(ring, (n, n), entries)
         else:
-            relements[name] = Tensor2(ring, acc)
+            relements[name] = Tensor2.from_entries(ring, (n, n), entries)
         block = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -331,13 +332,7 @@ def parse(text: str) -> Presentation:
                 if name in table:
                     raise PresFileError(lineno, f"duplicate name {name!r}")
             close_block()
-            n = len(space.names)
-            z = Scalar.zero(ring)
-            if head in ("product", "coproduct"):
-                acc = [[[z] * n for _ in range(n)] for _ in range(n)]
-            else:
-                acc = [[z] * n for _ in range(n)]
-            block = (head, name, acc, lineno)
+            block = (head, name, {}, set())
             continue
 
         if "->" not in line:
@@ -345,49 +340,37 @@ def parse(text: str) -> Presentation:
         if block is None:
             raise PresFileError(lineno, "entry line outside any block")
 
-        kind, name, acc, _ = block
+        kind, _, entries, filled = block
         toks = _tokenize(line, lineno)
         arrow = toks.index("->")
         lhs, rhs = toks[:arrow], toks[arrow + 1:]
         p = _TermParser(rhs, lineno, ring, index)
 
+        # terms as (index, coefficient); left is the index on the left side
         if kind in ("product", "form", "relement"):
             if len(lhs) != 2 or lhs[0] not in index or lhs[1] not in index:
                 raise PresFileError(lineno, "left side must be two basis vectors")
-            i, j = index[lhs[0]], index[lhs[1]]
+            left = (index[lhs[0]], index[lhs[1]])
             if kind == "product":
-                terms = p.linear_rhs(tensor=False)
-                p.done()
-                row = acc[i][j]
-                if any(not s.is_zero() for s in row):
-                    raise PresFileError(lineno, f"duplicate entry for {lhs[0]} {lhs[1]}")
-                for coeff, k, _ in terms:
-                    row[k] = row[k] + coeff
+                terms = [(left + (k,), c) for c, k, _ in p.linear_rhs(tensor=False)]
             else:
-                val = p.scalar_expr()
-                p.done()
-                if not acc[i][j].is_zero():
-                    raise PresFileError(lineno, f"duplicate entry for {lhs[0]} {lhs[1]}")
-                acc[i][j] = val
+                terms = [(left, p.scalar_expr())]
         else:
             if len(lhs) != 1 or lhs[0] not in index:
                 raise PresFileError(lineno, "left side must be one basis vector")
-            i = index[lhs[0]]
+            left = (index[lhs[0]],)
             if kind == "coproduct":
-                terms = p.linear_rhs(tensor=True)
-                p.done()
-                plane = acc[i]
-                if any(not s.is_zero() for row in plane for s in row):
-                    raise PresFileError(lineno, f"duplicate entry for {lhs[0]}")
-                for coeff, j, k in terms:
-                    plane[j][k] = plane[j][k] + coeff
-            else:
-                terms = p.linear_rhs(tensor=False)
-                p.done()
-                if any(not acc[k][i].is_zero() for k in range(len(acc))):
-                    raise PresFileError(lineno, f"duplicate entry for {lhs[0]}")
-                for coeff, k, _ in terms:
-                    acc[k][i] = acc[k][i] + coeff
+                terms = [(left + (j, k), c) for c, j, k in p.linear_rhs(tensor=True)]
+            else:  # a map: the image of e_i is column i
+                terms = [((k,) + left, c) for c, k, _ in p.linear_rhs(tensor=False)]
+        p.done()
+        if left in filled:
+            raise PresFileError(lineno, f"duplicate entry for {' '.join(lhs)}")
+        # no earlier line left a nonzero entry under left, so these sums are its entries
+        for key, c in terms:
+            entries[key] = entries[key] + c if key in entries else c
+        if any(entries[key] for key, _ in terms):
+            filled.add(left)
 
     close_block()
     if space is None or ring is None:

@@ -217,3 +217,34 @@ def test_dimension_budget_is_a_parse_error(tmp_path, capsys, monkeypatch):
     names = " ".join(f"e{i}" for i in range(presfile.MAX_DIM))
     pres = parse(f"space {presfile.MAX_DIM} {names}\nring Q\nmap D\ne0 -> e1\n")
     assert pres.dim == presfile.MAX_DIM
+
+
+def test_duplicate_rule_counts_only_nonzero_entries():
+    # a line that leaves only zeros does not claim its left side
+    head = "space 2 e1 e2\nring Q\n"
+    blocks = (("product dot", "e1 e1 -> 0", "e1 e1 -> e2 - e2", "e1 e1 -> e2", "e1 e1"),
+              ("coproduct delta", "e1 -> 0", "e1 -> e1 (x) e2 - e1 (x) e2", "e1 -> e1 (x) e2",
+               "e1"),
+              ("map D", "e1 -> 0", "e1 -> e2 - e2", "e1 -> e2", "e1"),
+              ("form B", "e1 e2 -> 0", "e1 e2 -> 1 - 1", "e1 e2 -> 3", "e1 e2"))
+    for block, zero, cancel, line, lhs in blocks:
+        pres = parse(f"{head}{block}\n{zero}\n{cancel}\n{line}\n")
+        want = parse(f"{head}{block}\n{line}\n")
+        assert emit(pres) == emit(want), block
+        assert emit(pres) != emit(parse(f"{head}{block}\n")), block
+        # a second nonzero line under the same left side is an error on its own line
+        with pytest.raises(PresFileError) as exc:
+            parse(f"{head}{block}\n{zero}\n{line}\n{line}\n")
+        assert exc.value.lineno == 6
+        assert str(exc.value) == f"line 6: duplicate entry for {lhs}"
+
+
+def test_parse_keeps_every_term_of_a_line():
+    pres = parse("space 2 e1 e2\nring Q[q]\n"
+                 "product dot\ne1 e2 -> e1 + q*e2 - e1 + e2\n"
+                 "coproduct delta\ne2 -> e1 (x) e2 + 2*e1 (x) e2 + e2 (x) e1\n"
+                 "map D\ne2 -> e1 + e1\n")
+    assert pres.binop("dot").nonzero() == [(0, 1, 1, Scalar(POLY, (F(1), F(1))))]
+    assert pres.coop("delta").nonzero() == [(1, 0, 1, Scalar(POLY, (F(3),))),
+                                            (1, 1, 0, Scalar(POLY, (F(1),)))]
+    assert pres.linmap("D").nonzero() == [(0, 1, Scalar(POLY, (F(2),)))]
