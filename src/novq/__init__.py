@@ -5,7 +5,7 @@ structure constants, induced products and coproducts, doubles, Yang-Baxter
 residuals, and windowed checks on graded completions.
 """
 
-from .exactcore import (POLY, RATIONAL, LinMap, Scalar, Tensor2, Tensor3,
+from .exactcore import (POLY, RATIONAL, LinMap, Scalar, Tensor, Tensor2, Tensor3,
                         Vector, ZeroPolynomialError, polynomial, qvar,
                         rational_roots)
 from .structures import (AxiomReport, BinOpTensor, CoOpTensor, Presentation,

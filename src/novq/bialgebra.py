@@ -10,8 +10,8 @@ convention that the primed half is the dual basis.
 from .exactcore import (
     LinMap,
     POLY,
-    RATIONAL,
     Scalar,
+    Tensor,
     Tensor2,
     Vector,
     bareiss_det,
@@ -134,7 +134,7 @@ def novikov_bialgebra_locus(pres: Presentation, dot: str = "dot", delta: str = "
     identically.  Points beyond Q are out of scope (the locus carries a flag
     when a non-rational common zero cannot be ruled out).
     """
-    p = pres.lift() if pres.ring == RATIONAL else pres
+    p = pres.lift()
     circ = induce_novikov(p.binop(dot), p.linmap(D), p.linmap(Q))
     Delta = induce_nov_coalg(p.coop(delta), p.linmap(Q), p.linmap(D))
     reports = check_novikov_bialgebra(circ, Delta)
@@ -223,15 +223,13 @@ def prenov_double_family(pres: Presentation, zin: str = "zin", D: str = "D",
     and closes with the coboundary coproduct of the canonical tensor.  Slots
     are named circ and Delta; the result lives over Q[q].
     """
-    p = pres.lift() if pres.ring == RATIONAL else pres
+    p = pres.lift()
     zop = p.binop(zin)
     dmap, qmap = p.linmap(D), p.linmap(Q)
     n = p.dim
     lhd, rhd = pre_novikov_from_zinbiel(zop, dmap, qmap)
-    basis = [Vector.basis(POLY, n, i) for i in range(n)]
-    rep = RepNov(p.space.names,
-                 tuple(LinMap.einsum("i,ijk->kj", e, rhd) for e in basis),
-                 tuple(LinMap.einsum("j,ijk->ki", e, lhd) for e in basis))
+    # the split module (A, L_rhd, R_lhd), with legs (i, k, j) as in regular_rep_novikov
+    rep = RepNov(p.space.names, Tensor.einsum("ijk->ikj", rhd), Tensor.einsum("jik->ikj", lhd))
     apres = Presentation(ring=POLY, space=p.space,
                          binops={"circ": descendent_novikov(lhd, rhd)})
     dbl = semidirect_novikov(apres, dual_rep_novikov(rep))
@@ -244,7 +242,7 @@ def double_induced_family(pres: Presentation, zin: str = "zin", D: str = "D",
                           Q: str = "Q") -> Presentation:
     """The symbolic family on A + A* via the double-then-deform route."""
     dbl = zinbiel_double(pres, zin, D, Q)
-    p = dbl.lift() if dbl.ring == RATIONAL else dbl
+    p = dbl.lift()
     circ = induce_novikov(p.binop("dot"), p.linmap("D"), p.linmap("Q"))
     Delta = induce_nov_coalg(p.coop("delta"), p.linmap("Q"), p.linmap("D"))
     return Presentation(ring=POLY, space=p.space, binops={"circ": circ},

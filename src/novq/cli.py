@@ -48,6 +48,18 @@ def _pick(table: dict, preferred: str, what: str) -> str:
     raise _Usage(f"cannot choose a {what} among {names}; name one {preferred!r}")
 
 
+def _pick_maps(pres: Presentation) -> tuple[str, str]:
+    """(D, Q): D is picked among the maps not named Q, then Q among those not named D."""
+    return (_pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
+            _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"))
+
+
+def _pick_slots(pres: Presentation) -> tuple[str, str, str, str]:
+    """(dot, delta, D, Q), picked in that order."""
+    return (_pick(pres.binops, "dot", "product"), _pick(pres.coops, "delta", "coproduct"),
+            *_pick_maps(pres))
+
+
 def _fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
@@ -105,12 +117,7 @@ def _run_verify(args) -> tuple[int, dict]:
             reports["ZINB_ADMISS"] = check_axiom(
                 "ZINB_ADMISS", pres, {"zin": zin, "D": "D", "Q": "Q"})
     elif profile == "diff-asi":
-        reports = check_diff_asi_bialgebra(
-            pres,
-            _pick(pres.binops, "dot", "product"),
-            _pick(pres.coops, "delta", "coproduct"),
-            _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-            _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"))
+        reports = check_diff_asi_bialgebra(pres, *_pick_slots(pres))
     elif profile == "novikov-bialgebra":
         circ = _pick(pres.binops, "circ", "product")
         Delta = _pick(pres.coops, "Delta", "coproduct")
@@ -135,7 +142,7 @@ def _run_verify(args) -> tuple[int, dict]:
 def _run_induce(args) -> tuple[int, dict]:
     pres = load(args.file)
     if args.q == "sym":
-        pres = pres.lift() if pres.ring == RATIONAL else pres
+        pres = pres.lift()
         q = None
     else:
         q = _fraction(args.q, "--q")
@@ -143,8 +150,7 @@ def _run_induce(args) -> tuple[int, dict]:
             pres = pres.specialize(q)
     p = _fraction(args.p, "--p")
     dot = _pick(pres.binops, "dot", "product")
-    dmap = _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map")
-    qmap = _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map")
+    dmap, qmap = _pick_maps(pres)
     circ = induce_novikov(pres.binop(dot), pres.linmap(dmap), pres.linmap(qmap),
                           p=p, q=q, verify=True)
     coops = {}
@@ -160,20 +166,10 @@ def _run_induce(args) -> tuple[int, dict]:
 def _run_double(args) -> tuple[int, dict]:
     pres = load(args.file)
     if pres.coops:
-        out = double_construction(
-            pres,
-            _pick(pres.binops, "dot", "product"),
-            _pick(pres.coops, "delta", "coproduct"),
-            _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-            _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"),
-            verify=True)
+        out = double_construction(pres, *_pick_slots(pres), verify=True)
     else:
-        out = zinbiel_double(
-            pres,
-            _pick(pres.binops, "zin", "product"),
-            _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-            _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"),
-            verify=True)
+        out = zinbiel_double(pres, _pick(pres.binops, "zin", "product"), *_pick_maps(pres),
+                             verify=True)
     return 0, _emit_out(out, args.emit)
 
 
@@ -192,8 +188,7 @@ def _run_ybe(args) -> tuple[int, dict]:
         rep = scan_residuals("NYBE", pres.ring,
                              [((rname,), nybe_residual(r, pres.binop(circ)))])
     else:
-        dmap = _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map")
-        qmap = _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map")
+        dmap, qmap = _pick_maps(pres)
         rep = r_admissibility(r, pres.linmap(dmap), pres.linmap(qmap))
     return _finish_checks({args.check: rep})
 
@@ -201,18 +196,9 @@ def _run_ybe(args) -> tuple[int, dict]:
 def _run_locus(args) -> tuple[int, dict]:
     pres = load(args.file)
     if not pres.coops:
-        pres = zinbiel_double(
-            pres,
-            _pick(pres.binops, "zin", "product"),
-            _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-            _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"),
-            verify=True)
-    locus = novikov_bialgebra_locus(
-        pres,
-        _pick(pres.binops, "dot", "product"),
-        _pick(pres.coops, "delta", "coproduct"),
-        _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-        _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"))
+        pres = zinbiel_double(pres, _pick(pres.binops, "zin", "product"), *_pick_maps(pres),
+                              verify=True)
+    locus = novikov_bialgebra_locus(pres, *_pick_slots(pres))
     print(locus)
     nonempty = not locus.is_empty() and not (locus.kind == FINITE and not locus.points)
     return (0 if nonempty else 1), {"locus": str(locus), "nonempty": nonempty}
@@ -228,12 +214,7 @@ def _run_window(args) -> tuple[int, dict]:
     if pres.ring != RATIONAL:
         raise _Usage("window checks want a rational presentation; induce first")
     w = WindowSpec(args.min, args.max, _fraction(args.q, "--q"))
-    res = window_lie_bialgebra_check(
-        pres, w,
-        _pick(pres.binops, "dot", "product"),
-        _pick(pres.coops, "delta", "coproduct"),
-        _pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-        _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"))
+    res = window_lie_bialgebra_check(pres, w, *_pick_slots(pres))
     code, rows = _report_rows(res.reports)
     print(f"jacobi triples: {res.jacobi_checked} checked, "
           f"{res.jacobi_skipped} outside the window")

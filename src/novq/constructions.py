@@ -1,9 +1,11 @@
 """Builders for induced, semidirect, dual and descendent structures.
 
-Everything here is a pure constructor on exact structure constants.  None of
-the builders verify their preconditions by default (checks cost more than the
-construction); pass verify=True to run the relevant axiom checks first, which
-is what the command line does.
+Everything here is a pure constructor on exact structure constants.  The
+builders assume their preconditions (checks cost more than the construction);
+the two induction builders take verify=True to run the relevant axiom checks
+first, which is what the command line does.  A module's operator family is an
+order-3 tensor with legs (i, k, j): l[i][k][j] is the v_k coefficient of
+l(e_i) v_j, so each module below is one contraction of structure constants.
 
 The deformation parameter q may be a rational or the live polynomial
 generator.  Over Q[q] it defaults to the generator itself; over Q it must be
@@ -13,7 +15,7 @@ keeping the coefficient ring univariate.
 
 from fractions import Fraction
 
-from .exactcore import LinMap, POLY, Scalar, Tensor, Vector, qvar
+from .exactcore import LinMap, POLY, Scalar, Tensor, qvar
 from .structures import (
     BinOpTensor,
     CoOpTensor,
@@ -93,27 +95,23 @@ def _semidirect(apres: Presentation, op: BinOpTensor, rep, right) -> BinOpTensor
     n = na + nv
     return BinOpTensor.from_blocks(apres.ring, (n, n, n), [
         ((0, 0, 0), op),
-        ((0, na, na), Tensor.einsum("igb->ibg", Tensor.stack(rep.l))),
-        ((na, 0, na), Tensor.einsum("igb->big", Tensor.stack(right))),
+        ((0, na, na), Tensor.einsum("igb->ibg", rep.l)),
+        ((na, 0, na), Tensor.einsum("igb->big", right)),
     ])
 
 
-def semidirect_novikov(apres: Presentation, rep: RepNov, circ: str = "circ",
-                       verify: bool = False) -> Presentation:
+def semidirect_novikov(apres: Presentation, rep: RepNov, circ: str = "circ") -> Presentation:
     """The semidirect Novikov product on A + V, A block first.
 
     (a+u) circ (b+v) = a circ b + l(a)v + r(b)u.
     """
     total = _semidirect(apres, apres.binop(circ), rep, rep.r)
-    if verify:
-        _require({aid: check_axiom(aid, apres, {"circ": circ}, rep=rep)
-                  for aid in ("REP_NOV_1", "REP_NOV_2", "REP_NOV_3", "REP_NOV_4")})
     return Presentation(ring=apres.ring, space=Space(apres.space.names + rep.names),
                         binops={circ: total})
 
 
 def semidirect_admdiff(apres: Presentation, rep: RepAdmDiff, dot: str = "dot",
-                       D: str = "D", Q: str = "Q", verify: bool = False) -> Presentation:
+                       D: str = "D", Q: str = "Q") -> Presentation:
     """The semidirect commutative differential structure on A + V.
 
     (a+u) . (b+v) = a . b + l(a)v + l(b)u, with maps D + alpha and Q + beta.
@@ -121,10 +119,6 @@ def semidirect_admdiff(apres: Presentation, rep: RepAdmDiff, dot: str = "dot",
     op = apres.binop(dot)
     dmap, qmap = apres.linmap(D), apres.linmap(Q)
     total = _semidirect(apres, op, rep, rep.l)
-    if verify:
-        binds = {"dot": dot, "D": D, "Q": Q}
-        _require({aid: check_axiom(aid, apres, binds, rep=rep)
-                  for aid in ("REP_MOD", "REP_DIFF", "REP_ADM")})
     return Presentation(
         ring=apres.ring,
         space=Space(apres.space.names + rep.names),
@@ -137,57 +131,39 @@ def dual_rep_novikov(rep: RepNov) -> RepNov:
     """The dual module (V*, l* + r*, -r*).
 
     Operator families dualize with the sign convention
-    <phi*(a) f, v> = -<f, phi(a) v>, so the matrices below are transposes
-    with the signs worked in.
+    <phi*(a) f, v> = -<f, phi(a) v>, so each family below is transposed on
+    its module legs with the signs worked in.
     """
-    lstar = tuple(-(l + r).transpose() for l, r in zip(rep.l, rep.r))
-    rstar = tuple(r.transpose() for r in rep.r)
-    return RepNov(tuple(_toggle_prime(nm) for nm in rep.names), lstar, rstar)
+    return RepNov(tuple(_toggle_prime(nm) for nm in rep.names),
+                  -Tensor.einsum("ijk->ikj", rep.l + rep.r), Tensor.einsum("ijk->ikj", rep.r))
 
 
 def dual_rep_admdiff(rep: RepAdmDiff) -> RepAdmDiff:
     """The dual module (V*, -l*, beta^T, alpha^T); the two endomorphisms swap."""
-    lstar = tuple(l.transpose() for l in rep.l)
-    return RepAdmDiff(tuple(_toggle_prime(nm) for nm in rep.names), lstar,
-                      rep.beta.transpose(), rep.alpha.transpose())
+    return RepAdmDiff(tuple(_toggle_prime(nm) for nm in rep.names),
+                      Tensor.einsum("ijk->ikj", rep.l), rep.beta.transpose(),
+                      rep.alpha.transpose())
 
 
-def induced_rep_q(rep: RepAdmDiff, D: LinMap, Q: LinMap, q=None,
-                  verify: bool = False) -> RepNov:
+def induced_rep_q(rep: RepAdmDiff, D: LinMap, Q: LinMap, q=None) -> RepNov:
     """Deform a differential module into a module over the induced product.
 
     l'(a) = l(a)(alpha + q beta) and r'(a) = l((D + qQ)a).
     """
-    ring = rep.ring
-    qs = _qparam(ring, q)
-    if verify:
-        pres = Presentation(ring=ring, space=Space(_names(rep.alg_dim)),
-                            maps={"D": D, "Q": Q})
-        _require({aid: check_axiom(aid, pres, rep=rep) for aid in ("REP_DIFF", "REP_ADM")})
+    qs = _qparam(rep.ring, q)
     inner = rep.alpha + rep.beta.scale(qs)
     K = D + Q.scale(qs)
-    lq = tuple(LinMap.einsum("kj,ik->ij", inner, l) for l in rep.l)
-    ls = Tensor.stack(rep.l)
-    rq = tuple(LinMap.einsum("m,mab->ab", K.column(i), ls) for i in range(rep.alg_dim))
-    return RepNov(rep.names, lq, rq)
+    return RepNov(rep.names, Tensor.einsum("mj,ikm->ikj", inner, rep.l),
+                  Tensor.einsum("mi,mkj->ikj", K, rep.l))
 
 
-def pre_novikov_from_zinbiel(diamond: BinOpTensor, D: LinMap, Q: LinMap, q=None,
-                             verify: bool = False) -> tuple[BinOpTensor, BinOpTensor]:
+def pre_novikov_from_zinbiel(diamond: BinOpTensor, D: LinMap, Q: LinMap,
+                             q=None) -> tuple[BinOpTensor, BinOpTensor]:
     """The split pair (lhd, rhd) deforming a Zinbiel product.
 
     a lhd b = (D + qQ)(b) diamond a and a rhd b = a diamond (D + qQ)(b).
     """
-    ring = diamond.ring
-    if verify:
-        pres = Presentation(ring=ring, space=Space(_names(diamond.dim)),
-                            binops={"zin": diamond}, maps={"D": D, "Q": Q})
-        _require({
-            "ZINBIEL": check_axiom("ZINBIEL", pres),
-            "DERIV": check_axiom("DERIV", pres, {"dot": "zin"}),
-            "ZINB_ADMISS": check_axiom("ZINB_ADMISS", pres),
-        })
-    K = D + Q.scale(_qparam(ring, q))
+    K = D + Q.scale(_qparam(diamond.ring, q))
     # a lhd b = K(b) diamond a and a rhd b = a diamond K(b)
     return (BinOpTensor.einsum("mj,mik->ijk", K, diamond),
             BinOpTensor.einsum("mj,imk->ijk", K, diamond))
@@ -214,13 +190,13 @@ def zinbiel_from_oop(T: LinMap, rep: RepAdmDiff) -> BinOpTensor:
     T must be a verified operator for rep (the Yang-Baxter module has the
     checker); this builder only assembles the product.
     """
-    return BinOpTensor.einsum("mi,mkj->ijk", T, Tensor.stack(rep.l))
+    return BinOpTensor.einsum("mi,mkj->ijk", T, rep.l)
 
 
 def pre_novikov_from_oop(T: LinMap, rep: RepNov) -> tuple[BinOpTensor, BinOpTensor]:
     """(lhd, rhd) with u rhd v = l(T(u))v and u lhd v = r(T(v))u."""
-    return (BinOpTensor.einsum("mj,mki->ijk", T, Tensor.stack(rep.r)),
-            BinOpTensor.einsum("mi,mkj->ijk", T, Tensor.stack(rep.l)))
+    return (BinOpTensor.einsum("mj,mki->ijk", T, rep.r),
+            BinOpTensor.einsum("mi,mkj->ijk", T, rep.l))
 
 
 def deformation_family_check(circ: BinOpTensor, f: BinOpTensor) -> dict:
@@ -235,14 +211,9 @@ def deformation_family_check(circ: BinOpTensor, f: BinOpTensor) -> dict:
 
 def regular_rep_novikov(circ: BinOpTensor, names) -> RepNov:
     """The adjoint module (A, L_circ, R_circ)."""
-    basis = [Vector.basis(circ.ring, circ.dim, i) for i in range(circ.dim)]
-    return RepNov(tuple(names),
-                  tuple(LinMap.einsum("i,ijk->kj", e, circ) for e in basis),
-                  tuple(LinMap.einsum("j,ijk->ki", e, circ) for e in basis))
+    return RepNov(names, Tensor.einsum("ijk->ikj", circ), Tensor.einsum("jik->ikj", circ))
 
 
 def regular_rep_admdiff(dot: BinOpTensor, D: LinMap, Q: LinMap, names) -> RepAdmDiff:
     """The regular module (A, L_dot, D, Q)."""
-    basis = [Vector.basis(dot.ring, dot.dim, i) for i in range(dot.dim)]
-    return RepAdmDiff(tuple(names), tuple(LinMap.einsum("i,ijk->kj", e, dot) for e in basis),
-                      D, Q)
+    return RepAdmDiff(names, Tensor.einsum("ijk->ikj", dot), D, Q)

@@ -97,9 +97,8 @@ def affine_bracket(x: LaurentVector, y: LaurentVector, circ: BinOpTensor) -> Lau
 
 
 def cobracket_component(a: Vector, m: int, out_degrees: tuple[int, int],
-                        delta: CoOpTensor, D, Q, q) -> Tensor2:
-    """One bidegree coefficient of the completed cobracket of a t^m."""
-    Delta = induce_nov_coalg(delta, Q, D, q)
+                        Delta: CoOpTensor) -> Tensor2:
+    """One bidegree coefficient of the completed cobracket of a t^m under Delta_q."""
     j, k = out_degrees
     at = _positions({m, j, k})
     return Tensor2.einsum("k,i,imajbk->ab", Vector.basis(a.ring, len(at), at[k]), a,

@@ -387,35 +387,17 @@ def _coeff_str(s: Scalar) -> str:
     return txt
 
 
-def _vector_terms(pairs, names) -> str:
+def _terms(pairs) -> str:
+    """Signed sum of (basis text, coefficient) pairs, as in "e1 - 2*e2"."""
     parts = []
-    for k, s in pairs:
+    for basis, s in pairs:
         txt = _coeff_str(s)
         if txt == "1":
-            term = names[k]
+            term = basis
         elif txt == "-1":
-            term = f"-{names[k]}"
+            term = f"-{basis}"
         else:
-            term = f"{txt}*{names[k]}"
-        if parts and not term.startswith("-"):
-            parts.append(f"+ {term}")
-        elif parts:
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(term)
-    return " ".join(parts)
-
-
-def _tensor_terms(triples, names) -> str:
-    parts = []
-    for j, k, s in triples:
-        txt = _coeff_str(s)
-        if txt == "1":
-            term = f"{names[j]} (x) {names[k]}"
-        elif txt == "-1":
-            term = f"-{names[j]} (x) {names[k]}"
-        else:
-            term = f"{txt}*{names[j]} (x) {names[k]}"
+            term = f"{txt}*{basis}"
         if parts and not term.startswith("-"):
             parts.append(f"+ {term}")
         elif parts:
@@ -440,22 +422,20 @@ def emit(pres: Presentation) -> str:
         out.append("")
         out.append(f"product {name}")
         for (i, j), terms in grouped(pres.binops[name], 2):
-            pairs = [(k, s) for _, _, k, s in terms]
-            out.append(f"{names[i]} {names[j]} -> {_vector_terms(pairs, names)}")
+            out.append(f"{names[i]} {names[j]} -> {_terms((names[k], s) for *_, k, s in terms)}")
 
     for name in sorted(pres.coops):
         out.append("")
         out.append(f"coproduct {name}")
         for (i,), terms in grouped(pres.coops[name], 1):
-            triples = [(j, k, s) for _, j, k, s in terms]
-            out.append(f"{names[i]} -> {_tensor_terms(triples, names)}")
+            pairs = ((f"{names[j]} (x) {names[k]}", s) for _, j, k, s in terms)
+            out.append(f"{names[i]} -> {_terms(pairs)}")
 
     for name in sorted(pres.maps):
         out.append("")
         out.append(f"map {name}")
         for (j,), terms in grouped(pres.maps[name].transpose(), 1):
-            pairs = [(k, s) for _, k, s in terms]
-            out.append(f"{names[j]} -> {_vector_terms(pairs, names)}")
+            out.append(f"{names[j]} -> {_terms((names[k], s) for _, k, s in terms)}")
 
     for label, table in (("form", pres.forms), ("relement", pres.relements)):
         for name in sorted(table):

@@ -3,11 +3,13 @@
 A presentation bundles one basis with any number of binary products,
 coproducts, linear maps, bilinear forms and order-2 tensors, all over a
 single ring (Q or Q[q]).  Products and coproducts are sparse order-3
-tensors from exactcore.  Axioms are data: each catalog entry is a syntax
-tree for a multilinear residual.  One evaluator checks any of them on any
-presentation, once per basis vector of the first variable with the other
-variables as free tensor legs; every node is one contraction, and the
-residual of each basis tuple is read off those slices in row-major order.
+tensors from exactcore, and so is each operator family of a module, with
+legs (i, k, j): l[i][k][j] is the v_k coefficient of l(e_i) v_j.  Axioms
+are data: each catalog entry is a syntax tree for a multilinear residual.
+One evaluator checks any of them on any presentation, once per basis
+vector of the first variable with the other variables as free tensor legs;
+every node is one contraction, and the residual of each basis tuple is read
+off those slices in row-major order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -17,7 +19,7 @@ intersecting rational root sets entry by entry.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -92,30 +94,29 @@ class CoOpTensor(Tensor):
         return Tensor2.einsum("i,ijk->jk", Vector.basis(self.ring, self.dim, i), self)
 
 
-@dataclass
-class RepNov:
-    """A module over a Novikov-type product: left and right operator families."""
+def _check_module(names, families: tuple, maps: tuple = ()) -> tuple[str, ...]:
+    """Validate a module's operator families and endomorphisms; return its basis names."""
+    dim = len(names)
+    if not all(isinstance(t, Tensor) and len(t.shape) == 3 for t in families):
+        raise PresentationError("an operator family must be one Tensor of shape "
+                                f"(alg_dim, dim, dim) = (alg_dim, {dim}, {dim})")
+    if not families[0].shape[0] or len({t.shape[0] for t in families}) > 1:
+        raise PresentationError("need matching left and right operator families"
+                                if len(families) > 1 else "need a nonempty operator family")
+    if any(s != (dim, dim) for s in [t.shape[1:] for t in families]
+           + [getattr(m, "shape", None) for m in maps]):
+        raise PresentationError("operator shape does not match module dimension")
+    if any(t.ring != families[0].ring for t in (*families, *maps)):
+        raise RingMismatchError("mixed rings inside a representation")
+    return tuple(names)
 
-    names: tuple[str, ...]
-    l: tuple[LinMap, ...]
-    r: tuple[LinMap, ...]
 
-    def __post_init__(self):
-        self.names = tuple(self.names)
-        self.l = tuple(self.l)
-        self.r = tuple(self.r)
-        if not self.l or len(self.l) != len(self.r):
-            raise PresentationError("need matching left and right operator families")
-        dim = len(self.names)
-        for m in (*self.l, *self.r):
-            if m.cod != dim or m.dom != dim:
-                raise PresentationError("operator shape does not match module dimension")
-            if m.ring != self.ring:
-                raise RingMismatchError("mixed rings inside a representation")
+class _Module:
+    """What the two module kinds share; each operator family has legs (i, k, j)."""
 
     @property
     def ring(self) -> str:
-        return self.l[0].ring
+        return self.l.ring
 
     @property
     def dim(self) -> int:
@@ -123,55 +124,45 @@ class RepNov:
 
     @property
     def alg_dim(self) -> int:
-        return len(self.l)
+        return self.l.shape[0]
 
-    def lift(self) -> "RepNov":
+    def lift(self):
+        """Embed a rational module into Q[q]."""
         if self.ring == POLY:
             return self
-        lifted = lambda m: m.map_scalars(lambda s: s.lift(), POLY)
-        return RepNov(self.names, tuple(lifted(m) for m in self.l),
-                      tuple(lifted(m) for m in self.r))
+        return type(self)(self.names, *(getattr(self, f.name).map_scalars(Scalar.lift, POLY)
+                                        for f in fields(self)[1:]))
 
 
 @dataclass
-class RepAdmDiff:
-    """A module over a commutative differential product, with both endomorphisms."""
+class RepNov(_Module):
+    """A module (l, r, V) over a Novikov-type product.
+
+    l[i][k][j] is the v_k coefficient of l(e_i) v_j, and r[i][k][j] that of r(e_i) v_j.
+    """
 
     names: tuple[str, ...]
-    l: tuple[LinMap, ...]
+    l: Tensor
+    r: Tensor
+
+    def __post_init__(self):
+        self.names = _check_module(self.names, (self.l, self.r))
+
+
+@dataclass
+class RepAdmDiff(_Module):
+    """A module (l, alpha, beta, V) over a commutative differential product.
+
+    l[i][k][j] is the v_k coefficient of l(e_i) v_j; alpha and beta are maps of V.
+    """
+
+    names: tuple[str, ...]
+    l: Tensor
     alpha: LinMap
     beta: LinMap
 
     def __post_init__(self):
-        self.names = tuple(self.names)
-        self.l = tuple(self.l)
-        if not self.l:
-            raise PresentationError("need a nonempty operator family")
-        dim = len(self.names)
-        for m in (*self.l, self.alpha, self.beta):
-            if m.cod != dim or m.dom != dim:
-                raise PresentationError("operator shape does not match module dimension")
-            if m.ring != self.ring:
-                raise RingMismatchError("mixed rings inside a representation")
-
-    @property
-    def ring(self) -> str:
-        return self.alpha.ring
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    @property
-    def alg_dim(self) -> int:
-        return len(self.l)
-
-    def lift(self) -> "RepAdmDiff":
-        if self.ring == POLY:
-            return self
-        lifted = lambda m: m.map_scalars(lambda s: s.lift(), POLY)
-        return RepAdmDiff(self.names, tuple(lifted(m) for m in self.l),
-                          lifted(self.alpha), lifted(self.beta))
+        self.names = _check_module(self.names, (self.l,), (self.alpha, self.beta))
 
 
 def _lookup(bag: dict, name: str, what: str):
@@ -794,15 +785,13 @@ class _Evaluator:
     def __init__(self, pres, binds, rep, qpoint, vals):
         self.pres, self.binds, self.rep, self.qpoint = pres, binds, rep, qpoint
         self.vals = vals  # variable name -> value
-        self.const = functools.cache(self.const)  # stacks once; einsum keeps its join index
+        self.const = functools.cache(self.const)  # stacks a form once; einsum keeps its index
 
     def const(self, what: str, key: str) -> Tensor:
         rep = self.rep  # present: check_axiom requires it for module variables
-        if what == "family":
-            if key == "r" and not hasattr(rep, "r"):
-                raise PresentationError("this representation has no right operator family")
-            return Tensor.stack(rep.r if key == "r" else rep.l)
-        if what == "repmap":
+        if what == "family" and not hasattr(rep, key):
+            raise PresentationError("this representation has no right operator family")
+        if what in ("family", "repmap"):
             if not hasattr(rep, key):
                 raise PresentationError(f"this representation has no map {key!r}")
             return getattr(rep, key)

@@ -10,11 +10,13 @@ subscripts share, and the remaining legs keep their factors in summand order:
     r13 . r23 = sum x_i (x) x_j (x) (y_i . y_j)
     r12 . r23 = sum x_i (x) (y_i . x_j) (x) y_j
     r13 . r12 = sum (x_i . x_j) (x) y_j (x) y_i
+
+Operator checks read a module's families as stored, with legs (i, k, j):
+l[i][k][j] is the v_k coefficient of l(e_i) v_j.  Each term of an identity is
+then one contraction over all pairs of module basis vectors.
 """
 
-from typing import Sequence
-
-from .exactcore import LinMap, Tensor2, Tensor3, Vector
+from .exactcore import LinMap, Tensor, Tensor2, Tensor3, Vector
 from .structures import (
     AxiomReport,
     BinOpTensor,
@@ -25,14 +27,6 @@ from .structures import (
     scan_residuals,
 )
 from .constructions import star
-
-
-def _act(family: Sequence[LinMap], a: Vector, v: Vector) -> Vector:
-    """Apply sum_i a[i] * family[i] to v."""
-    out = Vector.zero(v.ring, family[0].cod)
-    for i, ai in a.nonzero():
-        out = out + Vector.einsum("j,kj->k", v, family[i]).scale(ai)
-    return out
 
 
 def _check_dims(r: Tensor2, op: BinOpTensor) -> None:
@@ -109,49 +103,30 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
     """
     if T.cod != rep.alg_dim or T.dom != rep.dim:
         raise PresentationError("operator shape does not match the module")
-    ring = rep.ring
-    nv = rep.dim
-    basis = [Vector.basis(ring, nv, i) for i in range(nv)]
-    timg = [T.column(i) for i in range(nv)]
-    names = rep.names
-
     if isinstance(rep, RepNov):
         if circ is None:
             raise PresentationError("a Novikov module needs the algebra product")
-        if circ.dim != rep.alg_dim or circ.ring != ring:
-            raise PresentationError("product does not match the module's algebra")
-
-        def prod_items():
-            for i in range(nv):
-                for j in range(nv):
-                    lhs = Vector.einsum("i,j,ijk->k", timg[i], timg[j], circ)
-                    rhs = Vector.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
-                                        + _act(rep.r, timg[j], basis[i]), T)
-                    yield (names[i], names[j]), lhs - rhs
-
-        return {"OOP_PROD": scan_residuals("OOP_PROD", ring, prod_items())}
-
-    if not isinstance(rep, RepAdmDiff):
+        op, right = circ, rep.r
+    elif isinstance(rep, RepAdmDiff):
+        if dot is None or D is None:
+            raise PresentationError("a differential module needs the product and D")
+        op, right = dot, rep.l
+    else:
         raise PresentationError(f"unsupported module type {type(rep).__name__}")
-    if dot is None or D is None:
-        raise PresentationError("a differential module needs the product and D")
-    if dot.dim != rep.alg_dim or dot.ring != ring:
+    if op.dim != rep.alg_dim or op.ring != rep.ring:
         raise PresentationError("product does not match the module's algebra")
-
-    def prod_items():
-        for i in range(nv):
-            for j in range(nv):
-                lhs = Vector.einsum("i,j,ijk->k", timg[i], timg[j], dot)
-                rhs = Vector.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
-                                    + _act(rep.l, timg[j], basis[i]), T)
-                yield (names[i], names[j]), lhs - rhs
-
-    out = {
-        "OOP_PROD": scan_residuals("OOP_PROD", ring, prod_items()),
-        "OOP_D": scan_residuals("OOP_D", ring, [(("D T - T alpha",), _twist(D, T, rep.alpha))]),
-    }
-    if Q is not None:
-        out["OOP_Q"] = scan_residuals("OOP_Q", ring, [(("Q T - T beta",), _twist(Q, T, rep.beta))])
+    # residual[i][j] = T(v_i) op T(v_j) - T(l(T(v_i)) v_j) - T(right(T(v_j)) v_i)
+    residual = (Tensor.einsum("ai,abk,bj->ijk", T, op, T)
+                - Tensor.einsum("ai,amj,km->ijk", T, rep.l, T)
+                - Tensor.einsum("bj,bmi,km->ijk", T, right, T))
+    items = (((rep.names[i], rep.names[j]), v) for (i, j), v in residual.slices(2, Vector))
+    out = {"OOP_PROD": scan_residuals("OOP_PROD", rep.ring, items)}
+    if isinstance(rep, RepAdmDiff):
+        out["OOP_D"] = scan_residuals("OOP_D", rep.ring,
+                                      [(("D T - T alpha",), _twist(D, T, rep.alpha))])
+        if Q is not None:
+            out["OOP_Q"] = scan_residuals("OOP_Q", rep.ring,
+                                          [(("Q T - T beta",), _twist(Q, T, rep.beta))])
     return out
 
 

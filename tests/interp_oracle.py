@@ -14,7 +14,7 @@ from novq.exactcore import (POLY, RATIONAL, LinMap, RingMismatchError, Scalar,
                             polynomial)
 from novq.structures import (CATALOG, FAILS, HOLDS, AxiomReport, PresentationError,
                              scan_residuals)
-from novq.ybe import _act
+from oop_oracle import _act
 
 
 class _Ctx:

@@ -18,10 +18,10 @@ import genalg
 import oracles as orc
 from novq import (BinOpTensor, CoOpTensor, LinMap, POLY, Presentation,
                   RATIONAL, RepAdmDiff, RepNov, Scalar, Space, T_from_r,
-                  Tensor2, Vector, all_hold, aybe_residual, canonical_r,
+                  Tensor, Tensor2, Vector, all_hold, aybe_residual, canonical_r,
                   check_axiom, descendent_commdiff, double_induced_family,
                   dual_rep_admdiff, dual_rep_novikov, family_difference_locus,
-                  induce_novikov, is_admissible_quadruple, load,
+                  induce_nov_coalg, induce_novikov, is_admissible_quadruple, load,
                   novikov_bialgebra_locus, nybe_residual, oop_check, parse,
                   prenov_double_family, r_admissibility, scan_residuals,
                   semidirect_novikov, zinbiel_double)
@@ -167,22 +167,22 @@ def test_criterion_6():
             got = affine_bracket(LaurentVector(e2, m), LaurentVector(e2, n), circ)
             assert got.base.is_zero()
 
-    delta, D, Q = pres.coop("delta"), pres.linmap("D"), pres.linmap("Q")
     qv = F(-1, 2)
+    Delta = induce_nov_coalg(pres.coop("delta"), pres.linmap("Q"), pres.linmap("D"), qv)
     for m in range(-3, 4):
         for i in range(-8, 9):
             j, k = -i - 2, m + i
             if not (-3 <= j <= 3 and -3 <= k <= 3):
                 continue
-            comp = cobracket_component(e2, m, (j, k), delta, D, Q, qv)
+            comp = cobracket_component(e2, m, (j, k), Delta)
             coeff = F(-i - 1) - F(m, 2)
             for a in range(2):
                 for b in range(2):
                     want = coeff if (a, b) == (1, 1) else F(0)
                     assert orc.from_scalar(comp.rows[a][b]) == orc.pconst(want)
-            assert cobracket_component(e1, m, (j, k), delta, D, Q, qv).is_zero()
+            assert cobracket_component(e1, m, (j, k), Delta).is_zero()
         # off the j + k = m - 2 diagonal every component vanishes
-        assert cobracket_component(e2, m, (0, m), delta, D, Q, qv).is_zero()
+        assert cobracket_component(e2, m, (0, m), Delta).is_zero()
 
     res = window_lie_bialgebra_check(pres, WindowSpec(-3, 3, qv))
     assert res.holds and len(res.reports) == 5
@@ -220,13 +220,13 @@ def _suite_semidirect_iff():
         vnames = tuple(f"v{i + 1}" for i in range(n))
         rep = regular_rep_novikov(circ, vnames)
         if case % 2:
-            l = [list(map(list, mat.rows)) for mat in rep.l]
-            r = [list(map(list, mat.rows)) for mat in rep.r]
+            l = [list(map(list, mat)) for mat in rep.l.dense]
+            r = [list(map(list, mat)) for mat in rep.r.dense]
             tgt = rng.choice((l, r))
             tgt[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
                 Scalar.of(RATIONAL, rng.randint(-2, 2))
-            rep = RepNov(vnames, tuple(LinMap(RATIONAL, m) for m in l),
-                         tuple(LinMap(RATIONAL, m) for m in r))
+            rep = RepNov(vnames, Tensor.stack([LinMap(RATIONAL, m) for m in l]),
+                         Tensor.stack([LinMap(RATIONAL, m) for m in r]))
         is_module = all(check_axiom(a, base, rep=rep).holds for a in rep_ids)
         sd = semidirect_novikov(base, rep)
         is_novikov = (check_axiom("NOV_LSYM", sd).holds
@@ -466,13 +466,13 @@ def _zero_form_pres():
 
 
 def _junk_rep_nov():
-    l = (_qmap([[1, 0], [1, 1]]), _qmap([[0, 1], [0, 0]]))
-    r = (_qmap([[1, 1], [0, 0]]), _qmap([[0, 0], [1, 0]]))
+    l = Tensor.stack([_qmap([[1, 0], [1, 1]]), _qmap([[0, 1], [0, 0]])])
+    r = Tensor.stack([_qmap([[1, 1], [0, 0]]), _qmap([[0, 0], [1, 0]])])
     return RepNov(("v1", "v2"), l, r)
 
 
 def _junk_rep_adm():
-    l = (_qmap([[1, 0], [1, 1]]), _qmap([[0, 1], [0, 0]]))
+    l = Tensor.stack([_qmap([[1, 0], [1, 1]]), _qmap([[0, 1], [0, 0]])])
     return RepAdmDiff(("v1", "v2"), l, _qmap([[1, 0], [1, 1]]),
                       _qmap([[0, 1], [1, 0]]))
 

@@ -9,7 +9,7 @@ from novq import (POLY, Presentation, PresentationError, RATIONAL, Scalar,
                   Space, all_hold, check_axiom, descendent_commdiff,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
                   induce_nov_coalg, induce_novikov, induced_rep_q, load,
-                  pre_novikov_from_zinbiel)
+                  pre_novikov_from_zinbiel, Vector)
 from novq.constructions import (deformation_family_check, pre_novikov_from_oop,
                                 regular_rep_admdiff, regular_rep_novikov,
                                 semidirect_novikov, star, zinbiel_from_oop)
@@ -160,7 +160,8 @@ def test_induced_rep_q_exnov1():
     rep = regular_rep_admdiff(pres.binop("dot"), pres.linmap("D"),
                               pres.linmap("Q"), ("v1", "v2"))
     nrep = induced_rep_q(rep, pres.linmap("D"), pres.linmap("Q"), q=F(-1, 2))
-    img = nrep.l[0].column(0)
+    img = Vector.einsum("i,j,ikj->k", Vector.basis(RATIONAL, 2, 0),
+                        Vector.basis(RATIONAL, 2, 0), nrep.l)
     assert [x.val for x in img.coords] == [F(-1, 2), 0]
     # it is a module over the matching induced product
     circ = induce_novikov(pres.binop("dot"), pres.linmap("D"), pres.linmap("Q"),
@@ -216,16 +217,16 @@ def test_semidirect_novikov_iff_module():
     rep_ids = ("REP_NOV_1", "REP_NOV_2", "REP_NOV_3", "REP_NOV_4")
     for trial in range(40):
         rep = regular_rep_novikov(circ, ("v1", "v2"))
-        l = [list(map(list, m.rows)) for m in rep.l]
-        r = [list(map(list, m.rows)) for m in rep.r]
+        l = [list(map(list, m)) for m in rep.l.dense]
+        r = [list(map(list, m)) for m in rep.r.dense]
         if trial:
             tgt = rng.choice((l, r))
             tgt[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] = \
                 Scalar.of(RATIONAL, rng.randint(-2, 2))
-        from novq import LinMap, RepNov
+        from novq import LinMap, RepNov, Tensor
         rep = RepNov(("v1", "v2"),
-                     tuple(LinMap(RATIONAL, m) for m in l),
-                     tuple(LinMap(RATIONAL, m) for m in r))
+                     Tensor.stack([LinMap(RATIONAL, m) for m in l]),
+                     Tensor.stack([LinMap(RATIONAL, m) for m in r]))
         is_module = all(check_axiom(a, base, rep=rep).holds for a in rep_ids)
         sd = semidirect_novikov(base, rep)
         is_novikov = (check_axiom("NOV_LSYM", sd).holds
@@ -244,9 +245,9 @@ def test_induced_quadruple_novikov_random():
 
 
 def _naive_oop_product(T, family, i, j, k):
-    # (family(T(e_i)) e_j)_k from the dense tables
+    # (family(T(e_i)) e_j)_k from the dense tables, family[m][k][j] of operator m
     n = len(family)
-    return sum((T.rows[m][i] * family[m].rows[k][j] for m in range(n)),
+    return sum((T.rows[m][i] * family[m][k][j] for m in range(n)),
                Scalar.zero(T.ring))
 
 
@@ -262,10 +263,11 @@ def test_products_from_splitting_operators_on_dual_modules():
     assert all_hold(oop_check(T, dual, dot=dot, D=D, Q=Q).values())
     zin = zinbiel_from_oop(T, dual)
     assert not zin.is_zero()
+    dl = dual.l.dense
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                assert zin.c[i][j][k] == _naive_oop_product(T, dual.l, i, j, k)
+                assert zin.c[i][j][k] == _naive_oop_product(T, dl, i, j, k)
     p = Presentation(RATIONAL, Space(dual.names), binops={"zin": zin},
                      maps={"D": dual.alpha, "Q": dual.beta})
     assert check_axiom("ZINBIEL", p).holds
@@ -277,11 +279,12 @@ def test_products_from_splitting_operators_on_dual_modules():
     assert oop_check(T, ndual, circ=circ)["OOP_PROD"].holds
     lhd, rhd = pre_novikov_from_oop(T, ndual)
     assert not lhd.is_zero() and not rhd.is_zero()
+    nl, nr = ndual.l.dense, ndual.r.dense
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                assert rhd.c[i][j][k] == _naive_oop_product(T, ndual.l, i, j, k)
-                assert lhd.c[i][j][k] == _naive_oop_product(T, ndual.r, j, i, k)
+                assert rhd.c[i][j][k] == _naive_oop_product(T, nl, i, j, k)
+                assert lhd.c[i][j][k] == _naive_oop_product(T, nr, j, i, k)
     p = Presentation(RATIONAL, Space(ndual.names), binops={"lpre": lhd, "rpre": rhd})
     for aid in ("PRE_NOV_1", "PRE_NOV_2", "PRE_NOV_3", "PRE_NOV_4"):
         assert check_axiom(aid, p).holds, aid

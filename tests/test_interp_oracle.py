@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
 from novq import (POLY, RATIONAL, BinOpTensor, CoOpTensor, LinMap, Presentation,
-                  RepAdmDiff, RepNov, Scalar, Tensor2, check_axiom, induce_nov_coalg,
+                  RepAdmDiff, RepNov, Scalar, Tensor, Tensor2, check_axiom, induce_nov_coalg,
                   induce_novikov, load, polynomial)
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
 from novq.liewindow import POLYALG_AXIOMS, polyalg_family
@@ -62,10 +62,10 @@ def _case(rng, n, ring, plant):
         return pres, regular_rep_novikov(circ, names), regular_rep_admdiff(dot, D, Q, names)
     m = n + 1  # a module of another dimension than the algebra
     vnames = tuple(f"v{i}" for i in range(m))
-    maps = lambda: tuple(_tensor(LinMap, rng, ring, (m, m), 0.4) for _ in range(n))
-    return (pres, RepNov(vnames, maps(), maps()),
-            RepAdmDiff(vnames, maps(), *(_tensor(LinMap, rng, ring, (m, m), 0.4)
-                                         for _ in range(2))))
+    family = lambda: _tensor(Tensor, rng, ring, (n, m, m), 0.4)
+    return (pres, RepNov(vnames, family(), family()),
+            RepAdmDiff(vnames, family(), *(_tensor(LinMap, rng, ring, (m, m), 0.4)
+                                           for _ in range(2))))
 
 
 def _both(aid, pres, binds=None, **kw):

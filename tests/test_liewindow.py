@@ -4,7 +4,7 @@ import pytest
 
 import oracles as orc
 from novq import (POLY, PresentationError, RATIONAL, Scalar, Vector,
-                  WindowSpec, induce_novikov, load, polyalg_family,
+                  WindowSpec, induce_nov_coalg, induce_novikov, load, polyalg_family,
                   polyalg_window_check, window_lie_bialgebra_check)
 from novq.liewindow import LaurentVector, affine_bracket, cobracket_component
 
@@ -34,13 +34,13 @@ def test_affine_bracket_closed_form():
 
 def test_cobracket_components_closed_form():
     pres = load("fixtures/exnov1")
-    delta, D, Q = pres.coop("delta"), pres.linmap("D"), pres.linmap("Q")
+    Delta = induce_nov_coalg(pres.coop("delta"), pres.linmap("Q"), pres.linmap("D"), F(-1, 2))
     e1 = Vector.basis(RATIONAL, 2, 0)
     e2 = Vector.basis(RATIONAL, 2, 1)
     for m in range(-2, 3):
         for j in range(-4, 3):
             k = m - 2 - j
-            comp = cobracket_component(e2, m, (j, k), delta, D, Q, F(-1, 2))
+            comp = cobracket_component(e2, m, (j, k), Delta)
             t = orc.tensor2_table(comp)
             want = F(j - k, 2)
             for a in range(2):
@@ -50,9 +50,9 @@ def test_cobracket_components_closed_form():
                     else:
                         assert not t[a][b]
             # off the diagonal j + k = m - 2 everything vanishes
-            off = cobracket_component(e2, m, (j, k + 1), delta, D, Q, F(-1, 2))
+            off = cobracket_component(e2, m, (j, k + 1), Delta)
             assert off.is_zero()
-            assert cobracket_component(e1, m, (j, k), delta, D, Q, F(-1, 2)).is_zero()
+            assert cobracket_component(e1, m, (j, k), Delta).is_zero()
 
 
 def test_window_check_base_fixture():

@@ -248,7 +248,7 @@ def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
 
 
 def test_check_axiom_stacks_each_constant_once(monkeypatch):
-    # counts only: the operator families are stacked once per check, not per basis vector
+    # counts only: a module stores its operator families as tensors, so none is stacked
     from novq.constructions import regular_rep_novikov
     from novq.exactcore import Tensor
     pres = load("fixtures/examp2-double")
@@ -264,4 +264,48 @@ def test_check_axiom_stacks_each_constant_once(monkeypatch):
     monkeypatch.setattr(Tensor, "stack", classmethod(counted))
     assert check_axiom("REP_NOV_1", Presentation(RATIONAL, pres.space, binops={"circ": circ}),
                        rep=rep).holds
-    assert calls == [6]  # REP_NOV_1 uses the left family only
+    assert calls == []
+
+
+def _family(ring, alg_dim, dim):
+    from novq import Tensor
+    entries = {(0, 0, dim - 1): Scalar.one(ring)} if alg_dim else {}
+    return Tensor.from_entries(ring, (alg_dim, dim, dim), entries)
+
+
+def test_module_family_must_be_one_order3_tensor():
+    from novq import LinMap, RepAdmDiff, RepNov
+    maps = tuple(LinMap.identity(RATIONAL, 2) for _ in range(2))
+    fam, endo = _family(RATIONAL, 2, 2), LinMap.identity(RATIONAL, 2)
+    for build in (lambda: RepNov(("v1", "v2"), maps, fam), lambda: RepNov(("v1", "v2"), fam, maps),
+                  lambda: RepAdmDiff(("v1", "v2"), maps, endo, endo),
+                  lambda: RepNov(("v1", "v2"), fam, LinMap.identity(RATIONAL, 2))):
+        with pytest.raises(PresentationError, match=r"shape \(alg_dim, dim, dim\) = "
+                                                    r"\(alg_dim, 2, 2\)"):
+            build()
+
+
+def test_module_family_shapes_are_checked():
+    from novq import LinMap, RepAdmDiff, RepNov
+    endo = LinMap.identity(RATIONAL, 2)
+    with pytest.raises(PresentationError, match="does not match module dimension"):
+        RepNov(("v1", "v2"), _family(RATIONAL, 2, 3), _family(RATIONAL, 2, 3))
+    with pytest.raises(PresentationError, match="does not match module dimension"):
+        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), LinMap.identity(RATIONAL, 3), endo)
+    with pytest.raises(PresentationError, match="need matching left and right operator families"):
+        RepNov(("v1", "v2"), _family(RATIONAL, 2, 2), _family(RATIONAL, 3, 2))
+    with pytest.raises(PresentationError, match="need a nonempty operator family"):
+        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 0, 2), endo, endo)
+    rep = RepNov(["v1", "v2"], _family(RATIONAL, 3, 2), _family(RATIONAL, 3, 2))
+    assert (rep.names, rep.ring, rep.dim, rep.alg_dim) == (("v1", "v2"), RATIONAL, 2, 3)
+    assert rep.lift().ring == POLY and rep.lift().l == _family(POLY, 3, 2)
+
+
+def test_module_rejects_mixed_rings():
+    from novq import LinMap, RepAdmDiff, RepNov
+    from novq.exactcore import RingMismatchError
+    with pytest.raises(RingMismatchError):
+        RepNov(("v1", "v2"), _family(RATIONAL, 2, 2), _family(POLY, 2, 2))
+    with pytest.raises(RingMismatchError):
+        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), LinMap.identity(RATIONAL, 2),
+                   LinMap.identity(POLY, 2))

@@ -6,7 +6,7 @@ import pytest
 import oracles as orc
 from genalg import random_antisym_r, random_quadruple
 from novq import (Delta_qr, LinMap, POLY, Presentation, PresentationError,
-                  RATIONAL, RepNov, Scalar, Space, Tensor2, all_hold,
+                  RATIONAL, RepNov, Scalar, Space, Tensor, Tensor2, all_hold,
                   aybe_residual, canonical_r, check_axiom,
                   check_diff_asi_bialgebra, delta_r, descendent_commdiff,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
@@ -242,8 +242,7 @@ def test_oop_square_at_special_point():
     nrep = induced_rep_q(rep, D, Q, q=qh)
     dual = dual_rep_novikov(nrep)
     other = induced_rep_q(dual_rep_admdiff(rep), D, Q, q=qh)
-    for a, b in zip(dual.l, other.l):
-        assert (a - b).is_zero()
+    assert (dual.l - other.l).is_zero()
     base = Presentation(RATIONAL, pres.space, binops={"circ": circ})
     from novq.constructions import semidirect_novikov
     sd = semidirect_novikov(base, dual)
@@ -264,7 +263,7 @@ def test_prenov_canonical_solution_symbolic():
         from novq import Vector
         l = tuple(LinMap.einsum("i,ijk->kj", Vector.basis(POLY, n, i), rhd) for i in basis)
         rr = tuple(LinMap.einsum("j,ijk->ki", Vector.basis(POLY, n, i), lhd) for i in basis)
-        rep = RepNov(pres.space.names, l, rr)
+        rep = RepNov(pres.space.names, Tensor.stack(l), Tensor.stack(rr))
         base = Presentation(POLY, pres.space, binops={"circ": circ})
         from novq.constructions import semidirect_novikov
         sd = semidirect_novikov(base, dual_rep_novikov(rep))
