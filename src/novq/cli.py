@@ -48,10 +48,20 @@ def _pick(table: dict, preferred: str, what: str) -> str:
     raise _Usage(f"cannot choose a {what} among {names}; name one {preferred!r}")
 
 
-def _pick_maps(pres: Presentation) -> tuple[str, str]:
-    """(D, Q): D is picked among the maps not named Q, then Q among those not named D."""
-    return (_pick({k: v for k, v in pres.maps.items() if k != "Q"}, "D", "map"),
-            _pick({k: v for k, v in pres.maps.items() if k != "D"}, "Q", "map"))
+def _pick_maps(pres: Presentation, optional: bool = False) -> tuple:
+    """(D, Q): D is picked among the maps not named Q, then Q among those not named D.
+
+    With optional, a map that cannot be picked is None instead of a usage error.
+    """
+    def pick(name: str, other: str):
+        try:
+            return _pick({k: v for k, v in pres.maps.items() if k != other}, name, "map")
+        except _Usage:
+            if optional:
+                return None
+            raise
+
+    return pick("D", "Q"), pick("Q", "D")
 
 
 def _pick_slots(pres: Presentation) -> tuple[str, str, str, str]:
@@ -111,11 +121,12 @@ def _run_verify(args) -> tuple[int, dict]:
     elif profile == "zinbiel":
         zin = _pick(pres.binops, "zin", "product")
         reports = {"ZINBIEL": check_axiom("ZINBIEL", pres, {"zin": zin})}
-        if "D" in pres.maps:
-            reports["DERIV"] = check_axiom("DERIV", pres, {"dot": zin, "D": "D"})
-        if "D" in pres.maps and "Q" in pres.maps:
+        dmap, qmap = _pick_maps(pres, optional=True)
+        if dmap is not None:
+            reports["DERIV"] = check_axiom("DERIV", pres, {"dot": zin, "D": dmap})
+        if dmap is not None and qmap not in (None, dmap):
             reports["ZINB_ADMISS"] = check_axiom(
-                "ZINB_ADMISS", pres, {"zin": zin, "D": "D", "Q": "Q"})
+                "ZINB_ADMISS", pres, {"zin": zin, "D": dmap, "Q": qmap})
     elif profile == "diff-asi":
         reports = check_diff_asi_bialgebra(pres, *_pick_slots(pres))
     elif profile == "novikov-bialgebra":

@@ -11,12 +11,13 @@ zeros, so the zero polynomial is the empty tuple and degree is len-1.
 Vectors, maps, r-elements, products and coproducts are all one sparse
 tensor class that stores only its nonzero entries; products, map
 applications and leg changes all go through its single contraction,
-Tensor.einsum.  Rational entries are stored unboxed, as an int or a
-Fraction, and Q[q] entries as Scalars whose coefficients are unboxed the
-same way, an int when integral and a Fraction otherwise, so that most Q[q]
-arithmetic is integer arithmetic.  Scalars go in and come out at the
-tensor's edges with Fraction payloads, as everywhere outside a tensor.  No
-other module knows how entries are stored.
+Tensor.einsum.  A Q entry is stored as an int when integral and a Fraction
+otherwise, a Q[q] entry as a Scalar whose coefficients are stored so.  Over
+Q, einsum joins integer numerators over each operand's common denominator
+and divides once per output entry, fraction-free as in Bareiss's
+elimination; most Q[q] arithmetic is integer arithmetic too.  Scalars go in
+and come out at the tensor's edges with Fraction payloads, as everywhere
+outside a tensor.  No other module knows how entries are stored.
 
 rational_roots finds the rational roots of a Q[q] scalar by p-adic lifting
 (R. Loos, Computing rational zeros of integral polynomials by p-adic
@@ -144,9 +145,7 @@ class Scalar:
     @staticmethod
     def of(ring: str, x: RationalLike) -> "Scalar":
         f = _as_fraction(x)
-        if ring == RATIONAL:
-            return Scalar(RATIONAL, f)
-        return Scalar(POLY, _trim((f,)))
+        return Scalar(RATIONAL, f) if ring == RATIONAL else Scalar(POLY, _trim((f,)))
 
     @staticmethod
     def zero(ring: str) -> "Scalar":
@@ -184,9 +183,7 @@ class Scalar:
 
     def lift(self) -> "Scalar":
         """Embed into Q[q] (identity if already there)."""
-        if self.ring == POLY:
-            return self
-        return Scalar(POLY, _trim((self.val,)))
+        return self if self.ring == POLY else Scalar(POLY, _trim((self.val,)))
 
     def eval_q(self, point: RationalLike) -> "Scalar":
         """Substitute a rational value for q, landing in Q."""
@@ -452,6 +449,14 @@ def _box(ring: str, v) -> Scalar:
     return _scalar(POLY, tuple([c if type(c) is Fraction else Fraction(c) for c in v.val]))
 
 
+def _numerators(ring: str, entries: dict) -> tuple[int, dict]:
+    """(d, entries as integer numerators over d): d is the lcm of Q denominators, 1 over Q[q]."""
+    den = 1 if ring == POLY else math.lcm(*[v.denominator for v in entries.values()])
+    if den == 1:
+        return 1, entries
+    return den, {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
+
+
 @functools.lru_cache(maxsize=None)
 def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """A function taking an index tuple to the tuple of its entries at positions."""
@@ -548,14 +553,12 @@ class Tensor:
             key = tuple(key)
             if len(key) != len(shape) or not all(0 <= i < d for i, d in zip(key, shape)):
                 raise ShapeError(f"index {key} lies outside shape {shape}")
-            v = _unbox(ring, s)
-            if v:
+            if v := _unbox(ring, s):
                 out[key] = v
         return cls._make(ring, shape, out)
 
     def _init_dense(self, ring: str, nested, order: int, equal_legs: bool = False) -> None:
-        shape = []
-        level = nested
+        shape, level = [], nested
         for _ in range(order):
             shape.append(len(level))
             level = level[0] if len(level) else ()
@@ -588,8 +591,7 @@ class Tensor:
                 raise RingMismatchError(f"cannot mix {ring} with {t.ring}")
             if t.shape != shape:
                 raise ShapeError("stacked tensors differ in shape")
-            for key, s in t._entries.items():
-                entries[(i,) + key] = s
+            entries.update(((i,) + key, s) for key, s in t._entries.items())
         return cls._make(ring, (len(parts),) + shape, entries)
 
     @classmethod
@@ -619,6 +621,8 @@ class Tensor:
         nonzero entries.  Pass sparse arguments first and the structure
         constants they hit last.  Labels missing from the output are summed;
         every leg of the first operand must meet a later operand or the output.
+        Over Q the joins run on integer numerators over each operand's common
+        denominator, and each nonzero output entry is divided once by their product.
         """
         plan = _plan(spec)
         if len(operands) != plan.operands:
@@ -630,9 +634,11 @@ class Tensor:
         for (o1, p1), (o2, p2) in plan.same_size:
             if operands[o1].shape[p1] != operands[o2].shape[p2]:
                 raise ShapeError(f"leg sizes differ in {spec!r}")
-        acc = operands[0]._entries
+        acc = operands[0]._entries  # a leg change alone needs no arithmetic
+        den, acc = _numerators(ring, acc) if plan.steps else (1, acc)
         for o, shared_of, shared, rest, keep in plan.steps:
-            index = operands[o]._index_on(shared, rest)
+            d, index = operands[o]._index_on(shared, rest)
+            den *= d
             out: dict = {}
             get = out.get
             for key, s in acc.items():
@@ -644,23 +650,27 @@ class Tensor:
                         prev = get(k)
                         out[k] = s * w if prev is None else prev + s * w
             acc = out
-        if plan.steps or plan.final is not None:
-            final = plan.final or (lambda key: key)
+        final = plan.final or (lambda key: key)
+        if den != 1:
+            acc = {final(key): s // den if not s % den else Fraction(s, den)
+                   for key, s in acc.items() if s}
+        elif plan.steps or plan.final is not None:
             acc = {final(key): s for key, s in acc.items() if s}
         shape = tuple(operands[o].shape[p] for o, p in plan.out_legs)
         return cls._make(ring, shape, acc)
 
-    def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...]) -> dict:
-        """Entries grouped by their shared legs, each as (rest legs, value)."""
+    def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, dict]:
+        """(d, entries grouped by shared legs as (rest legs, value)), values from _numerators."""
         if self._index is None:
             self._index = {}
         index = self._index.get((shared, rest))
         if index is None:
             of, tail = _picker(shared), _picker(rest)
-            index = {}
-            for key, s in self._entries.items():
-                index.setdefault(of(key), []).append((tail(key), s))
-            self._index[(shared, rest)] = index
+            den, entries = _numerators(self.ring, self._entries)
+            groups: dict = {}
+            for key, s in entries.items():
+                groups.setdefault(of(key), []).append((tail(key), s))
+            index = self._index[(shared, rest)] = den, groups
         return index
 
     # -- reading -------------------------------------------------------------
@@ -695,10 +705,9 @@ class Tensor:
         shape = self.shape
 
         def build(key):
-            depth = len(key)
-            if depth == len(shape) - 1:
-                return tuple(self.entry(*key, i) for i in range(shape[depth]))
-            return tuple(build(key + (i,)) for i in range(shape[depth]))
+            if len(key) == len(shape) - 1:
+                return tuple(self.entry(*key, i) for i in range(shape[-1]))
+            return tuple(build(key + (i,)) for i in range(shape[len(key)]))
 
         return build(())
 
@@ -733,18 +742,13 @@ class Tensor:
 
     def scale(self, s: Scalar):
         c = _unbox(self.ring, s)
-        if not c:
-            return self._make(self.ring, self.shape, {})
-        return self._make(self.ring, self.shape, {k: c * v for k, v in self._entries.items()})
+        return self._make(self.ring, self.shape,
+                          {k: c * v for k, v in self._entries.items()} if c else {})
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str):
         """Apply fn to every entry, landing in ring; entries that become zero are dropped."""
-        out = {}
-        for key, v in self._entries.items():
-            t = _unbox(ring, fn(_box(self.ring, v)))
-            if t:
-                out[key] = t
-        return self._make(ring, self.shape, out)
+        return self._make(ring, self.shape, {key: t for key, v in self._entries.items()
+                                             if (t := _unbox(ring, fn(_box(self.ring, v))))})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -850,17 +854,13 @@ def bareiss_det(rows: list[list[Scalar]], ring: str) -> Scalar:
     if n == 0:
         return Scalar.one(ring)
     m = [list(r) for r in rows]
-    sign = 1
-    prev = Scalar.one(ring)
+    sign, prev = 1, Scalar.one(ring)
     for k in range(n - 1):
         if m[k][k].is_zero():
-            for swap in range(k + 1, n):
-                if not m[swap][k].is_zero():
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
                 return Scalar.zero(ring)
+            m[k], m[swap], sign = m[swap], m[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]

@@ -329,3 +329,17 @@ def test_polywindow_degree_budget_is_usage_error(capsys, monkeypatch):
     assert seen == []
     assert main(["polywindow", "--N", str(MAX_POLY_N)]) == 0
     assert seen == [MAX_POLY_N]
+
+
+def test_verify_zinbiel_profile_resolves_d_and_q_as_double_does(tmp_path, capsys):
+    # the only map not named Q is D, whatever its name; this one is no derivation
+    text = open("fixtures/zinb-deriv").read()
+    broken = text.replace("map D\ne1 -> e1\n", "map Der\ne1 -> e1 + e2\n")
+    assert broken != text
+    path = tmp_path / "zinb-der"
+    path.write_text(broken)
+    assert main(["verify", str(path), "--profile", "zinbiel"]) == 1
+    out = capsys.readouterr().out
+    assert "DERIV: fails at (e1, e1)" in out and "ZINB_ADMISS:" in out
+    assert main(["double", str(path)]) == 1
+    assert "DERIV: fails at (e1, e1)" in capsys.readouterr().err

@@ -243,7 +243,7 @@ def test_unboxed_entries_are_canonical_and_box_at_the_edges():
         a = Vector.from_entries(RATIONAL, (2,), {(1,): Scalar.of(RATIONAL, k)})
         b = Vector(RATIONAL, [Scalar.zero(RATIONAL), Scalar(RATIONAL, Fraction(k, 1))])
         assert a == b and hash(a) == hash(b)
-    # 1/2 * 2 is stored as the Fraction 1, the basis vector as the int 1
+    # 1/2 * 2 and the basis vector both store the int 1
     half = Vector(RATIONAL, [Scalar.of(RATIONAL, Fraction(1, 2))])
     two = Vector(RATIONAL, [Scalar.of(RATIONAL, 2)])
     prod = Vector.einsum("i,i->i", half, two)
@@ -283,3 +283,37 @@ def test_unboxed_entries_are_canonical_and_box_at_the_edges():
         assert zero.is_zero() and zero.nonzero() == []
         assert zero == Vector.zero(ring, 2) and hash(zero) == hash(Vector.zero(ring, 2))
         assert (cancel - cancel).is_zero() and (v + (-v)).is_zero()
+
+
+def test_einsum_stores_exact_quotients_as_ints_and_int_joins_make_no_fraction(monkeypatch):
+    def vec(*xs):
+        return Vector(RATIONAL, [Scalar.of(RATIONAL, x) for x in xs])
+
+    # 3/2 and 1/2, from the integer sums 9 and 3 over the denominator product 6
+    got = Vector.einsum("i,ij->j", vec(Fraction(1, 3), Fraction(2, 3)),
+                        LinMap(RATIONAL, [[Scalar.of(RATIONAL, Fraction(3, 2))] * 2,
+                                          [Scalar.of(RATIONAL, Fraction(3, 2)),
+                                           Scalar.zero(RATIONAL)]]))
+    assert got._entries == {(0,): Fraction(3, 2), (1,): Fraction(1, 2)}
+    got = Vector.einsum("i,i->i", vec(Fraction(4, 3), Fraction(5, 7)), vec(Fraction(3, 2), 7))
+    assert got._entries == {(0,): 2, (1,): 5}
+    assert all(type(v) is int for v in got._entries.values())
+
+    rng = random.Random(8)
+    op = BinOpTensor(RATIONAL, [[[Scalar.of(RATIONAL, rng.randint(-3, 3)) for _ in range(3)]
+                                 for _ in range(3)] for _ in range(3)])
+    x, y = vec(1, -2, 3), vec(0, 5, -1)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    got = Vector.einsum("i,j,ijk->k", x, y, op)
+    again = Tensor2.einsum("ij,jk->ik", Tensor2.einsum("i,ijk->jk", x, op), Tensor2.einsum("ijk,j->ik", op, y))
+    monkeypatch.undo()
+    assert made == []
+    assert not got.is_zero() and not again.is_zero()
+    assert all(type(v) is int for t in (got, again) for v in t._entries.values())
