@@ -449,6 +449,11 @@ def _box(ring: str, v) -> Scalar:
     return _scalar(POLY, tuple([c if type(c) is Fraction else Fraction(c) for c in v.val]))
 
 
+def _exact(v):
+    """A stored entry in canonical form: an integral Q value as an int, anything else as is."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 def _numerators(ring: str, entries: dict) -> tuple[int, dict]:
     """(d, entries as integer numerators over d): d is the lcm of Q denominators, 1 over Q[q]."""
     den = 1 if ring == POLY else math.lcm(*[v.denominator for v in entries.values()])
@@ -608,7 +613,7 @@ class Tensor:
             for key, s in t._entries.items():
                 key = tuple(map(operator.add, key, offsets))
                 prev = out.get(key)
-                out[key] = s if prev is None else prev + s
+                out[key] = s if prev is None else _exact(prev + s)
         return cls._make(ring, shape, {k: s for k, s in out.items() if s})
 
     @classmethod
@@ -728,7 +733,7 @@ class Tensor:
             if not total:
                 del out[key]
             else:
-                out[key] = total
+                out[key] = _exact(total)
         return self._make(self.ring, self.shape, out)
 
     def __add__(self, other: "Tensor"):
@@ -743,7 +748,7 @@ class Tensor:
     def scale(self, s: Scalar):
         c = _unbox(self.ring, s)
         return self._make(self.ring, self.shape,
-                          {k: c * v for k, v in self._entries.items()} if c else {})
+                          {k: _exact(c * v) for k, v in self._entries.items()} if c else {})
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str):
         """Apply fn to every entry, landing in ring; entries that become zero are dropped."""

@@ -19,7 +19,7 @@ bounded by N every intermediate stays inside the truncation and the axioms
 are certified exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactcore import POLY, RATIONAL, Scalar, Tensor, Tensor2, Tensor3, Vector, qvar
@@ -111,7 +111,7 @@ class WindowResult:
     reports: dict
     jacobi_checked: int
     jacobi_skipped: int
-    note: str = field(default="window-restricted: degrees outside the window are not certified")
+    note = "window-restricted: degrees outside the window are not certified"
 
     @property
     def holds(self) -> bool:

@@ -30,11 +30,19 @@ parentheses and the literal q; multi-term coefficients of a basis vector must
 be parenthesized.  The tensor marker (x) separates the two legs of a
 coproduct or r-element term.  The name q is reserved.
 
+BLOCKS is the one table of block kinds: each keyword names a Presentation
+field, the order of its tensor and the number of basis vectors left of ->.
+An entry gives the slice of the tensor at those left legs; its right side is
+a sum of terms on the remaining legs, or a bare scalar when none remain.  A
+map's line gives the image of one basis vector, a column of the map.  A line
+that contains -> is an entry line, whatever its first word.
+
 parse and emit are inverse on canonical files: emit writes entries in basis
 order with normalized scalars, and parse(emit(p)) reproduces p exactly.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 from .exactcore import POLY, RATIONAL, Scalar, Tensor2, qvar
@@ -49,7 +57,20 @@ class PresFileError(Exception):
         self.lineno = lineno
 
 
-_PUNCT = ("(x)", "->", "+", "-", "*", "/", "^", "(", ")")
+# The block kinds in the order emit writes them: keyword -> (Presentation
+# field, order of the tensor, basis vectors left of "->" on an entry line,
+# tensor class).  The class is named, and looked up among this module's
+# globals when a block closes.
+BLOCKS = {
+    "product": ("binops", 3, 2, "BinOpTensor"),
+    "coproduct": ("coops", 3, 1, "CoOpTensor"),
+    "map": ("maps", 2, 1, "LinMap"),
+    "form": ("forms", 2, 2, "Tensor2"),
+    "relement": ("relements", 2, 2, "Tensor2"),
+}
+
+# a token, or in the second group the first character that starts none
+_TOKEN = re.compile(r"(\(x\)|->|[-+*/^()]|[\w']+)|(\S)")
 
 # Input budgets, so that a short line cannot ask for unbounded work: how
 # deeply coefficients may nest parentheses, how large a power s^e may be, as
@@ -75,27 +96,11 @@ def _number(t: str, lineno: int) -> int:
 
 
 def _tokenize(line: str, lineno: int) -> list[str]:
-    toks = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for p in _PUNCT:
-            if line.startswith(p, i):
-                toks.append(p)
-                i += len(p)
-                break
-        else:
-            j = i
-            while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
-                j += 1
-            if j == i:
-                raise PresFileError(lineno, f"unexpected character {ch!r}")
-            toks.append(line[i:j])
-            i = j
-    return toks
+    toks = _TOKEN.findall(line)
+    for _, bad in toks:
+        if bad:
+            raise PresFileError(lineno, f"unexpected character {bad!r}")
+    return [tok for tok, _ in toks]
 
 
 class _TermParser:
@@ -182,17 +187,20 @@ class _TermParser:
             s = s * self.scalar_atom()
         return s
 
+    def signed_sum(self, term) -> list:
+        """(negated, term()) for each term of "[+|-] term (+|- term)*"."""
+        out = []
+        sign = self.peek() in ("+", "-") and self.take()
+        while True:
+            out.append((sign == "-", term()))
+            if self.peek() not in ("+", "-"):
+                return out
+            sign = self.take()
+
     def scalar_expr(self) -> Scalar:
-        neg = False
-        if self.peek() in ("+", "-"):
-            neg = self.take() == "-"
-        s = self.scalar_term()
-        if neg:
-            s = -s
-        while self.peek() in ("+", "-"):
-            sub = self.take() == "-"
-            t = self.scalar_term()
-            s = s - t if sub else s + t
+        s = Scalar.zero(self.ring)
+        for neg, t in self.signed_sum(self.scalar_term):
+            s = s - t if neg else s + t
         return s
 
     def basis(self) -> int:
@@ -201,8 +209,9 @@ class _TermParser:
             raise PresFileError(self.lineno, f"unknown basis vector {t!r}")
         return self.index[t]
 
-    def _one_term(self, tensor: bool):
-        """coeff, basis index, and second index when tensor terms are expected."""
+    def _one_term(self, legs: int):
+        """(coeff, basis indices) of a term: factors with one basis vector, then legs - 1
+        more basis vectors, each after (x)."""
         coeff = Scalar.one(self.ring)
         base = None
         while True:
@@ -216,84 +225,77 @@ class _TermParser:
                 base = self.index[t]
             else:
                 raise PresFileError(self.lineno, f"expected a term, found {t!r}")
-            if self.peek() == "*":
-                self.take()
-                continue
-            break
-        second = None
-        if tensor:
+            if self.peek() != "*":
+                break
+            self.take()
+        out = (base,)
+        for _ in range(legs - 1):
             self.expect("(x)")
-            second = self.basis()
-        elif base is None:
+            out += (self.basis(),)
+        if base is None:
             raise PresFileError(self.lineno, "term has no basis vector")
-        if tensor and base is None:
-            raise PresFileError(self.lineno, "term has no basis vector")
-        return coeff, base, second
+        return coeff, out
 
-    def linear_rhs(self, tensor: bool):
-        """Sum of terms; yields (coeff, i) or (coeff, i, j) triples."""
+    def linear_rhs(self, legs: int) -> list:
+        """A signed sum of terms of legs basis vectors each, as (coeff, indices) pairs."""
         if self.toks[self.pos:] == ["0"]:
             self.take()
             return []
-        out = []
-        neg = False
-        if self.peek() in ("+", "-"):
-            neg = self.take() == "-"
-        while True:
-            coeff, base, second = self._one_term(tensor)
-            if neg:
-                coeff = -coeff
-            out.append((coeff, base, second))
-            t = self.peek()
-            if t in ("+", "-"):
-                self.take()
-                neg = t == "-"
-                continue
-            break
-        return out
+        return [(-c if neg else c, out)
+                for neg, (c, out) in self.signed_sum(lambda: self._one_term(legs))]
 
 
 def parse(text: str) -> Presentation:
     """Read a presentation from file text."""
-    space = None
+    space = ring = None
     index = {}
-    ring = None
-    binops = {}
-    coops = {}
-    maps = {}
-    forms = {}
-    relements = {}
+    bags = {field: {} for field, *_ in BLOCKS.values()}
     # (kind, name, entries by index, left sides whose line left a nonzero entry)
     block = None
 
     def close_block():
-        nonlocal block
-        if block is None:
-            return
-        kind, name, entries, _ = block
-        n = len(space.names)
-        if kind == "product":
-            binops[name] = BinOpTensor.from_entries(ring, (n, n, n), entries)
-        elif kind == "coproduct":
-            coops[name] = CoOpTensor.from_entries(ring, (n, n, n), entries)
-        elif kind == "map":
-            maps[name] = LinMap.from_entries(ring, (n, n), entries)
-        elif kind == "form":
-            forms[name] = Tensor2.from_entries(ring, (n, n), entries)
-        else:
-            relements[name] = Tensor2.from_entries(ring, (n, n), entries)
-        block = None
+        if block is not None:
+            kind, name, entries, _ = block
+            field, order, _, cls = BLOCKS[kind]
+            t = globals()[cls].from_entries(ring, (len(space.names),) * order, entries)
+            bags[field][name] = t.transpose() if kind == "map" else t
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split()[0]
+        if "->" in line:
+            if block is None:
+                raise PresFileError(lineno, "entry line outside any block")
+            kind, _, entries, filled = block
+            _, order, left, _ = BLOCKS[kind]
+            toks = _tokenize(line, lineno)
+            arrow = toks.index("->")
+            lhs = toks[:arrow]
+            if len(lhs) != left or not all(t in index for t in lhs):
+                raise PresFileError(lineno, "left side must be "
+                                    + ("one basis vector" if left == 1 else "two basis vectors"))
+            key = tuple(index[t] for t in lhs)
+            p = _TermParser(toks[arrow + 1:], lineno, ring, index)
+            if order == left:
+                terms = [(key, p.scalar_expr())]
+            else:
+                terms = [(key + legs, c) for c, legs in p.linear_rhs(order - left)]
+            p.done()
+            if key in filled:
+                raise PresFileError(lineno, f"duplicate entry for {' '.join(lhs)}")
+            # no earlier line left a nonzero entry under key, so these sums are its entries
+            for k, c in terms:
+                entries[k] = entries[k] + c if k in entries else c
+            if any(entries[k] for k, _ in terms):
+                filled.add(key)
+            continue
 
+        parts = line.split()
+        head = parts[0]
         if head == "space":
             if space is not None:
                 raise PresFileError(lineno, "duplicate space line")
-            parts = line.split()
             if len(parts) < 3 or not parts[1].isdigit():
                 raise PresFileError(lineno, "space line needs a dimension and basis names")
             dim = _number(parts[1], lineno)
@@ -308,75 +310,30 @@ def parse(text: str) -> Presentation:
                 raise PresFileError(lineno, "the name q is reserved for the parameter")
             space = Space(names)
             index = {nm: i for i, nm in enumerate(names)}
-            continue
-
-        if head == "ring":
-            parts = line.split()
+        elif head == "ring":
             if len(parts) != 2 or parts[1] not in ("Q", "Q[q]"):
                 raise PresFileError(lineno, "ring must be Q or Q[q]")
             if ring is not None:
                 raise PresFileError(lineno, "duplicate ring line")
             ring = RATIONAL if parts[1] == "Q" else POLY
-            continue
-
-        if head in ("product", "coproduct", "map", "form", "relement"):
+        elif head in BLOCKS:
             if space is None or ring is None:
                 raise PresFileError(lineno, "space and ring must come before any block")
-            parts = line.split()
             if len(parts) != 2:
                 raise PresFileError(lineno, f"{head} line needs exactly one name")
-            name = parts[1]
-            if name == "q":
+            if parts[1] == "q":
                 raise PresFileError(lineno, "the name q is reserved for the parameter")
-            for table in (binops, coops, maps, forms, relements):
-                if name in table:
-                    raise PresFileError(lineno, f"duplicate name {name!r}")
+            if any(parts[1] in bag for bag in bags.values()):
+                raise PresFileError(lineno, f"duplicate name {parts[1]!r}")
             close_block()
-            block = (head, name, {}, set())
-            continue
-
-        if "->" not in line:
-            raise PresFileError(lineno, f"unrecognized line {line!r}")
-        if block is None:
-            raise PresFileError(lineno, "entry line outside any block")
-
-        kind, _, entries, filled = block
-        toks = _tokenize(line, lineno)
-        arrow = toks.index("->")
-        lhs, rhs = toks[:arrow], toks[arrow + 1:]
-        p = _TermParser(rhs, lineno, ring, index)
-
-        # terms as (index, coefficient); left is the index on the left side
-        if kind in ("product", "form", "relement"):
-            if len(lhs) != 2 or lhs[0] not in index or lhs[1] not in index:
-                raise PresFileError(lineno, "left side must be two basis vectors")
-            left = (index[lhs[0]], index[lhs[1]])
-            if kind == "product":
-                terms = [(left + (k,), c) for c, k, _ in p.linear_rhs(tensor=False)]
-            else:
-                terms = [(left, p.scalar_expr())]
+            block = (head, parts[1], {}, set())
         else:
-            if len(lhs) != 1 or lhs[0] not in index:
-                raise PresFileError(lineno, "left side must be one basis vector")
-            left = (index[lhs[0]],)
-            if kind == "coproduct":
-                terms = [(left + (j, k), c) for c, j, k in p.linear_rhs(tensor=True)]
-            else:  # a map: the image of e_i is column i
-                terms = [((k,) + left, c) for c, k, _ in p.linear_rhs(tensor=False)]
-        p.done()
-        if left in filled:
-            raise PresFileError(lineno, f"duplicate entry for {' '.join(lhs)}")
-        # no earlier line left a nonzero entry under left, so these sums are its entries
-        for key, c in terms:
-            entries[key] = entries[key] + c if key in entries else c
-        if any(entries[key] for key, _ in terms):
-            filled.add(left)
+            raise PresFileError(lineno, f"unrecognized line {line!r}")
 
     close_block()
     if space is None or ring is None:
         raise PresFileError(0, "file must declare a space and a ring")
-    return Presentation(ring=ring, space=space, binops=binops, coops=coops,
-                        maps=maps, forms=forms, relements=relements)
+    return Presentation(ring=ring, space=space, **bags)
 
 
 def _coeff_str(s: Scalar) -> str:
@@ -410,39 +367,20 @@ def _terms(pairs) -> str:
 def emit(pres: Presentation) -> str:
     """Write a presentation as canonical file text."""
     names = pres.space.names
-    n = len(names)
-    out = [f"space {n} {' '.join(names)}",
+    out = [f"space {len(names)} {' '.join(names)}",
            "ring " + ("Q" if pres.ring == RATIONAL else "Q[q]")]
 
-    def grouped(t, legs):
-        # nonzero entries in row-major order, grouped by their first legs
-        return itertools.groupby(t.nonzero(), key=lambda entry: entry[:legs])
-
-    for name in sorted(pres.binops):
-        out.append("")
-        out.append(f"product {name}")
-        for (i, j), terms in grouped(pres.binops[name], 2):
-            out.append(f"{names[i]} {names[j]} -> {_terms((names[k], s) for *_, k, s in terms)}")
-
-    for name in sorted(pres.coops):
-        out.append("")
-        out.append(f"coproduct {name}")
-        for (i,), terms in grouped(pres.coops[name], 1):
-            pairs = ((f"{names[j]} (x) {names[k]}", s) for _, j, k, s in terms)
-            out.append(f"{names[i]} -> {_terms(pairs)}")
-
-    for name in sorted(pres.maps):
-        out.append("")
-        out.append(f"map {name}")
-        for (j,), terms in grouped(pres.maps[name].transpose(), 1):
-            out.append(f"{names[j]} -> {_terms((names[k], s) for _, k, s in terms)}")
-
-    for label, table in (("form", pres.forms), ("relement", pres.relements)):
-        for name in sorted(table):
-            out.append("")
-            out.append(f"{label} {name}")
-            for i, j, s in table[name].nonzero():
-                out.append(f"{names[i]} {names[j]} -> {s}")
+    word = names.__getitem__
+    for kind, (field, order, left, _) in BLOCKS.items():
+        bag = getattr(pres, field)
+        for name in sorted(bag):
+            out += ["", f"{kind} {name}"]
+            t = bag[name].transpose() if kind == "map" else bag[name]
+            # nonzero entries in row-major order, one line per left side
+            for head, group in itertools.groupby(t.nonzero(), key=lambda e: e[:left]):
+                pairs = [(" (x) ".join(map(word, e[left:-1])), e[-1]) for e in group]
+                rhs = _terms(pairs) if order > left else str(pairs[0][1])
+                out.append(f"{' '.join(map(word, head))} -> {rhs}")
 
     return "\n".join(out) + "\n"
 

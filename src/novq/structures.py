@@ -172,6 +172,11 @@ def _lookup(bag: dict, name: str, what: str):
         raise PresentationError(f"no {what} named {name!r}") from None
 
 
+# the bags of named operations: field, what an error calls an entry, order
+_BAGS = (("binops", "product", 3), ("coops", "coproduct", 3), ("maps", "map", 2),
+         ("forms", "form", 2), ("relements", "tensor", 2))
+
+
 @dataclass
 class Presentation:
     """One basis, one ring, and a bag of named operations on it."""
@@ -186,10 +191,8 @@ class Presentation:
 
     def __post_init__(self):
         n = self.space.dim
-        for kind, bag, order in (("product", self.binops, 3), ("coproduct", self.coops, 3),
-                                 ("map", self.maps, 2), ("form", self.forms, 2),
-                                 ("tensor", self.relements, 2)):
-            for name, t in bag.items():
+        for bag, kind, order in _BAGS:
+            for name, t in getattr(self, bag).items():
                 if t.ring != self.ring or t.shape != (n,) * order:
                     raise PresentationError(f"{kind} {name!r} has wrong ring or dimension")
 
@@ -224,15 +227,9 @@ class Presentation:
         return self._mapped(lambda s: s.eval_q(point), RATIONAL)
 
     def _mapped(self, fn: Callable[[Scalar], Scalar], ring: str) -> "Presentation":
-        return Presentation(
-            ring=ring,
-            space=self.space,
-            binops={k: v.map_scalars(fn, ring) for k, v in self.binops.items()},
-            coops={k: v.map_scalars(fn, ring) for k, v in self.coops.items()},
-            maps={k: v.map_scalars(fn, ring) for k, v in self.maps.items()},
-            forms={k: v.map_scalars(fn, ring) for k, v in self.forms.items()},
-            relements={k: v.map_scalars(fn, ring) for k, v in self.relements.items()},
-        )
+        return Presentation(ring=ring, space=self.space, **{
+            bag: {k: v.map_scalars(fn, ring) for k, v in getattr(self, bag).items()}
+            for bag, *_ in _BAGS})
 
 
 # -- verdicts ------------------------------------------------------------------

@@ -303,6 +303,13 @@ def test_einsum_stores_exact_quotients_as_ints_and_int_joins_make_no_fraction(mo
     op = BinOpTensor(RATIONAL, [[[Scalar.of(RATIONAL, rng.randint(-3, 3)) for _ in range(3)]
                                  for _ in range(3)] for _ in range(3)])
     x, y = vec(1, -2, 3), vec(0, 5, -1)
+    # integral sums of halves: added, scaled, and two overlapping blocks
+    half = vec(Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))
+    sums = [half + half, half - (-half), half.scale(Scalar.of(RATIONAL, 2)),
+            Vector.from_blocks(RATIONAL, (3,), [((0,), half), ((0,), half)])]
+    for t in sums:
+        assert t._entries == {(0,): 1, (1,): -1, (2,): 3}
+        assert all(type(v) is int for v in t._entries.values())
     made = []
     new = Fraction.__new__
 
@@ -313,7 +320,9 @@ def test_einsum_stores_exact_quotients_as_ints_and_int_joins_make_no_fraction(mo
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     got = Vector.einsum("i,j,ijk->k", x, y, op)
     again = Tensor2.einsum("ij,jk->ik", Tensor2.einsum("i,ijk->jk", x, op), Tensor2.einsum("ijk,j->ik", op, y))
+    of_sums = [Vector.einsum("i,j,ijk->k", t, y, op) for t in sums]
     monkeypatch.undo()
     assert made == []
     assert not got.is_zero() and not again.is_zero()
+    assert all(t == of_sums[0] for t in of_sums) and not of_sums[0].is_zero()
     assert all(type(v) is int for t in (got, again) for v in t._entries.values())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,48 @@ def test_parse_keeps_every_term_of_a_line():
     assert pres.coop("delta").nonzero() == [(1, 0, 1, Scalar(POLY, (F(3),))),
                                             (1, 1, 0, Scalar(POLY, (F(1),)))]
     assert pres.linmap("D").nonzero() == [(0, 1, Scalar(POLY, (F(2),)))]
+
+
+def test_keyword_basis_names_round_trip():
+    # a line with -> is an entry line, so keywords serve as basis and block names
+    words = ("space", "ring", "product", "coproduct", "map", "form", "relement")
+    text = (f"space 7 {' '.join(words)}\nring Q[q]\n"
+            "product map\nmap ring -> product - q*space\nspace space -> 2*form\n"
+            "coproduct coproduct\nring -> ring (x) map + 1/2*relement (x) space\n"
+            "map ring\nmap -> map\nspace -> ring + coproduct\n"
+            "form form\nproduct relement -> q\n"
+            "relement space\nring space -> -1\nspace ring -> 1\n")
+    pres = parse(text)
+    assert pres.binop("map").entry(4, 1, 2) == Scalar.one(POLY)
+    assert pres.linmap("ring").entry(1, 0) == Scalar.one(POLY)
+    again = parse(emit(pres))
+    assert again == pres and emit(again) == emit(pres)
+    assert emit(pres).count(" -> ") == 8
+    assert parse("space 2 map e2\nring Q\nproduct dot\nmap map -> e2\n").binop("dot").nonzero() \
+        == [(0, 0, 1, Scalar.one(RATIONAL))]
+    with pytest.raises(PresFileError, match="^line 3: entry line outside any block$"):
+        parse("space 2 map e2\nring Q\nring e2 -> e2\n")
+
+
+def test_tokenizer_matches_the_character_scan():
+    from tokenize_oracle import _tokenize as scan
+
+    from novq.presfile import _tokenize
+
+    # letters and digits in and out of ASCII, spaces the scan skips (tab,
+    # no-break, em), every punctuation token and fragment, characters outside it
+    alphabet = (list("aqxZ09_'") + ["e1", "é", "ß", "Ω", "²", "٣", "Ⅷ"]
+                + [" ", "\t", "\u00a0", "\u2003"]
+                + ["(x)", "->", "+", "-", "*", "/", "^", "(", ")", "(x", "x)", ">"]
+                + list("!@,.$[]#=<\x00€"))
+    rng = random.Random(9)
+    for lineno in range(1, 3001):
+        line = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        try:
+            want = scan(line, lineno)
+        except PresFileError as exc:
+            with pytest.raises(PresFileError) as got:
+                _tokenize(line, lineno)
+            assert (str(got.value), got.value.lineno) == (str(exc), exc.lineno), line
+        else:
+            assert _tokenize(line, lineno) == want, line
