@@ -18,11 +18,12 @@ from .constructions import (descendent_commdiff, descendent_novikov,
                             pre_novikov_from_oop, pre_novikov_from_zinbiel,
                             semidirect_admdiff, semidirect_novikov,
                             zinbiel_from_oop)
-from .bialgebra import (check_diff_asi_bialgebra, check_manin_triple,
-                        check_novikov_bialgebra, double_construction,
-                        double_induced_family, family_difference_locus,
-                        novikov_bialgebra_locus, prenov_double_family,
-                        quadratic_novikov_check, standard_form, zinbiel_double)
+from .bialgebra import (check_admissible_zinbiel, check_diff_asi_bialgebra,
+                        check_manin_triple, check_novikov_bialgebra,
+                        double_construction, double_induced_family,
+                        family_difference_locus, novikov_bialgebra_locus,
+                        prenov_double_family, quadratic_novikov_check,
+                        standard_form, zinbiel_double)
 from .ybe import (aybe_residual, canonical_r, delta_r, Delta_qr,
                   is_antisymmetric, nybe_residual, oop_check, r_admissibility,
                   r_from_T, T_from_r)

@@ -1,10 +1,10 @@
 """Bialgebra-level checks: compatibility residuals, doubles, Manin triples.
 
-The two bundled verdicts are check_diff_asi_bialgebra for the commutative
-differential side and check_novikov_bialgebra for the deformed side; the q
-locus utilities sit on top of the symbolic reports.  Double constructions
-return ordinary presentations on the doubled basis e1..en, e1'..en', with the
-convention that the primed half is the dual basis.
+Each check bundle runs on the presentation and slot names it is handed, so a
+witness names that presentation's basis; the builders assume their inputs
+pass the bundles, and the q locus utilities sit on top of symbolic reports.
+Doubles return ordinary presentations on the input's names followed by each
+primed, with the convention that the primed half is the dual basis.
 """
 
 from .exactcore import (
@@ -20,7 +20,6 @@ from .exactcore import (
 from .structures import (
     AxiomReport,
     BinOpTensor,
-    CoOpTensor,
     Presentation,
     PresentationError,
     QLocus,
@@ -33,8 +32,6 @@ from .structures import (
     vanishing_locus,
 )
 from .constructions import (
-    _names,
-    _require,
     descendent_commdiff,
     descendent_novikov,
     dual_rep_admdiff,
@@ -97,6 +94,17 @@ def adjoint_map(D: LinMap, B: Tensor2) -> LinMap:
     return LinMap(B.ring, rows)
 
 
+def check_admissible_zinbiel(pres: Presentation, zin: str = "zin", D: str | None = "D",
+                             Q: str | None = "Q") -> dict:
+    """Zinbiel, D a derivation, Q admissible against D; a map given as None skips its checks."""
+    reports = {"ZINBIEL": check_axiom("ZINBIEL", pres, {"zin": zin})}
+    if D is not None:
+        reports["DERIV"] = check_axiom("DERIV", pres, {"dot": zin, "D": D})
+        if Q is not None:
+            reports["ZINB_ADMISS"] = check_axiom("ZINB_ADMISS", pres, {"zin": zin, "D": D, "Q": Q})
+    return reports
+
+
 def check_diff_asi_bialgebra(pres: Presentation, dot: str = "dot", delta: str = "delta",
                              D: str = "D", Q: str = "Q") -> dict:
     """All axioms of a commutative cocommutative differential ASI bialgebra."""
@@ -104,13 +112,10 @@ def check_diff_asi_bialgebra(pres: Presentation, dot: str = "dot", delta: str = 
     return {aid: check_axiom(aid, pres, binds) for aid in DIFF_ASI_AXIOMS}
 
 
-def check_novikov_bialgebra(circ: BinOpTensor, Delta: CoOpTensor) -> dict:
+def check_novikov_bialgebra(pres: Presentation, circ: str = "circ", Delta: str = "Delta") -> dict:
     """Novikov algebra + coalgebra axioms plus the three compatibilities."""
-    if circ.ring != Delta.ring or circ.dim != Delta.dim:
-        raise PresentationError("product and coproduct do not match")
-    pres = Presentation(ring=circ.ring, space=Space(_names(circ.dim)),
-                        binops={"circ": circ}, coops={"Delta": Delta})
-    return {aid: check_axiom(aid, pres) for aid in NOV_BIALG_AXIOMS}
+    binds = {"circ": circ, "Delta": Delta}
+    return {aid: check_axiom(aid, pres, binds) for aid in NOV_BIALG_AXIOMS}
 
 
 def bialg_q_residuals(pres: Presentation, q=None, dot: str = "dot", delta: str = "delta",
@@ -125,6 +130,15 @@ def bialg_q_residuals(pres: Presentation, q=None, dot: str = "dot", delta: str =
     return {aid: check_axiom(aid, pres, binds, q=q) for aid in BIALG_Q_AXIOMS}
 
 
+def _induced_family(pres: Presentation, dot: str, delta: str, D: str, Q: str) -> Presentation:
+    """The symbolic pair (circ_q, Delta_q) induced from a differential ASI bialgebra."""
+    p = pres.lift()
+    dmap, qmap = p.linmap(D), p.linmap(Q)
+    return Presentation(ring=POLY, space=p.space,
+                        binops={"circ": induce_novikov(p.binop(dot), dmap, qmap)},
+                        coops={"Delta": induce_nov_coalg(p.coop(delta), qmap, dmap)})
+
+
 def novikov_bialgebra_locus(pres: Presentation, dot: str = "dot", delta: str = "delta",
                             D: str = "D", Q: str = "Q") -> QLocus:
     """Rational q where the induced (circ_q, Delta_q) is a Novikov bialgebra.
@@ -134,15 +148,12 @@ def novikov_bialgebra_locus(pres: Presentation, dot: str = "dot", delta: str = "
     identically.  Points beyond Q are out of scope (the locus carries a flag
     when a non-rational common zero cannot be ruled out).
     """
-    p = pres.lift()
-    circ = induce_novikov(p.binop(dot), p.linmap(D), p.linmap(Q))
-    Delta = induce_nov_coalg(p.coop(delta), p.linmap(Q), p.linmap(D))
-    reports = check_novikov_bialgebra(circ, Delta)
+    reports = check_novikov_bialgebra(_induced_family(pres, dot, delta, D, Q))
     return combine_loci(r.locus for r in reports.values())
 
 
 def double_construction(pres: Presentation, dot: str = "dot", delta: str = "delta",
-                        D: str = "D", Q: str = "Q", verify: bool = False) -> Presentation:
+                        D: str = "D", Q: str = "Q") -> Presentation:
     """The Frobenius-style double of a differential ASI bialgebra on A + A*.
 
     The A and A* halves multiply by the product and the coproduct's dual; the
@@ -158,8 +169,6 @@ def double_construction(pres: Presentation, dot: str = "dot", delta: str = "delt
     op = pres.binop(dot)
     cop = pres.coop(delta)
     dmap, qmap = pres.linmap(D), pres.linmap(Q)
-    if verify:
-        _require(check_diff_asi_bialgebra(pres, dot, delta, D, Q))
     n = pres.dim
     ring = pres.ring
     total = BinOpTensor.from_blocks(ring, (2 * n,) * 3, [
@@ -185,8 +194,8 @@ def double_construction(pres: Presentation, dot: str = "dot", delta: str = "delt
     return out
 
 
-def zinbiel_double(pres: Presentation, zin: str = "zin", D: str = "D", Q: str = "Q",
-                   verify: bool = False) -> Presentation:
+def zinbiel_double(pres: Presentation, zin: str = "zin", D: str = "D",
+                   Q: str = "Q") -> Presentation:
     """The differential ASI bialgebra on A + A* built over a Zinbiel product.
 
     A carries the descendent commutative product, A* the dual of the left
@@ -196,12 +205,6 @@ def zinbiel_double(pres: Presentation, zin: str = "zin", D: str = "D", Q: str = 
     """
     zop = pres.binop(zin)
     dmap, qmap = pres.linmap(D), pres.linmap(Q)
-    if verify:
-        _require({
-            "ZINBIEL": check_axiom("ZINBIEL", pres, {"zin": zin}),
-            "DERIV": check_axiom("DERIV", pres, {"dot": zin, "D": D}),
-            "ZINB_ADMISS": check_axiom("ZINB_ADMISS", pres, {"zin": zin, "D": D, "Q": Q}),
-        })
     ring = pres.ring
     n = pres.dim
     base_rep = regular_rep_admdiff(zop, dmap, qmap, pres.space.names)
@@ -241,12 +244,7 @@ def prenov_double_family(pres: Presentation, zin: str = "zin", D: str = "D",
 def double_induced_family(pres: Presentation, zin: str = "zin", D: str = "D",
                           Q: str = "Q") -> Presentation:
     """The symbolic family on A + A* via the double-then-deform route."""
-    dbl = zinbiel_double(pres, zin, D, Q)
-    p = dbl.lift()
-    circ = induce_novikov(p.binop("dot"), p.linmap("D"), p.linmap("Q"))
-    Delta = induce_nov_coalg(p.coop("delta"), p.linmap("Q"), p.linmap("D"))
-    return Presentation(ring=POLY, space=p.space, binops={"circ": circ},
-                        coops={"Delta": Delta})
+    return _induced_family(zinbiel_double(pres, zin, D, Q), "dot", "delta", "D", "Q")
 
 
 def family_difference_locus(pa: Presentation, pb: Presentation, circ: str = "circ",
@@ -272,17 +270,18 @@ def _subalgebra_report(axiom_id: str, op: BinOpTensor, names, inside: range) -> 
     return scan_residuals(axiom_id, op.ring, items())
 
 
-def check_manin_triple(pres: Presentation, dim_left: int, circ: str = "circ") -> dict:
+def check_manin_triple(pres: Presentation, circ: str = "circ") -> dict:
     """Manin triple verdict for a Novikov product on a doubled space.
 
-    Checks that the first dim_left and the remaining basis vectors each span
-    a subalgebra, that the whole product is Novikov, and that the hyperbolic
+    Checks that the first and the second half of the basis each span a
+    subalgebra, that the whole product is Novikov, and that the hyperbolic
     pairing of the two halves is invariant.
     """
     op = pres.binop(circ)
     n = op.dim
-    if n != 2 * dim_left:
+    if n % 2:
         raise PresentationError("the split must cut the space exactly in half")
+    dim_left = n // 2
     names = pres.space.names
     tmp = Presentation(ring=pres.ring, space=pres.space, binops={circ: op},
                        forms={"B": standard_form(pres.ring, dim_left)})
@@ -296,10 +295,8 @@ def check_manin_triple(pres: Presentation, dim_left: int, circ: str = "circ") ->
     }
 
 
-def quadratic_novikov_check(circ: BinOpTensor, B: Tensor2) -> dict:
+def quadratic_novikov_check(pres: Presentation, circ: str = "circ", B: str = "B") -> dict:
     """Symmetric, nondegenerate and invariant form over a Novikov product."""
-    if circ.ring != B.ring or circ.dim != B.dim:
-        raise PresentationError("form and product do not match")
-    pres = Presentation(ring=circ.ring, space=Space(_names(circ.dim)),
-                        binops={"circ": circ}, forms={"B": B})
-    return {aid: check_axiom(aid, pres) for aid in ("FORM_SYM", "FORM_NONDEG", "BILIN_INV_NOV")}
+    binds = {"circ": circ, "B": B}
+    return {aid: check_axiom(aid, pres, binds)
+            for aid in ("FORM_SYM", "FORM_NONDEG", "BILIN_INV_NOV")}

@@ -12,16 +12,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .bialgebra import (check_diff_asi_bialgebra, check_manin_triple,
-                        check_novikov_bialgebra, double_construction,
-                        novikov_bialgebra_locus, quadratic_novikov_check,
-                        zinbiel_double)
+from .bialgebra import (check_admissible_zinbiel, check_diff_asi_bialgebra,
+                        check_manin_triple, check_novikov_bialgebra,
+                        double_construction, novikov_bialgebra_locus,
+                        quadratic_novikov_check, zinbiel_double)
 from .constructions import induce_nov_coalg, induce_novikov
 from .exactcore import POLY, RATIONAL
 from .liewindow import WindowSpec, polyalg_window_check, window_lie_bialgebra_check
 from .presfile import PresFileError, emit, load
 from .structures import (FINITE, Presentation, PresentationError, check_axiom,
-                         scan_residuals)
+                         is_admissible_quadruple, scan_residuals)
 from .ybe import aybe_residual, nybe_residual, r_admissibility
 
 
@@ -68,6 +68,20 @@ def _pick_slots(pres: Presentation) -> tuple[str, str, str, str]:
     """(dot, delta, D, Q), picked in that order."""
     return (_pick(pres.binops, "dot", "product"), _pick(pres.coops, "delta", "coproduct"),
             *_pick_maps(pres))
+
+
+def _require(reports: dict) -> None:
+    """Raise unless every report holds: a builder's precondition, checked by the caller."""
+    bad = [str(r) for r in reports.values() if not r.holds]
+    if bad:
+        raise PresentationError("precondition failed: " + "; ".join(bad))
+
+
+def _zinbiel_double(pres: Presentation) -> Presentation:
+    """The double of a file without a coproduct, once its Zinbiel bundle holds."""
+    slots = (_pick(pres.binops, "zin", "product"), *_pick_maps(pres))
+    _require(check_admissible_zinbiel(pres, *slots))
+    return zinbiel_double(pres, *slots)
 
 
 def _fraction(text: str, flag: str) -> Fraction:
@@ -119,20 +133,14 @@ def _run_verify(args) -> tuple[int, dict]:
         reports = {a: check_axiom(a, pres, {"circ": circ})
                    for a in ("NOV_LSYM", "NOV_RCOMM")}
     elif profile == "zinbiel":
-        zin = _pick(pres.binops, "zin", "product")
-        reports = {"ZINBIEL": check_axiom("ZINBIEL", pres, {"zin": zin})}
         dmap, qmap = _pick_maps(pres, optional=True)
-        if dmap is not None:
-            reports["DERIV"] = check_axiom("DERIV", pres, {"dot": zin, "D": dmap})
-        if dmap is not None and qmap not in (None, dmap):
-            reports["ZINB_ADMISS"] = check_axiom(
-                "ZINB_ADMISS", pres, {"zin": zin, "D": dmap, "Q": qmap})
+        reports = check_admissible_zinbiel(pres, _pick(pres.binops, "zin", "product"),
+                                           dmap, None if qmap == dmap else qmap)
     elif profile == "diff-asi":
         reports = check_diff_asi_bialgebra(pres, *_pick_slots(pres))
     elif profile == "novikov-bialgebra":
-        circ = _pick(pres.binops, "circ", "product")
-        Delta = _pick(pres.coops, "Delta", "coproduct")
-        reports = check_novikov_bialgebra(pres.binop(circ), pres.coop(Delta))
+        reports = check_novikov_bialgebra(pres, _pick(pres.binops, "circ", "product"),
+                                          _pick(pres.coops, "Delta", "coproduct"))
     elif profile == "manin":
         circ = _pick(pres.binops, "circ", "product")
         if args.dimA is not None and 2 * args.dimA != pres.dim:
@@ -141,12 +149,10 @@ def _run_verify(args) -> tuple[int, dict]:
         if pres.dim % 2:
             raise _Usage(f"the manin profile splits the space in half, but its dimension "
                          f"{pres.dim} is odd")
-        dim_left = args.dimA if args.dimA is not None else pres.dim // 2
-        reports = check_manin_triple(pres, dim_left, circ)
+        reports = check_manin_triple(pres, circ)
     else:  # quadratic
-        circ = _pick(pres.binops, "circ", "product")
-        form = _pick(pres.forms, "B", "form")
-        reports = quadratic_novikov_check(pres.binop(circ), pres.form(form))
+        reports = quadratic_novikov_check(pres, _pick(pres.binops, "circ", "product"),
+                                          _pick(pres.forms, "B", "form"))
     return _finish_checks(reports)
 
 
@@ -162,13 +168,15 @@ def _run_induce(args) -> tuple[int, dict]:
     p = _fraction(args.p, "--p")
     dot = _pick(pres.binops, "dot", "product")
     dmap, qmap = _pick_maps(pres)
-    circ = induce_novikov(pres.binop(dot), pres.linmap(dmap), pres.linmap(qmap),
-                          p=p, q=q, verify=True)
+    _require(is_admissible_quadruple(pres, dot, dmap, qmap))
+    circ = induce_novikov(pres.binop(dot), pres.linmap(dmap), pres.linmap(qmap), p=p, q=q)
     coops = {}
     if pres.coops:
         delta = _pick(pres.coops, "delta", "coproduct")
+        _require({"CO_ADMISS": check_axiom("CO_ADMISS", pres,
+                                           {"delta": delta, "D": dmap, "Q": qmap})})
         coops["Delta"] = induce_nov_coalg(pres.coop(delta), pres.linmap(qmap),
-                                          pres.linmap(dmap), q=q, verify=True)
+                                          pres.linmap(dmap), q=q)
     out = Presentation(ring=circ.ring, space=pres.space,
                        binops={"circ": circ}, coops=coops)
     return 0, _emit_out(out, args.emit)
@@ -177,10 +185,11 @@ def _run_induce(args) -> tuple[int, dict]:
 def _run_double(args) -> tuple[int, dict]:
     pres = load(args.file)
     if pres.coops:
-        out = double_construction(pres, *_pick_slots(pres), verify=True)
+        slots = _pick_slots(pres)
+        _require(check_diff_asi_bialgebra(pres, *slots))
+        out = double_construction(pres, *slots)
     else:
-        out = zinbiel_double(pres, _pick(pres.binops, "zin", "product"), *_pick_maps(pres),
-                             verify=True)
+        out = _zinbiel_double(pres)
     return 0, _emit_out(out, args.emit)
 
 
@@ -207,8 +216,7 @@ def _run_ybe(args) -> tuple[int, dict]:
 def _run_locus(args) -> tuple[int, dict]:
     pres = load(args.file)
     if not pres.coops:
-        pres = zinbiel_double(pres, _pick(pres.binops, "zin", "product"), *_pick_maps(pres),
-                              verify=True)
+        pres = _zinbiel_double(pres)
     locus = novikov_bialgebra_locus(pres, *_pick_slots(pres))
     print(locus)
     nonempty = not locus.is_empty() and not (locus.kind == FINITE and not locus.points)

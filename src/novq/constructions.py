@@ -1,11 +1,12 @@
 """Builders for induced, semidirect, dual and descendent structures.
 
 Everything here is a pure constructor on exact structure constants.  The
-builders assume their preconditions (checks cost more than the construction);
-the two induction builders take verify=True to run the relevant axiom checks
-first, which is what the command line does.  A module's operator family is an
-order-3 tensor with legs (i, k, j): l[i][k][j] is the v_k coefficient of
-l(e_i) v_j, so each module below is one contraction of structure constants.
+builders assume their preconditions and never check them (checks cost more
+than the construction); a caller that needs them runs the check bundles on
+its own presentation first, as the command line does.  A module's operator
+family is an order-3 tensor with legs (i, k, j): l[i][k][j] is the v_k
+coefficient of l(e_i) v_j, so each module below is one contraction of
+structure constants.
 
 The deformation parameter q may be a rational or the live polynomial
 generator.  Over Q[q] it defaults to the generator itself; over Q it must be
@@ -26,7 +27,6 @@ from .structures import (
     Space,
     _toggle_prime,
     check_axiom,
-    is_admissible_quadruple,
 )
 
 
@@ -46,41 +46,21 @@ def _qparam(ring: str, q) -> Scalar:
     return _param(ring, q)
 
 
-def _names(n: int) -> tuple[str, ...]:
-    return tuple(f"e{i + 1}" for i in range(n))
-
-
-def _require(reports: dict) -> None:
-    bad = [str(r) for r in reports.values() if not r.holds]
-    if bad:
-        raise PresentationError("precondition failed: " + "; ".join(bad))
-
-
-def induce_novikov(dot: BinOpTensor, D: LinMap, Q: LinMap, p=1, q=None,
-                   verify: bool = False) -> BinOpTensor:
+def induce_novikov(dot: BinOpTensor, D: LinMap, Q: LinMap, p=1, q=None) -> BinOpTensor:
     """Structure constants of a circ b = a . (pD + qQ)(b).
 
     p = 1 gives the one-parameter deformation family of the commutative
     product; Q = 0, q = 0 recovers the classical construction a . D(b).
-    verify checks that (dot, D, Q) is an admissible quadruple.
+    The result is Novikov when (dot, D, Q) is an admissible quadruple.
     """
     ring = dot.ring
-    if verify:
-        pres = Presentation(ring=ring, space=Space(_names(dot.dim)),
-                            binops={"dot": dot}, maps={"D": D, "Q": Q})
-        _require(is_admissible_quadruple(pres))
     K = D.scale(_param(ring, p)) + Q.scale(_qparam(ring, q))
     return BinOpTensor.einsum("mj,imk->ijk", K, dot)
 
 
-def induce_nov_coalg(delta: CoOpTensor, Q: LinMap, D: LinMap, q=None,
-                     verify: bool = False) -> CoOpTensor:
+def induce_nov_coalg(delta: CoOpTensor, Q: LinMap, D: LinMap, q=None) -> CoOpTensor:
     """Constants of Delta_q = (id (x) (Q + qD)) delta."""
     ring = delta.ring
-    if verify:
-        pres = Presentation(ring=ring, space=Space(_names(delta.dim)),
-                            coops={"delta": delta}, maps={"D": D, "Q": Q})
-        _require({"CO_ADMISS": check_axiom("CO_ADMISS", pres)})
     K = Q + D.scale(_qparam(ring, q))
     return CoOpTensor.einsum("ijm,km->ijk", delta, K)
 
@@ -199,13 +179,10 @@ def pre_novikov_from_oop(T: LinMap, rep: RepNov) -> tuple[BinOpTensor, BinOpTens
             BinOpTensor.einsum("mi,mkj->ijk", T, rep.l))
 
 
-def deformation_family_check(circ: BinOpTensor, f: BinOpTensor) -> dict:
+def deformation_family_check(pres: Presentation, circ: str = "circ", f: str = "f") -> dict:
     """The four closure identities making circ + qf Novikov for every q."""
-    if f.ring != circ.ring or f.dim != circ.dim:
-        raise PresentationError("perturbation does not match the base product")
-    pres = Presentation(ring=circ.ring, space=Space(_names(circ.dim)),
-                        binops={"circ": circ, "f": f})
-    return {aid: check_axiom(aid, pres)
+    binds = {"circ": circ, "f": f}
+    return {aid: check_axiom(aid, pres, binds)
             for aid in ("DEFORM_1", "DEFORM_2", "DEFORM_3", "DEFORM_4")}
 
 

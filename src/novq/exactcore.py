@@ -252,10 +252,6 @@ def _scalar(ring: str, val) -> Scalar:
     return s
 
 
-def rational(x: RationalLike = 0) -> Scalar:
-    return Scalar.of(RATIONAL, x)
-
-
 def polynomial(coeffs: Iterable[RationalLike]) -> Scalar:
     """Build a Q[q] scalar from ascending coefficients."""
     return Scalar(POLY, _trim(tuple(_as_fraction(c) for c in coeffs)))

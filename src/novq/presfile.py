@@ -308,6 +308,10 @@ def parse(text: str) -> Presentation:
                 raise PresFileError(lineno, "repeated basis name")
             if "q" in names:
                 raise PresFileError(lineno, "the name q is reserved for the parameter")
+            # an entry line reads a number, or a name outside one token, as no basis vector
+            for nm in names:
+                if nm.isdigit() or not re.fullmatch(r"[\w']+", nm):
+                    raise PresFileError(lineno, f"basis name {nm!r} is a number or not one word")
             space = Space(names)
             index = {nm: i for i, nm in enumerate(names)}
         elif head == "ring":

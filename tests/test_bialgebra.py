@@ -110,7 +110,8 @@ def test_check_novikov_bialgebra_induced_pair():
                               pres.linmap("Q"), q=q)
         Delta = induce_nov_coalg(pres.coop("delta"), pres.linmap("Q"),
                                  pres.linmap("D"), q=q)
-        assert all_hold(check_novikov_bialgebra(circ, Delta).values()) == good
+        pair = Presentation(RATIONAL, pres.space, binops={"circ": circ}, coops={"Delta": Delta})
+        assert all_hold(check_novikov_bialgebra(pair).values()) == good
 
 
 def _lin(c0, c1):
@@ -186,7 +187,7 @@ def test_both_family_routes_are_novikov_bialgebras_on_their_locus():
     # bialgebra there
     for build in (prenov_double_family, double_induced_family):
         fam = build(load("fixtures/zinb-nonderiv")).specialize(F(-1, 2))
-        out = check_novikov_bialgebra(fam.binop("circ"), fam.coop("Delta"))
+        out = check_novikov_bialgebra(fam)
         assert all_hold(out.values())
 
 
@@ -211,7 +212,7 @@ def test_manin_triple_from_double():
         circ = induce_novikov(dbl.binop("dot"), dbl.linmap("D"),
                               dbl.linmap("Q"), q=F(-1, 2))
         half = Presentation(RATIONAL, dbl.space, binops={"circ": circ})
-        out = check_manin_triple(half, pres.dim)
+        out = check_manin_triple(half)
         assert all_hold(out.values()), fx
 
 
@@ -237,7 +238,7 @@ def test_semidirect_double_is_not_a_manin_triple():
     circ = induce_novikov(dbl.binop("dot"), dbl.linmap("D"), dbl.linmap("Q"),
                           q=F(-1, 2))
     half = Presentation(RATIONAL, dbl.space, binops={"circ": circ})
-    out = check_manin_triple(half, 3)
+    out = check_manin_triple(half)
     rep = out["BILIN_INV_NOV"]
     assert rep.verdict == "fails"
     assert rep.witness == ("e1", "e1", "e2'")
@@ -248,11 +249,14 @@ def test_quadratic_novikov_check():
     dbl = double_construction(load("fixtures/exnov1"))
     circ = induce_novikov(dbl.binop("dot"), dbl.linmap("D"), dbl.linmap("Q"),
                           q=F(-1, 2))
-    out = quadratic_novikov_check(circ, standard_form(RATIONAL, 2))
+    pres = Presentation(RATIONAL, dbl.space, binops={"circ": circ},
+                        forms={"B": standard_form(RATIONAL, 2)})
+    out = quadratic_novikov_check(pres)
     assert all_hold(out.values())
 
     from novq import Tensor2
     zero = Tensor2.zero(RATIONAL, 4)
-    out = quadratic_novikov_check(circ, zero)
+    out = quadratic_novikov_check(Presentation(RATIONAL, dbl.space, binops={"circ": circ},
+                                               forms={"B": zero}))
     assert out["FORM_SYM"].holds
     assert not out["FORM_NONDEG"].holds

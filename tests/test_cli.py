@@ -343,3 +343,48 @@ def test_verify_zinbiel_profile_resolves_d_and_q_as_double_does(tmp_path, capsys
     assert "DERIV: fails at (e1, e1)" in out and "ZINB_ADMISS:" in out
     assert main(["double", str(path)]) == 1
     assert "DERIV: fails at (e1, e1)" in capsys.readouterr().err
+
+
+def test_failed_checks_name_the_files_own_basis(tmp_path, capsys):
+    # the checks run on the file's presentation, so a witness names its vectors
+    # ("a", "b"), never an e1..en basis the file does not have
+    def run(text, *argv):
+        path, report = tmp_path / "in", tmp_path / "out.json"
+        path.write_text("space 2 a b\nring Q\n" + text)
+        code = main([argv[0], str(path), *argv[1:], "--json-out", str(report)])
+        return code, capsys.readouterr(), json.loads(report.read_text())
+
+    # a b -> b without b a -> b: the product is not commutative
+    code, out, doc = run("product dot\na a -> a\na b -> b\nmap D\nb -> b\nmap Q\na -> a\n",
+                         "induce", "--q", "1")
+    assert code == 1 and out.out == ""
+    assert out.err == "check failed: precondition failed: COMM: fails at (a, b)\n"
+    assert doc["error"] == "precondition failed: COMM: fails at (a, b)"
+
+    # exnov1's pair induced at q = 1, which is no Novikov bialgebra
+    code, out, doc = run("product circ\na a -> a\na b -> b\nb a -> b\n"
+                         "coproduct Delta\nb -> b (x) b\n",
+                         "verify", "--profile", "novikov-bialgebra")
+    assert code == 1 and "NOV_BIALG_1: fails at (a, b)\n" in out.out
+    assert [row["witness"] for row in doc["checks"] if row["witness"]] == [["a", "b"]]
+
+    code, out, doc = run("product circ\na a -> a\nb b -> b\nform B\na b -> 1\nb a -> 1\n",
+                         "verify", "--profile", "quadratic")
+    assert code == 1 and "BILIN_INV_NOV: fails at (a, a, b)\n" in out.out
+    assert [row["witness"] for row in doc["checks"] if row["witness"]] == [["a", "a", "b"]]
+
+
+def test_induce_scales_the_derivation_by_p(capsys):
+    from novq import Presentation, induce_nov_coalg, induce_novikov, load
+    from novq.presfile import emit
+
+    pres = load("fixtures/exnov1")
+    D, Q = pres.linmap("D"), pres.linmap("Q")
+    want = Presentation(RATIONAL, pres.space,
+                        binops={"circ": induce_novikov(pres.binop("dot"), D, Q, p=F(-1, 2), q=1)},
+                        coops={"Delta": induce_nov_coalg(pres.coop("delta"), Q, D, q=1)})
+    assert main(["induce", "fixtures/exnov1", "--q", "1", "--p", "-1/2"]) == 0
+    assert capsys.readouterr().out == emit(want)
+
+    assert main(["induce", "fixtures/exnov1", "--q", "1", "--p", "x"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --p wants a rational number")

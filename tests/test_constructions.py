@@ -1,14 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 import oracles as orc
 from genalg import random_quadruple
-from novq import (POLY, Presentation, PresentationError, RATIONAL, Scalar,
+from novq import (POLY, Presentation, RATIONAL, Scalar,
                   Space, all_hold, check_axiom, descendent_commdiff,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
-                  induce_nov_coalg, induce_novikov, induced_rep_q, load,
+                  induce_nov_coalg, induce_novikov, induced_rep_q,
+                  is_admissible_quadruple, load,
                   pre_novikov_from_zinbiel, Vector)
 from novq.constructions import (deformation_family_check, pre_novikov_from_oop,
                                 regular_rep_admdiff, regular_rep_novikov,
@@ -66,12 +65,10 @@ def test_induce_nov_coalg_exnov1():
     assert orc.cop_table(sym)[1][1][1] == lin(0, 1)
 
 
-def test_induce_verify_rejects_non_admissible():
-    pres = load("fixtures/exnov1")
-    with pytest.raises(PresentationError):
-        # swapping the two maps breaks the twisted Leibniz rule
-        induce_novikov(pres.binop("dot"), pres.linmap("Q"), pres.linmap("D"),
-                       verify=True)
+def test_swapped_maps_are_not_an_admissible_quadruple():
+    # swapping the two maps breaks the twisted Leibniz rule
+    reports = is_admissible_quadruple(load("fixtures/exnov1"), D="Q", Q="D")
+    assert not all_hold(reports.values())
 
 
 def test_pre_novikov_split_zinb_nonderiv():
@@ -191,7 +188,8 @@ def test_deformation_family_closure():
         dot, D, Q = pres.binop("dot"), pres.linmap("D"), pres.linmap("Q")
         base = induce_novikov(dot, D, Q, q=0)          # a . D(b)
         pert = induce_novikov(dot, D, Q, p=0, q=1)     # a . Q(b)
-        assert all_hold(deformation_family_check(base, pert).values())
+        fam = Presentation(RATIONAL, pres.space, binops={"circ": base, "f": pert})
+        assert all_hold(deformation_family_check(fam).values())
 
 
 def test_deformation_family_detects_breakage():
@@ -201,7 +199,8 @@ def test_deformation_family_detects_breakage():
     base = induce_novikov(dot, D, Q, q=0)
     c = [[[Scalar.zero(RATIONAL)] * 2 for _ in range(2)] for _ in range(2)]
     c[1][1][0] = Scalar.one(RATIONAL)  # f(e2, e2) = e1
-    reports = deformation_family_check(base, BinOpTensor(RATIONAL, c))
+    fam = Presentation(RATIONAL, pres.space, binops={"circ": base, "f": BinOpTensor(RATIONAL, c)})
+    reports = deformation_family_check(fam)
     assert reports["DEFORM_2"].verdict == "fails"
     assert not all_hold(reports.values())
 

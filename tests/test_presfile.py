@@ -294,3 +294,29 @@ def test_tokenizer_matches_the_character_scan():
             assert (str(got.value), got.value.lineno) == (str(exc), exc.lineno), line
         else:
             assert _tokenize(line, lineno) == want, line
+
+
+def test_every_basis_name_the_space_line_accepts_can_be_named_on_an_entry_line():
+    # digit strings read as numbers and names outside one token read as no
+    # basis vector, so the space line refuses both
+    with pytest.raises(PresFileError, match="^line 1: basis name '1' is a number"):
+        parse("space 2 1 2\nring Q\nmap D\n1 -> 2\n")
+    with pytest.raises(PresFileError, match="^line 1: basis name 'a-b' is a number"):
+        parse("space 2 a-b c\nring Q\nmap D\na-b -> c\n")
+    alphabet = list("aqxZ09_'") + ["e1", "é", "²", "٣", "Ⅷ", "½"] + list("-+*/^()>!.,")
+    rng = random.Random(10)
+    accepted = 0
+    for _ in range(2000):
+        names = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 3))]
+        head = f"space {len(names)} {' '.join(names)}\nring Q\n"
+        try:
+            parse(head)
+        except PresFileError:
+            continue
+        accepted += 1
+        pres = parse(head + "map D\n" + "".join(f"{nm} -> {nm}\n" for nm in names))
+        one = Scalar.one(RATIONAL)
+        assert pres.linmap("D").nonzero() == [(i, i, one) for i in range(len(names))], names
+        assert parse(emit(pres)) == pres, names
+    assert accepted > 200
