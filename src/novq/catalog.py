@@ -1,0 +1,531 @@
+"""The axiom catalog and its compiler.
+
+Each catalog entry is a syntax tree for a multilinear residual.
+compile_axiom expands a tree once, by multilinearity, into a signed sum of
+contractions whose first operand is a basis vector of the first variable;
+the other variables stay free legs.  Maps on legs, leg swaps and
+permutations relabel legs, and the identity map adds no factor.  A sum
+without the first variable is hoisted instead: contracted once per check,
+it is one factor of the terms that use it.  No other module knows the tree
+format.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+from typing import NamedTuple
+
+from .exactcore import polynomial
+
+# -- axiom catalog ---------------------------------------------------------------
+#
+# Expressions are nested tuples.  Element-valued nodes:
+#   ("var", name)                   bound basis vector
+#   ("op", key, x, y)               product applied bilinearly
+#   ("map", key, x)                 named linear map
+#   ("rep", "l"|"r", aexpr, vexpr)  operator family applied to a module vector
+#   ("rmap", "alpha"|"beta", v)     module endomorphism
+#   ("pair", key, x, y)             bilinear form value, as a 1-dim vector
+# Tensor-valued nodes:
+#   ("cop", key, x)                 coproduct of an element (order 2)
+#   ("tau", t)                      swap the legs of an order-2 tensor
+#   ("tmap2", (m1, m2), t)          maps on the legs of an order-2 tensor
+#   ("coleg", key, leg, t)          coproduct applied to one leg (order 3)
+#   ("perm", p, t)                  leg permutation of an order-3 tensor
+# Any-valued:
+#   ("lin", ((coeffs, expr), ...))  sum of q-polynomial multiples
+# Map expressions (used in tmap2 slots; None stands for the identity):
+#   ("m", key) | ("ml", opkey, elem) | ("mr", opkey, elem)
+#   ("mlin", ((coeffs, mexpr), ...)) | ("mcomp", outer, inner)
+#
+# Operation slots are symbolic keys ("dot", "circ", "zin", "lpre", "rpre",
+# "f", "delta", "Delta", "D", "Q", "B"); callers rebind them per check.
+
+
+@dataclass(frozen=True)
+class AxiomDef:
+    axiom_id: str
+    variables: tuple[tuple[str, str], ...]  # (name, "A" | "V")
+    expr: tuple | None
+    uses_q: bool = False
+    description: str = ""
+
+
+def _node(kind: str):
+    return lambda *args: (kind, *args)
+
+
+_op, _m, _cop, _tau, _coleg, _perm, _ml, _mr, _mm, _mcomp, _rep, _rmap, _pair = map(_node, (
+    "op", "map", "cop", "tau", "coleg", "perm", "ml", "mr", "m", "mcomp", "rep", "rmap", "pair"))
+_a, _b, _c, _w = (("var", name) for name in "abcv")
+_sum, _mlin = (lambda *terms: ("lin", terms)), (lambda *terms: ("mlin", terms))
+_tm = lambda m1, m2, t: ("tmap2", (m1, m2), t)  # noqa: E731
+_t = lambda coeffs, e: (tuple(coeffs), e)  # noqa: E731
+_p, _n = (lambda e: ((1,), e)), (lambda e: ((-1,), e))  # a term with coefficient 1 or -1
+
+
+def _mstar(k, e):
+    # left multiplication by e for the symmetrized product x*y + y*x
+    return _mlin(_p(_ml(k, e)), _p(_mr(k, e)))
+
+
+_A1 = (("a", "A"),)
+_AA = (("a", "A"), ("b", "A"))
+_AAA = (("a", "A"), ("b", "A"), ("c", "A"))
+_AV = (("a", "A"), ("v", "V"))
+_AAV = (("a", "A"), ("b", "A"), ("v", "V"))
+
+_QplusD = _mlin(_p(_mm("Q")), _p(_mm("D")))
+_DplusQ = _mlin(_p(_mm("D")), _p(_mm("Q")))
+_QplusqD = _mlin(_p(_mm("Q")), _t((0, 1), _mm("D")))
+
+
+def _catalog() -> dict[str, AxiomDef]:
+    defs: list[AxiomDef] = []
+
+    def add(axiom_id, variables, expr, uses_q=False, description=""):
+        defs.append(AxiomDef(axiom_id, tuple(variables), expr, uses_q, description))
+
+    add("COMM", _AA,
+        _sum(_p(_op("dot", _a, _b)), _n(_op("dot", _b, _a))),
+        description="the product is commutative")
+
+    add("ASSOC", _AAA,
+        _sum(_p(_op("dot", _op("dot", _a, _b), _c)),
+             _n(_op("dot", _a, _op("dot", _b, _c)))),
+        description="the product is associative")
+
+    add("NOV_LSYM", _AAA,
+        _sum(_p(_op("circ", _op("circ", _a, _b), _c)),
+             _n(_op("circ", _a, _op("circ", _b, _c))),
+             _n(_op("circ", _op("circ", _b, _a), _c)),
+             _p(_op("circ", _b, _op("circ", _a, _c)))),
+        description="the associator is symmetric in its first two arguments")
+
+    add("NOV_RCOMM", _AAA,
+        _sum(_p(_op("circ", _op("circ", _a, _b), _c)),
+             _n(_op("circ", _op("circ", _a, _c), _b))),
+        description="right multiplications commute")
+
+    add("DERIV", _AA,
+        _sum(_p(_m("D", _op("dot", _a, _b))),
+             _n(_op("dot", _a, _m("D", _b))),
+             _n(_op("dot", _m("D", _a), _b))),
+        description="D is a derivation of the product")
+
+    add("ADMISS", _AA,
+        _sum(_p(_m("Q", _op("dot", _a, _b))),
+             _n(_op("dot", _m("Q", _a), _b)),
+             _p(_op("dot", _a, _m("D", _b)))),
+        description="Q twists the product against the derivation D")
+
+    add("ZINBIEL", _AAA,
+        _sum(_p(_op("zin", _a, _op("zin", _b, _c))),
+             _n(_op("zin", _op("zin", _b, _a), _c)),
+             _n(_op("zin", _op("zin", _a, _b), _c))),
+        description="the product obeys the left Zinbiel identity")
+
+    add("ZINB_ADMISS", _AA,
+        _sum(_p(_m("Q", _op("zin", _a, _b))),
+             _n(_op("zin", _m("Q", _a), _b)),
+             _p(_op("zin", _a, _m("D", _b)))),
+        description="first twisting identity of Q against D for a Zinbiel product")
+
+    add("ZINB_ADMISS_ALT", _AA,
+        _sum(_p(_m("Q", _op("zin", _a, _b))),
+             _n(_op("zin", _a, _m("Q", _b))),
+             _p(_op("zin", _m("D", _a), _b))),
+        description="second twisting identity of Q against D for a Zinbiel product")
+
+    _lp = lambda x, y: _op("lpre", x, y)
+    _rp = lambda x, y: _op("rpre", x, y)
+
+    add("PRE_NOV_1", _AAA,
+        _sum(_p(_rp(_a, _rp(_b, _c))),
+             _n(_rp(_sum(_p(_rp(_a, _b)), _p(_lp(_a, _b))), _c)),
+             _n(_rp(_b, _rp(_a, _c))),
+             _p(_rp(_sum(_p(_rp(_b, _a)), _p(_lp(_b, _a))), _c))),
+        description="splitting identity for the two pre-products, part 1")
+
+    add("PRE_NOV_2", _AAA,
+        _sum(_p(_rp(_a, _lp(_b, _c))),
+             _n(_lp(_rp(_a, _b), _c)),
+             _n(_lp(_b, _sum(_p(_lp(_a, _c)), _p(_rp(_a, _c))))),
+             _p(_lp(_lp(_b, _a), _c))),
+        description="splitting identity for the two pre-products, part 2")
+
+    add("PRE_NOV_3", _AAA,
+        _sum(_p(_rp(_sum(_p(_lp(_a, _b)), _p(_rp(_a, _b))), _c)),
+             _n(_lp(_rp(_a, _c), _b))),
+        description="splitting identity for the two pre-products, part 3")
+
+    add("PRE_NOV_4", _AAA,
+        _sum(_p(_lp(_lp(_a, _b), _c)),
+             _n(_lp(_lp(_a, _c), _b))),
+        description="splitting identity for the two pre-products, part 4")
+
+    add("COASSOC", _A1,
+        _sum(_p(_coleg("delta", 1, _cop("delta", _a))),
+             _n(_coleg("delta", 2, _cop("delta", _a)))),
+        description="the coproduct is coassociative")
+
+    add("COCOMM", _A1,
+        _sum(_p(_cop("delta", _a)), _n(_tau(_cop("delta", _a)))),
+        description="the coproduct is cocommutative")
+
+    add("CODERIV", _A1,
+        _sum(_p(_cop("delta", _m("Q", _a))),
+             _n(_tm(_mm("Q"), None, _cop("delta", _a))),
+             _n(_tm(None, _mm("Q"), _cop("delta", _a)))),
+        description="Q is a coderivation of the coproduct")
+
+    add("CO_ADMISS", _A1,
+        _sum(_p(_tm(_mm("D"), None, _cop("delta", _a))),
+             _n(_tm(None, _mm("Q"), _cop("delta", _a))),
+             _n(_cop("delta", _m("D", _a)))),
+        description="the coproduct intertwines D on one leg with Q on the other")
+
+    add("NOV_COALG_1", _A1,
+        _sum(_p(_coleg("Delta", 2, _cop("Delta", _a))),
+             _n(_perm((1, 0, 2), _coleg("Delta", 2, _cop("Delta", _a)))),
+             _n(_coleg("Delta", 1, _cop("Delta", _a))),
+             _p(_perm((1, 0, 2), _coleg("Delta", 1, _cop("Delta", _a))))),
+        description="co-version of the left symmetry identity")
+
+    add("NOV_COALG_2", _A1,
+        _sum(_p(_perm((1, 0, 2), _coleg("Delta", 2, _tau(_cop("Delta", _a))))),
+             _n(_coleg("Delta", 1, _cop("Delta", _a)))),
+        description="co-version of right multiplication commutativity")
+
+    add("ASI_1", _AA,
+        _sum(_p(_cop("delta", _op("dot", _a, _b))),
+             _n(_tm(None, _ml("dot", _a), _cop("delta", _b))),
+             _n(_tm(_mr("dot", _b), None, _cop("delta", _a)))),
+        description="the coproduct is a derivation-like map for the product")
+
+    add("ASI_2", _AA,
+        _sum(_p(_tm(_ml("dot", _b), None, _cop("delta", _a))),
+             _n(_tm(None, _mr("dot", _b), _cop("delta", _a))),
+             _p(_tau(_sum(_p(_tm(_ml("dot", _a), None, _cop("delta", _b))),
+                          _n(_tm(None, _mr("dot", _a), _cop("delta", _b))))))),
+        description="balance identity between product and coproduct")
+
+    _symd = lambda x: _sum(_p(_cop("Delta", x)), _p(_tau(_cop("Delta", x))))
+
+    add("NOV_BIALG_1", _AA,
+        _sum(_p(_cop("Delta", _op("circ", _a, _b))),
+             _n(_tm(_mr("circ", _b), None, _cop("Delta", _a))),
+             _n(_tm(None, _mstar("circ", _a), _symd(_b)))),
+        description="compatibility of the coproduct with the product, part 1")
+
+    add("NOV_BIALG_2", _AA,
+        _sum(_p(_tm(_mstar("circ", _a), None, _cop("Delta", _b))),
+             _n(_tm(None, _mstar("circ", _a), _tau(_cop("Delta", _b)))),
+             _n(_tm(_mstar("circ", _b), None, _cop("Delta", _a))),
+             _p(_tm(None, _mstar("circ", _b), _tau(_cop("Delta", _a))))),
+        description="compatibility of the coproduct with the product, part 2")
+
+    add("NOV_BIALG_3", _AA,
+        _sum(_p(_tm(None, _mr("circ", _a), _symd(_b))),
+             _n(_tm(_mr("circ", _a), None, _symd(_b))),
+             _n(_tm(None, _mr("circ", _b), _symd(_a))),
+             _p(_tm(_mr("circ", _b), None, _symd(_a)))),
+        description="compatibility of the coproduct with the product, part 3")
+
+    add("REP_NOV_1", _AAV,
+        _sum(_p(_rep("l", _sum(_p(_op("circ", _a, _b)), _n(_op("circ", _b, _a))), _w)),
+             _n(_rep("l", _a, _rep("l", _b, _w))),
+             _p(_rep("l", _b, _rep("l", _a, _w)))),
+        description="left operators represent the commutator")
+
+    add("REP_NOV_2", _AAV,
+        _sum(_p(_rep("l", _a, _rep("r", _b, _w))),
+             _n(_rep("r", _b, _rep("l", _a, _w))),
+             _n(_rep("r", _op("circ", _a, _b), _w)),
+             _p(_rep("r", _b, _rep("r", _a, _w)))),
+        description="mixed commutator of left and right operators")
+
+    add("REP_NOV_3", _AAV,
+        _sum(_p(_rep("l", _op("circ", _a, _b), _w)),
+             _n(_rep("r", _b, _rep("l", _a, _w)))),
+        description="left operator of a product factors through the right operator")
+
+    add("REP_NOV_4", _AAV,
+        _sum(_p(_rep("r", _a, _rep("r", _b, _w))),
+             _n(_rep("r", _b, _rep("r", _a, _w)))),
+        description="right operators commute")
+
+    add("REP_MOD", _AAV,
+        _sum(_p(_rep("l", _op("dot", _a, _b), _w)),
+             _n(_rep("l", _a, _rep("l", _b, _w)))),
+        description="left operators give a module over the commutative product")
+
+    add("REP_DIFF", _AV,
+        _sum(_p(_rmap("alpha", _rep("l", _a, _w))),
+             _n(_rep("l", _m("D", _a), _w)),
+             _n(_rep("l", _a, _rmap("alpha", _w)))),
+        description="alpha is a derivation over D for the action")
+
+    add("REP_ADM", _AV,
+        _sum(_p(_rmap("beta", _rep("l", _a, _w))),
+             _n(_rep("l", _a, _rmap("beta", _w))),
+             _p(_rep("l", _m("D", _a), _w))),
+        description="beta twists the action against D")
+
+    add("REP_ADM_ALT", _AV,
+        _sum(_p(_rmap("beta", _rep("l", _a, _w))),
+             _n(_rep("l", _m("Q", _a), _w)),
+             _p(_rep("l", _a, _rmap("alpha", _w)))),
+        description="beta twists the action against Q and alpha")
+
+    _f = lambda x, y: _op("f", x, y)
+    _cr = lambda x, y: _op("circ", x, y)
+
+    add("DEFORM_1", _AAA,
+        _sum(_p(_f(_f(_a, _b), _c)),
+             _n(_f(_a, _f(_b, _c))),
+             _n(_f(_f(_b, _a), _c)),
+             _p(_f(_b, _f(_a, _c)))),
+        description="the deforming product satisfies the left symmetry identity")
+
+    add("DEFORM_2", _AAA,
+        _sum(_p(_f(_a, _cr(_b, _c))),
+             _n(_f(_cr(_a, _b), _c)),
+             _p(_f(_cr(_b, _a), _c)),
+             _n(_f(_b, _cr(_a, _c))),
+             _p(_cr(_a, _f(_b, _c))),
+             _n(_cr(_f(_a, _b), _c)),
+             _p(_cr(_f(_b, _a), _c)),
+             _n(_cr(_b, _f(_a, _c)))),
+        description="mixed left symmetry between the product and its deformation")
+
+    add("DEFORM_3", _AAA,
+        _sum(_p(_f(_f(_a, _b), _c)),
+             _n(_f(_f(_a, _c), _b))),
+        description="the deforming product has commuting right multiplications")
+
+    add("DEFORM_4", _AAA,
+        _sum(_p(_cr(_f(_a, _b), _c)),
+             _n(_cr(_f(_a, _c), _b)),
+             _p(_f(_cr(_a, _b), _c)),
+             _n(_f(_cr(_a, _c), _b))),
+        description="mixed right multiplication commutativity")
+
+    add("SPEC_DEF_5", _AAA,
+        _sum(_p(_op("dot", _op("dot", _a, _m("Q", _b)), _m("Q", _c))),
+             _n(_op("dot", _a, _m("Q", _op("dot", _b, _m("Q", _c))))),
+             _n(_op("dot", _op("dot", _b, _m("Q", _a)), _m("Q", _c))),
+             _p(_op("dot", _b, _m("Q", _op("dot", _a, _m("Q", _c)))))),
+        description="left symmetry of the Q-twisted product")
+
+    add("SPEC_DEF_6", _AAA,
+        _sum(_p(_op("dot", _op("dot", _a, _m("Q", _b)), _m("D", _c))),
+             _n(_op("dot", _a, _m("Q", _op("dot", _b, _m("D", _c))))),
+             _n(_op("dot", _op("dot", _b, _m("Q", _a)), _m("D", _c))),
+             _p(_op("dot", _b, _m("Q", _op("dot", _a, _m("D", _c)))))),
+        description="mixed twisting identity of the Q- and D-twisted products")
+
+    _x = _cop("delta", _a)
+    _db = _m("D", _b)
+    _qb = _m("Q", _b)
+    _dplusq_b = _sum(_p(_db), _p(_qb))
+
+    add("BIALG_Q_1", _AA,
+        _sum(_t((-1, -1, 1), _tm(None, _mcomp(_ml("dot", _db), _QplusD), _x)),
+             _t((-1,), _tm(None, _mcomp(_ml("dot", _dplusq_b), _mm("Q")), _x)),
+             _t((0, 0, 1), _tm(None, _mcomp(_ml("dot", _db), _mm("Q")), _x)),
+             _t((0, 0, -1), _tm(None, _mcomp(_mr("dot", _qb), _mm("D")), _x)),
+             _t((-1, -2, 1), _tm(None, _mcomp(_ml("dot", _b), _mcomp(_mm("D"), _DplusQ)), _x)),
+             _t((0, -1, 1), _tm(None, _mcomp(_ml("dot", _b),
+                                             _mlin(_p(_mcomp(_mm("D"), _mm("Q"))),
+                                                   _n(_mcomp(_mm("Q"), _mm("D"))))), _x)),
+             _t((0, -2), _tm(None, _mcomp(_ml("dot", _b), _mcomp(_mm("Q"), _QplusD)), _x)),
+             _t((1, 1, -2), _tm(_mm("D"), _mcomp(_ml("dot", _b), _QplusD), _x))),
+        uses_q=True,
+        description="closure of the induced coproduct under the induced product")
+
+    def _bq2_half(x, y):
+        lmul = _ml("dot", _sum(_p(_m("D", x)), _p(_m("Q", x))))
+        return (_tm(lmul, _QplusqD, _cop("delta", y)),
+                _tm(_QplusqD, lmul, _cop("delta", y)))
+
+    _ab1, _ab2 = _bq2_half(_a, _b)
+    _ba1, _ba2 = _bq2_half(_b, _a)
+
+    add("BIALG_Q_2", _AA,
+        _sum(_t((1, 2), _ab1), _t((-1, -2), _ab2),
+             _t((-1, -2), _ba1), _t((1, 2), _ba2)),
+        uses_q=True,
+        description="first symmetry of the induced pair in both arguments")
+
+    def _bq3_half(x, y):
+        lmul = _ml("dot", _sum(_p(_m("D", x)), _t((0, 1), _m("Q", x))))
+        inner = _tm(None, _DplusQ, _cop("delta", y))
+        return (_tm(None, lmul, inner), _tm(lmul, None, inner))
+
+    _cb1, _cb2 = _bq3_half(_a, _b)
+    _cb3, _cb4 = _bq3_half(_b, _a)
+
+    add("BIALG_Q_3", _AA,
+        _sum(_t((1, 2), _cb1), _t((-1, -2), _cb2),
+             _t((-1, -2), _cb3), _t((1, 2), _cb4)),
+        uses_q=True,
+        description="second symmetry of the induced pair in both arguments")
+
+    add("COND_A", _AA,
+        _sum(_p(_op("dot", _a, _m("Q", _b))),
+             _p(_op("dot", _a, _m("D", _b)))),
+        description="Q acts as minus D under multiplication")
+
+    add("COND_B", _A1,
+        _sum(_p(_tm(None, _mm("Q"), _cop("delta", _a))),
+             _p(_tm(None, _mm("D"), _cop("delta", _a)))),
+        description="Q acts as minus D under the coproduct")
+
+    add("BILIN_INV_NOV", _AAA,
+        _sum(_p(_pair("B", _op("circ", _a, _b), _c)),
+             _p(_pair("B", _b, _sum(_p(_op("circ", _a, _c)), _p(_op("circ", _c, _a)))))),
+        description="the form is invariant for the product and its symmetrization")
+
+    add("BILIN_INV_ASSOC", _AAA,
+        _sum(_p(_pair("B", _op("dot", _a, _b), _c)),
+             _n(_pair("B", _a, _op("dot", _b, _c)))),
+        description="the form is invariant for the commutative product")
+
+    add("FORM_SYM", _AA,
+        _sum(_p(_pair("B", _a, _b)), _n(_pair("B", _b, _a))),
+        description="the form is symmetric")
+
+    add("FORM_NONDEG", (), None,
+        description="the form has nonzero determinant (as a polynomial over Q[q])")
+
+    return {d.axiom_id: d for d in defs}
+
+
+CATALOG: dict[str, AxiomDef] = _catalog()
+
+
+# -- compiler ------------------------------------------------------------------
+#
+# While a term is built it is (coefficient, factors, output labels).  A
+# factor is (slot, labels); a label is an int for a leg that is summed or
+# left open, or the letter of a variable other than the first, which stays a
+# free leg.  The slot None stands for the first variable's basis vector.
+# _NODES kind: (constant, its legs, legs bound to the children, output legs);
+# a map node acts on the leg "i".
+_NODES = {
+    "op": ("binop", "ijk", "ij", "k"),
+    "map": ("linmap", "ki", "i", "k"),
+    "cop": ("coop", "ijk", "i", "jk"),
+    "pair": ("form", "kij", "ij", "k"),  # the form on an extra leg of size 1
+    "rep": ("family", "ikj", "ij", "k"),  # operator family, indexed by the algebra leg
+    "rmap": ("repmap", "ki", "i", "k"),
+    "m": ("linmap", "ki", "", "k"),
+    "ml": ("binop", "jik", "j", "k"),
+    "mr": ("binop", "ijk", "j", "k"),
+}
+_ONE = polynomial((1,))
+
+
+class Compiled(NamedTuple):
+    """Terms (q-coefficient, einsum spec, slots) whose sum is an axiom's residual.
+
+    A term's first operand is the first variable's basis vector, and its
+    slots name the others: (kind, key) a tensor of the presentation or the
+    module, ("sum", j) the j-th hoisted sum.  Its output legs are the other
+    variables in declaration order, then the value's.  sums lists the
+    hoisted sums as terms over slots alone, each after those it uses.
+    """
+
+    terms: tuple
+    sums: tuple
+
+
+@functools.cache
+def compile_axiom(axiom_id: str) -> Compiled:
+    """The terms of a catalog axiom; one decided otherwise, like FORM_NONDEG, has none."""
+    axdef = CATALOG[axiom_id]
+    if axdef.expr is None:
+        return Compiled((), ())
+    first = ("var", axdef.variables[0][0])
+    free = {name: "BCDEFGH"[k] for k, (name, _) in enumerate(axdef.variables[1:])}
+    fresh = itertools.count()
+    hoisted: dict = {}  # sum -> (slot, its variables' legs, number of value legs)
+    sums: list = []
+
+    def expand(e, inp=None) -> list:
+        """The terms of e; a map acts on the leg inp."""
+        if e is None:  # the identity map
+            return [(_ONE, (), (inp,))]
+        if e == first:
+            x = next(fresh)
+            return [(_ONE, ((None, (x,)),), (x,))]
+        kind, tail = e[0], () if inp is None else (inp,)
+        if kind == "var":
+            return [(_ONE, (), (free[e[1]],))]
+        if kind in ("lin", "mlin"):
+            terms = [(c * polynomial(k), f, o) for k, x in e[1] for c, f, o in expand(x, inp)]
+            if any(slot is None for _, f, _ in terms for slot, _ in f):
+                return terms
+            if e not in hoisted:  # no first variable: one factor, contracted once per check
+                legs = tuple(sorted({x for _, f in terms[0][1] for x in f if type(x) is str}))
+                sums.append(tuple(_render(t, legs, tail) for t in terms))
+                hoisted[e] = ("sum", len(sums) - 1), legs, len(terms[0][2])
+            slot, legs, nout = hoisted[e]
+            out = tuple(next(fresh) for _ in range(nout))
+            return [(_ONE, ((slot, legs + out + tail),), out)]
+        if kind in _NODES:
+            what, legs, bound, outs = _NODES[kind]
+            terms = []
+            for parts in itertools.product(*map(expand, e[2:])):
+                at = {"i": inp, **{x: out[0] for x, (_, _, out) in zip(bound, parts)}}
+                at.update((x, next(fresh)) for x in outs)
+                c = functools.reduce(lambda acc, part: acc * part[0], parts, _ONE)
+                factors = sum((part[1] for part in parts), ())
+                terms.append((c, factors + (((what, e[1]), tuple(map(at.get, legs))),),
+                              tuple(map(at.get, outs))))
+            return terms
+        if kind in ("tau", "perm"):  # perm: result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
+            p = (1, 0) if kind == "tau" else e[1]
+            return [(c, f, tuple(x for _, x in sorted(zip(p, o)))) for c, f, o in expand(e[-1])]
+        if kind == "coleg":
+            # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
+            terms = []
+            for c, f, (u, v) in expand(e[3]):
+                i, j = next(fresh), next(fresh)
+                legs, out = ((u, i, j), (i, j, v)) if e[2] == 1 else ((v, i, j), (u, i, j))
+                terms.append((c, f + ((("coop", e[1]), legs),), out))
+            return terms
+        if kind == "tmap2":
+            return [(c * c1 * c2, f + f1 + f2, out1 + out2) for c, f, (u, v) in expand(e[2])
+                    for c1, f1, out1 in expand(e[1][0], u) for c2, f2, out2 in expand(e[1][1], v)]
+        if kind == "mcomp":
+            return [(c1 * c2, f1 + f2, out)
+                    for c1, f1, (m,) in expand(e[2], inp) for c2, f2, out in expand(e[1], m)]
+        raise ValueError(f"unknown expression {kind!r}")
+
+    terms = tuple(_render(t, tuple(sorted(free.values()))) for t in expand(axdef.expr))
+    return Compiled(terms, tuple(sums))
+
+
+def _render(term, lead: tuple, tail: tuple = ()) -> tuple:
+    """(coefficient, spec, slots) of a built term with output legs lead + its own + tail.
+
+    The first variable's vector leads; each next factor is the first that
+    shares a leg with those before it."""
+    coef, rest, out = term[0], list(term[1]), term[2]
+    order = [rest.pop(next((k for k, f in enumerate(rest) if f[0] is None), 0))]
+    seen = set(order[0][1])
+    while rest:
+        order.append(rest.pop(next((k for k, f in enumerate(rest) if seen & set(f[1])), 0)))
+        seen.update(order[-1][1])
+    names: dict = {}
+
+    def letters(labels) -> str:
+        return "".join(x if isinstance(x, str) else names.setdefault(x, chr(97 + len(names)))
+                       for x in labels)
+
+    spec = ",".join(letters(ls) for _, ls in order) + "->" + letters(lead + out + tail)
+    return coef, spec, tuple(slot for slot, _ in order if slot is not None)

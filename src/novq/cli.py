@@ -49,19 +49,24 @@ def _pick(table: dict, preferred: str, what: str) -> str:
 
 
 def _pick_maps(pres: Presentation, optional: bool = False) -> tuple:
-    """(D, Q): D is picked among the maps not named Q, then Q among those not named D.
+    """(D, Q): D is picked among the maps not named Q, then Q among the others.
 
-    With optional, a map that cannot be picked is None instead of a usage error.
+    A lone map leaves one slot empty, and the usage error names it.  With
+    optional, a map that cannot be picked is None instead.
     """
-    def pick(name: str, other: str):
+    def pick(slot: str, other: str | None):
+        table = {k: v for k, v in pres.maps.items() if k != other}
         try:
-            return _pick({k: v for k, v in pres.maps.items() if k != other}, name, "map")
+            if pres.maps and not table:
+                raise _Usage(f"the file defines no map for {slot} besides {other!r}")
+            return _pick(table, slot, "map")
         except _Usage:
             if optional:
                 return None
             raise
 
-    return pick("D", "Q"), pick("Q", "D")
+    dmap = pick("D", "Q")
+    return dmap, pick("Q", dmap)
 
 
 def _pick_slots(pres: Presentation) -> tuple[str, str, str, str]:
@@ -135,7 +140,7 @@ def _run_verify(args) -> tuple[int, dict]:
     elif profile == "zinbiel":
         dmap, qmap = _pick_maps(pres, optional=True)
         reports = check_admissible_zinbiel(pres, _pick(pres.binops, "zin", "product"),
-                                           dmap, None if qmap == dmap else qmap)
+                                           dmap, qmap)
     elif profile == "diff-asi":
         reports = check_diff_asi_bialgebra(pres, *_pick_slots(pres))
     elif profile == "novikov-bialgebra":

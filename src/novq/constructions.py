@@ -161,7 +161,7 @@ def descendent_commdiff(diamond: BinOpTensor) -> BinOpTensor:
 
 def star(circ: BinOpTensor) -> BinOpTensor:
     """a star b = a circ b + b circ a."""
-    return circ + BinOpTensor.einsum("jik->ijk", circ)
+    return BinOpTensor.combination([(1, "ijk->ijk", (circ,)), (1, "jik->ijk", (circ,))])
 
 
 def zinbiel_from_oop(T: LinMap, rep: RepAdmDiff) -> BinOpTensor:

@@ -10,14 +10,14 @@ zeros, so the zero polynomial is the empty tuple and degree is len-1.
 
 Vectors, maps, r-elements, products and coproducts are all one sparse
 tensor class that stores only its nonzero entries; products, map
-applications and leg changes all go through its single contraction,
-Tensor.einsum.  A Q entry is stored as an int when integral and a Fraction
-otherwise, a Q[q] entry as a Scalar whose coefficients are stored so.  Over
-Q, einsum joins integer numerators over each operand's common denominator
-and divides once per output entry, fraction-free as in Bareiss's
-elimination; most Q[q] arithmetic is integer arithmetic too.  Scalars go in
-and come out at the tensor's edges with Fraction payloads, as everywhere
-outside a tensor.  No other module knows how entries are stored.
+applications, leg changes and sums all go through Tensor.combination, a
+signed sum of contractions (Tensor.einsum is one term).  A Q entry is
+stored as an int when integral and a Fraction otherwise, a Q[q] entry as a
+Scalar whose coefficients are stored so.  Over Q, each term joins integer
+numerators over its operands' common denominators, and the sum divides
+once per output entry, fraction-free as in Bareiss's elimination.  Scalars
+go in and come out at the tensor's edges with Fraction payloads, as
+everywhere outside a tensor.  No other module knows how entries are stored.
 
 rational_roots finds the rational roots of a Q[q] scalar by p-adic lifting
 (R. Loos, Computing rational zeros of integral polynomials by p-adic
@@ -519,15 +519,45 @@ def _plan(spec: str) -> _Plan:
                  tuple(same_size))
 
 
+def _join(plan: _Plan, operands: Sequence["Tensor"], numerators: bool) -> tuple[int, dict]:
+    """(d, the contraction's entries keyed in output order), as integer numerators
+    over d after a join or with numerators set, else as stored, over d = 1."""
+    entries = operands[0]._entries
+    den, acc = _numerators(operands[0].ring, entries) if plan.steps or numerators else (1, entries)
+    for o, shared_of, shared, rest, keep in plan.steps:
+        d, index = operands[o]._index_on(shared, rest)
+        den *= d
+        out: dict = {}
+        get = out.get
+        for key, s in acc.items():
+            hits = index.get(shared_of(key))
+            if hits:
+                head = key if keep is None else keep(key)
+                for tail, w in hits:
+                    k = head + tail
+                    prev = get(k)
+                    out[k] = s * w if prev is None else prev + s * w
+        acc = out
+    if plan.final is not None:
+        acc = {plan.final(key): s for key, s in acc.items()}
+    return den, acc
+
+
+def _same(t: "Tensor") -> tuple:
+    """(spec, operands) of t unchanged, as a term of Tensor.combination."""
+    legs = "abcdefghijklmnopqrstuvwxyz"[:len(t.shape)]
+    return f"{legs}->{legs}", (t,)
+
+
 class Tensor:
     """A sparse order-k tensor over one ring.
 
     Only nonzero entries are stored, keyed by index tuple, as raw
     coefficients, so equality and hashing are canonical (an int and the
-    equal Fraction compare and hash alike).  Every product, map application
-    and change of legs is one call of ``einsum``; the subclasses below are
-    views that add a constructor from dense nested sequences and read-only
-    dense accessors.  Values go in and come out as Scalars.
+    equal Fraction compare and hash alike).  Every product, map application,
+    change of legs and sum is one call of ``combination``; the subclasses
+    below are views that add a constructor from dense nested sequences and
+    read-only dense accessors.  Values go in and come out as Scalars.
     """
 
     __slots__ = ("ring", "shape", "_entries", "_index")
@@ -622,43 +652,58 @@ class Tensor:
         nonzero entries.  Pass sparse arguments first and the structure
         constants they hit last.  Labels missing from the output are summed;
         every leg of the first operand must meet a later operand or the output.
-        Over Q the joins run on integer numerators over each operand's common
-        denominator, and each nonzero output entry is divided once by their product.
         """
-        plan = _plan(spec)
-        if len(operands) != plan.operands:
-            raise ValueError(f"{spec!r} takes {plan.operands} operands, got {len(operands)}")
-        ring = operands[0].ring
-        for t in operands:
-            if t.ring != ring:
-                raise RingMismatchError(f"cannot mix {ring} with {t.ring}")
-        for (o1, p1), (o2, p2) in plan.same_size:
-            if operands[o1].shape[p1] != operands[o2].shape[p2]:
-                raise ShapeError(f"leg sizes differ in {spec!r}")
-        acc = operands[0]._entries  # a leg change alone needs no arithmetic
-        den, acc = _numerators(ring, acc) if plan.steps else (1, acc)
-        for o, shared_of, shared, rest, keep in plan.steps:
-            d, index = operands[o]._index_on(shared, rest)
-            den *= d
-            out: dict = {}
-            get = out.get
-            for key, s in acc.items():
-                hits = index.get(shared_of(key))
-                if hits:
-                    head = key if keep is None else keep(key)
-                    for tail, w in hits:
-                        k = head + tail
-                        prev = get(k)
-                        out[k] = s * w if prev is None else prev + s * w
-            acc = out
-        final = plan.final or (lambda key: key)
-        if den != 1:
-            acc = {final(key): s // den if not s % den else Fraction(s, den)
-                   for key, s in acc.items() if s}
-        elif plan.steps or plan.final is not None:
-            acc = {final(key): s for key, s in acc.items() if s}
-        shape = tuple(operands[o].shape[p] for o, p in plan.out_legs)
-        return cls._make(ring, shape, acc)
+        return cls.combination([(1, spec, operands)])
+
+    @classmethod
+    def combination(cls, terms):
+        """The sum of c * einsum(spec, *operands) over (c, spec, operands) terms of one shape.
+
+        c is an int or a Scalar of the operands' ring; a zero c skips its
+        contraction, and 1 and -1 add and subtract without a product.  Over Q
+        the joins run on integer numerators over each operand's common
+        denominator, the terms add over one common denominator, and each
+        nonzero output entry is divided once.
+        """
+        ring = shape = None
+        live = []  # (c, plan, operands) with c nonzero
+        for c, spec, operands in terms:
+            plan = _plan(spec)
+            if len(operands) != plan.operands:
+                raise ValueError(f"{spec!r} takes {plan.operands} operands, got {len(operands)}")
+            ring = ring or operands[0].ring
+            for t in operands:
+                if t.ring != ring:
+                    raise RingMismatchError(f"cannot mix {ring} with {t.ring}")
+            for (o1, p1), (o2, p2) in plan.same_size:
+                if operands[o1].shape[p1] != operands[o2].shape[p2]:
+                    raise ShapeError(f"leg sizes differ in {spec!r}")
+            tshape = tuple(operands[o].shape[p] for o, p in plan.out_legs)
+            if shape is not None and tshape != shape:
+                raise ShapeError(f"shapes {shape} and {tshape} differ")
+            shape, c = tshape, c if type(c) is int else _unbox(ring, c)
+            if c:
+                live.append((c, plan, operands))
+        if ring is None:
+            raise ValueError("nothing to combine")
+        if len(live) == 1 and live[0][0] == 1:  # one contraction; a leg change keeps its entries
+            den, acc = _join(live[0][1], live[0][2], False)
+        else:
+            parts = [(c, *_join(plan, operands, True)) for c, plan, operands in live]
+            # over Q[q] every d is 1 and c stays as given
+            den = math.lcm(*[d * (c.denominator if ring == RATIONAL else 1) for c, d, _ in parts])
+            acc = {}
+            get = acc.get
+            for c, d, part in parts:
+                m = c if ring == POLY else c.numerator * (den // (d * c.denominator))
+                one, minus = m == 1, m == -1
+                for key, s in part.items():
+                    if not one:
+                        s = -s if minus else m * s
+                    prev = get(key)
+                    acc[key] = s if prev is None else prev + s
+        return cls._make(ring, shape, {key: s if den == 1 else s // den if not s % den
+                                       else Fraction(s, den) for key, s in acc.items() if s})
 
     def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, dict]:
         """(d, entries grouped by shared legs as (rest legs, value)), values from _numerators."""
@@ -714,37 +759,17 @@ class Tensor:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _combine(self, other: "Tensor", sign: int):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-        if self.shape != other.shape:
-            raise ShapeError(f"shapes {self.shape} and {other.shape} differ")
-        out = dict(self._entries)
-        for key, s in other._entries.items():
-            prev = out.get(key)
-            if prev is None:
-                out[key] = s if sign > 0 else -s
-                continue
-            total = prev + s if sign > 0 else prev - s
-            if not total:
-                del out[key]
-            else:
-                out[key] = _exact(total)
-        return self._make(self.ring, self.shape, out)
-
     def __add__(self, other: "Tensor"):
-        return self._combine(other, 1)
+        return type(self).combination([(1, *_same(self)), (1, *_same(other))])
 
     def __sub__(self, other: "Tensor"):
-        return self._combine(other, -1)
+        return type(self).combination([(1, *_same(self)), (-1, *_same(other))])
 
     def __neg__(self):
         return self._make(self.ring, self.shape, {k: -s for k, s in self._entries.items()})
 
     def scale(self, s: Scalar):
-        c = _unbox(self.ring, s)
-        return self._make(self.ring, self.shape,
-                          {k: _exact(c * v) for k, v in self._entries.items()} if c else {})
+        return type(self).combination([(s, *_same(self))])
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str):
         """Apply fn to every entry, landing in ring; entries that become zero are dropped."""

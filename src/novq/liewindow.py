@@ -5,7 +5,8 @@ bracket and cobracket induced by a differential ASI structure on A.  Both
 are graded sparse tensors: the bracket, with legs (i, m, j, n, k, d), holds
 the e_k t^d coefficient of [e_i t^m, e_j t^n]; the completed cobracket, with
 legs (i, m, a, j, b, k), the e_a t^j (x) e_b t^k coefficient of delta(e_i t^m).
-Each identity is a sum of their contractions over a window of t-degrees;
+Each identity is a signed sum of their contractions over a window of
+t-degrees, summed by Tensor.combination as the catalog's axioms are;
 identities outside the window are not certified, and the result says so.
 Jacobi triples whose nested brackets leave the window are skipped and
 counted, never failed.  Two of the five reports, LIE_SKEW and
@@ -73,16 +74,16 @@ def _bracket(circ: BinOpTensor, at: dict, firsts, seconds) -> Tensor:
     """The affine bracket of degrees m in firsts and n in seconds, with legs
     (i, m, j, n, k, d): m circ_ijk - n circ_jik at d = m+n-1."""
     w = lambda f: _weights(circ.ring, at, firsts, seconds, lambda m, n: m + n - 1, f)
-    return Tensor.einsum("mnd,ijk->imjnkd", w(lambda m, n, d: m), circ) \
-        - Tensor.einsum("mnd,jik->imjnkd", w(lambda m, n, d: n), circ)
+    return Tensor.combination([(1, "mnd,ijk->imjnkd", (w(lambda m, n, d: m), circ)),
+                               (-1, "mnd,jik->imjnkd", (w(lambda m, n, d: n), circ))])
 
 
 def _cobracket(Delta: CoOpTensor, at: dict, ins, firsts) -> Tensor:
     """The completed cobracket of degrees m in ins onto j in firsts, with legs
     (i, m, a, j, b, k): (-j-1) Delta_iab + (k+1) Delta_iba at j+k = m-2."""
     w = lambda f: _weights(Delta.ring, at, ins, firsts, lambda m, j: m - 2 - j, f)
-    return Tensor.einsum("mjk,iab->imajbk", w(lambda m, j, k: -j - 1), Delta) \
-        + Tensor.einsum("mjk,iba->imajbk", w(lambda m, j, k: k + 1), Delta)
+    return Tensor.combination([(1, "mjk,iab->imajbk", (w(lambda m, j, k: -j - 1), Delta)),
+                               (1, "mjk,iba->imajbk", (w(lambda m, j, k: k + 1), Delta))])
 
 
 def _positions(*degrees) -> dict:
@@ -167,10 +168,7 @@ def _window_reports(circ: BinOpTensor, Delta: CoOpTensor, w: WindowSpec, names) 
     def family(axiom_id, tuples, terms, lead, cls, label):
         dom = Tensor.from_entries(ring, (len(at),) * terms[0][1].index(","),
                                   {tuple(at[d] for d in t): Scalar.one(ring) for t in tuples})
-        total = None
-        for sign, spec, *ops in terms:
-            t = Tensor.einsum(spec, dom, *ops)
-            total = t if total is None else total + t if sign > 0 else total - t
+        total = Tensor.combination([(sign, spec, (dom, *ops)) for sign, spec, *ops in terms])
         items = ((label(*head), res) for head, res in total.slices(lead, cls))
         reports[axiom_id] = scan_residuals(axiom_id, ring, items)
 

@@ -5,11 +5,12 @@ coproducts, linear maps, bilinear forms and order-2 tensors, all over a
 single ring (Q or Q[q]).  Products and coproducts are sparse order-3
 tensors from exactcore, and so is each operator family of a module, with
 legs (i, k, j): l[i][k][j] is the v_k coefficient of l(e_i) v_j.  Axioms
-are data: each catalog entry is a syntax tree for a multilinear residual.
-One evaluator checks any of them on any presentation, once per basis
-vector of the first variable with the other variables as free tensor legs;
-every node is one contraction, and the residual of each basis tuple is read
-off those slices in row-major order.
+are data from the catalog module, compiled there into signed sums of
+contractions.  check_axiom binds a compiled axiom's slots to the tensors of
+a presentation, contracts its hoisted sums once, and sums its terms with
+Tensor.combination once per basis vector of the first variable, the other
+variables left as free legs; the residual of each basis tuple is read off
+those slices in row-major order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -18,7 +19,6 @@ intersecting rational root sets entry by entry.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -34,9 +34,9 @@ from .exactcore import (
     Tensor3,
     Vector,
     bareiss_det,
-    polynomial,
     rational_roots,
 )
+from .catalog import CATALOG, _catalog, compile_axiom  # noqa: F401 (importable here)
 
 
 class PresentationError(ValueError):
@@ -296,572 +296,18 @@ class AxiomReport:
         return f"{self.axiom_id}: fails{where}"
 
 
-# -- axiom catalog ---------------------------------------------------------------
-#
-# Expressions are nested tuples.  Element-valued nodes:
-#   ("var", name)                   bound basis vector
-#   ("op", key, x, y)               product applied bilinearly
-#   ("map", key, x)                 named linear map
-#   ("rep", "l"|"r", aexpr, vexpr)  operator family applied to a module vector
-#   ("rmap", "alpha"|"beta", v)     module endomorphism
-#   ("pair", key, x, y)             bilinear form value, as a 1-dim vector
-# Tensor-valued nodes:
-#   ("cop", key, x)                 coproduct of an element (order 2)
-#   ("tau", t)                      swap the legs of an order-2 tensor
-#   ("tmap2", (m1, m2), t)          maps on the legs of an order-2 tensor
-#   ("coleg", key, leg, t)          coproduct applied to one leg (order 3)
-#   ("perm", p, t)                  leg permutation of an order-3 tensor
-# Any-valued:
-#   ("lin", ((coeffs, expr), ...))  sum of q-polynomial multiples
-# Map expressions (used in tmap2 slots; None stands for the identity):
-#   ("m", key) | ("ml", opkey, elem) | ("mr", opkey, elem)
-#   ("mlin", ((coeffs, mexpr), ...)) | ("mcomp", outer, inner)
-#
-# Operation slots are symbolic keys ("dot", "circ", "zin", "lpre", "rpre",
-# "f", "delta", "Delta", "D", "Q", "B"); callers rebind them per check.
-
-
-@dataclass(frozen=True)
-class AxiomDef:
-    axiom_id: str
-    variables: tuple[tuple[str, str], ...]  # (name, "A" | "V")
-    expr: tuple | None
-    uses_q: bool = False
-    description: str = ""
-
-
-def _v(n):
-    return ("var", n)
-
-
-_a, _b, _c = _v("a"), _v("b"), _v("c")
-_w = _v("v")
-
-
-def _op(k, x, y):
-    return ("op", k, x, y)
-
-
-def _m(k, x):
-    return ("map", k, x)
-
-
-def _sum(*terms):
-    return ("lin", tuple(terms))
-
-
-def _t(coeffs, e):
-    return (tuple(coeffs), e)
-
-
-def _p(e):
-    return ((1,), e)
-
-
-def _n(e):
-    return ((-1,), e)
-
-
-def _cop(k, x):
-    return ("cop", k, x)
-
-
-def _tau(t):
-    return ("tau", t)
-
-
-def _tm(m1, m2, t):
-    return ("tmap2", (m1, m2), t)
-
-
-def _coleg(k, leg, t):
-    return ("coleg", k, leg, t)
-
-
-def _perm(p, t):
-    return ("perm", p, t)
-
-
-def _ml(k, e):
-    return ("ml", k, e)
-
-
-def _mr(k, e):
-    return ("mr", k, e)
-
-
-def _mm(k):
-    return ("m", k)
-
-
-def _mlin(*terms):
-    return ("mlin", tuple(terms))
-
-
-def _mcomp(outer, inner):
-    return ("mcomp", outer, inner)
-
-
-def _rep(which, ae, ve):
-    return ("rep", which, ae, ve)
-
-
-def _rmap(which, ve):
-    return ("rmap", which, ve)
-
-
-def _pair(k, x, y):
-    return ("pair", k, x, y)
-
-
-def _mstar(k, e):
-    # left multiplication by e for the symmetrized product x*y + y*x
-    return _mlin(_p(_ml(k, e)), _p(_mr(k, e)))
-
-
-_A1 = (("a", "A"),)
-_AA = (("a", "A"), ("b", "A"))
-_AAA = (("a", "A"), ("b", "A"), ("c", "A"))
-_AV = (("a", "A"), ("v", "V"))
-_AAV = (("a", "A"), ("b", "A"), ("v", "V"))
-
-_QplusD = _mlin(_p(_mm("Q")), _p(_mm("D")))
-_DplusQ = _mlin(_p(_mm("D")), _p(_mm("Q")))
-_QplusqD = _mlin(_p(_mm("Q")), _t((0, 1), _mm("D")))
-
-
-def _catalog() -> dict[str, AxiomDef]:
-    defs: list[AxiomDef] = []
-
-    def add(axiom_id, variables, expr, uses_q=False, description=""):
-        defs.append(AxiomDef(axiom_id, tuple(variables), expr, uses_q, description))
-
-    add("COMM", _AA,
-        _sum(_p(_op("dot", _a, _b)), _n(_op("dot", _b, _a))),
-        description="the product is commutative")
-
-    add("ASSOC", _AAA,
-        _sum(_p(_op("dot", _op("dot", _a, _b), _c)),
-             _n(_op("dot", _a, _op("dot", _b, _c)))),
-        description="the product is associative")
-
-    add("NOV_LSYM", _AAA,
-        _sum(_p(_op("circ", _op("circ", _a, _b), _c)),
-             _n(_op("circ", _a, _op("circ", _b, _c))),
-             _n(_op("circ", _op("circ", _b, _a), _c)),
-             _p(_op("circ", _b, _op("circ", _a, _c)))),
-        description="the associator is symmetric in its first two arguments")
-
-    add("NOV_RCOMM", _AAA,
-        _sum(_p(_op("circ", _op("circ", _a, _b), _c)),
-             _n(_op("circ", _op("circ", _a, _c), _b))),
-        description="right multiplications commute")
-
-    add("DERIV", _AA,
-        _sum(_p(_m("D", _op("dot", _a, _b))),
-             _n(_op("dot", _a, _m("D", _b))),
-             _n(_op("dot", _m("D", _a), _b))),
-        description="D is a derivation of the product")
-
-    add("ADMISS", _AA,
-        _sum(_p(_m("Q", _op("dot", _a, _b))),
-             _n(_op("dot", _m("Q", _a), _b)),
-             _p(_op("dot", _a, _m("D", _b)))),
-        description="Q twists the product against the derivation D")
-
-    add("ZINBIEL", _AAA,
-        _sum(_p(_op("zin", _a, _op("zin", _b, _c))),
-             _n(_op("zin", _op("zin", _b, _a), _c)),
-             _n(_op("zin", _op("zin", _a, _b), _c))),
-        description="the product obeys the left Zinbiel identity")
-
-    add("ZINB_ADMISS", _AA,
-        _sum(_p(_m("Q", _op("zin", _a, _b))),
-             _n(_op("zin", _m("Q", _a), _b)),
-             _p(_op("zin", _a, _m("D", _b)))),
-        description="first twisting identity of Q against D for a Zinbiel product")
-
-    add("ZINB_ADMISS_ALT", _AA,
-        _sum(_p(_m("Q", _op("zin", _a, _b))),
-             _n(_op("zin", _a, _m("Q", _b))),
-             _p(_op("zin", _m("D", _a), _b))),
-        description="second twisting identity of Q against D for a Zinbiel product")
-
-    _lp = lambda x, y: _op("lpre", x, y)
-    _rp = lambda x, y: _op("rpre", x, y)
-
-    add("PRE_NOV_1", _AAA,
-        _sum(_p(_rp(_a, _rp(_b, _c))),
-             _n(_rp(_sum(_p(_rp(_a, _b)), _p(_lp(_a, _b))), _c)),
-             _n(_rp(_b, _rp(_a, _c))),
-             _p(_rp(_sum(_p(_rp(_b, _a)), _p(_lp(_b, _a))), _c))),
-        description="splitting identity for the two pre-products, part 1")
-
-    add("PRE_NOV_2", _AAA,
-        _sum(_p(_rp(_a, _lp(_b, _c))),
-             _n(_lp(_rp(_a, _b), _c)),
-             _n(_lp(_b, _sum(_p(_lp(_a, _c)), _p(_rp(_a, _c))))),
-             _p(_lp(_lp(_b, _a), _c))),
-        description="splitting identity for the two pre-products, part 2")
-
-    add("PRE_NOV_3", _AAA,
-        _sum(_p(_rp(_sum(_p(_lp(_a, _b)), _p(_rp(_a, _b))), _c)),
-             _n(_lp(_rp(_a, _c), _b))),
-        description="splitting identity for the two pre-products, part 3")
-
-    add("PRE_NOV_4", _AAA,
-        _sum(_p(_lp(_lp(_a, _b), _c)),
-             _n(_lp(_lp(_a, _c), _b))),
-        description="splitting identity for the two pre-products, part 4")
-
-    add("COASSOC", _A1,
-        _sum(_p(_coleg("delta", 1, _cop("delta", _a))),
-             _n(_coleg("delta", 2, _cop("delta", _a)))),
-        description="the coproduct is coassociative")
-
-    add("COCOMM", _A1,
-        _sum(_p(_cop("delta", _a)), _n(_tau(_cop("delta", _a)))),
-        description="the coproduct is cocommutative")
-
-    add("CODERIV", _A1,
-        _sum(_p(_cop("delta", _m("Q", _a))),
-             _n(_tm(_mm("Q"), None, _cop("delta", _a))),
-             _n(_tm(None, _mm("Q"), _cop("delta", _a)))),
-        description="Q is a coderivation of the coproduct")
-
-    add("CO_ADMISS", _A1,
-        _sum(_p(_tm(_mm("D"), None, _cop("delta", _a))),
-             _n(_tm(None, _mm("Q"), _cop("delta", _a))),
-             _n(_cop("delta", _m("D", _a)))),
-        description="the coproduct intertwines D on one leg with Q on the other")
-
-    add("NOV_COALG_1", _A1,
-        _sum(_p(_coleg("Delta", 2, _cop("Delta", _a))),
-             _n(_perm((1, 0, 2), _coleg("Delta", 2, _cop("Delta", _a)))),
-             _n(_coleg("Delta", 1, _cop("Delta", _a))),
-             _p(_perm((1, 0, 2), _coleg("Delta", 1, _cop("Delta", _a))))),
-        description="co-version of the left symmetry identity")
-
-    add("NOV_COALG_2", _A1,
-        _sum(_p(_perm((1, 0, 2), _coleg("Delta", 2, _tau(_cop("Delta", _a))))),
-             _n(_coleg("Delta", 1, _cop("Delta", _a)))),
-        description="co-version of right multiplication commutativity")
-
-    add("ASI_1", _AA,
-        _sum(_p(_cop("delta", _op("dot", _a, _b))),
-             _n(_tm(None, _ml("dot", _a), _cop("delta", _b))),
-             _n(_tm(_mr("dot", _b), None, _cop("delta", _a)))),
-        description="the coproduct is a derivation-like map for the product")
-
-    add("ASI_2", _AA,
-        _sum(_p(_tm(_ml("dot", _b), None, _cop("delta", _a))),
-             _n(_tm(None, _mr("dot", _b), _cop("delta", _a))),
-             _p(_tau(_sum(_p(_tm(_ml("dot", _a), None, _cop("delta", _b))),
-                          _n(_tm(None, _mr("dot", _a), _cop("delta", _b))))))),
-        description="balance identity between product and coproduct")
-
-    _symd = lambda x: _sum(_p(_cop("Delta", x)), _p(_tau(_cop("Delta", x))))
-
-    add("NOV_BIALG_1", _AA,
-        _sum(_p(_cop("Delta", _op("circ", _a, _b))),
-             _n(_tm(_mr("circ", _b), None, _cop("Delta", _a))),
-             _n(_tm(None, _mstar("circ", _a), _symd(_b)))),
-        description="compatibility of the coproduct with the product, part 1")
-
-    add("NOV_BIALG_2", _AA,
-        _sum(_p(_tm(_mstar("circ", _a), None, _cop("Delta", _b))),
-             _n(_tm(None, _mstar("circ", _a), _tau(_cop("Delta", _b)))),
-             _n(_tm(_mstar("circ", _b), None, _cop("Delta", _a))),
-             _p(_tm(None, _mstar("circ", _b), _tau(_cop("Delta", _a))))),
-        description="compatibility of the coproduct with the product, part 2")
-
-    add("NOV_BIALG_3", _AA,
-        _sum(_p(_tm(None, _mr("circ", _a), _symd(_b))),
-             _n(_tm(_mr("circ", _a), None, _symd(_b))),
-             _n(_tm(None, _mr("circ", _b), _symd(_a))),
-             _p(_tm(_mr("circ", _b), None, _symd(_a)))),
-        description="compatibility of the coproduct with the product, part 3")
-
-    add("REP_NOV_1", _AAV,
-        _sum(_p(_rep("l", _sum(_p(_op("circ", _a, _b)), _n(_op("circ", _b, _a))), _w)),
-             _n(_rep("l", _a, _rep("l", _b, _w))),
-             _p(_rep("l", _b, _rep("l", _a, _w)))),
-        description="left operators represent the commutator")
-
-    add("REP_NOV_2", _AAV,
-        _sum(_p(_rep("l", _a, _rep("r", _b, _w))),
-             _n(_rep("r", _b, _rep("l", _a, _w))),
-             _n(_rep("r", _op("circ", _a, _b), _w)),
-             _p(_rep("r", _b, _rep("r", _a, _w)))),
-        description="mixed commutator of left and right operators")
-
-    add("REP_NOV_3", _AAV,
-        _sum(_p(_rep("l", _op("circ", _a, _b), _w)),
-             _n(_rep("r", _b, _rep("l", _a, _w)))),
-        description="left operator of a product factors through the right operator")
-
-    add("REP_NOV_4", _AAV,
-        _sum(_p(_rep("r", _a, _rep("r", _b, _w))),
-             _n(_rep("r", _b, _rep("r", _a, _w)))),
-        description="right operators commute")
-
-    add("REP_MOD", _AAV,
-        _sum(_p(_rep("l", _op("dot", _a, _b), _w)),
-             _n(_rep("l", _a, _rep("l", _b, _w)))),
-        description="left operators give a module over the commutative product")
-
-    add("REP_DIFF", _AV,
-        _sum(_p(_rmap("alpha", _rep("l", _a, _w))),
-             _n(_rep("l", _m("D", _a), _w)),
-             _n(_rep("l", _a, _rmap("alpha", _w)))),
-        description="alpha is a derivation over D for the action")
-
-    add("REP_ADM", _AV,
-        _sum(_p(_rmap("beta", _rep("l", _a, _w))),
-             _n(_rep("l", _a, _rmap("beta", _w))),
-             _p(_rep("l", _m("D", _a), _w))),
-        description="beta twists the action against D")
-
-    add("REP_ADM_ALT", _AV,
-        _sum(_p(_rmap("beta", _rep("l", _a, _w))),
-             _n(_rep("l", _m("Q", _a), _w)),
-             _p(_rep("l", _a, _rmap("alpha", _w)))),
-        description="beta twists the action against Q and alpha")
-
-    _f = lambda x, y: _op("f", x, y)
-    _cr = lambda x, y: _op("circ", x, y)
-
-    add("DEFORM_1", _AAA,
-        _sum(_p(_f(_f(_a, _b), _c)),
-             _n(_f(_a, _f(_b, _c))),
-             _n(_f(_f(_b, _a), _c)),
-             _p(_f(_b, _f(_a, _c)))),
-        description="the deforming product satisfies the left symmetry identity")
-
-    add("DEFORM_2", _AAA,
-        _sum(_p(_f(_a, _cr(_b, _c))),
-             _n(_f(_cr(_a, _b), _c)),
-             _p(_f(_cr(_b, _a), _c)),
-             _n(_f(_b, _cr(_a, _c))),
-             _p(_cr(_a, _f(_b, _c))),
-             _n(_cr(_f(_a, _b), _c)),
-             _p(_cr(_f(_b, _a), _c)),
-             _n(_cr(_b, _f(_a, _c)))),
-        description="mixed left symmetry between the product and its deformation")
-
-    add("DEFORM_3", _AAA,
-        _sum(_p(_f(_f(_a, _b), _c)),
-             _n(_f(_f(_a, _c), _b))),
-        description="the deforming product has commuting right multiplications")
-
-    add("DEFORM_4", _AAA,
-        _sum(_p(_cr(_f(_a, _b), _c)),
-             _n(_cr(_f(_a, _c), _b)),
-             _p(_f(_cr(_a, _b), _c)),
-             _n(_f(_cr(_a, _c), _b))),
-        description="mixed right multiplication commutativity")
-
-    add("SPEC_DEF_5", _AAA,
-        _sum(_p(_op("dot", _op("dot", _a, _m("Q", _b)), _m("Q", _c))),
-             _n(_op("dot", _a, _m("Q", _op("dot", _b, _m("Q", _c))))),
-             _n(_op("dot", _op("dot", _b, _m("Q", _a)), _m("Q", _c))),
-             _p(_op("dot", _b, _m("Q", _op("dot", _a, _m("Q", _c)))))),
-        description="left symmetry of the Q-twisted product")
-
-    add("SPEC_DEF_6", _AAA,
-        _sum(_p(_op("dot", _op("dot", _a, _m("Q", _b)), _m("D", _c))),
-             _n(_op("dot", _a, _m("Q", _op("dot", _b, _m("D", _c))))),
-             _n(_op("dot", _op("dot", _b, _m("Q", _a)), _m("D", _c))),
-             _p(_op("dot", _b, _m("Q", _op("dot", _a, _m("D", _c)))))),
-        description="mixed twisting identity of the Q- and D-twisted products")
-
-    _x = _cop("delta", _a)
-    _db = _m("D", _b)
-    _qb = _m("Q", _b)
-    _dplusq_b = _sum(_p(_db), _p(_qb))
-
-    add("BIALG_Q_1", _AA,
-        _sum(_t((-1, -1, 1), _tm(None, _mcomp(_ml("dot", _db), _QplusD), _x)),
-             _t((-1,), _tm(None, _mcomp(_ml("dot", _dplusq_b), _mm("Q")), _x)),
-             _t((0, 0, 1), _tm(None, _mcomp(_ml("dot", _db), _mm("Q")), _x)),
-             _t((0, 0, -1), _tm(None, _mcomp(_mr("dot", _qb), _mm("D")), _x)),
-             _t((-1, -2, 1), _tm(None, _mcomp(_ml("dot", _b), _mcomp(_mm("D"), _DplusQ)), _x)),
-             _t((0, -1, 1), _tm(None, _mcomp(_ml("dot", _b),
-                                             _mlin(_p(_mcomp(_mm("D"), _mm("Q"))),
-                                                   _n(_mcomp(_mm("Q"), _mm("D"))))), _x)),
-             _t((0, -2), _tm(None, _mcomp(_ml("dot", _b), _mcomp(_mm("Q"), _QplusD)), _x)),
-             _t((1, 1, -2), _tm(_mm("D"), _mcomp(_ml("dot", _b), _QplusD), _x))),
-        uses_q=True,
-        description="closure of the induced coproduct under the induced product")
-
-    def _bq2_half(x, y):
-        lmul = _ml("dot", _sum(_p(_m("D", x)), _p(_m("Q", x))))
-        return (_tm(lmul, _QplusqD, _cop("delta", y)),
-                _tm(_QplusqD, lmul, _cop("delta", y)))
-
-    _ab1, _ab2 = _bq2_half(_a, _b)
-    _ba1, _ba2 = _bq2_half(_b, _a)
-
-    add("BIALG_Q_2", _AA,
-        _sum(_t((1, 2), _ab1), _t((-1, -2), _ab2),
-             _t((-1, -2), _ba1), _t((1, 2), _ba2)),
-        uses_q=True,
-        description="first symmetry of the induced pair in both arguments")
-
-    def _bq3_half(x, y):
-        lmul = _ml("dot", _sum(_p(_m("D", x)), _t((0, 1), _m("Q", x))))
-        inner = _tm(None, _DplusQ, _cop("delta", y))
-        return (_tm(None, lmul, inner), _tm(lmul, None, inner))
-
-    _cb1, _cb2 = _bq3_half(_a, _b)
-    _cb3, _cb4 = _bq3_half(_b, _a)
-
-    add("BIALG_Q_3", _AA,
-        _sum(_t((1, 2), _cb1), _t((-1, -2), _cb2),
-             _t((-1, -2), _cb3), _t((1, 2), _cb4)),
-        uses_q=True,
-        description="second symmetry of the induced pair in both arguments")
-
-    add("COND_A", _AA,
-        _sum(_p(_op("dot", _a, _m("Q", _b))),
-             _p(_op("dot", _a, _m("D", _b)))),
-        description="Q acts as minus D under multiplication")
-
-    add("COND_B", _A1,
-        _sum(_p(_tm(None, _mm("Q"), _cop("delta", _a))),
-             _p(_tm(None, _mm("D"), _cop("delta", _a)))),
-        description="Q acts as minus D under the coproduct")
-
-    add("BILIN_INV_NOV", _AAA,
-        _sum(_p(_pair("B", _op("circ", _a, _b), _c)),
-             _p(_pair("B", _b, _sum(_p(_op("circ", _a, _c)), _p(_op("circ", _c, _a)))))),
-        description="the form is invariant for the product and its symmetrization")
-
-    add("BILIN_INV_ASSOC", _AAA,
-        _sum(_p(_pair("B", _op("dot", _a, _b), _c)),
-             _n(_pair("B", _a, _op("dot", _b, _c)))),
-        description="the form is invariant for the commutative product")
-
-    add("FORM_SYM", _AA,
-        _sum(_p(_pair("B", _a, _b)), _n(_pair("B", _b, _a))),
-        description="the form is symmetric")
-
-    add("FORM_NONDEG", (), None,
-        description="the form has nonzero determinant (as a polynomial over Q[q])")
-
-    return {d.axiom_id: d for d in defs}
-
-
-CATALOG: dict[str, AxiomDef] = _catalog()
-
-
-# -- evaluator ---------------------------------------------------------------
-#
-# check_axiom evaluates an expression once per basis vector of its first
-# variable; the other variables stay free legs.  A value is (tensor, vars):
-# a leg per free variable, labelled by vars (upper case, in declaration
-# order), then the output legs: 1 for an element, 2 for a map or an order-2
-# tensor, 3 for order 3.  A bare variable is (None, label): the node that
-# takes it puts the label on its constant's leg instead of contracting.
-
-# kind: (constant, constant legs, legs bound to the children, output legs)
-_NODES = {
-    "op": ("binop", "ijk", "ij", "k"),
-    "map": ("linmap", "ki", "i", "k"),
-    "cop": ("coop", "ijk", "i", "jk"),
-    "pair": ("form", "kij", "ij", "k"),  # the form on an extra leg of size 1
-    "rep": ("family", "ikj", "ij", "k"),  # operator family, indexed by the algebra leg
-    "rmap": ("repmap", "ki", "i", "k"),
-    "m": ("linmap", "ki", "", "ki"),
-    "ml": ("binop", "ijk", "i", "kj"),
-    "mr": ("binop", "ijk", "j", "ki"),
-}
-
-
-class _Evaluator:
-    def __init__(self, pres, binds, rep, qpoint, vals):
-        self.pres, self.binds, self.rep, self.qpoint = pres, binds, rep, qpoint
-        self.vals = vals  # variable name -> value
-        self.const = functools.cache(self.const)  # stacks a form once; einsum keeps its index
-
-    def const(self, what: str, key: str) -> Tensor:
-        rep = self.rep  # present: check_axiom requires it for module variables
-        if what == "family" and not hasattr(rep, key):
-            raise PresentationError("this representation has no right operator family")
-        if what in ("family", "repmap"):
-            if not hasattr(rep, key):
-                raise PresentationError(f"this representation has no map {key!r}")
-            return getattr(rep, key)
-        key = self.binds.get(key, key)
-        if what == "form":
-            return Tensor.stack([self.pres.form(key)])
-        return getattr(self.pres, what)(key)
-
-    def qc(self, coeffs) -> Scalar:
-        p = polynomial(coeffs)
-        if self.qpoint is not None:
-            return p.eval_q(self.qpoint)
-        # over Q without a point only constants occur: uses_q marks the axioms with q
-        return p if self.pres.ring == POLY else Scalar.of(RATIONAL, p.constant_value())
-
-    def join(self, parts, out: str):
-        """Contract (value, output legs) parts; a bare variable renames its leg."""
-        bare = {legs: label for (t, label), legs in parts if t is None}
-        ins, operands, free = [], [], set(bare.values())
-        for (t, names), legs in parts:
-            if t is not None:
-                ins.append(names + "".join(bare.get(c, c) for c in legs))
-                operands.append(t)
-                free.update(names)
-        names = "".join(sorted(free))
-        return Tensor.einsum(",".join(ins) + "->" + names + out, *operands), names
-
-    def lin(self, terms):
-        acc = None
-        for coeffs, sub in terms:
-            t, names = self.eval(sub) or (LinMap.identity(self.pres.ring, self.pres.dim), "")
-            if coeffs not in ((1,), (-1,)):
-                t = t.scale(self.qc(coeffs))
-            if coeffs == (-1,):
-                t = -t if acc is None else acc - t
-            elif acc is not None:
-                t = acc + t
-            acc = t
-        return acc, names
-
-    def eval(self, e):
-        """The value of an expression; None stands for the identity map."""
-        if e is None:
-            return None
-        kind = e[0]
-        if kind == "var":
-            return self.vals[e[1]]
-        if kind in _NODES:
-            what, legs, slots, out = _NODES[kind]
-            parts = [(self.eval(x), slot) for x, slot in zip(e[2:], slots)]
-            return self.join(parts + [((self.const(what, e[1]), ""), legs)], out)
-        if kind in ("lin", "mlin"):
-            return self.lin(e[1])
-        if kind == "tau":
-            return self.join([(self.eval(e[1]), "ab")], "ba")
-        if kind == "perm":  # result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
-            return self.join([(self.eval(e[2]), "".join("ijk"[x] for x in e[1]))], "ijk")
-        if kind == "tmap2":
-            f, g = self.eval(e[1][0]), self.eval(e[1][1])
-            parts = [(self.eval(e[2]), "ab")] + [(m, legs) for m, legs in ((f, "ia"), (g, "jb"))
-                                                 if m is not None]
-            return self.join(parts, ("a" if f is None else "i") + ("b" if g is None else "j"))
-        if kind == "coleg":
-            # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
-            legs, dlegs = {1: ("mk", "mij"), 2: ("im", "mjk")}[e[2]]
-            return self.join([(self.eval(e[3]), legs), ((self.const("coop", e[1]), ""), dlegs)],
-                             "ijk")
-        if kind == "mcomp":
-            outer, inner = self.eval(e[1]), self.eval(e[2])
-            if outer is None or inner is None:
-                return inner if outer is None else outer
-            return self.join([(inner, "kj"), (outer, "ik")], "ij")
-        raise ValueError(f"unknown expression {kind!r}")
+# -- checking compiled axioms -------------------------------------------------
+
+
+def _constant(pres: Presentation, binds: dict, rep, what: str, key: str) -> Tensor:
+    """The tensor a compiled term's slot (what, key) names."""
+    if what in ("family", "repmap"):  # rep is present: check_axiom demands it for module variables
+        if not hasattr(rep, key):
+            raise PresentationError("this representation has no " + (
+                "right operator family" if what == "family" else f"map {key!r}"))
+        return getattr(rep, key)
+    key = binds.get(key, key)
+    return Tensor.stack([pres.form(key)]) if what == "form" else getattr(pres, what)(key)
 
 
 def _nonzero_values(val) -> list[Scalar]:
@@ -920,16 +366,31 @@ def check_axiom(
                 raise PresentationError("representation is over a different algebra dimension")
         spaces.append(pres.space.names if sp == "A" else rep.names)
 
-    first, labels = axdef.variables[0][0], "BCDEFGH"[:len(axdef.variables) - 1]
-    ev = _Evaluator(pres, binds, rep, qpoint,
-                    {name: (None, label) for (name, _), label in zip(axdef.variables[1:], labels)})
+    compiled, consts = compile_axiom(axiom_id), {}
+
+    def bound(terms) -> list:
+        """Terms with their coefficients at q and the tensors their slots name."""
+        out = []
+        for c, spec, slots in terms:
+            for slot in slots:  # a hoisted sum is bound before the terms that use it
+                if slot not in consts:
+                    consts[slot] = _constant(pres, binds, rep, *slot)
+            # over Q without a point only constants occur: uses_q marks the axioms with q
+            c = (c.eval_q(qpoint) if qpoint is not None else c if pres.ring == POLY
+                 else Scalar.of(RATIONAL, c.constant_value()))
+            out.append((c, spec, [consts[slot] for slot in slots]))
+        return out
+
+    for j, terms in enumerate(compiled.sums):
+        consts["sum", j] = Tensor.combination(bound(terms))
+    terms, lead = bound(compiled.terms), len(axdef.variables) - 1
 
     def items():
         for i in range(len(spaces[0])):
-            ev.vals[first] = (Vector.basis(pres.ring, len(spaces[0]), i), "")
-            t, _ = ev.eval(axdef.expr)  # every variable occurs, so t has all their legs
-            cls = (Vector, Tensor2, Tensor3)[len(t.shape) - len(labels) - 1]
-            for rest, residual in t.slices(len(labels), cls):
+            first = Vector.basis(pres.ring, len(spaces[0]), i)
+            t = Tensor.combination([(c, spec, (first, *ops)) for c, spec, ops in terms])
+            cls = (Vector, Tensor2, Tensor3)[len(t.shape) - lead - 1]
+            for rest, residual in t.slices(lead, cls):
                 idx = (i, *rest)
                 if tuple_filter is None or tuple_filter(idx):
                     yield tuple(nm[j] for nm, j in zip(spaces, idx)), residual

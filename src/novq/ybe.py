@@ -52,40 +52,41 @@ def _prod_leg(r: Tensor2, op: BinOpTensor, leg: int) -> Tensor3:
 def aybe_residual(r: Tensor2, dot: BinOpTensor) -> Tensor3:
     """r13.r12 + r13.r23 - r12.r23 for a commutative associative product."""
     _check_dims(r, dot)
-    return _prod_leg(r, dot, 1) + _prod_leg(r, dot, 3) - _prod_leg(r, dot, 2)
+    return Tensor3.combination([(c, _PROD_LEG_SPECS[leg], (r, r, dot))
+                                for c, leg in ((1, 1), (1, 3), (-1, 2))])
 
 
 def nybe_residual(r: Tensor2, circ: BinOpTensor) -> Tensor3:
     """r13 circ r23 + r12 star r23 + r13 circ r12, with a star b = a circ b + b circ a."""
     _check_dims(r, circ)
-    return _prod_leg(r, circ, 3) + _prod_leg(r, star(circ), 2) + _prod_leg(r, circ, 1)
+    return Tensor3.combination([(1, _PROD_LEG_SPECS[leg], (r, r, op))
+                                for leg, op in ((3, circ), (2, star(circ)), (1, circ))])
 
 
 def r_admissibility(r: Tensor2, D: LinMap, Q: LinMap) -> AxiomReport:
     """(D (x) id - id (x) Q) r = 0 and (id (x) D - Q (x) id) r = 0."""
-    first = Tensor2.einsum("ab,ia->ib", r, D) - Tensor2.einsum("ab,jb->aj", r, Q)
-    second = Tensor2.einsum("ab,jb->aj", r, D) - Tensor2.einsum("ab,ia->ib", r, Q)
+    first = Tensor2.combination([(1, "ab,ia->ib", (r, D)), (-1, "ab,jb->aj", (r, Q))])
+    second = Tensor2.combination([(1, "ab,jb->aj", (r, D)), (-1, "ab,ia->ib", (r, Q))])
     items = [(("D(x)id - id(x)Q",), first), (("id(x)D - Q(x)id",), second)]
     return scan_residuals("R_ADMISS", r.ring, items)
 
 
 def is_antisymmetric(r: Tensor2) -> bool:
-    return (r + Tensor2.einsum("ji->ij", r)).is_zero()
+    return Tensor2.combination([(1, "ij->ij", (r,)), (1, "ji->ij", (r,))]).is_zero()
 
 
 def delta_r(r: Tensor2, dot: BinOpTensor) -> CoOpTensor:
     """The coboundary coproduct a -> (id (x) L(a) - L(a) (x) id) r."""
     _check_dims(r, dot)
     # delta(e_i)[a][b] = sum_j r[a][j] (e_i . e_j)_b - r[j][b] (e_i . e_j)_a
-    return (CoOpTensor.einsum("aj,ijb->iab", r, dot)
-            - CoOpTensor.einsum("jb,ija->iab", r, dot))
+    return CoOpTensor.combination([(1, "aj,ijb->iab", (r, dot)), (-1, "jb,ija->iab", (r, dot))])
 
 
 def Delta_qr(r: Tensor2, circ: BinOpTensor) -> CoOpTensor:
     """The coboundary coproduct a -> (L_circ(a) (x) id + id (x) L_star(a)) r."""
     _check_dims(r, circ)
-    return (CoOpTensor.einsum("jb,ija->iab", r, circ)
-            + CoOpTensor.einsum("aj,ijb->iab", r, star(circ)))
+    return CoOpTensor.combination([(1, "jb,ija->iab", (r, circ)),
+                                   (1, "aj,ijb->iab", (r, star(circ)))])
 
 
 def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
@@ -116,9 +117,9 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
     if op.dim != rep.alg_dim or op.ring != rep.ring:
         raise PresentationError("product does not match the module's algebra")
     # residual[i][j] = T(v_i) op T(v_j) - T(l(T(v_i)) v_j) - T(right(T(v_j)) v_i)
-    residual = (Tensor.einsum("ai,abk,bj->ijk", T, op, T)
-                - Tensor.einsum("ai,amj,km->ijk", T, rep.l, T)
-                - Tensor.einsum("bj,bmi,km->ijk", T, right, T))
+    residual = Tensor.combination([(1, "ai,abk,bj->ijk", (T, op, T)),
+                                   (-1, "ai,amj,km->ijk", (T, rep.l, T)),
+                                   (-1, "bj,bmi,km->ijk", (T, right, T))])
     items = (((rep.names[i], rep.names[j]), v) for (i, j), v in residual.slices(2, Vector))
     out = {"OOP_PROD": scan_residuals("OOP_PROD", rep.ring, items)}
     if isinstance(rep, RepAdmDiff):
@@ -132,7 +133,7 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
 
 def _twist(D: LinMap, T: LinMap, alpha: LinMap) -> LinMap:
     """D T - T alpha."""
-    return LinMap.einsum("kj,ik->ij", T, D) - LinMap.einsum("kj,ik->ij", alpha, T)
+    return LinMap.combination([(1, "kj,ik->ij", (T, D)), (-1, "kj,ik->ij", (alpha, T))])
 
 
 def T_from_r(r: Tensor2) -> LinMap:

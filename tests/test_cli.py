@@ -388,3 +388,21 @@ def test_induce_scales_the_derivation_by_p(capsys):
 
     assert main(["induce", "fixtures/exnov1", "--q", "1", "--p", "x"]) == 2
     assert capsys.readouterr().err.startswith("usage error: --p wants a rational number")
+
+
+def test_a_lone_map_is_a_usage_error_naming_the_missing_slot(tmp_path, capsys):
+    # zinb-deriv without its map Q: the one map fills D, whatever its name, and Q is missing
+    text = open("fixtures/zinb-deriv").read()
+    lone = text[:text.index("map Q")]
+    for name in ("X", "D"):
+        path = tmp_path / f"zinb-{name}"
+        path.write_text(lone.replace("map D\n", f"map {name}\n"))
+        for argv in (["double", str(path)], ["induce", str(path), "--q", "-1/2"]):
+            assert main(argv) == 2, (name, argv)
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"usage error: the file defines no map for Q besides '{name}'\n"
+        # verify's Q is optional, so ZINB_ADMISS is skipped
+        assert main(["verify", str(path), "--profile", "zinbiel"]) == 0
+        out = capsys.readouterr().out
+        assert "DERIV: holds" in out and "ZINB_ADMISS" not in out

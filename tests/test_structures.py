@@ -227,7 +227,8 @@ def test_catalog_invariants_the_evaluator_relies_on():
 
 
 def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
-    # counts only: a return to per-tuple evaluation makes n^3 times the calls
+    # counts only: a return to per-tuple evaluation makes n^3 times the contractions
+    from novq.catalog import compile_axiom
     from novq.exactcore import Tensor
     n = 6
     rng = random.Random(6)
@@ -235,16 +236,17 @@ def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
     c = genalg.change_basis(genalg.seed_products(n)[1], genalg.random_invertible(rng, n))
     pres = _pres_with_product(c)
     calls = []
-    einsum = Tensor.einsum.__func__
+    combination = Tensor.combination.__func__
 
-    def counted(cls, spec, *operands):
-        calls.append(spec)
-        return einsum(cls, spec, *operands)
+    def counted(cls, terms):
+        terms = list(terms)
+        calls.append(len(terms))
+        return combination(cls, terms)
 
-    monkeypatch.setattr(Tensor, "einsum", classmethod(counted))
+    monkeypatch.setattr(Tensor, "combination", classmethod(counted))
     assert check_axiom("NOV_LSYM", pres).holds  # a full scan, no early exit
-    nodes = len(list(_nodes(CATALOG["NOV_LSYM"].expr)))
-    assert 0 < len(calls) <= n * nodes < n ** 3
+    terms = len(compile_axiom("NOV_LSYM").terms)
+    assert 0 < sum(calls) <= n * terms < n ** 3
 
 
 def test_check_axiom_stacks_each_constant_once(monkeypatch):
