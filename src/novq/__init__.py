@@ -5,13 +5,12 @@ structure constants, induced products and coproducts, doubles, Yang-Baxter
 residuals, and windowed checks on graded completions.
 """
 
-from .exactcore import (POLY, RATIONAL, LinMap, Scalar, Tensor, Tensor2, Tensor3,
-                        Vector, ZeroPolynomialError, polynomial, qvar,
-                        rational_roots)
-from .structures import (AxiomReport, BinOpTensor, CoOpTensor, Presentation,
-                         PresentationError, QLocus, RepAdmDiff, RepNov, Space,
-                         all_hold, check_axiom, is_admissible_quadruple,
-                         scan_residuals, vanishing_locus)
+from .exactcore import (POLY, RATIONAL, Scalar, Tensor, ZeroPolynomialError,
+                        polynomial, qvar, rational_roots)
+from .structures import (AxiomReport, Presentation, PresentationError, QLocus,
+                         RepAdmDiff, RepNov, Space, all_hold, check_axiom,
+                         is_admissible_quadruple, scan_residuals,
+                         vanishing_locus)
 from .constructions import (descendent_commdiff, descendent_novikov,
                             dual_rep_admdiff, dual_rep_novikov,
                             induce_nov_coalg, induce_novikov, induced_rep_q,

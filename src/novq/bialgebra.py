@@ -7,19 +7,9 @@ Doubles return ordinary presentations on the input's names followed by each
 primed, with the convention that the primed half is the dual basis.
 """
 
-from .exactcore import (
-    LinMap,
-    POLY,
-    Scalar,
-    Tensor,
-    Tensor2,
-    Vector,
-    bareiss_det,
-    exact_div,
-)
+from .exactcore import POLY, Scalar, Tensor, bareiss_det, exact_div
 from .structures import (
     AxiomReport,
-    BinOpTensor,
     Presentation,
     PresentationError,
     QLocus,
@@ -62,14 +52,14 @@ def _doubled_names(names) -> tuple[str, ...]:
     return tuple(out)
 
 
-def standard_form(ring: str, dim_a: int) -> Tensor2:
+def standard_form(ring: str, dim_a: int) -> Tensor:
     """The hyperbolic pairing on A + A*: B(e_i, e_j') = B(e_j', e_i) = [i = j]."""
-    ident = LinMap.identity(ring, dim_a)
-    return Tensor2.from_blocks(ring, (2 * dim_a, 2 * dim_a),
-                               [((0, dim_a), ident), ((dim_a, 0), ident)])
+    ident = Tensor.identity(ring, dim_a)
+    return Tensor.from_blocks(ring, (2 * dim_a, 2 * dim_a),
+                              [((0, dim_a), ident), ((dim_a, 0), ident)])
 
 
-def adjoint_map(D: LinMap, B: Tensor2) -> LinMap:
+def adjoint_map(D: Tensor, B: Tensor) -> Tensor:
     """The map adj with B(D(a), b) = B(a, adj(b)) for all a, b.
 
     Solves the matrix equation B adj = D^T B column by column with Cramer's
@@ -77,13 +67,13 @@ def adjoint_map(D: LinMap, B: Tensor2) -> LinMap:
     out polynomial; a fractional solution raises.
     """
     n = B.dim
-    if D.cod != n or D.dom != n:
+    if D.shape != (n, n):
         raise PresentationError("map and form have different dimensions")
-    base = [list(r) for r in B.rows]
+    base = [list(r) for r in B.dense]
     det = bareiss_det([row[:] for row in base], B.ring)
     if det.is_zero():
         raise PresentationError("the form is degenerate")
-    rhs = LinMap.einsum("kj,ki->ij", B, D)  # D^T B
+    rhs = Tensor.einsum("kj,ki->ij", B, D)  # D^T B
     rows = [[Scalar.zero(B.ring)] * n for _ in range(n)]
     for j in range(n):
         for i in range(n):
@@ -91,7 +81,7 @@ def adjoint_map(D: LinMap, B: Tensor2) -> LinMap:
             for k in range(n):
                 mat[k][i] = rhs.entry(k, j)
             rows[i][j] = exact_div(bareiss_det(mat, B.ring), det)
-    return LinMap(B.ring, rows)
+    return Tensor.from_dense(B.ring, rows)
 
 
 def check_admissible_zinbiel(pres: Presentation, zin: str = "zin", D: str | None = "D",
@@ -171,21 +161,21 @@ def double_construction(pres: Presentation, dot: str = "dot", delta: str = "delt
     dmap, qmap = pres.linmap(D), pres.linmap(Q)
     n = pres.dim
     ring = pres.ring
-    total = BinOpTensor.from_blocks(ring, (2 * n,) * 3, [
+    total = Tensor.from_blocks(ring, (2 * n,) * 3, [
         ((0, 0, 0), op),
-        ((n, n, n), BinOpTensor.einsum("kij->ijk", cop)),
+        ((n, n, n), Tensor.einsum("kij->ijk", cop)),
         ((0, n, 0), cop),
-        ((n, 0, 0), BinOpTensor.einsum("bik->ibk", cop)),
-        ((0, n, n), BinOpTensor.einsum("ikb->ibk", op)),
-        ((n, 0, n), BinOpTensor.einsum("ikb->bik", op)),
+        ((n, 0, 0), Tensor.einsum("bik->ibk", cop)),
+        ((0, n, n), Tensor.einsum("ikb->ibk", op)),
+        ((n, 0, n), Tensor.einsum("ikb->bik", op)),
     ])
     out = Presentation(
         ring=ring,
         space=Space(_doubled_names(pres.space.names)),
         binops={dot: total},
         coops={},
-        maps={D: LinMap.block_diag(dmap, qmap.transpose()),
-              Q: LinMap.block_diag(qmap, dmap.transpose())},
+        maps={D: Tensor.block_diag(dmap, qmap.transpose()),
+              Q: Tensor.block_diag(qmap, dmap.transpose())},
         forms={"B": standard_form(ring, n)},
     )
     guard = check_axiom("BILIN_INV_ASSOC", out, {"dot": dot})
@@ -257,17 +247,20 @@ def family_difference_locus(pa: Presentation, pb: Presentation, circ: str = "cir
     return vanishing_locus(entry[-1] for diff in (ca - cb, da - db) for entry in diff.nonzero())
 
 
-def _subalgebra_report(axiom_id: str, op: BinOpTensor, names, inside: range) -> AxiomReport:
-    member = set(inside)
-    outside = [k for k in range(op.dim) if k not in member]
+def _subalgebra_report(axiom_id: str, op: Tensor, names, inside: range) -> AxiomReport:
+    """Whether the basis vectors inside span a subalgebra: the residual of (e_i, e_j)
+    is the part of e_i e_j outside, one contraction of op with selectors."""
+    one = Scalar.one(op.ring)
+    outside = [k for k in range(op.dim) if k not in inside]
 
-    def items():
-        for i in inside:
-            for j in inside:
-                leak = Vector(op.ring, [op.entry(i, j, k) for k in outside])
-                yield (names[i], names[j]), leak
+    def selector(rows) -> Tensor:
+        return Tensor.from_entries(op.ring, (len(rows), op.dim),
+                                   {(a, k): one for a, k in enumerate(rows)})
 
-    return scan_residuals(axiom_id, op.ring, items())
+    pick = selector(inside)
+    leaks = Tensor.einsum("ai,bj,ijk,ck->abc", pick, pick, op, selector(outside))
+    items = (((names[inside[a]], names[inside[b]]), leak) for (a, b), leak in leaks.slices(2))
+    return scan_residuals(axiom_id, op.ring, items)
 
 
 def check_manin_triple(pres: Presentation, circ: str = "circ") -> dict:

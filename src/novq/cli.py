@@ -20,7 +20,7 @@ from .constructions import induce_nov_coalg, induce_novikov
 from .exactcore import POLY, RATIONAL
 from .liewindow import WindowSpec, polyalg_window_check, window_lie_bialgebra_check
 from .presfile import PresFileError, emit, load
-from .structures import (FINITE, Presentation, PresentationError, check_axiom,
+from .structures import (Presentation, PresentationError, check_axiom,
                          is_admissible_quadruple, scan_residuals)
 from .ybe import aybe_residual, nybe_residual, r_admissibility
 
@@ -224,7 +224,7 @@ def _run_locus(args) -> tuple[int, dict]:
         pres = _zinbiel_double(pres)
     locus = novikov_bialgebra_locus(pres, *_pick_slots(pres))
     print(locus)
-    nonempty = not locus.is_empty() and not (locus.kind == FINITE and not locus.points)
+    nonempty = not locus.is_empty()
     return (0 if nonempty else 1), {"locus": str(locus), "nonempty": nonempty}
 
 

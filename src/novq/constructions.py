@@ -16,10 +16,8 @@ keeping the coefficient ring univariate.
 
 from fractions import Fraction
 
-from .exactcore import LinMap, POLY, Scalar, Tensor, qvar
+from .exactcore import POLY, Scalar, Tensor, qvar
 from .structures import (
-    BinOpTensor,
-    CoOpTensor,
     Presentation,
     PresentationError,
     RepAdmDiff,
@@ -46,7 +44,7 @@ def _qparam(ring: str, q) -> Scalar:
     return _param(ring, q)
 
 
-def induce_novikov(dot: BinOpTensor, D: LinMap, Q: LinMap, p=1, q=None) -> BinOpTensor:
+def induce_novikov(dot: Tensor, D: Tensor, Q: Tensor, p=1, q=None) -> Tensor:
     """Structure constants of a circ b = a . (pD + qQ)(b).
 
     p = 1 gives the one-parameter deformation family of the commutative
@@ -55,17 +53,17 @@ def induce_novikov(dot: BinOpTensor, D: LinMap, Q: LinMap, p=1, q=None) -> BinOp
     """
     ring = dot.ring
     K = D.scale(_param(ring, p)) + Q.scale(_qparam(ring, q))
-    return BinOpTensor.einsum("mj,imk->ijk", K, dot)
+    return Tensor.einsum("mj,imk->ijk", K, dot)
 
 
-def induce_nov_coalg(delta: CoOpTensor, Q: LinMap, D: LinMap, q=None) -> CoOpTensor:
+def induce_nov_coalg(delta: Tensor, Q: Tensor, D: Tensor, q=None) -> Tensor:
     """Constants of Delta_q = (id (x) (Q + qD)) delta."""
     ring = delta.ring
     K = Q + D.scale(_qparam(ring, q))
-    return CoOpTensor.einsum("ijm,km->ijk", delta, K)
+    return Tensor.einsum("ijm,km->ijk", delta, K)
 
 
-def _semidirect(apres: Presentation, op: BinOpTensor, rep, right) -> BinOpTensor:
+def _semidirect(apres: Presentation, op: Tensor, rep, right) -> Tensor:
     """Constants of (a+u)(b+v) = ab + l(a)v + right(b)u on A + V, A block first."""
     if rep.ring != apres.ring:
         raise PresentationError("representation ring differs from the algebra ring")
@@ -73,7 +71,7 @@ def _semidirect(apres: Presentation, op: BinOpTensor, rep, right) -> BinOpTensor
         raise PresentationError("representation is over a different algebra dimension")
     na, nv = apres.dim, rep.dim
     n = na + nv
-    return BinOpTensor.from_blocks(apres.ring, (n, n, n), [
+    return Tensor.from_blocks(apres.ring, (n, n, n), [
         ((0, 0, 0), op),
         ((0, na, na), Tensor.einsum("igb->ibg", rep.l)),
         ((na, 0, na), Tensor.einsum("igb->big", right)),
@@ -103,7 +101,7 @@ def semidirect_admdiff(apres: Presentation, rep: RepAdmDiff, dot: str = "dot",
         ring=apres.ring,
         space=Space(apres.space.names + rep.names),
         binops={dot: total},
-        maps={D: LinMap.block_diag(dmap, rep.alpha), Q: LinMap.block_diag(qmap, rep.beta)},
+        maps={D: Tensor.block_diag(dmap, rep.alpha), Q: Tensor.block_diag(qmap, rep.beta)},
     )
 
 
@@ -125,7 +123,7 @@ def dual_rep_admdiff(rep: RepAdmDiff) -> RepAdmDiff:
                       rep.alpha.transpose())
 
 
-def induced_rep_q(rep: RepAdmDiff, D: LinMap, Q: LinMap, q=None) -> RepNov:
+def induced_rep_q(rep: RepAdmDiff, D: Tensor, Q: Tensor, q=None) -> RepNov:
     """Deform a differential module into a module over the induced product.
 
     l'(a) = l(a)(alpha + q beta) and r'(a) = l((D + qQ)a).
@@ -137,46 +135,46 @@ def induced_rep_q(rep: RepAdmDiff, D: LinMap, Q: LinMap, q=None) -> RepNov:
                   Tensor.einsum("mi,mkj->ikj", K, rep.l))
 
 
-def pre_novikov_from_zinbiel(diamond: BinOpTensor, D: LinMap, Q: LinMap,
-                             q=None) -> tuple[BinOpTensor, BinOpTensor]:
+def pre_novikov_from_zinbiel(diamond: Tensor, D: Tensor, Q: Tensor,
+                             q=None) -> tuple[Tensor, Tensor]:
     """The split pair (lhd, rhd) deforming a Zinbiel product.
 
     a lhd b = (D + qQ)(b) diamond a and a rhd b = a diamond (D + qQ)(b).
     """
     K = D + Q.scale(_qparam(diamond.ring, q))
     # a lhd b = K(b) diamond a and a rhd b = a diamond K(b)
-    return (BinOpTensor.einsum("mj,mik->ijk", K, diamond),
-            BinOpTensor.einsum("mj,imk->ijk", K, diamond))
+    return (Tensor.einsum("mj,mik->ijk", K, diamond),
+            Tensor.einsum("mj,imk->ijk", K, diamond))
 
 
-def descendent_novikov(lhd: BinOpTensor, rhd: BinOpTensor) -> BinOpTensor:
+def descendent_novikov(lhd: Tensor, rhd: Tensor) -> Tensor:
     """a circ b = a lhd b + a rhd b."""
     return lhd + rhd
 
 
-def descendent_commdiff(diamond: BinOpTensor) -> BinOpTensor:
+def descendent_commdiff(diamond: Tensor) -> Tensor:
     """a . b = a diamond b + b diamond a."""
     return star(diamond)
 
 
-def star(circ: BinOpTensor) -> BinOpTensor:
+def star(circ: Tensor) -> Tensor:
     """a star b = a circ b + b circ a."""
-    return BinOpTensor.combination([(1, "ijk->ijk", (circ,)), (1, "jik->ijk", (circ,))])
+    return Tensor.combination([(1, "ijk->ijk", (circ,)), (1, "jik->ijk", (circ,))])
 
 
-def zinbiel_from_oop(T: LinMap, rep: RepAdmDiff) -> BinOpTensor:
+def zinbiel_from_oop(T: Tensor, rep: RepAdmDiff) -> Tensor:
     """u diamond v = l(T(u))v, for T a relative square-zero splitting operator.
 
     T must be a verified operator for rep (the Yang-Baxter module has the
     checker); this builder only assembles the product.
     """
-    return BinOpTensor.einsum("mi,mkj->ijk", T, rep.l)
+    return Tensor.einsum("mi,mkj->ijk", T, rep.l)
 
 
-def pre_novikov_from_oop(T: LinMap, rep: RepNov) -> tuple[BinOpTensor, BinOpTensor]:
+def pre_novikov_from_oop(T: Tensor, rep: RepNov) -> tuple[Tensor, Tensor]:
     """(lhd, rhd) with u rhd v = l(T(u))v and u lhd v = r(T(v))u."""
-    return (BinOpTensor.einsum("mj,mki->ijk", T, rep.r),
-            BinOpTensor.einsum("mi,mkj->ijk", T, rep.l))
+    return (Tensor.einsum("mj,mki->ijk", T, rep.r),
+            Tensor.einsum("mi,mkj->ijk", T, rep.l))
 
 
 def deformation_family_check(pres: Presentation, circ: str = "circ", f: str = "f") -> dict:
@@ -186,11 +184,11 @@ def deformation_family_check(pres: Presentation, circ: str = "circ", f: str = "f
             for aid in ("DEFORM_1", "DEFORM_2", "DEFORM_3", "DEFORM_4")}
 
 
-def regular_rep_novikov(circ: BinOpTensor, names) -> RepNov:
+def regular_rep_novikov(circ: Tensor, names) -> RepNov:
     """The adjoint module (A, L_circ, R_circ)."""
     return RepNov(names, Tensor.einsum("ijk->ikj", circ), Tensor.einsum("jik->ikj", circ))
 
 
-def regular_rep_admdiff(dot: BinOpTensor, D: LinMap, Q: LinMap, names) -> RepAdmDiff:
+def regular_rep_admdiff(dot: Tensor, D: Tensor, Q: Tensor, names) -> RepAdmDiff:
     """The regular module (A, L_dot, D, Q)."""
     return RepAdmDiff(names, Tensor.einsum("ijk->ikj", dot), D, Q)

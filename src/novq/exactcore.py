@@ -8,8 +8,8 @@ coefficient tuple); there is no floating point and no tolerance anywhere.
 Polynomials are stored as ascending coefficient tuples with no trailing
 zeros, so the zero polynomial is the empty tuple and degree is len-1.
 
-Vectors, maps, r-elements, products and coproducts are all one sparse
-tensor class that stores only its nonzero entries; products, map
+Vectors, maps, forms, r-elements, products and coproducts are all one
+sparse Tensor class that stores only its nonzero entries; products, map
 applications, leg changes and sums all go through Tensor.combination, a
 signed sum of contractions (Tensor.einsum is one term).  A Q entry is
 stored as an int when integral and a Fraction otherwise, a Q[q] entry as a
@@ -186,14 +186,22 @@ class Scalar:
         return self if self.ring == POLY else Scalar(POLY, _trim((self.val,)))
 
     def eval_q(self, point: RationalLike) -> "Scalar":
-        """Substitute a rational value for q, landing in Q."""
+        """Substitute a rational value for q, landing in Q.
+
+        With p = a/b and the coefficients as integer numerators over their
+        common denominator den, Horner's rule on integers gives
+        den b^n f(a/b), n the degree, and one Fraction divides it out.
+        """
         p = _as_fraction(point)
         if self.ring == RATIONAL:
             return self
-        acc = Fraction(0)
+        a, b = p.numerator, p.denominator
+        den = math.lcm(*[c.denominator for c in self.val])
+        acc, bpow = 0, 1
         for c in reversed(self.val):
-            acc = acc * p + c
-        return Scalar(RATIONAL, acc)
+            acc, bpow = acc * a + c.numerator * (den // c.denominator) * bpow, bpow * b
+        # bpow is b^(n+1), so acc * b / (den * bpow) is acc / (den b^n)
+        return Scalar(RATIONAL, Fraction(acc * b, den * bpow))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -554,25 +562,22 @@ class Tensor:
 
     Only nonzero entries are stored, keyed by index tuple, as raw
     coefficients, so equality and hashing are canonical (an int and the
-    equal Fraction compare and hash alike).  Every product, map application,
-    change of legs and sum is one call of ``combination``; the subclasses
-    below are views that add a constructor from dense nested sequences and
-    read-only dense accessors.  Values go in and come out as Scalars.
+    equal Fraction compare and hash alike) and compare ring, shape and
+    entries only.  Every product, map application, change of legs and sum is
+    one call of ``combination``.  Values go in and come out as Scalars;
+    ``from_dense`` and ``dense`` are the one edge to nested sequences.
     """
 
     __slots__ = ("ring", "shape", "_entries", "_index")
-
-    def _set(self, ring: str, shape: tuple[int, ...], entries: dict) -> None:
-        self.ring = ring
-        self.shape = shape
-        self._entries = entries
-        self._index = None
 
     @classmethod
     def _make(cls, ring: str, shape: tuple[int, ...], entries: dict):
         # trusted: entries already hold nonzero raw coefficients of ring only
         t = object.__new__(cls)
-        t._set(ring, shape, entries)
+        t.ring = ring
+        t.shape = shape
+        t._entries = entries
+        t._index = None
         return t
 
     @classmethod
@@ -588,26 +593,40 @@ class Tensor:
                 out[key] = v
         return cls._make(ring, shape, out)
 
-    def _init_dense(self, ring: str, nested, order: int, equal_legs: bool = False) -> None:
+    @classmethod
+    def from_dense(cls, ring: str, nested):
+        """A tensor from nested sequences of Scalars; the nesting gives the legs."""
         shape, level = [], nested
-        for _ in range(order):
+        while not isinstance(level, Scalar):
             shape.append(len(level))
-            level = level[0] if len(level) else ()
-        if equal_legs and len(set(shape)) > 1:
-            raise ShapeError(f"order-{order} tensor must have legs of one size")
+            if not level:
+                break
+            level = level[0]
         entries = {}
 
         def walk(seq, key):
-            if len(seq) != shape[len(key)]:
+            if isinstance(seq, Scalar) or len(seq) != shape[len(key)]:
                 raise ShapeError("ragged nested sequence")
             for i, x in enumerate(seq):
-                if len(key) < order - 1:
+                if len(key) < len(shape) - 1:
                     walk(x, key + (i,))
                 elif v := _unbox(ring, x):
                     entries[key + (i,)] = v
 
         walk(nested, ())
-        self._set(ring, tuple(shape), entries)
+        return cls._make(ring, tuple(shape), entries)
+
+    @classmethod
+    def basis(cls, ring: str, dim: int, i: int):
+        """The basis vector e_i of a space of dimension dim."""
+        if not 0 <= i < dim:
+            raise ShapeError(f"basis index {i} outside dimension {dim}")
+        return cls._make(ring, (dim,), {(i,): _unbox(ring, Scalar.one(ring))})
+
+    @classmethod
+    def identity(cls, ring: str, dim: int):
+        one = _unbox(ring, Scalar.one(ring))
+        return cls._make(ring, (dim, dim), {(i, i): one for i in range(dim)})
 
     @classmethod
     def stack(cls, parts: Sequence["Tensor"]):
@@ -641,6 +660,12 @@ class Tensor:
                 prev = out.get(key)
                 out[key] = s if prev is None else _exact(prev + s)
         return cls._make(ring, shape, {k: s for k, s in out.items() if s})
+
+    @classmethod
+    def block_diag(cls, a: "Tensor", b: "Tensor"):
+        """a and b on the diagonal, a first, of a tensor of their summed shapes."""
+        return cls.from_blocks(a.ring, tuple(map(operator.add, a.shape, b.shape)),
+                               [((0,) * len(a.shape), a), (a.shape, b)])
 
     @classmethod
     def einsum(cls, spec: str, *operands: "Tensor"):
@@ -735,12 +760,12 @@ class Tensor:
         entries, ring = self._entries, self.ring
         return [(*key, _box(ring, entries[key])) for key in sorted(entries)]
 
-    def slices(self, lead: int, cls: type):
-        """(index on the first lead legs, cls tensor of the rest) per nonzero slice, row-major."""
+    def slices(self, lead: int):
+        """(index on the first lead legs, tensor of the rest) per nonzero slice, row-major."""
         shape = self.shape[lead:]
         for head, group in itertools.groupby(sorted(self._entries.items()),
                                              key=lambda item: item[0][:lead]):
-            yield head, cls._make(self.ring, shape, {key[lead:]: v for key, v in group})
+            yield head, self._make(self.ring, shape, {key[lead:]: v for key, v in group})
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -760,16 +785,20 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Tensor"):
-        return type(self).combination([(1, *_same(self)), (1, *_same(other))])
+        return Tensor.combination([(1, *_same(self)), (1, *_same(other))])
 
     def __sub__(self, other: "Tensor"):
-        return type(self).combination([(1, *_same(self)), (-1, *_same(other))])
+        return Tensor.combination([(1, *_same(self)), (-1, *_same(other))])
 
     def __neg__(self):
         return self._make(self.ring, self.shape, {k: -s for k, s in self._entries.items()})
 
     def scale(self, s: Scalar):
-        return type(self).combination([(s, *_same(self))])
+        return Tensor.combination([(s, *_same(self))])
+
+    def transpose(self):
+        """The order-2 tensor with its two legs swapped."""
+        return Tensor.einsum("ij->ji", self)
 
     def map_scalars(self, fn: Callable[[Scalar], Scalar], ring: str):
         """Apply fn to every entry, landing in ring; entries that become zero are dropped."""
@@ -779,97 +808,14 @@ class Tensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        return (type(self) is type(other) and self.ring == other.ring
-                and self.shape == other.shape and self._entries == other._entries)
+        return (self.ring == other.ring and self.shape == other.shape
+                and self._entries == other._entries)
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.ring, self.shape,
-                     frozenset(self._entries.items())))
+        return hash((self.ring, self.shape, frozenset(self._entries.items())))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.ring}, {self.shape}, {len(self._entries)} nonzero)"
-
-
-class Vector(Tensor):
-    """A coordinate vector over one ring."""
-
-    __slots__ = ()
-    coords = Tensor.dense
-
-    def __init__(self, ring: str, coords: Sequence[Scalar]):
-        self._init_dense(ring, coords, 1)
-
-    @staticmethod
-    def zero(ring: str, dim: int) -> "Vector":
-        return Vector._make(ring, (dim,), {})
-
-    @staticmethod
-    def basis(ring: str, dim: int, i: int) -> "Vector":
-        if not 0 <= i < dim:
-            raise ShapeError(f"basis index {i} outside dimension {dim}")
-        return Vector._make(ring, (dim,), {(i,): _unbox(ring, Scalar.one(ring))})
-
-
-class LinMap(Tensor):
-    """A linear map; rows[i][j] is the e_i coefficient of the image of e_j."""
-
-    __slots__ = ()
-    rows = Tensor.dense
-
-    def __init__(self, ring: str, rows: Sequence[Sequence[Scalar]]):
-        self._init_dense(ring, rows, 2)
-
-    @staticmethod
-    def identity(ring: str, dim: int) -> "LinMap":
-        one = _unbox(ring, Scalar.one(ring))
-        return LinMap._make(ring, (dim, dim), {(i, i): one for i in range(dim)})
-
-    @staticmethod
-    def zero(ring: str, cod: int, dom: int) -> "LinMap":
-        return LinMap._make(ring, (cod, dom), {})
-
-    @staticmethod
-    def block_diag(a: "LinMap", b: "LinMap") -> "LinMap":
-        return LinMap.from_blocks(a.ring, (a.cod + b.cod, a.dom + b.dom),
-                                  [((0, 0), a), ((a.cod, a.dom), b)])
-
-    @property
-    def cod(self) -> int:
-        return self.shape[0]
-
-    @property
-    def dom(self) -> int:
-        return self.shape[1]
-
-    def column(self, j: int) -> Vector:
-        return Vector.einsum("j,ij->i", Vector.basis(self.ring, self.dom, j), self)
-
-    def transpose(self) -> "LinMap":
-        return LinMap.einsum("ij->ji", self)
-
-
-class Tensor2(Tensor):
-    """An order-2 tensor (element of W (x) W) with entries rows[i][j]."""
-
-    __slots__ = ()
-    rows = Tensor.dense
-
-    def __init__(self, ring: str, rows: Sequence[Sequence[Scalar]]):
-        self._init_dense(ring, rows, 2, equal_legs=True)
-
-    @staticmethod
-    def zero(ring: str, dim: int) -> "Tensor2":
-        return Tensor2._make(ring, (dim, dim), {})
-
-
-class Tensor3(Tensor):
-    """An order-3 tensor with entries data[i][j][k], all three legs the same dimension."""
-
-    __slots__ = ()
-    data = Tensor.dense
-
-    def __init__(self, ring: str, data: Sequence[Sequence[Sequence[Scalar]]]):
-        self._init_dense(ring, data, 3, equal_legs=True)
+        return f"Tensor({self.ring}, {self.shape}, {len(self._entries)} nonzero)"
 
 
 def bareiss_det(rows: list[list[Scalar]], ring: str) -> Scalar:

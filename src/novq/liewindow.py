@@ -23,10 +23,8 @@ are certified exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import POLY, RATIONAL, Scalar, Tensor, Tensor2, Tensor3, Vector, qvar
+from .exactcore import POLY, RATIONAL, Scalar, Tensor, qvar
 from .structures import (
-    BinOpTensor,
-    CoOpTensor,
     Presentation,
     PresentationError,
     Space,
@@ -40,7 +38,7 @@ from .bialgebra import NOV_BIALG_AXIOMS, bialg_q_residuals, check_diff_asi_bialg
 @dataclass(frozen=True)
 class LaurentVector:
     """An element a * t^degree with a in A."""
-    base: Vector
+    base: Tensor
     degree: int
 
 
@@ -70,7 +68,7 @@ def _weights(ring: str, at: dict, firsts, seconds, third, weight) -> Tensor:
         for a in firsts for b in seconds if (c := third(a, b)) in at})
 
 
-def _bracket(circ: BinOpTensor, at: dict, firsts, seconds) -> Tensor:
+def _bracket(circ: Tensor, at: dict, firsts, seconds) -> Tensor:
     """The affine bracket of degrees m in firsts and n in seconds, with legs
     (i, m, j, n, k, d): m circ_ijk - n circ_jik at d = m+n-1."""
     w = lambda f: _weights(circ.ring, at, firsts, seconds, lambda m, n: m + n - 1, f)
@@ -78,7 +76,7 @@ def _bracket(circ: BinOpTensor, at: dict, firsts, seconds) -> Tensor:
                                (-1, "mnd,jik->imjnkd", (w(lambda m, n, d: n), circ))])
 
 
-def _cobracket(Delta: CoOpTensor, at: dict, ins, firsts) -> Tensor:
+def _cobracket(Delta: Tensor, at: dict, ins, firsts) -> Tensor:
     """The completed cobracket of degrees m in ins onto j in firsts, with legs
     (i, m, a, j, b, k): (-j-1) Delta_iab + (k+1) Delta_iba at j+k = m-2."""
     w = lambda f: _weights(Delta.ring, at, ins, firsts, lambda m, j: m - 2 - j, f)
@@ -90,20 +88,20 @@ def _positions(*degrees) -> dict:
     return {d: x for x, d in enumerate(sorted(set().union(*degrees)))}
 
 
-def affine_bracket(x: LaurentVector, y: LaurentVector, circ: BinOpTensor) -> LaurentVector:
+def affine_bracket(x: LaurentVector, y: LaurentVector, circ: Tensor) -> LaurentVector:
     """[a t^m, b t^n] = m (a circ b) t^(m+n-1) - n (b circ a) t^(m+n-1)."""
     m, n = x.degree, y.degree
     B = _bracket(circ, _positions({m, n, m + n - 1}), [m], [n])
-    return LaurentVector(Vector.einsum("i,j,imjnkd->k", x.base, y.base, B), m + n - 1)
+    return LaurentVector(Tensor.einsum("i,j,imjnkd->k", x.base, y.base, B), m + n - 1)
 
 
-def cobracket_component(a: Vector, m: int, out_degrees: tuple[int, int],
-                        Delta: CoOpTensor) -> Tensor2:
+def cobracket_component(a: Tensor, m: int, out_degrees: tuple[int, int],
+                        Delta: Tensor) -> Tensor:
     """One bidegree coefficient of the completed cobracket of a t^m under Delta_q."""
     j, k = out_degrees
     at = _positions({m, j, k})
-    return Tensor2.einsum("k,i,imajbk->ab", Vector.basis(a.ring, len(at), at[k]), a,
-                          _cobracket(Delta, at, [m], [j]))
+    return Tensor.einsum("k,i,imajbk->ab", Tensor.basis(a.ring, len(at), at[k]), a,
+                         _cobracket(Delta, at, [m], [j]))
 
 
 @dataclass
@@ -143,7 +141,7 @@ def window_lie_bialgebra_check(pres: Presentation, w: WindowSpec, dot: str = "do
     return _window_reports(circ, Delta, w, pres.space.names)
 
 
-def _window_reports(circ: BinOpTensor, Delta: CoOpTensor, w: WindowSpec, names) -> WindowResult:
+def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> WindowResult:
     """The five families on the window, for an induced pair (circ, Delta) over Q.
 
     Each family is a signed sum of contractions led by an indicator on its
@@ -165,37 +163,37 @@ def _window_reports(circ: BinOpTensor, Delta: CoOpTensor, w: WindowSpec, names) 
     tdegs = lambda *xs: ",".join(f"t^{degs[x]}" for x in xs)
     reports = {}
 
-    def family(axiom_id, tuples, terms, lead, cls, label):
+    def family(axiom_id, tuples, terms, lead, label):
         dom = Tensor.from_entries(ring, (len(at),) * terms[0][1].index(","),
                                   {tuple(at[d] for d in t): Scalar.one(ring) for t in tuples})
         total = Tensor.combination([(sign, spec, (dom, *ops)) for sign, spec, *ops in terms])
-        items = ((label(*head), res) for head, res in total.slices(lead, cls))
+        items = ((label(*head), res) for head, res in total.slices(lead))
         reports[axiom_id] = scan_residuals(axiom_id, ring, items)
 
     B = _bracket(circ, at, win, win)
     family("LIE_SKEW", [(m, n, m + n - 1) for m in win for n in win],
            [(1, "mnd,imjnkd->ijmndk", B), (1, "mnd,jnimkd->ijmndk", B)],
-           5, Vector, lambda i, j, m, n, d: (lab(i, m), lab(j, n)))
+           5, lambda i, j, m, n, d: (lab(i, m), lab(j, n)))
     jacobi = [(m, n, p, m + n + p - 2) for m in win for n in win for p in win
               if all(map(w.contains, (m + n - 1, n + p - 1, p + m - 1, m + n + p - 2)))]
     family("LIE_JACOBI", jacobi,
            [(1, "mnpe,imjnad,adkple->mnpeijkl", B, B),
             (1, "mnpe,jnkpad,adimle->mnpeijkl", B, B),
             (1, "mnpe,kpimad,adjnle->mnpeijkl", B, B)],
-           7, Vector, lambda m, n, p, e, i, j, k: (lab(i, m), lab(j, n), lab(k, p)))
+           7, lambda m, n, p, e, i, j, k: (lab(i, m), lab(j, n), lab(k, p)))
     del B
     C = _cobracket(Delta, at, win, win)
     family("COLIE_ANTICOCOMM",
            [(m, p, m - 2 - p) for m in win for p in win if w.contains(m - 2 - p)],
            [(1, "mpr,imapbr->imprab", C), (1, "mpr,imbrap->imprab", C)],
-           4, Tensor2, lambda i, m, p, r: (lab(i, m), tdegs(p, r)))
+           4, lambda i, m, p, r: (lab(i, m), tdegs(p, r)))
     C = _cobracket(Delta, at, win | inner, win | inner)
     family("COLIE_COJACOBI", [(m, p, q, m - 4 - p - q) for m in win for p in win for q in win
                               if w.contains(m - 4 - p - q)],
            [(1, "mpqr,imxpwe,weyqzr->impqrxyz", C, C),
             (-1, "mpqr,imyqwe,wexpzr->impqrxyz", C, C),
             (-1, "mpqr,imwezr,wexpyq->impqrxyz", C, C)],
-           5, Tensor3, lambda i, m, p, q, r: (lab(i, m), tdegs(p, q, r)))
+           5, lambda i, m, p, q, r: (lab(i, m), tdegs(p, q, r)))
     del C
     B = _bracket(circ, at, win, win | shifted)
     C = _cobracket(Delta, at, win | outs, win | shifted)
@@ -206,7 +204,7 @@ def _window_reports(circ: BinOpTensor, Delta: CoOpTensor, w: WindowSpec, names) 
             (-1, "mnpr,jnxpzs,imzsyr->ijmnprxy", C, B),
             (1, "mnpr,imzsyr,jnzsxp->ijmnprxy", C, B),
             (1, "mnpr,imxpzs,jnzsyr->ijmnprxy", C, B)],
-           6, Tensor2, lambda i, j, m, n, p, r: (lab(i, m), lab(j, n), tdegs(p, r)))
+           6, lambda i, j, m, n, p, r: (lab(i, m), lab(j, n), tdegs(p, r)))
     checked = len(jacobi) * dim ** 3
     return WindowResult(reports, checked, len(win) ** 3 * dim ** 3 - checked)
 
@@ -234,8 +232,8 @@ def polyalg_family(N: int, q=None) -> Presentation:
     d = {(n, n - 1 - i, i - 1): (qs - one) * Scalar.of(ring, i)
          for n in range(dim) for i in range(1, n)}
     return Presentation(ring=ring, space=Space(tuple(f"x{i}" for i in range(dim))),
-                        binops={"circ": BinOpTensor.from_entries(ring, (dim,) * 3, c)},
-                        coops={"Delta": CoOpTensor.from_entries(ring, (dim,) * 3, d)})
+                        binops={"circ": Tensor.from_entries(ring, (dim,) * 3, c)},
+                        coops={"Delta": Tensor.from_entries(ring, (dim,) * 3, d)})
 
 
 def polyalg_window_check(N: int, q=None) -> dict:

@@ -45,8 +45,8 @@ import itertools
 import re
 from fractions import Fraction
 
-from .exactcore import POLY, RATIONAL, Scalar, Tensor2, qvar
-from .structures import BinOpTensor, CoOpTensor, LinMap, Presentation, Space
+from .exactcore import POLY, RATIONAL, Scalar, Tensor, qvar
+from .structures import Presentation, Space
 
 
 class PresFileError(Exception):
@@ -58,15 +58,13 @@ class PresFileError(Exception):
 
 
 # The block kinds in the order emit writes them: keyword -> (Presentation
-# field, order of the tensor, basis vectors left of "->" on an entry line,
-# tensor class).  The class is named, and looked up among this module's
-# globals when a block closes.
+# field, order of the tensor, basis vectors left of "->" on an entry line).
 BLOCKS = {
-    "product": ("binops", 3, 2, "BinOpTensor"),
-    "coproduct": ("coops", 3, 1, "CoOpTensor"),
-    "map": ("maps", 2, 1, "LinMap"),
-    "form": ("forms", 2, 2, "Tensor2"),
-    "relement": ("relements", 2, 2, "Tensor2"),
+    "product": ("binops", 3, 2),
+    "coproduct": ("coops", 3, 1),
+    "map": ("maps", 2, 1),
+    "form": ("forms", 2, 2),
+    "relement": ("relements", 2, 2),
 }
 
 # a token, or in the second group the first character that starts none
@@ -78,7 +76,7 @@ _TOKEN = re.compile(r"(\(x\)|->|[-+*/^()]|[\w']+)|(\S)")
 # numerators and denominators of its coefficients, and the dimension of the
 # space, since the checks on a product visit up to n^3 basis tuples.  At 128
 # dimensions `verify --profile novikov` on the truncated polynomial algebra
-# (8,256 product entries) takes 4.0 s with Python 3.11 on a 2-vCPU Xeon VM.
+# (8,256 product entries) takes 1.8-2.3 s with Python 3.11 on a 2-vCPU Xeon VM.
 MAX_NESTING = 100
 MAX_POWER = 4096
 MAX_DIM = 128
@@ -256,8 +254,8 @@ def parse(text: str) -> Presentation:
     def close_block():
         if block is not None:
             kind, name, entries, _ = block
-            field, order, _, cls = BLOCKS[kind]
-            t = globals()[cls].from_entries(ring, (len(space.names),) * order, entries)
+            field, order, _ = BLOCKS[kind]
+            t = Tensor.from_entries(ring, (len(space.names),) * order, entries)
             bags[field][name] = t.transpose() if kind == "map" else t
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -268,7 +266,7 @@ def parse(text: str) -> Presentation:
             if block is None:
                 raise PresFileError(lineno, "entry line outside any block")
             kind, _, entries, filled = block
-            _, order, left, _ = BLOCKS[kind]
+            _, order, left = BLOCKS[kind]
             toks = _tokenize(line, lineno)
             arrow = toks.index("->")
             lhs = toks[:arrow]
@@ -375,7 +373,7 @@ def emit(pres: Presentation) -> str:
            "ring " + ("Q" if pres.ring == RATIONAL else "Q[q]")]
 
     word = names.__getitem__
-    for kind, (field, order, left, _) in BLOCKS.items():
+    for kind, (field, order, left) in BLOCKS.items():
         bag = getattr(pres, field)
         for name in sorted(bag):
             out += ["", f"{kind} {name}"]

@@ -2,9 +2,9 @@
 
 A presentation bundles one basis with any number of binary products,
 coproducts, linear maps, bilinear forms and order-2 tensors, all over a
-single ring (Q or Q[q]).  Products and coproducts are sparse order-3
-tensors from exactcore, and so is each operator family of a module, with
-legs (i, k, j): l[i][k][j] is the v_k coefficient of l(e_i) v_j.  Axioms
+single ring (Q or Q[q]).  Each of them, and each operator family of a
+module, is one sparse Tensor from exactcore; Presentation's docstring gives
+the legs of each kind.  Axioms
 are data from the catalog module, compiled there into signed sums of
 contractions.  check_axiom binds a compiled axiom's slots to the tensors of
 a presentation, contracts its hoisted sums once, and sums its terms with
@@ -21,21 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .exactcore import (
-    POLY,
-    RATIONAL,
-    LinMap,
-    RingMismatchError,
-    Scalar,
-    Tensor,
-    Tensor2,
-    Tensor3,
-    Vector,
-    bareiss_det,
-    rational_roots,
-)
+from .exactcore import (POLY, RATIONAL, RingMismatchError, Scalar, Tensor, bareiss_det,
+                        rational_roots)
 from .catalog import CATALOG, _catalog, compile_axiom  # noqa: F401 (importable here)
 
 
@@ -62,36 +51,6 @@ class Space:
             return self.names.index(name)
         except ValueError:
             raise PresentationError(f"unknown basis element {name!r}") from None
-
-
-class BinOpTensor(Tensor):
-    """A bilinear product: c[i][j][k] is the e_k coefficient of e_i * e_j."""
-
-    __slots__ = ()
-    c = Tensor.dense
-
-    def __init__(self, ring: str, c: Sequence[Sequence[Sequence[Scalar]]]):
-        self._init_dense(ring, c, 3, equal_legs=True)
-
-
-class CoOpTensor(Tensor):
-    """A linear coproduct: d[i][j][k] is the e_j (x) e_k coefficient of delta(e_i)."""
-
-    __slots__ = ()
-    d = Tensor.dense
-
-    def __init__(self, ring: str, d: Sequence[Sequence[Sequence[Scalar]]]):
-        self._init_dense(ring, d, 3, equal_legs=True)
-
-    @staticmethod
-    def from_tensors(ring: str, images: Sequence[Tensor2]) -> "CoOpTensor":
-        out = CoOpTensor.stack(images)
-        if out.ring != ring:
-            raise RingMismatchError(f"cannot mix {ring} with {out.ring}")
-        return out
-
-    def image(self, i: int) -> Tensor2:
-        return Tensor2.einsum("i,ijk->jk", Vector.basis(self.ring, self.dim, i), self)
 
 
 def _check_module(names, families: tuple, maps: tuple = ()) -> tuple[str, ...]:
@@ -158,8 +117,8 @@ class RepAdmDiff(_Module):
 
     names: tuple[str, ...]
     l: Tensor
-    alpha: LinMap
-    beta: LinMap
+    alpha: Tensor
+    beta: Tensor
 
     def __post_init__(self):
         self.names = _check_module(self.names, (self.l,), (self.alpha, self.beta))
@@ -179,15 +138,27 @@ _BAGS = (("binops", "product", 3), ("coops", "coproduct", 3), ("maps", "map", 2)
 
 @dataclass
 class Presentation:
-    """One basis, one ring, and a bag of named operations on it."""
+    """One basis, one ring, and a bag of named operations on it.
+
+    Every operation is a Tensor of structure constants on the basis e_i:
+
+        product      c[i][j][k]  the e_k coefficient of e_i * e_j
+        coproduct    d[i][j][k]  the e_j (x) e_k coefficient of delta(e_i)
+        map          m[i][j]     the e_i coefficient of the image of e_j
+        form         B[i][j]     B(e_i, e_j)
+        r-element    r[i][j]     the e_i (x) e_j coefficient of r
+
+    A module's operator family (RepNov, RepAdmDiff) is l[i][k][j], the v_k
+    coefficient of l(e_i) v_j.
+    """
 
     ring: str
     space: Space
-    binops: dict[str, BinOpTensor] = field(default_factory=dict)
-    coops: dict[str, CoOpTensor] = field(default_factory=dict)
-    maps: dict[str, LinMap] = field(default_factory=dict)
-    forms: dict[str, Tensor2] = field(default_factory=dict)
-    relements: dict[str, Tensor2] = field(default_factory=dict)
+    binops: dict[str, Tensor] = field(default_factory=dict)
+    coops: dict[str, Tensor] = field(default_factory=dict)
+    maps: dict[str, Tensor] = field(default_factory=dict)
+    forms: dict[str, Tensor] = field(default_factory=dict)
+    relements: dict[str, Tensor] = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.space.dim
@@ -200,19 +171,19 @@ class Presentation:
     def dim(self) -> int:
         return self.space.dim
 
-    def binop(self, name: str) -> BinOpTensor:
+    def binop(self, name: str) -> Tensor:
         return _lookup(self.binops, name, "product")
 
-    def coop(self, name: str) -> CoOpTensor:
+    def coop(self, name: str) -> Tensor:
         return _lookup(self.coops, name, "coproduct")
 
-    def linmap(self, name: str) -> LinMap:
+    def linmap(self, name: str) -> Tensor:
         return _lookup(self.maps, name, "map")
 
-    def form(self, name: str) -> Tensor2:
+    def form(self, name: str) -> Tensor:
         return _lookup(self.forms, name, "bilinear form")
 
-    def relement(self, name: str) -> Tensor2:
+    def relement(self, name: str) -> Tensor:
         return _lookup(self.relements, name, "order-2 tensor")
 
     def lift(self) -> "Presentation":
@@ -343,7 +314,7 @@ def check_axiom(
 
     if axiom_id == "FORM_NONDEG":
         form = pres.form(binds.get("B", "B"))
-        det = bareiss_det([list(r) for r in form.rows], pres.ring)
+        det = bareiss_det([list(r) for r in form.dense], pres.ring)
         verdict = HOLDS if not det.is_zero() else FAILS
         return AxiomReport(axiom_id, verdict, None, det, det.degree(), None)
 
@@ -387,10 +358,9 @@ def check_axiom(
 
     def items():
         for i in range(len(spaces[0])):
-            first = Vector.basis(pres.ring, len(spaces[0]), i)
+            first = Tensor.basis(pres.ring, len(spaces[0]), i)
             t = Tensor.combination([(c, spec, (first, *ops)) for c, spec, ops in terms])
-            cls = (Vector, Tensor2, Tensor3)[len(t.shape) - lead - 1]
-            for rest, residual in t.slices(lead, cls):
+            for rest, residual in t.slices(lead):
                 idx = (i, *rest)
                 if tuple_filter is None or tuple_filter(idx):
                     yield tuple(nm[j] for nm, j in zip(spaces, idx)), residual
@@ -401,8 +371,8 @@ def check_axiom(
 def scan_residuals(axiom_id: str, ring: str, items) -> AxiomReport:
     """Fold (witness, residual value) pairs into an AxiomReport.
 
-    ``items`` yields pairs of a witness name tuple and a residual (Scalar,
-    Vector or tensor).  Over Q the first nonzero residual settles the verdict;
+    ``items`` yields pairs of a witness name tuple and a residual (Scalar or
+    Tensor).  Over Q the first nonzero residual settles the verdict;
     over Q[q] the rational vanishing sets of all nonzero entries are
     intersected, stopping early once the intersection is empty and no
     non-rational common zero is possible.
@@ -501,8 +471,8 @@ def dualize(pres: Presentation) -> Presentation:
     return Presentation(
         ring=pres.ring,
         space=Space(tuple(_toggle_prime(nm) for nm in pres.space.names)),
-        binops={k: BinOpTensor.einsum("kij->ijk", v) for k, v in pres.coops.items()},
-        coops={k: CoOpTensor.einsum("jki->ijk", v) for k, v in pres.binops.items()},
+        binops={k: Tensor.einsum("kij->ijk", v) for k, v in pres.coops.items()},
+        coops={k: Tensor.einsum("jki->ijk", v) for k, v in pres.binops.items()},
         maps={k: m.transpose() for k, m in pres.maps.items()},
         forms=dict(pres.relements),
         relements=dict(pres.forms),

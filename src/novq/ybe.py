@@ -16,11 +16,9 @@ l[i][k][j] is the v_k coefficient of l(e_i) v_j.  Each term of an identity is
 then one contraction over all pairs of module basis vectors.
 """
 
-from .exactcore import LinMap, Tensor, Tensor2, Tensor3, Vector
+from .exactcore import Tensor
 from .structures import (
     AxiomReport,
-    BinOpTensor,
-    CoOpTensor,
     PresentationError,
     RepAdmDiff,
     RepNov,
@@ -29,7 +27,7 @@ from .structures import (
 from .constructions import star
 
 
-def _check_dims(r: Tensor2, op: BinOpTensor) -> None:
+def _check_dims(r: Tensor, op: Tensor) -> None:
     if r.ring != op.ring:
         raise PresentationError("r and the product live over different rings")
     if r.dim != op.dim:
@@ -44,54 +42,54 @@ _PROD_LEG_SPECS = {
 }
 
 
-def _prod_leg(r: Tensor2, op: BinOpTensor, leg: int) -> Tensor3:
+def _prod_leg(r: Tensor, op: Tensor, leg: int) -> Tensor:
     """The double product of r with itself that multiplies in the given leg."""
-    return Tensor3.einsum(_PROD_LEG_SPECS[leg], r, r, op)
+    return Tensor.einsum(_PROD_LEG_SPECS[leg], r, r, op)
 
 
-def aybe_residual(r: Tensor2, dot: BinOpTensor) -> Tensor3:
+def aybe_residual(r: Tensor, dot: Tensor) -> Tensor:
     """r13.r12 + r13.r23 - r12.r23 for a commutative associative product."""
     _check_dims(r, dot)
-    return Tensor3.combination([(c, _PROD_LEG_SPECS[leg], (r, r, dot))
-                                for c, leg in ((1, 1), (1, 3), (-1, 2))])
+    return Tensor.combination([(c, _PROD_LEG_SPECS[leg], (r, r, dot))
+                               for c, leg in ((1, 1), (1, 3), (-1, 2))])
 
 
-def nybe_residual(r: Tensor2, circ: BinOpTensor) -> Tensor3:
+def nybe_residual(r: Tensor, circ: Tensor) -> Tensor:
     """r13 circ r23 + r12 star r23 + r13 circ r12, with a star b = a circ b + b circ a."""
     _check_dims(r, circ)
-    return Tensor3.combination([(1, _PROD_LEG_SPECS[leg], (r, r, op))
-                                for leg, op in ((3, circ), (2, star(circ)), (1, circ))])
+    return Tensor.combination([(1, _PROD_LEG_SPECS[leg], (r, r, op))
+                               for leg, op in ((3, circ), (2, star(circ)), (1, circ))])
 
 
-def r_admissibility(r: Tensor2, D: LinMap, Q: LinMap) -> AxiomReport:
+def r_admissibility(r: Tensor, D: Tensor, Q: Tensor) -> AxiomReport:
     """(D (x) id - id (x) Q) r = 0 and (id (x) D - Q (x) id) r = 0."""
-    first = Tensor2.combination([(1, "ab,ia->ib", (r, D)), (-1, "ab,jb->aj", (r, Q))])
-    second = Tensor2.combination([(1, "ab,jb->aj", (r, D)), (-1, "ab,ia->ib", (r, Q))])
+    first = Tensor.combination([(1, "ab,ia->ib", (r, D)), (-1, "ab,jb->aj", (r, Q))])
+    second = Tensor.combination([(1, "ab,jb->aj", (r, D)), (-1, "ab,ia->ib", (r, Q))])
     items = [(("D(x)id - id(x)Q",), first), (("id(x)D - Q(x)id",), second)]
     return scan_residuals("R_ADMISS", r.ring, items)
 
 
-def is_antisymmetric(r: Tensor2) -> bool:
-    return Tensor2.combination([(1, "ij->ij", (r,)), (1, "ji->ij", (r,))]).is_zero()
+def is_antisymmetric(r: Tensor) -> bool:
+    return Tensor.combination([(1, "ij->ij", (r,)), (1, "ji->ij", (r,))]).is_zero()
 
 
-def delta_r(r: Tensor2, dot: BinOpTensor) -> CoOpTensor:
+def delta_r(r: Tensor, dot: Tensor) -> Tensor:
     """The coboundary coproduct a -> (id (x) L(a) - L(a) (x) id) r."""
     _check_dims(r, dot)
     # delta(e_i)[a][b] = sum_j r[a][j] (e_i . e_j)_b - r[j][b] (e_i . e_j)_a
-    return CoOpTensor.combination([(1, "aj,ijb->iab", (r, dot)), (-1, "jb,ija->iab", (r, dot))])
+    return Tensor.combination([(1, "aj,ijb->iab", (r, dot)), (-1, "jb,ija->iab", (r, dot))])
 
 
-def Delta_qr(r: Tensor2, circ: BinOpTensor) -> CoOpTensor:
+def Delta_qr(r: Tensor, circ: Tensor) -> Tensor:
     """The coboundary coproduct a -> (L_circ(a) (x) id + id (x) L_star(a)) r."""
     _check_dims(r, circ)
-    return CoOpTensor.combination([(1, "jb,ija->iab", (r, circ)),
-                                   (1, "aj,ijb->iab", (r, star(circ)))])
+    return Tensor.combination([(1, "jb,ija->iab", (r, circ)),
+                               (1, "aj,ijb->iab", (r, star(circ)))])
 
 
-def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
-              dot: BinOpTensor | None = None, D: LinMap | None = None,
-              Q: LinMap | None = None) -> dict:
+def oop_check(T: Tensor, rep, circ: Tensor | None = None,
+              dot: Tensor | None = None, D: Tensor | None = None,
+              Q: Tensor | None = None) -> dict:
     """Verify the defining identities of a relative splitting operator T: V -> A.
 
     With a Novikov module (pass circ):
@@ -102,7 +100,7 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
 
     Returns one report per identity, keyed OOP_PROD / OOP_D / OOP_Q.
     """
-    if T.cod != rep.alg_dim or T.dom != rep.dim:
+    if T.shape != (rep.alg_dim, rep.dim):
         raise PresentationError("operator shape does not match the module")
     if isinstance(rep, RepNov):
         if circ is None:
@@ -120,7 +118,7 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
     residual = Tensor.combination([(1, "ai,abk,bj->ijk", (T, op, T)),
                                    (-1, "ai,amj,km->ijk", (T, rep.l, T)),
                                    (-1, "bj,bmi,km->ijk", (T, right, T))])
-    items = (((rep.names[i], rep.names[j]), v) for (i, j), v in residual.slices(2, Vector))
+    items = (((rep.names[i], rep.names[j]), v) for (i, j), v in residual.slices(2))
     out = {"OOP_PROD": scan_residuals("OOP_PROD", rep.ring, items)}
     if isinstance(rep, RepAdmDiff):
         out["OOP_D"] = scan_residuals("OOP_D", rep.ring,
@@ -131,27 +129,27 @@ def oop_check(T: LinMap, rep, circ: BinOpTensor | None = None,
     return out
 
 
-def _twist(D: LinMap, T: LinMap, alpha: LinMap) -> LinMap:
+def _twist(D: Tensor, T: Tensor, alpha: Tensor) -> Tensor:
     """D T - T alpha."""
-    return LinMap.combination([(1, "kj,ik->ij", (T, D)), (-1, "kj,ik->ij", (alpha, T))])
+    return Tensor.combination([(1, "kj,ik->ij", (T, D)), (-1, "kj,ik->ij", (alpha, T))])
 
 
-def T_from_r(r: Tensor2) -> LinMap:
+def T_from_r(r: Tensor) -> Tensor:
     """The map A* -> A sending a covector f to (f (x) id) r."""
-    return LinMap.einsum("ji->ij", r)
+    return Tensor.einsum("ji->ij", r)
 
 
-def r_from_T(T: LinMap) -> Tensor2:
+def r_from_T(T: Tensor) -> Tensor:
     """Antisymmetrized tensor of T: V -> A inside (A + V*) (x) (A + V*).
 
     T becomes sum_j T(v_j) (x) v_j* in the A (x) V* block; the result is that
     summand minus its flip.
     """
-    na, nv = T.cod, T.dom
-    return Tensor2.from_blocks(T.ring, (na + nv, na + nv),
-                               [((0, na), T), ((na, 0), -T.transpose())])
+    na, nv = T.shape
+    return Tensor.from_blocks(T.ring, (na + nv, na + nv),
+                              [((0, na), T), ((na, 0), -T.transpose())])
 
 
-def canonical_r(ring: str, dim_a: int) -> Tensor2:
+def canonical_r(ring: str, dim_a: int) -> Tensor:
     """sum_i e_i (x) e_i* - e_i* (x) e_i on A + A*."""
-    return r_from_T(LinMap.identity(ring, dim_a))
+    return r_from_T(Tensor.identity(ring, dim_a))

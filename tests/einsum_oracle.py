@@ -4,11 +4,11 @@ This is the body einsum had before rational contractions ran on integer
 numerators: every join multiplies and adds the stored entries themselves, so
 a Q contraction does Fraction arithmetic in each step and an integral result
 may come out as Fraction(k, 1).  The index on each later operand is built
-afresh on every call.  ``oracle_einsum(cls, spec, *operands)`` takes the
-arguments of the classmethod ``cls.einsum`` and must return an equal tensor.
+afresh on every call.  ``oracle_einsum(spec, *operands)`` takes the
+arguments of ``Tensor.einsum`` and must return an equal tensor.
 """
 
-from novq.exactcore import RingMismatchError, ShapeError, _picker, _plan
+from novq.exactcore import RingMismatchError, ShapeError, Tensor, _picker, _plan
 
 
 def _index_on(t, shared, rest) -> dict:
@@ -20,7 +20,7 @@ def _index_on(t, shared, rest) -> dict:
     return index
 
 
-def oracle_einsum(cls, spec: str, *operands):
+def oracle_einsum(spec: str, *operands):
     plan = _plan(spec)
     if len(operands) != plan.operands:
         raise ValueError(f"{spec!r} takes {plan.operands} operands, got {len(operands)}")
@@ -49,4 +49,4 @@ def oracle_einsum(cls, spec: str, *operands):
         final = plan.final or (lambda key: key)
         acc = {final(key): s for key, s in acc.items() if s}
     shape = tuple(operands[o].shape[p] for o, p in plan.out_legs)
-    return cls._make(ring, shape, acc)
+    return Tensor._make(ring, shape, acc)

@@ -8,7 +8,7 @@ over Fraction so every generated quadruple is admissible by construction.
 import random
 from fractions import Fraction
 
-from novq import LinMap, Presentation, RATIONAL, Scalar, Space
+from novq import Presentation, RATIONAL, Scalar, Space, Tensor
 
 
 def rref(rows):
@@ -215,26 +215,24 @@ def quadruple_presentation(c, D, Q):
     names = tuple("e%d" % (i + 1) for i in range(n))
     space = Space(names)
     dot = _binop_from(c)
-    dm = LinMap(RATIONAL, tuple(tuple(Scalar.of(RATIONAL, x) for x in row) for row in D))
-    qm = LinMap(RATIONAL, tuple(tuple(Scalar.of(RATIONAL, x) for x in row) for row in Q))
+    dm = Tensor.from_dense(RATIONAL, tuple(tuple(Scalar.of(RATIONAL, x) for x in row) for row in D))
+    qm = Tensor.from_dense(RATIONAL, tuple(tuple(Scalar.of(RATIONAL, x) for x in row) for row in Q))
     return Presentation(RATIONAL, space, binops={"dot": dot}, maps={"D": dm, "Q": qm})
 
 
 def _binop_from(c):
-    from novq import BinOpTensor
     n = len(c)
-    return BinOpTensor(RATIONAL, [[[Scalar.of(RATIONAL, c[i][j][k])
-                                    for k in range(n)]
-                                   for j in range(n)]
-                                  for i in range(n)])
+    return Tensor.from_dense(RATIONAL, [[[Scalar.of(RATIONAL, c[i][j][k])
+                                          for k in range(n)]
+                                         for j in range(n)]
+                                        for i in range(n)])
 
 
 def random_antisym_r(rng, n, ring=RATIONAL):
-    from novq import Tensor2
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             x = Fraction(rng.randint(-2, 2))
             rows[i][j] = x
             rows[j][i] = -x
-    return Tensor2(ring, tuple(tuple(Scalar.of(ring, x) for x in row) for row in rows))
+    return Tensor.from_dense(ring, tuple(tuple(Scalar.of(ring, x) for x in row) for row in rows))

@@ -9,9 +9,8 @@ signature of ``novq.check_axiom`` and must return equal reports.
 import itertools
 from fractions import Fraction
 
-from novq.exactcore import (POLY, RATIONAL, LinMap, RingMismatchError, Scalar,
-                            Tensor, Tensor2, Tensor3, Vector, bareiss_det,
-                            polynomial)
+from novq.exactcore import (POLY, RATIONAL, RingMismatchError, Scalar, Tensor,
+                            bareiss_det, polynomial)
 from novq.structures import (CATALOG, FAILS, HOLDS, AxiomReport, PresentationError,
                              scan_residuals)
 from oop_oracle import _act
@@ -42,22 +41,22 @@ def _qc(coeffs, ctx: _Ctx) -> Scalar:
     raise ValueError("checking a q-dependent identity over Q needs an explicit q value")
 
 
-def _eval_map(me, ctx: _Ctx) -> LinMap | None:
+def _eval_map(me, ctx: _Ctx) -> Tensor | None:
     if me is None:
         return None
     kind = me[0]
     if kind == "m":
         return ctx.pres.linmap(ctx.key(me[1]))
     if kind == "ml":  # x -> a * x
-        return LinMap.einsum("i,ijk->kj", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
+        return Tensor.einsum("i,ijk->kj", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
     if kind == "mr":  # x -> x * b
-        return LinMap.einsum("j,ijk->ki", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
+        return Tensor.einsum("j,ijk->ki", _eval(me[2], ctx), ctx.pres.binop(ctx.key(me[1])))
     if kind == "mlin":
         acc = None
         for coeffs, sub in me[1]:
             part = _eval_map(sub, ctx)
             if part is None:
-                part = LinMap.identity(ctx.pres.ring, ctx.pres.dim)
+                part = Tensor.identity(ctx.pres.ring, ctx.pres.dim)
             part = part.scale(_qc(coeffs, ctx))
             acc = part if acc is None else acc + part
         return acc
@@ -68,7 +67,7 @@ def _eval_map(me, ctx: _Ctx) -> LinMap | None:
             return inner
         if inner is None:
             return outer
-        return LinMap.einsum("kj,ik->ij", inner, outer)
+        return Tensor.einsum("kj,ik->ij", inner, outer)
     raise ValueError(f"unknown map expression {kind!r}")
 
 
@@ -77,10 +76,10 @@ def _eval(e, ctx: _Ctx):
     if kind == "var":
         return ctx.vals[e[1]]
     if kind == "op":
-        return Vector.einsum("i,j,ijk->k", _eval(e[2], ctx), _eval(e[3], ctx),
+        return Tensor.einsum("i,j,ijk->k", _eval(e[2], ctx), _eval(e[3], ctx),
                              ctx.pres.binop(ctx.key(e[1])))
     if kind == "map":
-        return Vector.einsum("j,ij->i", _eval(e[2], ctx), ctx.pres.linmap(ctx.key(e[1])))
+        return Tensor.einsum("j,ij->i", _eval(e[2], ctx), ctx.pres.linmap(ctx.key(e[1])))
     if kind == "lin":
         acc = None
         for coeffs, sub in e[1]:
@@ -88,28 +87,28 @@ def _eval(e, ctx: _Ctx):
             acc = part if acc is None else acc + part
         return acc
     if kind == "cop":
-        return Tensor2.einsum("i,ijk->jk", _eval(e[2], ctx), ctx.pres.coop(ctx.key(e[1])))
+        return Tensor.einsum("i,ijk->jk", _eval(e[2], ctx), ctx.pres.coop(ctx.key(e[1])))
     if kind == "tau":
-        return Tensor2.einsum("ji->ij", _eval(e[1], ctx))
+        return Tensor.einsum("ji->ij", _eval(e[1], ctx))
     if kind == "tmap2":
         t = _eval(e[2], ctx)
         f, g = _eval_map(e[1][0], ctx), _eval_map(e[1][1], ctx)
         if g is None:
-            return t if f is None else Tensor2.einsum("ab,ia->ib", t, f)
+            return t if f is None else Tensor.einsum("ab,ia->ib", t, f)
         if f is None:
-            return Tensor2.einsum("ab,jb->aj", t, g)
-        return Tensor2.einsum("ab,ia,jb->ij", t, f, g)
+            return Tensor.einsum("ab,jb->aj", t, g)
+        return Tensor.einsum("ab,ia,jb->ij", t, f, g)
     if kind == "coleg":
         # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
         spec = {1: "mk,mij->ijk", 2: "im,mjk->ijk"}[e[2]]
-        return Tensor3.einsum(spec, _eval(e[3], ctx), ctx.pres.coop(ctx.key(e[1])))
+        return Tensor.einsum(spec, _eval(e[3], ctx), ctx.pres.coop(ctx.key(e[1])))
     if kind == "perm":
         # result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
-        return Tensor3.einsum("".join("ijk"[x] for x in e[1]) + "->ijk", _eval(e[2], ctx))
+        return Tensor.einsum("".join("ijk"[x] for x in e[1]) + "->ijk", _eval(e[2], ctx))
     if kind == "pair":
         value = Tensor.einsum("i,j,ij->", _eval(e[2], ctx), _eval(e[3], ctx),
                               ctx.pres.form(ctx.key(e[1]))).entry()
-        return Vector(ctx.pres.ring, [value])
+        return Tensor.from_dense(ctx.pres.ring, [value])
     if kind == "rep":
         if ctx.rep is None:
             raise PresentationError("this axiom needs a representation")
@@ -123,7 +122,7 @@ def _eval(e, ctx: _Ctx):
             raise PresentationError("this axiom needs a representation")
         if not hasattr(ctx.rep, e[1]):
             raise PresentationError(f"this representation has no map {e[1]!r}")
-        return Vector.einsum("j,ij->i", _eval(e[2], ctx), getattr(ctx.rep, e[1]))
+        return Tensor.einsum("j,ij->i", _eval(e[2], ctx), getattr(ctx.rep, e[1]))
     raise ValueError(f"unknown expression {kind!r}")
 
 
@@ -138,7 +137,7 @@ def interp_check_axiom(axiom_id, pres, binds=None, *, rep=None, q=None, tuple_fi
 
     if axiom_id == "FORM_NONDEG":
         form = pres.form(binds.get("B", "B"))
-        det = bareiss_det([list(r) for r in form.rows], pres.ring)
+        det = bareiss_det([list(r) for r in form.dense], pres.ring)
         verdict = HOLDS if not det.is_zero() else FAILS
         return AxiomReport(axiom_id, verdict, None, det, det.degree(), None)
 
@@ -162,7 +161,7 @@ def interp_check_axiom(axiom_id, pres, binds=None, *, rep=None, q=None, tuple_fi
             if rep.alg_dim != pres.dim:
                 raise PresentationError("representation is over a different algebra dimension")
             names = rep.names
-        basis = [Vector.basis(pres.ring, len(names), i) for i in range(len(names))]
+        basis = [Tensor.basis(pres.ring, len(names), i) for i in range(len(names))]
         spaces.append((basis, names))
 
     def items():

@@ -7,32 +7,32 @@ time through ``_act``.  Operator i of a family is read as its i-th slice.
 equal reports.
 """
 
-from novq.exactcore import LinMap, Vector
+from novq.exactcore import Tensor
 from novq.structures import PresentationError, RepAdmDiff, RepNov, scan_residuals
 from novq.ybe import _twist
 
 
-def _operator(family, i: int) -> LinMap:
+def _operator(family, i: int) -> Tensor:
     """The i-th operator of a family with legs (i, k, j)."""
-    return LinMap.einsum("i,ikj->kj", Vector.basis(family.ring, family.shape[0], i), family)
+    return Tensor.einsum("i,ikj->kj", Tensor.basis(family.ring, family.shape[0], i), family)
 
 
-def _act(family, a: Vector, v: Vector) -> Vector:
+def _act(family, a: Tensor, v: Tensor) -> Tensor:
     """Apply sum_i a[i] * family[i] to v."""
-    out = Vector.zero(v.ring, family.shape[1])
+    out = Tensor.from_entries(v.ring, (family.shape[1],), {})
     for i, ai in a.nonzero():
-        out = out + Vector.einsum("j,kj->k", v, _operator(family, i)).scale(ai)
+        out = out + Tensor.einsum("j,kj->k", v, _operator(family, i)).scale(ai)
     return out
 
 
-def oracle_oop_check(T: LinMap, rep, circ=None, dot=None, D=None, Q=None) -> dict:
+def oracle_oop_check(T: Tensor, rep, circ=None, dot=None, D=None, Q=None) -> dict:
     """oop_check evaluated one pair of module basis vectors at a time."""
-    if T.cod != rep.alg_dim or T.dom != rep.dim:
+    if T.shape != (rep.alg_dim, rep.dim):
         raise PresentationError("operator shape does not match the module")
     ring = rep.ring
     nv = rep.dim
-    basis = [Vector.basis(ring, nv, i) for i in range(nv)]
-    timg = [T.column(i) for i in range(nv)]
+    basis = [Tensor.basis(ring, nv, i) for i in range(nv)]
+    timg = [Tensor.einsum("j,ij->i", basis[i], T) for i in range(nv)]
     names = rep.names
 
     if isinstance(rep, RepNov):
@@ -44,8 +44,8 @@ def oracle_oop_check(T: LinMap, rep, circ=None, dot=None, D=None, Q=None) -> dic
         def prod_items():
             for i in range(nv):
                 for j in range(nv):
-                    lhs = Vector.einsum("i,j,ijk->k", timg[i], timg[j], circ)
-                    rhs = Vector.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
+                    lhs = Tensor.einsum("i,j,ijk->k", timg[i], timg[j], circ)
+                    rhs = Tensor.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
                                         + _act(rep.r, timg[j], basis[i]), T)
                     yield (names[i], names[j]), lhs - rhs
 
@@ -61,8 +61,8 @@ def oracle_oop_check(T: LinMap, rep, circ=None, dot=None, D=None, Q=None) -> dic
     def prod_items():
         for i in range(nv):
             for j in range(nv):
-                lhs = Vector.einsum("i,j,ijk->k", timg[i], timg[j], dot)
-                rhs = Vector.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
+                lhs = Tensor.einsum("i,j,ijk->k", timg[i], timg[j], dot)
+                rhs = Tensor.einsum("j,ij->i", _act(rep.l, timg[i], basis[j])
                                     + _act(rep.l, timg[j], basis[i]), T)
                 yield (names[i], names[j]), lhs - rhs
 

@@ -71,24 +71,24 @@ def from_scalar(s):
 
 def op_table(op):
     n = op.dim
-    return [[[from_scalar(op.c[i][j][k]) for k in range(n)] for j in range(n)]
+    return [[[from_scalar(op.dense[i][j][k]) for k in range(n)] for j in range(n)]
             for i in range(n)]
 
 
 def cop_table(cop):
     n = cop.dim
-    return [[[from_scalar(cop.d[i][j][k]) for k in range(n)] for j in range(n)]
+    return [[[from_scalar(cop.dense[i][j][k]) for k in range(n)] for j in range(n)]
             for i in range(n)]
 
 
 def map_table(m):
-    n = m.cod
-    return [[from_scalar(m.rows[i][j]) for j in range(m.dom)] for i in range(n)]
+    n = m.shape[0]
+    return [[from_scalar(m.dense[i][j]) for j in range(m.shape[1])] for i in range(n)]
 
 
 def tensor2_table(t):
     n = t.dim
-    return [[from_scalar(t.rows[i][j]) for j in range(n)] for i in range(n)]
+    return [[from_scalar(t.dense[i][j]) for j in range(n)] for i in range(n)]
 
 
 # -- algebra axiom residuals, one triple/pair at a time ---------------------------

@@ -5,7 +5,8 @@ These are the bodies of ``Scalar.__add__``, ``__neg__``, ``__sub__`` and
 coefficients were stored as ints: every coefficient is a Fraction, missing
 ones are padded with Fraction(0), and subtraction adds the negation.  Each
 function takes and returns an ascending coefficient tuple with no trailing
-zeros.
+zeros.  ``eval_q`` is ``Scalar.eval_q`` as it was before it ran on integer
+numerators: Horner's rule in Fractions, returning the Fraction value.
 """
 
 from fractions import Fraction
@@ -44,3 +45,11 @@ def mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return _trim(out)
+
+
+def eval_q(a, point):
+    p = Fraction(point)
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * p + c
+    return acc

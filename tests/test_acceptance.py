@@ -16,9 +16,8 @@ from pathlib import Path
 
 import genalg
 import oracles as orc
-from novq import (BinOpTensor, CoOpTensor, LinMap, POLY, Presentation,
-                  RATIONAL, RepAdmDiff, RepNov, Scalar, Space, T_from_r,
-                  Tensor, Tensor2, Vector, all_hold, aybe_residual, canonical_r,
+from novq import (POLY, Presentation, RATIONAL, RepAdmDiff, RepNov, Scalar,
+                  Space, T_from_r, Tensor, all_hold, aybe_residual, canonical_r,
                   check_axiom, descendent_commdiff, double_induced_family,
                   dual_rep_admdiff, dual_rep_novikov, family_difference_locus,
                   induce_nov_coalg, induce_novikov, is_admissible_quadruple, load,
@@ -155,8 +154,8 @@ def test_criterion_6():
     pres = load("fixtures/exnov1")
     circ = induce_novikov(pres.binop("dot"), pres.linmap("D"),
                           pres.linmap("Q"), q=F(-1, 2))
-    e1 = Vector.basis(RATIONAL, 2, 0)
-    e2 = Vector.basis(RATIONAL, 2, 1)
+    e1 = Tensor.basis(RATIONAL, 2, 0)
+    e2 = Tensor.basis(RATIONAL, 2, 1)
     for m in range(-3, 4):
         for n in range(-3, 4):
             got = affine_bracket(LaurentVector(e1, m), LaurentVector(e2, n), circ)
@@ -179,7 +178,7 @@ def test_criterion_6():
             for a in range(2):
                 for b in range(2):
                     want = coeff if (a, b) == (1, 1) else F(0)
-                    assert orc.from_scalar(comp.rows[a][b]) == orc.pconst(want)
+                    assert orc.from_scalar(comp.dense[a][b]) == orc.pconst(want)
             assert cobracket_component(e1, m, (j, k), Delta).is_zero()
         # off the j + k = m - 2 diagonal every component vanishes
         assert cobracket_component(e2, m, (0, m), Delta).is_zero()
@@ -225,8 +224,8 @@ def _suite_semidirect_iff():
             tgt = rng.choice((l, r))
             tgt[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = \
                 Scalar.of(RATIONAL, rng.randint(-2, 2))
-            rep = RepNov(vnames, Tensor.stack([LinMap(RATIONAL, m) for m in l]),
-                         Tensor.stack([LinMap(RATIONAL, m) for m in r]))
+            rep = RepNov(vnames, Tensor.stack([Tensor.from_dense(RATIONAL, m) for m in l]),
+                         Tensor.stack([Tensor.from_dense(RATIONAL, m) for m in r]))
         is_module = all(check_axiom(a, base, rep=rep).holds for a in rep_ids)
         sd = semidirect_novikov(base, rep)
         is_novikov = (check_axiom("NOV_LSYM", sd).holds
@@ -260,7 +259,7 @@ def _suite_ybe_oop():
         if n == 6 and case % 3 == 0:
             r = canonical_r(RATIONAL, 3)
         elif case % 11 == 0:
-            r = Tensor2.zero(RATIONAL, n)
+            r = Tensor.from_entries(RATIONAL, (n, n), {})
         else:
             r = genalg.random_antisym_r(rng, n)
         lhs = (aybe_residual(r, dot).is_zero()
@@ -286,7 +285,7 @@ def _rand_op(rng, names):
            for _ in range(n)] for _ in range(n)] for _ in range(n)]
     rows = tuple(tuple(tuple(Scalar.of(RATIONAL, x) for x in row) for row in plane)
                  for plane in c)
-    return BinOpTensor(RATIONAL, rows)
+    return Tensor.from_dense(RATIONAL, rows)
 
 
 def _rand_cop(rng, n):
@@ -296,12 +295,12 @@ def _rand_cop(rng, n):
                                      F(rng.randint(-2, 2)) if rng.random() < 0.4
                                      else F(0))
                            for _ in range(n)) for _ in range(n))
-        images.append(Tensor2(RATIONAL, rows))
-    return CoOpTensor.from_tensors(RATIONAL, images)
+        images.append(Tensor.from_dense(RATIONAL, rows))
+    return Tensor.stack(images)
 
 
 def _rand_map(rng, n):
-    return LinMap(RATIONAL, tuple(
+    return Tensor.from_dense(RATIONAL, tuple(
         tuple(Scalar.of(RATIONAL, F(rng.randint(-2, 2))) for _ in range(n))
         for _ in range(n)))
 
@@ -360,7 +359,7 @@ def _suite_oracle_agreement():
         else:
             assert rep.verdict == "fails", aid
             assert rep.witness == witness, aid
-            got = [orc.from_scalar(x) for x in rep.residual.coords]
+            got = [orc.from_scalar(x) for x in rep.residual.dense]
             assert got == res, aid
 
         dct = orc.cop_table(cop)
@@ -378,11 +377,11 @@ def _suite_oracle_agreement():
         got = aybe_residual(r, op)
         want = orc.aybe_residual(rt, ct)
         assert [[[orc.from_scalar(x) for x in row] for row in plane]
-                for plane in got.data] == want
+                for plane in got.dense] == want
         got = nybe_residual(r, op)
         want = orc.nybe_residual(rt, ct)
         assert [[[orc.from_scalar(x) for x in row] for row in plane]
-                for plane in got.data] == want
+                for plane in got.dense] == want
 
 
 def _suite_specialization():
@@ -415,26 +414,25 @@ def test_criterion_7():
 # -- criterion 8: negative controls -------------------------------------------------
 
 def _qop(table):
-    return BinOpTensor(RATIONAL, tuple(
+    return Tensor.from_dense(RATIONAL, tuple(
         tuple(tuple(Scalar.of(RATIONAL, F(x)) for x in row) for row in plane)
         for plane in table))
 
 
 def _qt2(rows):
-    return Tensor2(RATIONAL, tuple(
+    return Tensor.from_dense(RATIONAL, tuple(
         tuple(Scalar.of(RATIONAL, F(x)) for x in r) for r in rows))
 
 
 def _qmap(rows):
-    return LinMap(RATIONAL, tuple(
+    return Tensor.from_dense(RATIONAL, tuple(
         tuple(Scalar.of(RATIONAL, F(x)) for x in r) for r in rows))
 
 
 def _junk_pres():
     """A two dimensional presentation built to violate everything at once."""
     op = _qop([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
-    cop = CoOpTensor.from_tensors(RATIONAL, [_qt2([[0, 1], [0, 0]]),
-                                             _qt2([[1, 0], [1, 0]])])
+    cop = Tensor.stack([_qt2([[0, 1], [0, 0]]), _qt2([[1, 0], [1, 0]])])
     return Presentation(
         ring=RATIONAL, space=Space(("e1", "e2")),
         binops={"dot": op, "circ": op, "zin": op, "lpre": op, "rpre": op,
@@ -446,8 +444,7 @@ def _junk_pres():
 
 def _diag_coop_pres():
     op = _qop([[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
-    cop = CoOpTensor.from_tensors(RATIONAL, [_qt2([[1, 0], [0, 0]]),
-                                             _qt2([[0, 0], [0, 1]])])
+    cop = Tensor.stack([_qt2([[1, 0], [0, 0]]), _qt2([[0, 0], [0, 1]])])
     return Presentation(ring=RATIONAL, space=Space(("e1", "e2")),
                         binops={"circ": op}, coops={"Delta": cop})
 

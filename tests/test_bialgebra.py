@@ -1,17 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles as orc
-from novq import (CoOpTensor, POLY, Presentation, PresentationError, RATIONAL,
-                  Scalar, all_hold, check_axiom, check_diff_asi_bialgebra,
+from novq import (POLY, Presentation, PresentationError, RATIONAL, Scalar,
+                  Tensor, all_hold, check_axiom, check_diff_asi_bialgebra,
                   check_manin_triple, check_novikov_bialgebra,
                   double_construction, double_induced_family, emit,
                   family_difference_locus, induce_nov_coalg, induce_novikov,
                   load, novikov_bialgebra_locus, prenov_double_family,
-                  quadratic_novikov_check, standard_form, zinbiel_double)
+                  polynomial, quadratic_novikov_check, scan_residuals,
+                  standard_form, zinbiel_double)
 from novq.bialgebra import (BIALG_Q_AXIOMS, DIFF_ASI_AXIOMS, NOV_BIALG_AXIOMS,
-                            adjoint_map, bialg_q_residuals)
+                            _subalgebra_report, adjoint_map, bialg_q_residuals)
 from novq.structures import ALL_Q, FINITE
 
 F = Fraction
@@ -32,7 +34,7 @@ def test_diff_asi_detects_broken_coproduct():
     d = [[[Scalar.zero(RATIONAL)] * 2 for _ in range(2)] for _ in range(2)]
     d[0][0][1] = Scalar.one(RATIONAL)
     broken = Presentation(RATIONAL, pres.space, binops=dict(pres.binops),
-                          coops={"delta": CoOpTensor(RATIONAL, d)},
+                          coops={"delta": Tensor.from_dense(RATIONAL, d)},
                           maps=dict(pres.maps))
     out = check_diff_asi_bialgebra(broken)
     assert not out["COCOMM"].holds
@@ -54,12 +56,11 @@ def test_adjoint_map():
     adj = adjoint_map(D, B)
     # defining property, checked entrywise on basis pairs
     n = 4
-    from novq import Vector
     for i in range(n):
         for j in range(n):
-            lhs = sum((B.rows[k][j] * D.rows[k][i] for k in range(n)),
+            lhs = sum((B.dense[k][j] * D.dense[k][i] for k in range(n)),
                       Scalar.zero(RATIONAL))
-            rhs = sum((B.rows[i][k] * adj.rows[k][j] for k in range(n)),
+            rhs = sum((B.dense[i][k] * adj.dense[k][j] for k in range(n)),
                       Scalar.zero(RATIONAL))
             assert (lhs - rhs).is_zero()
 
@@ -196,7 +197,7 @@ def test_double_construction_guard():
     d = [[[Scalar.zero(RATIONAL)] * 2 for _ in range(2)] for _ in range(2)]
     d[0][0][1] = Scalar.one(RATIONAL)  # not cocommutative, ASI fails
     broken = Presentation(RATIONAL, pres.space, binops=dict(pres.binops),
-                          coops={"delta": CoOpTensor(RATIONAL, d)},
+                          coops={"delta": Tensor.from_dense(RATIONAL, d)},
                           maps=dict(pres.maps))
     with pytest.raises(PresentationError):
         double_construction(broken)
@@ -214,6 +215,40 @@ def test_manin_triple_from_double():
         half = Presentation(RATIONAL, dbl.space, binops={"circ": circ})
         out = check_manin_triple(half)
         assert all_hold(out.values()), fx
+
+
+def _per_pair_subalgebra(axiom_id, op, names, inside):
+    """The pair-by-pair scan that _subalgebra_report replaced."""
+    outside = [k for k in range(op.dim) if k not in inside]
+    items = (((names[i], names[j]),
+              Tensor.from_dense(op.ring, [op.entry(i, j, k) for k in outside]))
+             for i in inside for j in inside)
+    return scan_residuals(axiom_id, op.ring, items)
+
+
+def test_subalgebra_reports_name_planted_leaks_as_the_per_pair_scan():
+    # one or two leaks planted into one half of a Manin triple, over Q and over Q[q]
+    rng = random.Random(12)
+    dbl = double_construction(load("fixtures/examp2-double"))
+    circ = induce_novikov(dbl.binop("dot"), dbl.linmap("D"), dbl.linmap("Q"), q=F(-1, 2))
+    n, names = circ.dim, dbl.space.names
+    halves = {"SUBALG_LEFT": range(n // 2), "SUBALG_RIGHT": range(n // 2, n)}
+    for ring in (RATIONAL, POLY):
+        base = circ if ring == RATIONAL else circ.map_scalars(Scalar.lift, POLY)
+        value = Scalar.of(ring, 3) if ring == RATIONAL else polynomial((F(1, 2), 1))
+        for trial in range(16):
+            aid = ("SUBALG_LEFT", "SUBALG_RIGHT")[trial % 2]
+            inside = halves[aid]
+            leaks = {(rng.choice(inside), rng.choice(inside),
+                      rng.choice([k for k in range(n) if k not in inside])): value
+                     for _ in range(1 + trial % 3 // 2)}
+            op = base + Tensor.from_entries(ring, (n,) * 3, leaks)
+            got = _subalgebra_report(aid, op, names, inside)
+            assert got == _per_pair_subalgebra(aid, op, names, inside)
+            i, j, _ = min(leaks)
+            assert got.witness == (names[i], names[j]) and not got.holds
+            other = "SUBALG_RIGHT" if aid == "SUBALG_LEFT" else "SUBALG_LEFT"
+            assert _subalgebra_report(other, op, names, halves[other]).holds
 
 
 def test_manin_invariance_locus_small():
@@ -242,7 +277,7 @@ def test_semidirect_double_is_not_a_manin_triple():
     rep = out["BILIN_INV_NOV"]
     assert rep.verdict == "fails"
     assert rep.witness == ("e1", "e1", "e2'")
-    assert rep.residual.coords[0].val == F(-1, 2)
+    assert rep.residual.dense[0].val == F(-1, 2)
 
 
 def test_quadratic_novikov_check():
@@ -254,8 +289,7 @@ def test_quadratic_novikov_check():
     out = quadratic_novikov_check(pres)
     assert all_hold(out.values())
 
-    from novq import Tensor2
-    zero = Tensor2.zero(RATIONAL, 4)
+    zero = Tensor.from_entries(RATIONAL, (4, 4), {})
     out = quadratic_novikov_check(Presentation(RATIONAL, dbl.space, binops={"circ": circ},
                                                forms={"B": zero}))
     assert out["FORM_SYM"].holds

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
-from novq import RATIONAL, CoOpTensor, Presentation, Scalar, check_axiom, load
+from novq import RATIONAL, Presentation, Scalar, Tensor, check_axiom, load
 from novq.catalog import CATALOG, compile_axiom
 
 
@@ -32,7 +32,7 @@ def test_sums_without_the_first_variable_are_hoisted():
 def _random_coop(rng, n, ring):
     d = [[[Scalar.of(ring, rng.choice((0, 0, 1, -1, F(1, 2)))) for _ in range(n)]
           for _ in range(n)] for _ in range(n)]
-    return CoOpTensor(ring, d)
+    return Tensor.from_dense(ring, d)
 
 
 def test_bialg_q_2_where_every_coefficient_vanishes():

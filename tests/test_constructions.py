@@ -8,7 +8,7 @@ from novq import (POLY, Presentation, RATIONAL, Scalar,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
                   induce_nov_coalg, induce_novikov, induced_rep_q,
                   is_admissible_quadruple, load,
-                  pre_novikov_from_zinbiel, Vector)
+                  pre_novikov_from_zinbiel, Tensor)
 from novq.constructions import (deformation_family_check, pre_novikov_from_oop,
                                 regular_rep_admdiff, regular_rep_novikov,
                                 semidirect_novikov, star, zinbiel_from_oop)
@@ -92,7 +92,7 @@ def test_pre_novikov_split_gelfand_point():
     pres = load("fixtures/zinb-deriv")
     lhd, rhd = pre_novikov_from_zinbiel(pres.binop("zin"), pres.linmap("D"),
                                         pres.linmap("Q"), q=0)
-    assert [x.val for x in rhd.c[0][0]] == [0, 1, 0]  # e1 rhd e1 = e1 zin D(e1)
+    assert [x.val for x in rhd.dense[0][0]] == [0, 1, 0]  # e1 rhd e1 = e1 zin D(e1)
 
 
 def test_descendent_sum_equals_induced():
@@ -144,8 +144,8 @@ def test_dual_rep_admdiff_exnov1():
                               pres.linmap("Q"), ("v1", "v2"))
     dual = dual_rep_admdiff(rep)
     # the endomorphisms swap and transpose: alpha' = Q^T, beta' = D^T
-    assert [[x.val for x in row] for row in dual.alpha.rows] == [[1, 0], [0, 0]]
-    assert [[x.val for x in row] for row in dual.beta.rows] == [[0, 0], [0, 1]]
+    assert [[x.val for x in row] for row in dual.alpha.dense] == [[1, 0], [0, 0]]
+    assert [[x.val for x in row] for row in dual.beta.dense] == [[0, 0], [0, 1]]
     # duals of regular modules are modules again
     p = load("fixtures/exnov1")
     for aid in ("REP_MOD", "REP_DIFF", "REP_ADM"):
@@ -157,9 +157,9 @@ def test_induced_rep_q_exnov1():
     rep = regular_rep_admdiff(pres.binop("dot"), pres.linmap("D"),
                               pres.linmap("Q"), ("v1", "v2"))
     nrep = induced_rep_q(rep, pres.linmap("D"), pres.linmap("Q"), q=F(-1, 2))
-    img = Vector.einsum("i,j,ikj->k", Vector.basis(RATIONAL, 2, 0),
-                        Vector.basis(RATIONAL, 2, 0), nrep.l)
-    assert [x.val for x in img.coords] == [F(-1, 2), 0]
+    img = Tensor.einsum("i,j,ikj->k", Tensor.basis(RATIONAL, 2, 0),
+                        Tensor.basis(RATIONAL, 2, 0), nrep.l)
+    assert [x.val for x in img.dense] == [F(-1, 2), 0]
     # it is a module over the matching induced product
     circ = induce_novikov(pres.binop("dot"), pres.linmap("D"), pres.linmap("Q"),
                           q=F(-1, 2))
@@ -193,13 +193,13 @@ def test_deformation_family_closure():
 
 
 def test_deformation_family_detects_breakage():
-    from novq import BinOpTensor
     pres = load("fixtures/exnov1")
     dot, D, Q = pres.binop("dot"), pres.linmap("D"), pres.linmap("Q")
     base = induce_novikov(dot, D, Q, q=0)
     c = [[[Scalar.zero(RATIONAL)] * 2 for _ in range(2)] for _ in range(2)]
     c[1][1][0] = Scalar.one(RATIONAL)  # f(e2, e2) = e1
-    fam = Presentation(RATIONAL, pres.space, binops={"circ": base, "f": BinOpTensor(RATIONAL, c)})
+    fam = Presentation(RATIONAL, pres.space,
+                       binops={"circ": base, "f": Tensor.from_dense(RATIONAL, c)})
     reports = deformation_family_check(fam)
     assert reports["DEFORM_2"].verdict == "fails"
     assert not all_hold(reports.values())
@@ -222,10 +222,10 @@ def test_semidirect_novikov_iff_module():
             tgt = rng.choice((l, r))
             tgt[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)] = \
                 Scalar.of(RATIONAL, rng.randint(-2, 2))
-        from novq import LinMap, RepNov, Tensor
+        from novq import RepNov
         rep = RepNov(("v1", "v2"),
-                     Tensor.stack([LinMap(RATIONAL, m) for m in l]),
-                     Tensor.stack([LinMap(RATIONAL, m) for m in r]))
+                     Tensor.stack([Tensor.from_dense(RATIONAL, m) for m in l]),
+                     Tensor.stack([Tensor.from_dense(RATIONAL, m) for m in r]))
         is_module = all(check_axiom(a, base, rep=rep).holds for a in rep_ids)
         sd = semidirect_novikov(base, rep)
         is_novikov = (check_axiom("NOV_LSYM", sd).holds
@@ -246,7 +246,7 @@ def test_induced_quadruple_novikov_random():
 def _naive_oop_product(T, family, i, j, k):
     # (family(T(e_i)) e_j)_k from the dense tables, family[m][k][j] of operator m
     n = len(family)
-    return sum((T.rows[m][i] * family[m][k][j] for m in range(n)),
+    return sum((T.dense[m][i] * family[m][k][j] for m in range(n)),
                Scalar.zero(T.ring))
 
 
@@ -266,7 +266,7 @@ def test_products_from_splitting_operators_on_dual_modules():
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                assert zin.c[i][j][k] == _naive_oop_product(T, dl, i, j, k)
+                assert zin.dense[i][j][k] == _naive_oop_product(T, dl, i, j, k)
     p = Presentation(RATIONAL, Space(dual.names), binops={"zin": zin},
                      maps={"D": dual.alpha, "Q": dual.beta})
     assert check_axiom("ZINBIEL", p).holds
@@ -282,8 +282,8 @@ def test_products_from_splitting_operators_on_dual_modules():
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                assert rhd.c[i][j][k] == _naive_oop_product(T, nl, i, j, k)
-                assert lhd.c[i][j][k] == _naive_oop_product(T, nr, j, i, k)
+                assert rhd.dense[i][j][k] == _naive_oop_product(T, nl, i, j, k)
+                assert lhd.dense[i][j][k] == _naive_oop_product(T, nr, j, i, k)
     p = Presentation(RATIONAL, Space(ndual.names), binops={"lpre": lhd, "rpre": rhd})
     for aid in ("PRE_NOV_1", "PRE_NOV_2", "PRE_NOV_3", "PRE_NOV_4"):
         assert check_axiom(aid, p).holds, aid

@@ -17,7 +17,7 @@ import pytest
 
 from einsum_oracle import oracle_einsum
 from genalg import random_quadruple
-from novq import RATIONAL, BinOpTensor, LinMap, Scalar, Tensor, Vector
+from novq import RATIONAL, Scalar, Tensor
 from novq.constructions import induce_novikov
 
 F = Fraction
@@ -77,9 +77,9 @@ def _assert_same(got: Tensor, want: Tensor, joined: bool = True) -> None:
         assert g == v and type(g) is kind, (key, g, v)
 
 
-def _check(cls, spec: str, *operands: Tensor) -> Tensor:
-    got = cls.einsum(spec, *operands)
-    _assert_same(got, oracle_einsum(cls, spec, *operands), joined=len(operands) > 1)
+def _check(spec: str, *operands: Tensor) -> Tensor:
+    got = Tensor.einsum(spec, *operands)
+    _assert_same(got, oracle_einsum(spec, *operands), joined=len(operands) > 1)
     return got
 
 
@@ -95,23 +95,24 @@ def test_matches_the_oracle_on_random_operands(pool, kinds):
             operands = [_operand(rng, len(legs), n, rng.choice(kinds),
                                  _denominators(rng, pool, o), density)
                         for o, legs in enumerate(ins)]
-            _check(Tensor, spec, *operands)
+            _check(spec, *operands)
 
 
 def test_matches_the_oracle_where_products_cancel():
     # e1 e1 -> e1 and e2 e2 -> -e1, scaled: x (x) x cancels whenever x1 = +-x2
     for num, den, scale in ((1, 3, F(1, 2)), (7, 10 ** 30 + 1, F(5, 10 ** 29 + 3)), (2, 1, 3)):
-        x = Vector(RATIONAL, [Scalar.of(RATIONAL, F(num, den)), Scalar.of(RATIONAL, F(-num, den))])
-        op = BinOpTensor.from_entries(RATIONAL, (2, 2, 2), {
+        x = Tensor.from_dense(RATIONAL, [Scalar.of(RATIONAL, F(num, den)),
+                                         Scalar.of(RATIONAL, F(-num, den))])
+        op = Tensor.from_entries(RATIONAL, (2, 2, 2), {
             (0, 0, 0): Scalar.of(RATIONAL, scale), (1, 1, 0): Scalar.of(RATIONAL, -scale),
             (0, 1, 1): Scalar.of(RATIONAL, scale)})
-        got = _check(Vector, "i,j,ijk->k", x, x, op)
+        got = _check("i,j,ijk->k", x, x, op)
         assert (0,) not in got._entries and got._entries[(1,)] == -scale * F(num, den) ** 2
     # a product of two nonzero sparse operands with no shared keys is empty
     a = _operand(random.Random(1), 2, 3, "fraction", (3, 7), 1.0)
     empty = Tensor._make(RATIONAL, (3, 3), {})
-    assert _check(Tensor, "ij,jk->ik", a, empty).is_zero()
-    assert _check(Tensor, "ij,jk->ik", empty, a).is_zero()
+    assert _check("ij,jk->ik", a, empty).is_zero()
+    assert _check("ij,jk->ik", empty, a).is_zero()
 
 
 def test_matches_the_oracle_on_seeded_quadruples_with_cached_indexes():
@@ -122,15 +123,15 @@ def test_matches_the_oracle_on_seeded_quadruples_with_cached_indexes():
         n = dot.dim
         q = rng.choice((F(-1, 2), F(1, 3), F(-3, 2), F(2)))
         circ = induce_novikov(dot, D, Q, q=q)
-        _assert_same(circ, oracle_einsum(BinOpTensor, "mj,imk->ijk",
-                                         D + Q.scale(Scalar.of(RATIONAL, q)), dot))
+        _assert_same(circ, oracle_einsum("mj,imk->ijk", D + Q.scale(Scalar.of(RATIONAL, q)),
+                                         dot))
         cached = None
         for _ in range(4):  # circ and D are hit again through their cached indexes
             x, y = (_operand(rng, 1, n, "mixed", (1, 2, 3, 7), 0.7) for _ in range(2))
-            _check(Vector, "i,j,ijk->k", x, y, circ)
-            _check(Tensor, "ABi,iCk->ABCk", circ, circ)
-            _check(Tensor, "ab,ia,jb->ij", Tensor.einsum("i,j,ijk->jk", x, y, circ), D, Q)
-            _check(LinMap, "kj,ik->ij", D, Q)
+            _check("i,j,ijk->k", x, y, circ)
+            _check("ABi,iCk->ABCk", circ, circ)
+            _check("ab,ia,jb->ij", Tensor.einsum("i,j,ijk->jk", x, y, circ), D, Q)
+            _check("kj,ik->ij", D, Q)
             if cached is None:
                 cached = dict(circ._index)
             assert all(circ._index[key] is index for key, index in cached.items())

@@ -7,9 +7,8 @@ from fractions import Fraction as F
 
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
-from novq import (POLY, RATIONAL, BinOpTensor, CoOpTensor, LinMap, Presentation,
-                  RepAdmDiff, RepNov, Scalar, Tensor, Tensor2, check_axiom, induce_nov_coalg,
-                  induce_novikov, load, polynomial)
+from novq import (POLY, RATIONAL, Presentation, RepAdmDiff, RepNov, Scalar, Tensor,
+                  check_axiom, induce_nov_coalg, induce_novikov, load, polynomial)
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
 from novq.liewindow import POLYALG_AXIOMS, polyalg_family
 from novq.structures import CATALOG
@@ -25,9 +24,9 @@ def _scalar(rng, ring, density):
     return polynomial((rng.randint(-2, 2), rng.choice((0, 0, 1, -1))))
 
 
-def _tensor(cls, rng, ring, shape, density):
-    return cls.from_entries(ring, shape, {idx: _scalar(rng, ring, density)
-                                          for idx in itertools.product(*map(range, shape))})
+def _tensor(rng, ring, shape, density):
+    return Tensor.from_entries(ring, shape, {idx: _scalar(rng, ring, density)
+                                             for idx in itertools.product(*map(range, shape))})
 
 
 def _planted(t, rng, ring):
@@ -38,7 +37,7 @@ def _planted(t, rng, ring):
     """
     one = Scalar.one(ring) if ring == RATIONAL else polynomial((F(-1, 2), 1))
     idx = (0, 1, rng.randrange(t.dim))
-    return t + type(t).from_entries(ring, t.shape, {idx: one})
+    return t + Tensor.from_entries(ring, t.shape, {idx: one})
 
 
 def _case(rng, n, ring, plant):
@@ -49,23 +48,21 @@ def _case(rng, n, ring, plant):
     circ = induce_novikov(dot, D, Q, q=None if ring == POLY else F(rng.randint(-3, 3), 2))
     if plant:
         dot, circ = _planted(dot, rng, ring), _planted(circ, rng, ring)
-    rand = lambda cls, order, density: _tensor(cls, rng, ring, (n,) * order, density)
+    rand = lambda order, density: _tensor(rng, ring, (n,) * order, density)
     pres = Presentation(
         ring, quad.space,
-        binops={"dot": dot, "circ": circ, "zin": rand(BinOpTensor, 3, 0.3),
-                "lpre": rand(BinOpTensor, 3, 0.3), "rpre": rand(BinOpTensor, 3, 0.3),
-                "f": rand(BinOpTensor, 3, 0.3)},
-        coops={"delta": rand(CoOpTensor, 3, 0.3), "Delta": rand(CoOpTensor, 3, 0.2)},
-        maps={"D": D, "Q": Q}, forms={"B": rand(Tensor2, 2, 0.5)})
+        binops={"dot": dot, "circ": circ, "zin": rand(3, 0.3), "lpre": rand(3, 0.3),
+                "rpre": rand(3, 0.3), "f": rand(3, 0.3)},
+        coops={"delta": rand(3, 0.3), "Delta": rand(3, 0.2)},
+        maps={"D": D, "Q": Q}, forms={"B": rand(2, 0.5)})
     names = quad.space.names
     if rng.random() < 0.5:  # the regular modules
         return pres, regular_rep_novikov(circ, names), regular_rep_admdiff(dot, D, Q, names)
     m = n + 1  # a module of another dimension than the algebra
     vnames = tuple(f"v{i}" for i in range(m))
-    family = lambda: _tensor(Tensor, rng, ring, (n, m, m), 0.4)
+    family = lambda: _tensor(rng, ring, (n, m, m), 0.4)
     return (pres, RepNov(vnames, family(), family()),
-            RepAdmDiff(vnames, family(), *(_tensor(LinMap, rng, ring, (m, m), 0.4)
-                                           for _ in range(2))))
+            RepAdmDiff(vnames, family(), *(_tensor(rng, ring, (m, m), 0.4) for _ in range(2))))
 
 
 def _both(aid, pres, binds=None, **kw):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
-from novq import (POLY, PresentationError, RATIONAL, Scalar, Vector,
+from novq import (POLY, PresentationError, RATIONAL, Scalar, Tensor,
                   WindowSpec, induce_nov_coalg, induce_novikov, load, polyalg_family,
                   polyalg_window_check, window_lie_bialgebra_check)
 from novq.liewindow import LaurentVector, affine_bracket, cobracket_component
@@ -19,15 +19,15 @@ def _circ_half():
 
 def test_affine_bracket_closed_form():
     circ = _circ_half()
-    e1 = Vector.basis(RATIONAL, 2, 0)
-    e2 = Vector.basis(RATIONAL, 2, 1)
+    e1 = Tensor.basis(RATIONAL, 2, 0)
+    e2 = Tensor.basis(RATIONAL, 2, 1)
     for m in range(-3, 4):
         for n in range(-3, 4):
             br = affine_bracket(LaurentVector(e1, m), LaurentVector(e2, n), circ)
             assert br.degree == m + n - 1
-            assert [c.val for c in br.base.coords] == [0, F(m) + F(n, 2)]
+            assert [c.val for c in br.base.dense] == [0, F(m) + F(n, 2)]
             br = affine_bracket(LaurentVector(e1, m), LaurentVector(e1, n), circ)
-            assert [c.val for c in br.base.coords] == [F(-(m - n), 2), 0]
+            assert [c.val for c in br.base.dense] == [F(-(m - n), 2), 0]
             br = affine_bracket(LaurentVector(e2, m), LaurentVector(e2, n), circ)
             assert br.base.is_zero()
 
@@ -35,8 +35,8 @@ def test_affine_bracket_closed_form():
 def test_cobracket_components_closed_form():
     pres = load("fixtures/exnov1")
     Delta = induce_nov_coalg(pres.coop("delta"), pres.linmap("Q"), pres.linmap("D"), F(-1, 2))
-    e1 = Vector.basis(RATIONAL, 2, 0)
-    e2 = Vector.basis(RATIONAL, 2, 1)
+    e1 = Tensor.basis(RATIONAL, 2, 0)
+    e2 = Tensor.basis(RATIONAL, 2, 1)
     for m in range(-2, 3):
         for j in range(-4, 3):
             k = m - 2 - j

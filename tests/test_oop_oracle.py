@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 from genalg import random_quadruple
-from novq import (POLY, RATIONAL, LinMap, RepAdmDiff, RepNov, Scalar, T_from_r, Tensor,
+from novq import (POLY, RATIONAL, RepAdmDiff, RepNov, Scalar, T_from_r, Tensor,
                   canonical_r, descendent_commdiff, dual_rep_admdiff, dual_rep_novikov,
                   induce_novikov, induced_rep_q, load, oop_check, polynomial, zinbiel_double)
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
@@ -21,9 +21,9 @@ def _scalar(rng, ring, density):
     return polynomial((rng.randint(-2, 2), rng.choice((0, 0, 1, -1))))
 
 
-def _rand(cls, rng, ring, shape, density):
-    return cls.from_entries(ring, shape, {idx: _scalar(rng, ring, density)
-                                          for idx in itertools.product(*map(range, shape))})
+def _rand(rng, ring, shape, density):
+    return Tensor.from_entries(ring, shape, {idx: _scalar(rng, ring, density)
+                                             for idx in itertools.product(*map(range, shape))})
 
 
 def _plant(t, rng, ring):
@@ -46,9 +46,9 @@ def _modules(rng, quad, ring):
            (dual_rep_admdiff(reg), adm), (induced_rep_q(reg, D, Q, q=qv), nov)]
     for m in (n, n + 1):  # random modules, also of another dimension than the algebra
         vnames = tuple(f"v{i}" for i in range(m))
-        family = lambda: _rand(Tensor, rng, ring, (n, m, m), 0.4)
+        family = lambda: _rand(rng, ring, (n, m, m), 0.4)
         out.append((RepNov(vnames, family(), family()), nov))
-        endo = lambda: _rand(LinMap, rng, ring, (m, m), 0.4)
+        endo = lambda: _rand(rng, ring, (m, m), 0.4)
         out.append((RepAdmDiff(vnames, family(), endo(), endo()),
                     {**adm, "Q": Q if m == n else None}))
     return out
@@ -57,8 +57,8 @@ def _modules(rng, quad, ring):
 def _operators(rng, rep):
     """A random T, a planted one, zero, and T_from_r(canonical_r) when it fits."""
     ring, n, m = rep.ring, rep.alg_dim, rep.dim
-    rand = _rand(LinMap, rng, ring, (n, m), 0.5)
-    out = [rand, _plant(rand, rng, ring), LinMap.zero(ring, n, m)]
+    rand = _rand(rng, ring, (n, m), 0.5)
+    out = [rand, _plant(rand, rng, ring), Tensor.from_entries(ring, (n, m), {})]
     if n == m and n % 2 == 0:
         out.append(T_from_r(canonical_r(ring, n // 2)))
     return out
@@ -113,7 +113,7 @@ def test_oop_check_matches_per_pair_oracle_on_splitting_operators():
                   (induced_rep_q(reg, D, Q), {"circ": induce_novikov(descendent_commdiff(zin),
                                                                      D, Q)})]
         for rep, kw in cases:
-            op = T if rep.ring == RATIONAL else LinMap.identity(POLY, 3)
+            op = T if rep.ring == RATIONAL else Tensor.identity(POLY, 3)
             for module in (rep, _planted_module(rep, rng)):
                 seen |= _both(op, module, kw)
             seen |= _both(_plant(op, rng, rep.ring), rep, kw)

@@ -99,8 +99,8 @@ def test_parse_coproduct_map_form_relement():
     assert d[0][0][1] == {0: F(1)} and d[0][1][0] == {0: F(-1)}
     m = orc.map_table(pres.linmap("D"))
     assert m[0][0] == {0: F(1)} and m[1][0] == {0: F(2)}
-    assert pres.form("B").rows[0][1].val == 1
-    assert pres.relement("r").rows[0][1].val == F(1, 3)
+    assert pres.form("B").dense[0][1].val == 1
+    assert pres.relement("r").dense[0][1].val == F(1, 3)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -206,7 +206,7 @@ def test_dimension_budget_is_a_parse_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "wide"
     path.write_text(f"space {presfile.MAX_DIM + 1} {names}\nring Q\nproduct circ\ne0 e0 -> e0\n")
     with monkeypatch.context() as m:
-        for name in ("Space", "BinOpTensor", "CoOpTensor", "LinMap", "Tensor2"):
+        for name in ("Space", "Tensor"):
             m.setattr(presfile, name, never)
         assert main(["verify", str(path), "--profile", "novikov"]) == 2
         out = capsys.readouterr()

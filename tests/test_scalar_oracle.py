@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import scalar_oracle as orc
-from novq import LinMap, POLY, Scalar, Tensor2, Vector, polynomial
+from novq import POLY, RATIONAL, Scalar, polynomial
 from novq.exactcore import Tensor, bareiss_det, exact_div
 
 F = Fraction
@@ -87,17 +87,34 @@ def _is_fraction_payload(s):
     return isinstance(s, Scalar) and s.ring == POLY and _types(s.val) <= {Fraction}
 
 
+def test_eval_q_matches_fraction_horner_on_seeded_points():
+    rng = random.Random(31)
+    points = [0, 1, -1, 7, -5, F(-1, 2), F(3, 7), F(-10 ** 30 + 7, 10 ** 30 + 1)]
+    for _ in range(600):
+        a = _poly(rng) if rng.random() < 0.9 else ()
+        point = rng.choice(points + [F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 30)),
+                                     rng.randint(-9, 9)])
+        for kind in ("fraction", "unboxed", "mixed"):
+            got = Scalar(POLY, _as(a, kind)).eval_q(point)
+            assert got.ring == RATIONAL and type(got.val) is Fraction
+            assert got.val == orc.eval_q(a, point), (a, point)
+    assert Scalar(POLY, ()).eval_q(F(2, 3)).val == 0
+
+
 def test_every_edge_gives_fraction_payloads():
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 3)
-        x = Vector(POLY, [polynomial(_poly(rng)[:3]) for _ in range(n)])
-        m = LinMap(POLY, [[polynomial(_poly(rng)[:3]) for _ in range(n)] for _ in range(n)])
-        t = Tensor2(POLY, [[polynomial(_poly(rng)[:2]) for _ in range(n)] for _ in range(n)])
-        y = Vector.einsum("j,ij->i", x, m)
+        x = Tensor.from_dense(POLY, [polynomial(_poly(rng)[:3]) for _ in range(n)])
+        m = Tensor.from_dense(POLY, [[polynomial(_poly(rng)[:3]) for _ in range(n)]
+                                     for _ in range(n)])
+        t = Tensor.from_dense(POLY, [[polynomial(_poly(rng)[:2]) for _ in range(n)]
+                                     for _ in range(n)])
+        y = Tensor.einsum("j,ij->i", x, m)
         tensors = (x, m, t, y, y + x, y - x, -y, y.scale(polynomial((3, F(1, 2)))),
-                   LinMap.block_diag(m, m), m.transpose(), m.column(0),
-                   Tensor.stack([x, y]), Tensor2.einsum("ij,jk->ik", t, t))
+                   Tensor.block_diag(m, m), m.transpose(),
+                   Tensor.einsum("j,ij->i", Tensor.basis(POLY, n, 0), m),
+                   Tensor.stack([x, y]), Tensor.einsum("ij,jk->ik", t, t))
         for tensor in tensors:
             for s in (*(e[-1] for e in tensor.nonzero()), tensor.entry(*(0,) * len(tensor.shape))):
                 assert _is_fraction_payload(s), s.val
@@ -109,10 +126,10 @@ def test_every_edge_gives_fraction_payloads():
             tensor.map_scalars(lambda s: seen.append(s) or s, POLY)
             assert all(_is_fraction_payload(s) for s in seen)
         # the values a tensor holds are what it was given, whatever it stores inside
-        assert [e[-1] for e in y.nonzero()] == [s for s in y.coords if s]
-        assert list(x.coords) == [Vector(POLY, x.coords).entry(i) for i in range(n)]
+        assert [e[-1] for e in y.nonzero()] == [s for s in y.dense if s]
+        assert list(x.dense) == [Tensor.from_dense(POLY, x.dense).entry(i) for i in range(n)]
     # inside, integral coefficients are ints and the rest Fractions
-    v = Vector(POLY, [polynomial((2, F(1, 2), F(4, 2)))])
+    v = Tensor.from_dense(POLY, [polynomial((2, F(1, 2), F(4, 2)))])
     assert [type(c) for c in v._entries[(0,)].val] == [int, Fraction, int]
     assert [type(c) for c in v.entry(0).val] == [Fraction] * 3
 

@@ -6,8 +6,8 @@ import pytest
 import genalg
 import oracles as orc
 from genalg import random_quadruple
-from novq import (BinOpTensor, CoOpTensor, POLY, Presentation,
-                  PresentationError, QLocus, RATIONAL, Scalar, Space, all_hold,
+from novq import (POLY, Presentation, PresentationError, QLocus, RATIONAL,
+                  Scalar, Space, Tensor, all_hold,
                   check_axiom, induce_novikov, is_admissible_quadruple, load,
                   polynomial, scan_residuals, vanishing_locus)
 from novq.structures import ALL_Q, CATALOG, EMPTY, FINITE, combine_loci, dualize
@@ -21,8 +21,8 @@ def test_space_rejects_duplicates():
 
 def _pres_with_product(c, name="circ"):
     n = len(c)
-    op = BinOpTensor(RATIONAL, [[[Scalar.of(RATIONAL, c[i][j][k]) for k in range(n)]
-                                 for j in range(n)] for i in range(n)])
+    op = Tensor.from_dense(RATIONAL, [[[Scalar.of(RATIONAL, c[i][j][k]) for k in range(n)]
+                                       for j in range(n)] for i in range(n)])
     return Presentation(RATIONAL, Space(tuple("e%d" % (i + 1) for i in range(n))),
                         binops={name: op})
 
@@ -43,7 +43,7 @@ def test_nov_lsym_pinned_failure():
     rep = check_axiom("NOV_LSYM", _pres_with_product(c))
     assert rep.verdict == "fails"
     assert rep.witness == ("e1", "e2", "e2")
-    assert [x.val for x in rep.residual.coords] == [1, 0]
+    assert [x.val for x in rep.residual.dense] == [1, 0]
     assert str(rep) == "NOV_LSYM: fails at (e1, e2, e2)"
 
 
@@ -51,8 +51,8 @@ def test_cocomm_pinned_failure():
     pres = load("fixtures/exnov1")
     d = [[[0] * 2 for _ in range(2)] for _ in range(2)]
     d[0][0][1] = 1  # delta(e1) = e1 (x) e2
-    cop = CoOpTensor(RATIONAL, [[[Scalar.of(RATIONAL, x) for x in row] for row in plane]
-                                for plane in d])
+    cop = Tensor.from_dense(RATIONAL, [[[Scalar.of(RATIONAL, x) for x in row] for row in plane]
+                                      for plane in d])
     broken = Presentation(RATIONAL, pres.space, binops=dict(pres.binops),
                           coops={"delta": cop}, maps=dict(pres.maps))
     rep = check_axiom("COCOMM", broken)
@@ -178,7 +178,7 @@ def test_dualize_involution():
 def _random_coop(rng, n):
     d = [[[Scalar.of(RATIONAL, rng.randint(-1, 1)) for _ in range(n)]
           for _ in range(n)] for _ in range(n)]
-    return CoOpTensor(RATIONAL, d)
+    return Tensor.from_dense(RATIONAL, d)
 
 
 def test_duality_swaps_product_and_coproduct_axioms():
@@ -229,7 +229,6 @@ def test_catalog_invariants_the_evaluator_relies_on():
 def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
     # counts only: a return to per-tuple evaluation makes n^3 times the contractions
     from novq.catalog import compile_axiom
-    from novq.exactcore import Tensor
     n = 6
     rng = random.Random(6)
     # k[x]/(x^6) in a random basis: commutative and associative, hence Novikov
@@ -252,7 +251,6 @@ def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
 def test_check_axiom_stacks_each_constant_once(monkeypatch):
     # counts only: a module stores its operator families as tensors, so none is stacked
     from novq.constructions import regular_rep_novikov
-    from novq.exactcore import Tensor
     pres = load("fixtures/examp2-double")
     circ = induce_novikov(pres.binop("dot"), pres.linmap("D"), pres.linmap("Q"), q=Fraction(-1, 2))
     rep = regular_rep_novikov(circ, pres.space.names)
@@ -270,30 +268,29 @@ def test_check_axiom_stacks_each_constant_once(monkeypatch):
 
 
 def _family(ring, alg_dim, dim):
-    from novq import Tensor
     entries = {(0, 0, dim - 1): Scalar.one(ring)} if alg_dim else {}
     return Tensor.from_entries(ring, (alg_dim, dim, dim), entries)
 
 
 def test_module_family_must_be_one_order3_tensor():
-    from novq import LinMap, RepAdmDiff, RepNov
-    maps = tuple(LinMap.identity(RATIONAL, 2) for _ in range(2))
-    fam, endo = _family(RATIONAL, 2, 2), LinMap.identity(RATIONAL, 2)
+    from novq import RepAdmDiff, RepNov
+    maps = tuple(Tensor.identity(RATIONAL, 2) for _ in range(2))
+    fam, endo = _family(RATIONAL, 2, 2), Tensor.identity(RATIONAL, 2)
     for build in (lambda: RepNov(("v1", "v2"), maps, fam), lambda: RepNov(("v1", "v2"), fam, maps),
                   lambda: RepAdmDiff(("v1", "v2"), maps, endo, endo),
-                  lambda: RepNov(("v1", "v2"), fam, LinMap.identity(RATIONAL, 2))):
+                  lambda: RepNov(("v1", "v2"), fam, Tensor.identity(RATIONAL, 2))):
         with pytest.raises(PresentationError, match=r"shape \(alg_dim, dim, dim\) = "
                                                     r"\(alg_dim, 2, 2\)"):
             build()
 
 
 def test_module_family_shapes_are_checked():
-    from novq import LinMap, RepAdmDiff, RepNov
-    endo = LinMap.identity(RATIONAL, 2)
+    from novq import RepAdmDiff, RepNov
+    endo = Tensor.identity(RATIONAL, 2)
     with pytest.raises(PresentationError, match="does not match module dimension"):
         RepNov(("v1", "v2"), _family(RATIONAL, 2, 3), _family(RATIONAL, 2, 3))
     with pytest.raises(PresentationError, match="does not match module dimension"):
-        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), LinMap.identity(RATIONAL, 3), endo)
+        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), Tensor.identity(RATIONAL, 3), endo)
     with pytest.raises(PresentationError, match="need matching left and right operator families"):
         RepNov(("v1", "v2"), _family(RATIONAL, 2, 2), _family(RATIONAL, 3, 2))
     with pytest.raises(PresentationError, match="need a nonempty operator family"):
@@ -304,10 +301,10 @@ def test_module_family_shapes_are_checked():
 
 
 def test_module_rejects_mixed_rings():
-    from novq import LinMap, RepAdmDiff, RepNov
+    from novq import RepAdmDiff, RepNov
     from novq.exactcore import RingMismatchError
     with pytest.raises(RingMismatchError):
         RepNov(("v1", "v2"), _family(RATIONAL, 2, 2), _family(POLY, 2, 2))
     with pytest.raises(RingMismatchError):
-        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), LinMap.identity(RATIONAL, 2),
-                   LinMap.identity(POLY, 2))
+        RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), Tensor.identity(RATIONAL, 2),
+                   Tensor.identity(POLY, 2))

@@ -7,41 +7,41 @@ brackets and cobracket components.  It returns (reports, jacobi_checked,
 jacobi_skipped), where the Jacobi counts stop at the first witness.
 """
 
-from novq.exactcore import LinMap, Scalar, Tensor2, Tensor3, Vector
+from novq.exactcore import Scalar, Tensor
 from novq.liewindow import LaurentVector
-from novq.structures import CoOpTensor, scan_residuals
+from novq.structures import scan_residuals
 
 
 def affine_bracket(x, y, circ):
     """[a t^m, b t^n] = m (a circ b) t^(m+n-1) - n (b circ a) t^(m+n-1)."""
     ring = circ.ring
     m, n = x.degree, y.degree
-    base = Vector.einsum("i,j,ijk->k", x.base, y.base, circ).scale(Scalar.of(ring, m)) \
-        - Vector.einsum("i,j,ijk->k", y.base, x.base, circ).scale(Scalar.of(ring, n))
+    base = Tensor.einsum("i,j,ijk->k", x.base, y.base, circ).scale(Scalar.of(ring, m)) \
+        - Tensor.einsum("i,j,ijk->k", y.base, x.base, circ).scale(Scalar.of(ring, n))
     return LaurentVector(base, m + n - 1)
 
 
 def _component(t, m, j, k):
     """The (t^j, t^k) coefficient of the cobracket of a t^m, for t = Delta_q(a)."""
     if j + k != m - 2:
-        return Tensor2.zero(t.ring, t.dim)
+        return Tensor.from_entries(t.ring, (t.dim, t.dim), {})
     return t.scale(Scalar.of(t.ring, -j - 1)) + _flip(t).scale(Scalar.of(t.ring, k + 1))
 
 
 def _flip(t):
-    return Tensor2.einsum("ji->ij", t)
+    return Tensor.einsum("ji->ij", t)
 
 
 def _syn_cop(Delta, j, k):
     """Basis images of the (j, k) cobracket component, as a coproduct tensor."""
     return Delta.scale(Scalar.of(Delta.ring, -j - 1)) \
-        + CoOpTensor.einsum("ikj->ijk", Delta).scale(Scalar.of(Delta.ring, k + 1))
+        + Tensor.einsum("ikj->ijk", Delta).scale(Scalar.of(Delta.ring, k + 1))
 
 
 def oracle_window_reports(circ, Delta, w, names):
     ring = circ.ring
     n = circ.dim
-    basis = [Vector.basis(ring, n, i) for i in range(n)]
+    basis = [Tensor.basis(ring, n, i) for i in range(n)]
     degs = list(w.degrees())
 
     def lab(i, m):
@@ -81,7 +81,7 @@ def oracle_window_reports(circ, Delta, w, names):
                                     + affine_bracket(affine_bracket(z, x, circ), y, circ).base
                                 yield (lab(i, m), lab(j, nn), lab(k, p)), res
 
-    img = [Tensor2.einsum("i,ijk->jk", e, Delta) for e in basis]
+    img = [Tensor.einsum("i,ijk->jk", e, Delta) for e in basis]
 
     def anticocomm_items():
         for i in range(n):
@@ -113,15 +113,15 @@ def oracle_window_reports(circ, Delta, w, names):
                         t3 = _component(img[i], m, d1 + d2 + 2, d3)
                         # the coproduct on leg 2 of t1, on leg 2 of t2 with the
                         # first two legs swapped, and on leg 1 of t3
-                        res = Tensor3.einsum("im,mjk->ijk", t1, cop(d2, d3)) \
-                            - Tensor3.einsum("jm,mik->ijk", t2, cop(d1, d3)) \
-                            - Tensor3.einsum("mk,mij->ijk", t3, cop(d1, d2))
+                        res = Tensor.einsum("im,mjk->ijk", t1, cop(d2, d3)) \
+                            - Tensor.einsum("jm,mik->ijk", t2, cop(d1, d3)) \
+                            - Tensor.einsum("mk,mij->ijk", t3, cop(d1, d2))
                         yield (lab(i, m), f"t^{d1},t^{d2},t^{d3}"), res
 
     def ad_matrix(v, deg, src):
         # deg times left multiplication by v, minus src times right multiplication
-        return LinMap.einsum("i,ijk->kj", v, circ).scale(Scalar.of(ring, deg)) \
-            - LinMap.einsum("j,ijk->ki", v, circ).scale(Scalar.of(ring, src))
+        return Tensor.einsum("i,ijk->kj", v, circ).scale(Scalar.of(ring, deg)) \
+            - Tensor.einsum("j,ijk->ki", v, circ).scale(Scalar.of(ring, src))
 
     def cocycle_items():
         for ia in range(n):
@@ -131,19 +131,19 @@ def oracle_window_reports(circ, Delta, w, names):
                 for m in degs:
                     for nn in degs:
                         v = affine_bracket(LaurentVector(a, m), LaurentVector(b, nn), circ).base
-                        tv = Tensor2.einsum("i,ijk->jk", v, Delta)
+                        tv = Tensor.einsum("i,ijk->jk", v, Delta)
                         for d1 in degs:
                             d2 = m + nn - 3 - d1
                             if not w.contains(d2):
                                 continue
                             res = _component(tv, m + nn - 1, d1, d2) \
-                                - Tensor2.einsum("ab,ia->ib", _component(tb, nn, d1 - m + 1, d2),
+                                - Tensor.einsum("ab,ia->ib", _component(tb, nn, d1 - m + 1, d2),
                                                  ad_matrix(a, m, d1 - m + 1)) \
-                                - Tensor2.einsum("ab,jb->aj", _component(tb, nn, d1, d2 - m + 1),
+                                - Tensor.einsum("ab,jb->aj", _component(tb, nn, d1, d2 - m + 1),
                                                  ad_matrix(a, m, d2 - m + 1)) \
-                                + Tensor2.einsum("ab,ia->ib", _component(ta, m, d1 - nn + 1, d2),
+                                + Tensor.einsum("ab,ia->ib", _component(ta, m, d1 - nn + 1, d2),
                                                  ad_matrix(b, nn, d1 - nn + 1)) \
-                                + Tensor2.einsum("ab,jb->aj", _component(ta, m, d1, d2 - nn + 1),
+                                + Tensor.einsum("ab,jb->aj", _component(ta, m, d1, d2 - nn + 1),
                                                  ad_matrix(b, nn, d2 - nn + 1))
                             yield (lab(ia, m), lab(ib, nn), f"t^{d1},t^{d2}"), res
 
