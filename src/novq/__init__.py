@@ -9,12 +9,13 @@ from .exactcore import (POLY, RATIONAL, Scalar, Tensor, ZeroPolynomialError,
                         polynomial, qvar, rational_roots)
 from .structures import (AxiomReport, Presentation, PresentationError, QLocus,
                          RepAdmDiff, RepNov, Space, all_hold, check_axiom,
-                         is_admissible_quadruple, scan_residuals,
+                         dualize, is_admissible_quadruple, scan_residuals,
                          vanishing_locus)
-from .constructions import (descendent_commdiff, descendent_novikov,
-                            dual_rep_admdiff, dual_rep_novikov,
-                            induce_nov_coalg, induce_novikov, induced_rep_q,
-                            pre_novikov_from_oop, pre_novikov_from_zinbiel,
+from .constructions import (deformation_family_check, descendent_commdiff,
+                            descendent_novikov, dual_rep_admdiff,
+                            dual_rep_novikov, induce_nov_coalg, induce_novikov,
+                            induced_rep_q, pre_novikov_from_oop,
+                            pre_novikov_from_zinbiel, regular_rep_novikov,
                             semidirect_admdiff, semidirect_novikov,
                             zinbiel_from_oop)
 from .bialgebra import (check_admissible_zinbiel, check_diff_asi_bialgebra,

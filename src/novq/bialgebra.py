@@ -3,11 +3,12 @@
 Each check bundle runs on the presentation and slot names it is handed, so a
 witness names that presentation's basis; the builders assume their inputs
 pass the bundles, and the q locus utilities sit on top of symbolic reports.
-Doubles return ordinary presentations on the input's names followed by each
-primed, with the convention that the primed half is the dual basis.
+Doubles return ordinary presentations on the input's names followed by the
+dual basis, named by structures._doubled_names: each name toggles its prime,
+then gains primes until no name repeats.
 """
 
-from .exactcore import POLY, Scalar, Tensor, bareiss_det, exact_div
+from .exactcore import POLY, Scalar, Tensor
 from .structures import (
     AxiomReport,
     Presentation,
@@ -15,7 +16,7 @@ from .structures import (
     QLocus,
     RepNov,
     Space,
-    _toggle_prime,
+    _doubled_names,
     check_axiom,
     combine_loci,
     scan_residuals,
@@ -42,46 +43,11 @@ NOV_BIALG_AXIOMS = ("NOV_LSYM", "NOV_RCOMM", "NOV_COALG_1", "NOV_COALG_2",
 BIALG_Q_AXIOMS = ("BIALG_Q_1", "BIALG_Q_2", "BIALG_Q_3")
 
 
-def _doubled_names(names) -> tuple[str, ...]:
-    out = list(names)
-    for nm in names:
-        mark = _toggle_prime(nm)
-        while mark in out:
-            mark += "'"
-        out.append(mark)
-    return tuple(out)
-
-
 def standard_form(ring: str, dim_a: int) -> Tensor:
     """The hyperbolic pairing on A + A*: B(e_i, e_j') = B(e_j', e_i) = [i = j]."""
     ident = Tensor.identity(ring, dim_a)
     return Tensor.from_blocks(ring, (2 * dim_a, 2 * dim_a),
                               [((0, dim_a), ident), ((dim_a, 0), ident)])
-
-
-def adjoint_map(D: Tensor, B: Tensor) -> Tensor:
-    """The map adj with B(D(a), b) = B(a, adj(b)) for all a, b.
-
-    Solves the matrix equation B adj = D^T B column by column with Cramer's
-    rule, so B must be nondegenerate.  Over Q[q] each solution entry must come
-    out polynomial; a fractional solution raises.
-    """
-    n = B.dim
-    if D.shape != (n, n):
-        raise PresentationError("map and form have different dimensions")
-    base = [list(r) for r in B.dense]
-    det = bareiss_det([row[:] for row in base], B.ring)
-    if det.is_zero():
-        raise PresentationError("the form is degenerate")
-    rhs = Tensor.einsum("kj,ki->ij", B, D)  # D^T B
-    rows = [[Scalar.zero(B.ring)] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            mat = [row[:] for row in base]
-            for k in range(n):
-                mat[k][i] = rhs.entry(k, j)
-            rows[i][j] = exact_div(bareiss_det(mat, B.ring), det)
-    return Tensor.from_dense(B.ring, rows)
 
 
 def check_admissible_zinbiel(pres: Presentation, zin: str = "zin", D: str | None = "D",

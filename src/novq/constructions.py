@@ -6,7 +6,8 @@ than the construction); a caller that needs them runs the check bundles on
 its own presentation first, as the command line does.  A module's operator
 family is an order-3 tensor with legs (i, k, j): l[i][k][j] is the v_k
 coefficient of l(e_i) v_j, so each module below is one contraction of
-structure constants.
+structure constants.  A dual module's names are the second half of
+structures._doubled_names, so none repeats a name of the module it dualizes.
 
 The deformation parameter q may be a rational or the live polynomial
 generator.  Over Q[q] it defaults to the generator itself; over Q it must be
@@ -23,7 +24,7 @@ from .structures import (
     RepAdmDiff,
     RepNov,
     Space,
-    _toggle_prime,
+    _doubled_names,
     check_axiom,
 )
 
@@ -112,13 +113,13 @@ def dual_rep_novikov(rep: RepNov) -> RepNov:
     <phi*(a) f, v> = -<f, phi(a) v>, so each family below is transposed on
     its module legs with the signs worked in.
     """
-    return RepNov(tuple(_toggle_prime(nm) for nm in rep.names),
+    return RepNov(_doubled_names(rep.names)[rep.dim:],
                   -Tensor.einsum("ijk->ikj", rep.l + rep.r), Tensor.einsum("ijk->ikj", rep.r))
 
 
 def dual_rep_admdiff(rep: RepAdmDiff) -> RepAdmDiff:
     """The dual module (V*, -l*, beta^T, alpha^T); the two endomorphisms swap."""
-    return RepAdmDiff(tuple(_toggle_prime(nm) for nm in rep.names),
+    return RepAdmDiff(_doubled_names(rep.names)[rep.dim:],
                       Tensor.einsum("ijk->ikj", rep.l), rep.beta.transpose(),
                       rep.alpha.transpose())
 

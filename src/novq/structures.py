@@ -46,15 +46,11 @@ class Space:
     def dim(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise PresentationError(f"unknown basis element {name!r}") from None
-
 
 def _check_module(names, families: tuple, maps: tuple = ()) -> tuple[str, ...]:
-    """Validate a module's operator families and endomorphisms; return its basis names."""
+    """Validate a module's basis names as Space does, then its operator families and
+    endomorphisms; return the names."""
+    names = Space(tuple(names)).names
     dim = len(names)
     if not all(isinstance(t, Tensor) and len(t.shape) == 3 for t in families):
         raise PresentationError("an operator family must be one Tensor of shape "
@@ -67,7 +63,7 @@ def _check_module(names, families: tuple, maps: tuple = ()) -> tuple[str, ...]:
         raise PresentationError("operator shape does not match module dimension")
     if any(t.ring != families[0].ring for t in (*families, *maps)):
         raise RingMismatchError("mixed rings inside a representation")
-    return tuple(names)
+    return names
 
 
 class _Module:
@@ -459,6 +455,18 @@ def is_admissible_quadruple(
 
 def _toggle_prime(name: str) -> str:
     return name[:-1] if name.endswith("'") else name + "'"
+
+
+def _doubled_names(names) -> tuple[str, ...]:
+    """names followed by their duals: each toggles its prime, then gains primes
+    until it differs from every name before it."""
+    out = list(names)
+    for nm in names:
+        mark = _toggle_prime(nm)
+        while mark in out:
+            mark += "'"
+        out.append(mark)
+    return tuple(out)
 
 
 def dualize(pres: Presentation) -> Presentation:

@@ -70,25 +70,17 @@ def from_scalar(s):
 
 
 def op_table(op):
-    n = op.dim
-    return [[[from_scalar(op.dense[i][j][k]) for k in range(n)] for j in range(n)]
-            for i in range(n)]
+    return [[[from_scalar(x) for x in row] for row in plane] for plane in op.dense]
 
 
-def cop_table(cop):
-    n = cop.dim
-    return [[[from_scalar(cop.dense[i][j][k]) for k in range(n)] for j in range(n)]
-            for i in range(n)]
+cop_table = op_table
 
 
 def map_table(m):
-    n = m.shape[0]
-    return [[from_scalar(m.dense[i][j]) for j in range(m.shape[1])] for i in range(n)]
+    return [[from_scalar(x) for x in row] for row in m.dense]
 
 
-def tensor2_table(t):
-    n = t.dim
-    return [[from_scalar(t.dense[i][j]) for j in range(n)] for i in range(n)]
+tensor2_table = map_table
 
 
 # -- algebra axiom residuals, one triple/pair at a time ---------------------------

@@ -26,9 +26,9 @@ from novq import (POLY, Presentation, RATIONAL, RepAdmDiff, RepNov, Scalar,
                   semidirect_novikov, zinbiel_double)
 from novq.cli import main as cli_main
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
-from novq.liewindow import (LaurentVector, POLYALG_AXIOMS, WindowSpec,
-                            affine_bracket, cobracket_component,
-                            polyalg_window_check, window_lie_bialgebra_check)
+from novq.liewindow import (POLYALG_AXIOMS, WindowSpec, _bracket, _cobracket,
+                            _positions, polyalg_window_check,
+                            window_lie_bialgebra_check)
 from novq.structures import ALL_Q, FINITE, _catalog
 
 F = Fraction
@@ -154,34 +154,36 @@ def test_criterion_6():
     pres = load("fixtures/exnov1")
     circ = induce_novikov(pres.binop("dot"), pres.linmap("D"),
                           pres.linmap("Q"), q=F(-1, 2))
-    e1 = Tensor.basis(RATIONAL, 2, 0)
-    e2 = Tensor.basis(RATIONAL, 2, 1)
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            got = affine_bracket(LaurentVector(e1, m), LaurentVector(e2, n), circ)
-            assert got.degree == m + n - 1
-            assert (got.base - e2.scale(Scalar.of(RATIONAL, F(m) + F(n, 2)))).is_zero()
-            got = affine_bracket(LaurentVector(e1, m), LaurentVector(e1, n), circ)
-            assert (got.base - e1.scale(Scalar.of(RATIONAL, F(n - m, 2)))).is_zero()
-            got = affine_bracket(LaurentVector(e2, m), LaurentVector(e2, n), circ)
-            assert got.base.is_zero()
+    degs = range(-3, 4)
+    at = _positions(range(-8, 6))  # bracket outputs -7..5, cobracket outputs -8..4
+    back = sorted(at)
+    B = _bracket(circ, at, degs, degs)
+    assert all(back[d] == back[m] + back[n] - 1 for _, m, _, n, _, d, _ in B.nonzero())
+    for m in degs:
+        for n in degs:
+            got = lambda i, j: [orc.from_scalar(B.entry(i, at[m], j, at[n], k, at[m + n - 1]))
+                                for k in range(2)]
+            assert got(0, 1) == [{}, orc.pconst(F(m) + F(n, 2))]
+            assert got(0, 0) == [orc.pconst(F(n - m, 2)), {}]
+            assert got(1, 1) == [{}, {}]
 
     qv = F(-1, 2)
     Delta = induce_nov_coalg(pres.coop("delta"), pres.linmap("Q"), pres.linmap("D"), qv)
-    for m in range(-3, 4):
+    C = _cobracket(Delta, at, degs, degs)
+    # e1 has no cobracket, and off the j + k = m - 2 diagonal every component vanishes
+    assert all(i == 1 and back[j] + back[k] == back[m] - 2
+               for i, m, _, j, _, k, _ in C.nonzero())
+    for m in degs:
         for i in range(-8, 9):
             j, k = -i - 2, m + i
             if not (-3 <= j <= 3 and -3 <= k <= 3):
                 continue
-            comp = cobracket_component(e2, m, (j, k), Delta)
             coeff = F(-i - 1) - F(m, 2)
             for a in range(2):
                 for b in range(2):
                     want = coeff if (a, b) == (1, 1) else F(0)
-                    assert orc.from_scalar(comp.dense[a][b]) == orc.pconst(want)
-            assert cobracket_component(e1, m, (j, k), Delta).is_zero()
-        # off the j + k = m - 2 diagonal every component vanishes
-        assert cobracket_component(e2, m, (0, m), Delta).is_zero()
+                    got = C.entry(1, at[m], a, at[j], b, at[k])
+                    assert orc.from_scalar(got) == orc.pconst(want)
 
     res = window_lie_bialgebra_check(pres, WindowSpec(-3, 3, qv))
     assert res.holds and len(res.reports) == 5

@@ -104,6 +104,18 @@ def test_double_of_zinbiel_matches_fixture(tmp_path):
         assert target.read_text() == fh.read()
 
 
+def test_double_and_locus_of_a_zinbiel_file_with_primed_names(tmp_path, capsys):
+    # e2 renamed e1': the dual half is e1'' e1''' e3', so no name repeats
+    path, target = tmp_path / "zin", tmp_path / "dbl"
+    with open("fixtures/zinb-nonderiv", encoding="utf-8") as fh:
+        path.write_text(fh.read().replace("e2", "e1'"))
+    assert main(["double", str(path), "--emit", str(target)]) == 0
+    assert parse(target.read_text()).space.names == ("e1", "e1'", "e3", "e1''", "e1'''", "e3'")
+    capsys.readouterr()
+    assert main(["locus", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "{-1/2, -1}"
+
+
 def test_verify_quadratic_profile(tmp_path, capsys):
     d4 = tmp_path / "d4"
     assert main(["double", "fixtures/exnov1", "--emit", str(d4)]) == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import oracles as orc
 from novq import (POLY, PresentationError, RATIONAL, Scalar, Tensor,
                   WindowSpec, induce_nov_coalg, induce_novikov, load, polyalg_family,
                   polyalg_window_check, window_lie_bialgebra_check)
-from novq.liewindow import LaurentVector, affine_bracket, cobracket_component
+from novq.liewindow import _bracket, _cobracket, _positions, _window_reports
 
 F = Fraction
 
@@ -18,41 +19,81 @@ def _circ_half():
 
 
 def test_affine_bracket_closed_form():
-    circ = _circ_half()
-    e1 = Tensor.basis(RATIONAL, 2, 0)
-    e2 = Tensor.basis(RATIONAL, 2, 1)
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            br = affine_bracket(LaurentVector(e1, m), LaurentVector(e2, n), circ)
-            assert br.degree == m + n - 1
-            assert [c.val for c in br.base.dense] == [0, F(m) + F(n, 2)]
-            br = affine_bracket(LaurentVector(e1, m), LaurentVector(e1, n), circ)
-            assert [c.val for c in br.base.dense] == [F(-(m - n), 2), 0]
-            br = affine_bracket(LaurentVector(e2, m), LaurentVector(e2, n), circ)
-            assert br.base.is_zero()
+    degs = range(-3, 4)
+    at = _positions(range(-7, 6))
+    back = sorted(at)
+    B = _bracket(_circ_half(), at, degs, degs)
+    # [e_i t^m, e_j t^n] lies in degree m + n - 1
+    assert all(back[d] == back[m] + back[n] - 1 for _, m, _, n, _, d, _ in B.nonzero())
+    for m in degs:
+        for n in degs:
+            br = lambda i, j: [B.entry(i, at[m], j, at[n], k, at[m + n - 1]).val
+                               for k in range(2)]
+            assert br(0, 1) == [0, F(m) + F(n, 2)]
+            assert br(0, 0) == [F(-(m - n), 2), 0]
+            assert br(1, 1) == [0, 0]
 
 
 def test_cobracket_components_closed_form():
     pres = load("fixtures/exnov1")
     Delta = induce_nov_coalg(pres.coop("delta"), pres.linmap("Q"), pres.linmap("D"), F(-1, 2))
-    e1 = Tensor.basis(RATIONAL, 2, 0)
-    e2 = Tensor.basis(RATIONAL, 2, 1)
-    for m in range(-2, 3):
-        for j in range(-4, 3):
+    ins, firsts = range(-2, 3), range(-4, 3)
+    at = _positions(range(-6, 5))
+    back = sorted(at)
+    C = _cobracket(Delta, at, ins, firsts)
+    # off the diagonal j + k = m - 2 everything vanishes, and so does e1's cobracket
+    assert all(i == 1 and back[j] + back[k] == back[m] - 2
+               for i, m, _, j, _, k, _ in C.nonzero())
+    for m in ins:
+        for j in firsts:
             k = m - 2 - j
-            comp = cobracket_component(e2, m, (j, k), Delta)
-            t = orc.tensor2_table(comp)
             want = F(j - k, 2)
             for a in range(2):
                 for b in range(2):
-                    if (a, b) == (1, 1) and want:
-                        assert t[a][b] == {0: want}
-                    else:
-                        assert not t[a][b]
-            # off the diagonal j + k = m - 2 everything vanishes
-            off = cobracket_component(e2, m, (j, k + 1), Delta)
-            assert off.is_zero()
-            assert cobracket_component(e1, m, (j, k), Delta).is_zero()
+                    got = orc.from_scalar(C.entry(1, at[m], a, at[j], b, at[k]))
+                    assert got == ({0: want} if (a, b) == (1, 1) and want else {})
+
+
+def _random_q3(rng, n):
+    return Tensor.from_entries(RATIONAL, (n, n, n), {
+        (i, j, k): Scalar.of(RATIONAL, F(rng.randint(-4, 4), rng.randint(1, 3)))
+        for i in range(n) for j in range(n) for k in range(n) if rng.random() < 0.6})
+
+
+def test_bracket_and_cobracket_cancel_against_their_swaps():
+    """[x, y] + [y, x] and the completed cobracket plus its flip vanish for any
+    circ and Delta, which is why LIE_SKEW and COLIE_ANTICOCOMM need no contraction."""
+    rng = random.Random(5150)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        circ, Delta = _random_q3(rng, n), _random_q3(rng, n)
+        degs = set(rng.sample(range(-5, 6), rng.randint(1, 5)))
+        at = _positions(degs, {m + p - 1 for m in degs for p in degs},
+                        {m - 2 - p for m in degs for p in degs})
+        B = _bracket(circ, at, degs, degs)
+        assert (B + Tensor.einsum("jnimkd->imjnkd", B)).is_zero()
+        C = _cobracket(Delta, at, degs, at)
+        assert (C + Tensor.einsum("imbkaj->imajbk", C)).is_zero()
+        nonzero += not B.is_zero() and not C.is_zero()
+    assert nonzero >= 20  # most cases test something
+
+
+def test_window_reports_contract_three_families(monkeypatch):
+    pres = load("fixtures/exnov1")
+    D, Q = pres.linmap("D"), pres.linmap("Q")
+    circ = induce_novikov(pres.binop("dot"), D, Q, q=F(-1, 2))
+    Delta = induce_nov_coalg(pres.coop("delta"), Q, D, q=F(-1, 2))
+    calls = []
+    combination = Tensor.combination
+    monkeypatch.setattr(Tensor, "combination",
+                        classmethod(lambda cls, terms: calls.append(1) or combination(terms)))
+    res = _window_reports(circ, Delta, WindowSpec(-3, 3, F(-1, 2)), pres.space.names)
+    # the bracket twice, the cobracket three times, Jacobi, co-Jacobi and the cocycle
+    assert len(calls) == 7
+    assert list(res.reports) == ["LIE_SKEW", "LIE_JACOBI", "COLIE_ANTICOCOMM",
+                                 "COLIE_COJACOBI", "LIE_BIALG_COCYCLE"]
+    assert res.holds
 
 
 def test_window_check_base_fixture():

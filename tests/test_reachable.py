@@ -1,0 +1,37 @@
+"""Every public module-level function and class of the package is reachable.
+
+A public name counts as reached when `novq/__init__.py` imports it or when
+some code in `src/novq` outside its own definition names it (as a bare name
+or as an attribute).  Anything else is dead code or a missing export.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "novq"
+
+
+def unreachable() -> list[str]:
+    """The public module-level defs and classes of the package that nothing reaches."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined, named = [], set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined.append(own)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != own:
+                    named.add(name)
+    return sorted(name for name in defined if name not in exported | named)
+
+
+def test_every_public_def_is_exported_or_used():
+    assert unreachable() == []

@@ -300,6 +300,19 @@ def test_module_family_shapes_are_checked():
     assert rep.lift().ring == POLY and rep.lift().l == _family(POLY, 3, 2)
 
 
+def test_module_names_are_checked_as_space_names():
+    from novq import RepAdmDiff, RepNov
+    fam, endo = _family(RATIONAL, 2, 2), Tensor.identity(RATIONAL, 2)
+    for build in (lambda: RepNov(("v", "v"), fam, fam),
+                  lambda: RepAdmDiff(("v", "v"), fam, endo, endo)):
+        with pytest.raises(PresentationError, match="^duplicate basis names$"):
+            build()
+    fam, endo = Tensor.from_entries(RATIONAL, (2, 0, 0), {}), Tensor.from_entries(RATIONAL, (0, 0), {})
+    for build in (lambda: RepNov((), fam, fam), lambda: RepAdmDiff((), fam, endo, endo)):
+        with pytest.raises(PresentationError, match="^a space needs at least one basis element$"):
+            build()
+
+
 def test_module_rejects_mixed_rings():
     from novq import RepAdmDiff, RepNov
     from novq.exactcore import RingMismatchError

@@ -7,9 +7,17 @@ brackets and cobracket components.  It returns (reports, jacobi_checked,
 jacobi_skipped), where the Jacobi counts stop at the first witness.
 """
 
+from dataclasses import dataclass
+
 from novq.exactcore import Scalar, Tensor
-from novq.liewindow import LaurentVector
 from novq.structures import scan_residuals
+
+
+@dataclass(frozen=True)
+class LaurentVector:
+    """An element a * t^degree with a in A."""
+    base: Tensor
+    degree: int
 
 
 def affine_bracket(x, y, circ):
