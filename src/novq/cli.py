@@ -90,7 +90,11 @@ def _zinbiel_double(pres: Presentation) -> Presentation:
 
 
 def _fraction(text: str, flag: str) -> Fraction:
+    # integers, a/b and plain decimals; an exponent such as 1e-5000 would ask
+    # for a number of 5000 digits from a few characters
     try:
+        if "e" in text.lower():
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _Usage(f"{flag} wants a rational number, got {text!r}") from None

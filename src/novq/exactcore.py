@@ -241,15 +241,18 @@ class Scalar:
         """Canonical text form; parses back through the fixture-file grammar."""
         if self.ring == RATIONAL:
             return str(self.val)
-        text = ""
-        for k, c in enumerate(self.val):
-            if c:
-                base = "q" if k == 1 else f"q^{k}"
-                term = (str(c) if k == 0 else base if c == 1 else f"-{base}" if c == -1
-                        else f"{c}*{base}")
-                text += (term if not text else f" - {term[1:]}" if term.startswith("-")
-                         else f" + {term}")
-        return text or "0"
+        return join_terms((str(c), "" if k == 0 else "q" if k == 1 else f"q^{k}")
+                          for k, c in enumerate(self.val) if c) or "0"
+
+
+def join_terms(pairs: Iterable[tuple[str, str]]) -> str:
+    """Signed sum of (coefficient text, base text) terms, as in "1 - 2*q + q^2": a
+    coefficient of 1 or -1 leaves the base alone or negated, an empty base the coefficient."""
+    text = ""
+    for c, base in pairs:
+        term = c if not base else base if c == "1" else f"-{base}" if c == "-1" else f"{c}*{base}"
+        text += term if not text else f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+    return text
 
 
 def _scalar(ring: str, val) -> Scalar:

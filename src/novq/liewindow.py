@@ -124,10 +124,11 @@ def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> Window
 
     LIE_SKEW and COLIE_ANTICOCOMM hold by construction and are reported with
     nothing contracted.  Each other family is a signed sum of contractions led
-    by an indicator on its degree tuples, of graded tensors built on the
-    degrees it reads and dropped after it (m n p q r d e s are degree legs in the specs).  The
-    leading legs follow the loop order its witnesses name, with degrees the
-    others fix riding along, so nonzero slices reach scan_residuals in order.
+    by an indicator on its degree tuples, of the graded bracket B and
+    cobracket C, each built once on the degrees the families read (m n p q r
+    d e s are degree legs in the specs).  The leading legs follow the loop
+    order its witnesses name, with degrees the others fix riding along, so
+    nonzero slices reach scan_residuals in order.
     """
     ring, dim, lo, hi = circ.ring, circ.dim, w.deg_min, w.deg_max
     win = set(w.degrees())
@@ -150,7 +151,8 @@ def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> Window
         reports[axiom_id] = scan_residuals(axiom_id, ring, items)
 
     reports["LIE_SKEW"] = scan_residuals("LIE_SKEW", ring, ())
-    B = _bracket(circ, at, win, win)
+    B = _bracket(circ, at, win, win | shifted)
+    C = _cobracket(Delta, at, win | inner | outs, win | inner | shifted)
     jacobi = [(m, n, p, m + n + p - 2) for m in win for n in win for p in win
               if all(map(w.contains, (m + n - 1, n + p - 1, p + m - 1, m + n + p - 2)))]
     family("LIE_JACOBI", jacobi,
@@ -158,18 +160,13 @@ def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> Window
             (1, "mnpe,jnkpad,adimle->mnpeijkl", B, B),
             (1, "mnpe,kpimad,adjnle->mnpeijkl", B, B)],
            7, lambda m, n, p, e, i, j, k: (lab(i, m), lab(j, n), lab(k, p)))
-    del B
     reports["COLIE_ANTICOCOMM"] = scan_residuals("COLIE_ANTICOCOMM", ring, ())
-    C = _cobracket(Delta, at, win | inner, win | inner)
     family("COLIE_COJACOBI", [(m, p, q, m - 4 - p - q) for m in win for p in win for q in win
                               if w.contains(m - 4 - p - q)],
            [(1, "mpqr,imxpwe,weyqzr->impqrxyz", C, C),
             (-1, "mpqr,imyqwe,wexpzr->impqrxyz", C, C),
             (-1, "mpqr,imwezr,wexpyq->impqrxyz", C, C)],
            5, lambda i, m, p, q, r: (lab(i, m), tdegs(p, q, r)))
-    del C
-    B = _bracket(circ, at, win, win | shifted)
-    C = _cobracket(Delta, at, win | outs, win | shifted)
     family("LIE_BIALG_COCYCLE", [(m, n, p, m + n - 3 - p) for m in win for n in win for p in win
                                  if w.contains(m + n - 3 - p)],
            [(1, "mnpr,imjnzd,zdxpyr->ijmnprxy", B, C),

@@ -32,10 +32,13 @@ coproduct or r-element term.  The name q is reserved.
 
 BLOCKS is the one table of block kinds: each keyword names a Presentation
 field, the order of its tensor and the number of basis vectors left of ->.
-An entry gives the slice of the tensor at those left legs; its right side is
-a sum of terms on the remaining legs, or a bare scalar when none remain.  A
-map's line gives the image of one basis vector, a column of the map.  A line
-that contains -> is an entry line, whatever its first word.
+An entry gives the slice of the tensor at those left legs.  One grammar
+reads every right side: a signed sum of terms, each a product of factors
+joined by *, on the remaining legs.  A term has one basis vector among its
+factors and one more after each further (x); a bare scalar is a term with no
+basis vector, which is what every term is when no legs remain.  A map's line
+gives the image of one basis vector, a column of the map.  A line that
+contains -> is an entry line, whatever its first word.
 
 parse and emit are inverse on canonical files: emit writes entries in basis
 order with normalized scalars, and parse(emit(p)) reproduces p exactly.
@@ -45,7 +48,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .exactcore import POLY, RATIONAL, Scalar, Tensor, qvar
+from .exactcore import POLY, RATIONAL, Scalar, Tensor, join_terms, qvar
 from .structures import Presentation, Space
 
 
@@ -109,7 +112,7 @@ class _TermParser:
         self.pos = 0
         self.lineno = lineno
         self.ring = ring
-        self.index = index  # basis name -> position, or None before the space line
+        self.index = index  # basis name -> position
         self.depth = 0  # open parentheses around the current scalar
 
     def peek(self):
@@ -178,28 +181,47 @@ class _TermParser:
             s = out
         return s
 
-    def scalar_term(self) -> Scalar:
-        s = self.scalar_atom()
-        while self.peek() == "*":
+    def term(self, legs: int):
+        """(coeff, basis indices) of factors joined by *: with legs >= 1 exactly one
+        factor is a basis vector and legs - 1 more follow, each after (x); with
+        legs = 0 every factor is a scalar."""
+        coeff = base = None
+        while True:
+            t = self.peek()
+            if legs and t in self.index:
+                if base is not None:
+                    raise PresFileError(self.lineno, "two basis vectors in one term")
+                self.take()
+                base = self.index[t]
+            elif legs and not self._is_scalar_start(t):
+                raise PresFileError(self.lineno, f"expected a term, found {t!r}")
+            else:
+                s = self.scalar_atom()
+                coeff = s if coeff is None else coeff * s
+            if self.peek() != "*":
+                break
             self.take()
-            s = s * self.scalar_atom()
-        return s
+        out = (base,) if legs else ()
+        for _ in range(legs - 1):
+            self.expect("(x)")
+            out += (self.basis(),)
+        if legs and base is None:
+            raise PresFileError(self.lineno, "term has no basis vector")
+        return Scalar.one(self.ring) if coeff is None else coeff, out
 
-    def signed_sum(self, term) -> list:
-        """(negated, term()) for each term of "[+|-] term (+|- term)*"."""
+    def signed_sum(self, legs: int) -> list:
+        """(coeff, indices) of each term of "[+|-] term (+|- term)*", signs applied."""
         out = []
         sign = self.peek() in ("+", "-") and self.take()
         while True:
-            out.append((sign == "-", term()))
+            c, idx = self.term(legs)
+            out.append((-c if sign == "-" else c, idx))
             if self.peek() not in ("+", "-"):
                 return out
             sign = self.take()
 
     def scalar_expr(self) -> Scalar:
-        s = Scalar.zero(self.ring)
-        for neg, t in self.signed_sum(self.scalar_term):
-            s = s - t if neg else s + t
-        return s
+        return sum((c for c, _ in self.signed_sum(0)), Scalar.zero(self.ring))
 
     def basis(self) -> int:
         t = self.take()
@@ -207,40 +229,13 @@ class _TermParser:
             raise PresFileError(self.lineno, f"unknown basis vector {t!r}")
         return self.index[t]
 
-    def _one_term(self, legs: int):
-        """(coeff, basis indices) of a term: factors with one basis vector, then legs - 1
-        more basis vectors, each after (x)."""
-        coeff = Scalar.one(self.ring)
-        base = None
-        while True:
-            t = self.peek()
-            if self._is_scalar_start(t):
-                coeff = coeff * self.scalar_atom()
-            elif t in self.index:
-                if base is not None:
-                    raise PresFileError(self.lineno, "two basis vectors in one term")
-                self.take()
-                base = self.index[t]
-            else:
-                raise PresFileError(self.lineno, f"expected a term, found {t!r}")
-            if self.peek() != "*":
-                break
-            self.take()
-        out = (base,)
-        for _ in range(legs - 1):
-            self.expect("(x)")
-            out += (self.basis(),)
-        if base is None:
-            raise PresFileError(self.lineno, "term has no basis vector")
-        return coeff, out
-
     def linear_rhs(self, legs: int) -> list:
-        """A signed sum of terms of legs basis vectors each, as (coeff, indices) pairs."""
+        """An entry line's right side, a lone 0 or a signed sum of terms of legs basis
+        vectors each, as (coeff, indices) pairs."""
         if self.toks[self.pos:] == ["0"]:
             self.take()
             return []
-        return [(-c if neg else c, out)
-                for neg, (c, out) in self.signed_sum(lambda: self._one_term(legs))]
+        return self.signed_sum(legs)
 
 
 def parse(text: str) -> Presentation:
@@ -275,10 +270,7 @@ def parse(text: str) -> Presentation:
                                     + ("one basis vector" if left == 1 else "two basis vectors"))
             key = tuple(index[t] for t in lhs)
             p = _TermParser(toks[arrow + 1:], lineno, ring, index)
-            if order == left:
-                terms = [(key, p.scalar_expr())]
-            else:
-                terms = [(key + legs, c) for c, legs in p.linear_rhs(order - left)]
+            terms = [(key + legs, c) for c, legs in p.linear_rhs(order - left)]
             p.done()
             if key in filled:
                 raise PresFileError(lineno, f"duplicate entry for {' '.join(lhs)}")
@@ -348,22 +340,7 @@ def _coeff_str(s: Scalar) -> str:
 
 def _terms(pairs) -> str:
     """Signed sum of (basis text, coefficient) pairs, as in "e1 - 2*e2"."""
-    parts = []
-    for basis, s in pairs:
-        txt = _coeff_str(s)
-        if txt == "1":
-            term = basis
-        elif txt == "-1":
-            term = f"-{basis}"
-        else:
-            term = f"{txt}*{basis}"
-        if parts and not term.startswith("-"):
-            parts.append(f"+ {term}")
-        elif parts:
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(term)
-    return " ".join(parts)
+    return join_terms((_coeff_str(s), basis) for basis, s in pairs)
 
 
 def emit(pres: Presentation) -> str:

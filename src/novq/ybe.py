@@ -42,11 +42,6 @@ _PROD_LEG_SPECS = {
 }
 
 
-def _prod_leg(r: Tensor, op: Tensor, leg: int) -> Tensor:
-    """The double product of r with itself that multiplies in the given leg."""
-    return Tensor.einsum(_PROD_LEG_SPECS[leg], r, r, op)
-
-
 def aybe_residual(r: Tensor, dot: Tensor) -> Tensor:
     """r13.r12 + r13.r23 - r12.r23 for a commutative associative product."""
     _check_dims(r, dot)

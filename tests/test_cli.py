@@ -84,6 +84,23 @@ def test_induce_bad_q_is_usage_error(capsys):
     assert "--q" in err
 
 
+def test_decimal_exponents_are_usage_errors(capsys):
+    # Fraction reads 1e-5000 as 1/10^5000, a number of 5000 digits from 7 characters
+    for flag, text, argv in (("--q", "1e-5000", ["induce", "fixtures/exnov1"]),
+                             ("--q", "1e-5000", ["window", "fixtures/exnov1",
+                                                 "--min", "-1", "--max", "1"]),
+                             ("--p", "1E9", ["induce", "fixtures/exnov1", "--q", "1"])):
+        assert main(argv + [flag, text]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == \
+            ("", f"usage error: {flag} wants a rational number, got {text!r}\n")
+    # plain decimals still read
+    assert main(["induce", "fixtures/exnov1", "--q", "-0.5", "--p", "1.0"]) == 0
+    decimal = capsys.readouterr().out
+    assert main(["induce", "fixtures/exnov1", "--q", "-1/2"]) == 0
+    assert capsys.readouterr().out == decimal
+
+
 def test_double_pipeline_manin(tmp_path, capsys):
     d12 = tmp_path / "d12"
     assert main(["double", "fixtures/examp2-double", "--emit", str(d12)]) == 0

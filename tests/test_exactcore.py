@@ -9,7 +9,7 @@ from novq import (POLY, RATIONAL, Scalar, Tensor, ZeroPolynomialError,
                   induce_nov_coalg, induce_novikov, polynomial, qvar,
                   rational_roots)
 from novq.exactcore import bareiss_det, exact_div
-from novq.ybe import _prod_leg
+from novq.ybe import _PROD_LEG_SPECS
 
 
 def test_scalar_basic_arithmetic():
@@ -211,7 +211,7 @@ def test_sparse_tensors_canonical_and_match_dense_expansions():
         # three-operand contractions
         for leg, naive in ((1, orc.ybe_prod13_12), (2, orc.ybe_prod12_23),
                            (3, orc.ybe_prod13_23)):
-            got = _prod_leg(r, dot, leg)
+            got = Tensor.einsum(_PROD_LEG_SPECS[leg], r, r, dot)
             assert [[[orc.from_scalar(x) for x in row] for row in plane]
                     for plane in got.dense] == naive(rt, ct)
         # leg permutation

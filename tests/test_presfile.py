@@ -320,3 +320,91 @@ def test_every_basis_name_the_space_line_accepts_can_be_named_on_an_entry_line()
         assert pres.linmap("D").nonzero() == [(i, i, one) for i in range(len(names))], names
         assert parse(emit(pres)) == pres, names
     assert accepted > 200
+
+
+def _entry_rhs(rng, names, ring, legs):
+    """Tokens of a random right side: a signed sum of terms of legs basis vectors each."""
+    def scalar(depth):
+        pick = rng.random()
+        if depth < 2 and pick < 0.15:
+            toks = ["("] + sum((([rng.choice("+-")] if i else []) + scalar(depth + 1)
+                                for i in range(rng.randint(1, 3))), []) + [")"]
+        elif ring == POLY and pick < 0.4:
+            toks = ["q"]
+        elif pick < 0.6:
+            toks = [str(rng.randint(0, 12)), "/", str(rng.randint(1, 9))]
+        else:
+            toks = [str(rng.randint(0, 12))]
+        return toks + (["^", str(rng.randint(0, 4))] if rng.random() < 0.15 else [])
+
+    out = []
+    for i in range(rng.randint(1, 3)):
+        if i or rng.random() < 0.3:
+            out.append(rng.choice("+-"))
+        factors = [scalar(0) for _ in range(rng.randint(0 if legs else 1, 2))]
+        if legs:
+            factors.insert(rng.randint(0, len(factors)), [rng.choice(names)])
+        out += sum((([] if j == 0 else ["*"]) + f for j, f in enumerate(factors)), [])
+        for _ in range(legs - 1):
+            out += ["(x)", rng.choice(names)]
+    return out
+
+
+def _fold(terms) -> dict:
+    """The entries a right side leaves: coefficients summed per index, zeros dropped."""
+    out = {}
+    for c, idx in terms:
+        out[idx] = out[idx] + c if idx in out else c
+    return {idx: c for idx, c in out.items() if c}
+
+
+def test_one_term_rule_reads_every_right_side_as_the_two_grammars_did():
+    import termparse_oracle
+
+    from novq.presfile import BLOCKS, _TermParser
+
+    def new_rhs(toks, lineno, ring, index, order, left):
+        p = _TermParser(toks, lineno, ring, index)
+        terms = p.linear_rhs(order - left)
+        p.done()
+        return terms
+
+    names = ["e1", "e2", "x'"]
+    index = {nm: i for i, nm in enumerate(names)}
+    # tokens a mutation may insert: every punctuation token, numbers the budgets
+    # and the digit check refuse, an unknown name and a name of the space
+    extra = ["(", ")", "*", "+", "-", "/", "^", "(x)", "->", "0", "1", "q", "e9", "e2",
+             "٣", "9" * 5000, "4097"]
+    rng = random.Random(15)
+    outcomes = {}
+    for lineno in range(1, 6001):
+        kind = rng.choice(list(BLOCKS))
+        _, order, left = BLOCKS[kind]
+        ring = rng.choice((RATIONAL, POLY))
+        toks = _entry_rhs(rng, names, ring, order - left)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            at = rng.randrange(len(toks) + 1)
+            how = rng.randrange(4)
+            if how == 0 and at < len(toks):
+                del toks[at]
+            elif how == 1 and at + 1 < len(toks):
+                toks[at], toks[at + 1] = toks[at + 1], toks[at]
+            elif how == 2 and at < len(toks):
+                toks[at] = rng.choice(extra)
+            else:
+                toks.insert(at, rng.choice(extra))
+        if rng.random() < 0.03:
+            toks = ["0"]
+        try:
+            want = _fold(termparse_oracle.rhs(list(toks), lineno, ring, index, order, left))
+        except PresFileError as exc:
+            with pytest.raises(PresFileError) as got:
+                new_rhs(list(toks), lineno, ring, index, order, left)
+            assert str(got.value) == str(exc), (kind, ring, toks)
+            outcomes[kind, "error"] = outcomes.get((kind, "error"), 0) + 1
+        else:
+            assert _fold(new_rhs(list(toks), lineno, ring, index, order, left)) == want, \
+                (kind, ring, toks)
+            outcomes[kind, "terms"] = outcomes.get((kind, "terms"), 0) + 1
+    # every block kind both parses and fails often enough to be compared
+    assert len(outcomes) == 2 * len(BLOCKS) and min(outcomes.values()) > 200, outcomes

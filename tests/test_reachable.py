@@ -1,8 +1,9 @@
-"""Every public module-level function and class of the package is reachable.
+"""Every module-level function and class of the package is reachable.
 
-A public name counts as reached when `novq/__init__.py` imports it or when
-some code in `src/novq` outside its own definition names it (as a bare name
-or as an attribute).  Anything else is dead code or a missing export.
+A name counts as reached when `novq/__init__.py` imports it or when some
+code in `src/novq` outside its own definition names it (as a bare name or as
+an attribute).  Anything else is dead code or a missing export; a private
+helper that only tests name is dead code too.
 """
 
 import ast
@@ -12,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "novq"
 
 
 def unreachable() -> list[str]:
-    """The public module-level defs and classes of the package that nothing reaches."""
+    """The module-level defs and classes of the package that nothing reaches."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
@@ -23,8 +24,7 @@ def unreachable() -> list[str]:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if not own.startswith("_"):
-                    defined.append(own)
+                defined.append(own)
             for node in ast.walk(stmt):
                 name = node.id if isinstance(node, ast.Name) else \
                     node.attr if isinstance(node, ast.Attribute) else None

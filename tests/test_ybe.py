@@ -14,7 +14,7 @@ from novq import (Delta_qr, POLY, Presentation, PresentationError,
                   nybe_residual, oop_check, pre_novikov_from_zinbiel, r_from_T,
                   T_from_r, zinbiel_double)
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
-from novq.ybe import _prod_leg
+from novq.ybe import _PROD_LEG_SPECS
 
 F = Fraction
 
@@ -39,11 +39,11 @@ def test_leg_conventions_one_summand():
     dot = pres.binop("dot")
     r = _simple_r(RATIONAL, 2, 0, 1)
     # r13.r12 = (e1.e1) (x) e2 (x) e2
-    assert _t3_entries(_prod_leg(r, dot, 1)) == {(0, 1, 1): 1}
+    assert _t3_entries(Tensor.einsum(_PROD_LEG_SPECS[1], r, r, dot)) == {(0, 1, 1): 1}
     # r12.r23 = e1 (x) (e2.e1) (x) e2
-    assert _t3_entries(_prod_leg(r, dot, 2)) == {(0, 1, 1): 1}
+    assert _t3_entries(Tensor.einsum(_PROD_LEG_SPECS[2], r, r, dot)) == {(0, 1, 1): 1}
     # r13.r23 = e1 (x) e1 (x) (e2.e2) = 0
-    assert _t3_entries(_prod_leg(r, dot, 3)) == {}
+    assert _t3_entries(Tensor.einsum(_PROD_LEG_SPECS[3], r, r, dot)) == {}
 
 
 def test_aybe_pinned_one_summand():
