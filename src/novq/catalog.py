@@ -1,12 +1,12 @@
 """The axiom catalog and its compiler.
 
-Each catalog entry is a syntax tree for a multilinear residual.
-compile_axiom expands a tree once, by multilinearity, into a signed sum of
-contractions whose first operand is a basis vector of the first variable;
-the other variables stay free legs.  Maps on legs, leg swaps and
-permutations relabel legs, and the identity map adds no factor.  A sum
-without the first variable is hoisted instead: contracted once per check,
-it is one factor of the terms that use it.  No other module knows the tree
+Each catalog entry is a syntax tree for a multilinear residual, a sum at
+its top.  compile_axiom turns each top-level summand into one contraction
+whose first operand is a basis vector of the first variable; every
+variable is a named leg, and the other variables stay free.  Maps on legs,
+leg swaps and permutations relabel legs, and the identity map adds no
+factor.  Every sum below the top is hoisted: contracted once per check, it
+is one factor of the terms that use it.  No other module knows the tree
 format.
 """
 
@@ -77,7 +77,6 @@ _AAA = (("a", "A"), ("b", "A"), ("c", "A"))
 _AV = (("a", "A"), ("v", "V"))
 _AAV = (("a", "A"), ("b", "A"), ("v", "V"))
 
-_QplusD = _mlin(_p(_mm("Q")), _p(_mm("D")))
 _DplusQ = _mlin(_p(_mm("D")), _p(_mm("Q")))
 _QplusqD = _mlin(_p(_mm("Q")), _t((0, 1), _mm("D")))
 
@@ -333,7 +332,7 @@ def _catalog() -> dict[str, AxiomDef]:
     _dplusq_b = _sum(_p(_db), _p(_qb))
 
     add("BIALG_Q_1", _AA,
-        _sum(_t((-1, -1, 1), _tm(None, _mcomp(_ml("dot", _db), _QplusD), _x)),
+        _sum(_t((-1, -1, 1), _tm(None, _mcomp(_ml("dot", _db), _DplusQ), _x)),
              _t((-1,), _tm(None, _mcomp(_ml("dot", _dplusq_b), _mm("Q")), _x)),
              _t((0, 0, 1), _tm(None, _mcomp(_ml("dot", _db), _mm("Q")), _x)),
              _t((0, 0, -1), _tm(None, _mcomp(_mr("dot", _qb), _mm("D")), _x)),
@@ -341,8 +340,8 @@ def _catalog() -> dict[str, AxiomDef]:
              _t((0, -1, 1), _tm(None, _mcomp(_ml("dot", _b),
                                              _mlin(_p(_mcomp(_mm("D"), _mm("Q"))),
                                                    _n(_mcomp(_mm("Q"), _mm("D"))))), _x)),
-             _t((0, -2), _tm(None, _mcomp(_ml("dot", _b), _mcomp(_mm("Q"), _QplusD)), _x)),
-             _t((1, 1, -2), _tm(_mm("D"), _mcomp(_ml("dot", _b), _QplusD), _x))),
+             _t((0, -2), _tm(None, _mcomp(_ml("dot", _b), _mcomp(_mm("Q"), _DplusQ)), _x)),
+             _t((1, 1, -2), _tm(_mm("D"), _mcomp(_ml("dot", _b), _DplusQ), _x))),
         uses_q=True,
         description="closure of the induced coproduct under the induced product")
 
@@ -409,10 +408,11 @@ CATALOG: dict[str, AxiomDef] = _catalog()
 
 # -- compiler ------------------------------------------------------------------
 #
-# While a term is built it is (coefficient, factors, output labels).  A
-# factor is (slot, labels); a label is an int for a leg that is summed or
-# left open, or the letter of a variable other than the first, which stays a
-# free leg.  The slot None stands for the first variable's basis vector.
+# A node below the top of a tree builds one term, (factors, output labels).
+# A factor is (slot, labels); a label is an int for a leg that is summed or
+# left open, or the letter of a variable (A, B, C, ... in declaration
+# order), which stays a free leg.  Every lin or mlin below the top is one
+# factor, a ("sum", j) slot with its variables' legs, then its value's.
 # _NODES kind: (constant, its legs, legs bound to the children, output legs);
 # a map node acts on the leg "i".
 _NODES = {
@@ -426,17 +426,19 @@ _NODES = {
     "ml": ("binop", "jik", "j", "k"),
     "mr": ("binop", "ijk", "j", "k"),
 }
-_ONE = polynomial((1,))
 
 
 class Compiled(NamedTuple):
     """Terms (q-coefficient, einsum spec, slots) whose sum is an axiom's residual.
 
-    A term's first operand is the first variable's basis vector, and its
-    slots name the others: (kind, key) a tensor of the presentation or the
-    module, ("sum", j) the j-th hoisted sum.  Its output legs are the other
-    variables in declaration order, then the value's.  sums lists the
-    hoisted sums as terms over slots alone, each after those it uses.
+    There is one term per summand of the tree's top-level sum.  A term's
+    first operand is the basis vector of the first variable, which its
+    spec contracts away, and its slots name the others: (kind, key) a tensor
+    of the presentation or the module, ("sum", j) the j-th hoisted sum.  Its
+    output legs are the other variables in declaration order, then the
+    value's.  sums lists each hoisted sum as terms over slots alone, with
+    the legs of the variables it holds, in declaration order, before its
+    value's.
     """
 
     terms: tuple
@@ -449,74 +451,68 @@ def compile_axiom(axiom_id: str) -> Compiled:
     axdef = CATALOG[axiom_id]
     if axdef.expr is None:
         return Compiled((), ())
-    first = ("var", axdef.variables[0][0])
-    free = {name: "BCDEFGH"[k] for k, (name, _) in enumerate(axdef.variables[1:])}
+    legs = {name: "ABCDEFGH"[k] for k, (name, _) in enumerate(axdef.variables)}
     fresh = itertools.count()
     hoisted: dict = {}  # sum -> (slot, its variables' legs, number of value legs)
     sums: list = []
 
-    def expand(e, inp=None) -> list:
-        """The terms of e; a map acts on the leg inp."""
+    def expand(e, inp=None) -> tuple:
+        """The factors and output legs of e; a map acts on the leg inp."""
         if e is None:  # the identity map
-            return [(_ONE, (), (inp,))]
-        if e == first:
-            x = next(fresh)
-            return [(_ONE, ((None, (x,)),), (x,))]
+            return (), (inp,)
         kind, tail = e[0], () if inp is None else (inp,)
         if kind == "var":
-            return [(_ONE, (), (free[e[1]],))]
-        if kind in ("lin", "mlin"):
-            terms = [(c * polynomial(k), f, o) for k, x in e[1] for c, f, o in expand(x, inp)]
-            if any(slot is None for _, f, _ in terms for slot, _ in f):
-                return terms
-            if e not in hoisted:  # no first variable: one factor, contracted once per check
-                legs = tuple(sorted({x for _, f in terms[0][1] for x in f if type(x) is str}))
-                sums.append(tuple(_render(t, legs, tail) for t in terms))
-                hoisted[e] = ("sum", len(sums) - 1), legs, len(terms[0][2])
-            slot, legs, nout = hoisted[e]
+            return (), (legs[e[1]],)
+        if kind in ("lin", "mlin"):  # one factor, contracted once per check
+            if e not in hoisted:
+                terms = [(polynomial(k), *expand(x, inp)) for k, x in e[1]]
+                used = tuple(sorted({x for _, f in terms[0][1] for x in f if type(x) is str}))
+                sums.append(tuple(_render(t, used, tail) for t in terms))
+                hoisted[e] = ("sum", len(sums) - 1), used, len(terms[0][2])
+            slot, used, nout = hoisted[e]
             out = tuple(next(fresh) for _ in range(nout))
-            return [(_ONE, ((slot, legs + out + tail),), out)]
+            return ((slot, used + out + tail),), out
         if kind in _NODES:
-            what, legs, bound, outs = _NODES[kind]
-            terms = []
-            for parts in itertools.product(*map(expand, e[2:])):
-                at = {"i": inp, **{x: out[0] for x, (_, _, out) in zip(bound, parts)}}
-                at.update((x, next(fresh)) for x in outs)
-                c = functools.reduce(lambda acc, part: acc * part[0], parts, _ONE)
-                factors = sum((part[1] for part in parts), ())
-                terms.append((c, factors + (((what, e[1]), tuple(map(at.get, legs))),),
-                              tuple(map(at.get, outs))))
-            return terms
+            what, spec, bound, outs = _NODES[kind]
+            parts = [expand(x) for x in e[2:]]
+            at = {"i": inp, **{x: out[0] for x, (_, out) in zip(bound, parts)}}
+            at.update((x, next(fresh)) for x in outs)
+            factors = sum((f for f, _ in parts), ())
+            return (factors + (((what, e[1]), tuple(map(at.get, spec))),),
+                    tuple(map(at.get, outs)))
         if kind in ("tau", "perm"):  # perm: result[idx] = t[idx[p[0]], idx[p[1]], idx[p[2]]]
             p = (1, 0) if kind == "tau" else e[1]
-            return [(c, f, tuple(x for _, x in sorted(zip(p, o)))) for c, f, o in expand(e[-1])]
+            f, o = expand(e[-1])
+            return f, tuple(x for _, x in sorted(zip(p, o)))
         if kind == "coleg":
             # leg 1: out[i][j][k] = sum_m t[m][k] d[m][i][j]; leg 2: sum_m t[i][m] d[m][j][k]
-            terms = []
-            for c, f, (u, v) in expand(e[3]):
-                i, j = next(fresh), next(fresh)
-                legs, out = ((u, i, j), (i, j, v)) if e[2] == 1 else ((v, i, j), (u, i, j))
-                terms.append((c, f + ((("coop", e[1]), legs),), out))
-            return terms
+            f, (u, v) = expand(e[3])
+            i, j = next(fresh), next(fresh)
+            at, out = ((u, i, j), (i, j, v)) if e[2] == 1 else ((v, i, j), (u, i, j))
+            return f + ((("coop", e[1]), at),), out
         if kind == "tmap2":
-            return [(c * c1 * c2, f + f1 + f2, out1 + out2) for c, f, (u, v) in expand(e[2])
-                    for c1, f1, out1 in expand(e[1][0], u) for c2, f2, out2 in expand(e[1][1], v)]
+            f, (u, v) = expand(e[2])
+            (f1, out1), (f2, out2) = expand(e[1][0], u), expand(e[1][1], v)
+            return f + f1 + f2, out1 + out2
         if kind == "mcomp":
-            return [(c1 * c2, f1 + f2, out)
-                    for c1, f1, (m,) in expand(e[2], inp) for c2, f2, out in expand(e[1], m)]
+            f1, (m,) = expand(e[2], inp)
+            f2, out = expand(e[1], m)
+            return f1 + f2, out
         raise ValueError(f"unknown expression {kind!r}")
 
-    terms = tuple(_render(t, tuple(sorted(free.values()))) for t in expand(axdef.expr))
+    basis = (None, ("A",))  # the first variable's basis vector
+    terms = tuple(_render((polynomial(k), (basis, *f), o), tuple(legs.values())[1:])
+                  for k, x in axdef.expr[1] for f, o in [expand(x)])
     return Compiled(terms, tuple(sums))
 
 
 def _render(term, lead: tuple, tail: tuple = ()) -> tuple:
     """(coefficient, spec, slots) of a built term with output legs lead + its own + tail.
 
-    The first variable's vector leads; each next factor is the first that
-    shares a leg with those before it."""
+    The term's first factor leads, the basis vector (slot None) in a top-level
+    term; each next factor is the first that shares a leg with those before it."""
     coef, rest, out = term[0], list(term[1]), term[2]
-    order = [rest.pop(next((k for k, f in enumerate(rest) if f[0] is None), 0))]
+    order = [rest.pop(0)]
     seen = set(order[0][1])
     while rest:
         order.append(rest.pop(next((k for k, f in enumerate(rest) if seen & set(f[1])), 0)))

@@ -9,6 +9,7 @@ sidecar.  Output is deterministic: same input, same bytes.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .bialgebra import (check_admissible_zinbiel, check_diff_asi_bialgebra,
 from .constructions import induce_nov_coalg, induce_novikov
 from .exactcore import POLY, RATIONAL
 from .liewindow import WindowSpec, polyalg_window_check, window_lie_bialgebra_check
-from .presfile import PresFileError, emit, load
+from .presfile import MAX_DIGITS, PresFileError, emit, load
 from .structures import (Presentation, PresentationError, check_axiom,
                          is_admissible_quadruple, scan_residuals)
 from .ybe import aybe_residual, nybe_residual, r_admissibility
@@ -91,9 +92,10 @@ def _zinbiel_double(pres: Presentation) -> Presentation:
 
 def _fraction(text: str, flag: str) -> Fraction:
     # integers, a/b and plain decimals; an exponent such as 1e-5000 would ask
-    # for a number of 5000 digits from a few characters
+    # for a number of 5000 digits from a few characters.  A run of digits, which
+    # may hold underscores, has the budget of a file's numbers.
     try:
-        if "e" in text.lower():
+        if "e" in text.lower() or re.search(r"\d(?:_?\d){%d}" % MAX_DIGITS, text):
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -342,28 +344,31 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build().parse_args(_join_value_flags(list(argv)))
-    code = 2
-    payload = {}
+    # inputs keep the default digit budget (presfile.MAX_DIGITS), but a
+    # computed coefficient may be longer and must still print
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        code, payload = args.run(args)
+        try:
+            code, payload = args.run(args)
+        except PresentationError as e:
+            print(f"check failed: {e}", file=sys.stderr)
+            code, payload = 1, {"error": str(e)}
+        if args.json_out:
+            doc = {"command": args.command, "exit_code": code, **payload}
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        return code
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
-        return 2
     except PresFileError as e:
         print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except OSError as e:  # reading the input or writing an output
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PresentationError as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        code, payload = 1, {"error": str(e)}
-    if args.json_out:
-        doc = {"command": args.command, "exit_code": code, **payload}
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return code
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return 2
 
 
 if __name__ == "__main__":

@@ -83,17 +83,18 @@ _TOKEN = re.compile(r"(\(x\)|->|[-+*/^()]|[\w']+)|(\S)")
 MAX_NESTING = 100
 MAX_POWER = 4096
 MAX_DIM = 128
+# the interpreter's default limit for int(); cli.main lifts that limit while a
+# command runs, so that computed coefficients print
+MAX_DIGITS = 4300
 
 
 def _number(t: str, lineno: int) -> int:
-    """A decimal literal.  Where int() would raise, on digits outside ASCII or
-    on more digits than the interpreter converts, this is a parse error."""
+    """A decimal literal of ASCII digits, at most MAX_DIGITS of them."""
     if not (t.isascii() and t.isdigit()):
         raise PresFileError(lineno, f"expected a number, found {t!r}")
-    try:
-        return int(t)
-    except ValueError:
-        raise PresFileError(lineno, f"a number of {len(t)} digits is too long") from None
+    if len(t) > MAX_DIGITS:
+        raise PresFileError(lineno, f"a number of {len(t)} digits is too long")
+    return int(t)
 
 
 def _tokenize(line: str, lineno: int) -> list[str]:

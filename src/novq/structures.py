@@ -7,10 +7,10 @@ module, is one sparse Tensor from exactcore; Presentation's docstring gives
 the legs of each kind.  Axioms
 are data from the catalog module, compiled there into signed sums of
 contractions.  check_axiom binds a compiled axiom's slots to the tensors of
-a presentation, contracts its hoisted sums once, and sums its terms with
-Tensor.combination once per basis vector of the first variable, the other
-variables left as free legs; the residual of each basis tuple is read off
-those slices in row-major order.
+a presentation, a hoisted sum contracted when a term first names it, and
+sums its terms with Tensor.combination once per basis vector of the first
+variable, the other variables left as free legs; the residual of each basis
+tuple is read off those slices in row-major order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -339,17 +339,16 @@ def check_axiom(
         """Terms with their coefficients at q and the tensors their slots name."""
         out = []
         for c, spec, slots in terms:
-            for slot in slots:  # a hoisted sum is bound before the terms that use it
+            for slot in slots:  # a hoisted sum is contracted when a term first names it
                 if slot not in consts:
-                    consts[slot] = _constant(pres, binds, rep, *slot)
+                    consts[slot] = (Tensor.combination(bound(compiled.sums[slot[1]]))
+                                    if slot[0] == "sum" else _constant(pres, binds, rep, *slot))
             # over Q without a point only constants occur: uses_q marks the axioms with q
             c = (c.eval_q(qpoint) if qpoint is not None else c if pres.ring == POLY
                  else Scalar.of(RATIONAL, c.constant_value()))
             out.append((c, spec, [consts[slot] for slot in slots]))
         return out
 
-    for j, terms in enumerate(compiled.sums):
-        consts["sum", j] = Tensor.combination(bound(terms))
     terms, lead = bound(compiled.terms), len(axdef.variables) - 1
 
     def items():

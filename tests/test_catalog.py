@@ -1,4 +1,4 @@
-"""The catalog compiler: few terms per axiom, hoisted sums, coefficients that all vanish."""
+"""The catalog compiler: one term per summand, hoisted sums, coefficients that all vanish."""
 
 import random
 from fractions import Fraction as F
@@ -18,15 +18,28 @@ def test_every_axiom_compiles_to_at_most_eight_terms():
     assert all(compile_axiom(aid) is compile_axiom(aid) for aid in CATALOG)
 
 
-def test_sums_without_the_first_variable_are_hoisted():
+def test_every_inner_sum_is_hoisted_into_one_factor():
+    for aid, d in CATALOG.items():
+        if d.expr is None:
+            continue
+        terms = compile_axiom(aid).terms
+        assert len(terms) == len(d.expr[1]), aid  # one term per top-level summand
+        # the first variable's basis vector leads, and its leg A is contracted away
+        assert all(spec.startswith("A,") and "A" not in spec.split("->")[1]
+                   for _, spec, _ in terms), aid
     for aid in ("NOV_BIALG_1", "NOV_BIALG_3", "BIALG_Q_1", "BIALG_Q_2", "BIALG_Q_3"):
         compiled = compile_axiom(aid)
         assert compiled.sums, aid
         assert any(slot[0] == "sum" for _, _, slots in compiled.terms for slot in slots), aid
-    # the symmetrized Delta(b) occurs twice in NOV_BIALG_3 and (D + q Q) b twice in
-    # BIALG_Q_3, but each is contracted once
-    assert len(compile_axiom("NOV_BIALG_3").sums) == 1
-    assert len(compile_axiom("BIALG_Q_3").sums) == 2
+    # Delta(a) + tau Delta(a) and Delta(b) + tau Delta(b) each occur twice in NOV_BIALG_3;
+    # (D + q Q) a and (D + q Q) b twice each in BIALG_Q_3, and D + Q four times; each is
+    # contracted once
+    assert len(compile_axiom("NOV_BIALG_3").sums) == 2
+    assert len(compile_axiom("BIALG_Q_3").sums) == 3
+    # D + Q occurs five times in BIALG_Q_1, in either order of its terms, and is one sum
+    d_plus_q = [("ab->ab", (("linmap", "D"),)), ("ab->ab", (("linmap", "Q"),))]
+    assert len([s for s in compile_axiom("BIALG_Q_1").sums
+                if sorted((spec, slots) for _, spec, slots in s) == d_plus_q]) == 1
 
 
 def _random_coop(rng, n, ring):

@@ -1,11 +1,15 @@
 import json
+import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 import oracles as orc
-from novq import POLY, RATIONAL, parse
+from novq import (POLY, RATIONAL, induce_nov_coalg, induce_novikov, load, parse,
+                  presfile)
 from novq.cli import main
+from novq.presfile import MAX_DIGITS
 
 F = Fraction
 
@@ -435,3 +439,63 @@ def test_a_lone_map_is_a_usage_error_naming_the_missing_slot(tmp_path, capsys):
         assert main(["verify", str(path), "--profile", "zinbiel"]) == 0
         out = capsys.readouterr().out
         assert "DERIV: holds" in out and "ZINB_ADMISS" not in out
+
+
+def test_a_json_out_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    # a path in a missing directory, and a directory: the report stays on stdout
+    for side in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["verify", "fixtures/exnov1", "--profile", "novikov",
+                     "--json-out", str(side)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "NOV_LSYM: holds\nNOV_RCOMM: holds\nall checks hold\n"
+        assert out.err.startswith("error: [Errno") and out.err.endswith(f"{str(side)!r}\n")
+
+
+def _scaled_exnov1(tmp_path, factor: str):
+    """exnov1 with D and Q each scaled by factor."""
+    text = open("fixtures/exnov1").read()
+    text = text.replace("map D\ne2 -> e2", f"map D\ne2 -> {factor}*e2")
+    path = tmp_path / "scaled"
+    path.write_text(text.replace("map Q\ne1 -> e1", f"map Q\ne1 -> {factor}*e1"))
+    return str(path)
+
+
+def test_computed_coefficients_past_the_int_digit_limit_print(tmp_path, capsys, monkeypatch):
+    # every input number is under the budget, but their products are not
+    path, q = _scaled_exnov1(tmp_path, "9" * 4000), "7" * 4000
+    limit = sys.get_int_max_str_digits()
+    assert main(["induce", path, "--q", q]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr()
+    assert out.err == "" and max(map(len, re.findall(r"\d+", out.out))) > MAX_DIGITS
+    pres = load(path)
+    D, Q = pres.linmap("D"), pres.linmap("Q")
+    want = ({"circ": induce_novikov(pres.binop("dot"), D, Q, q=Fraction(q))},
+            {"Delta": induce_nov_coalg(pres.coop("delta"), Q, D, q=Fraction(q))})
+    monkeypatch.setattr(presfile, "MAX_DIGITS", 10 ** 5)  # read the output back
+    sys.set_int_max_str_digits(0)
+    try:
+        got = parse(out.out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (got.binops, got.coops) == want
+
+
+def test_input_numbers_keep_the_digit_budget(tmp_path, capsys):
+    long, limit = "7" * (MAX_DIGITS + 1), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS + 100)  # main restores what it found
+    try:
+        assert main(["induce", _scaled_exnov1(tmp_path, long), "--q", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"parse error: line 14: a number of {len(long)} digits is too long\n"
+        assert main(["induce", "fixtures/exnov1", "--q", long]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --q wants a rational number, got {long!r}\n"
+        assert sys.get_int_max_str_digits() == MAX_DIGITS + 100
+        # a run of digits may hold underscores, as in int(), and a run at the budget passes
+        assert main(["induce", "fixtures/exnov1", "--q", "1_" * MAX_DIGITS + "1"]) == 2
+        assert main(["induce", "fixtures/exnov1", "--q", f"1/{long[1:]}"]) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+

@@ -3,20 +3,26 @@
 Fixture texts are mutated (byte deletions and insertions, token swaps,
 dropped and repeated lines, huge and over-long numbers) and each mutant is
 run in-process through ``novq.cli.main`` by one of the seven subcommands.
-No exception may escape, whatever the input.
+An induce or double file may instead be a fixture with every map entry
+scaled by a number under the digit budget whose products are past it, and
+--json-out may name a path that cannot be written.  No exception may
+escape, whatever the input.
 """
 
 import contextlib
 import io
 import random
+import re
 from pathlib import Path
 
 from novq.cli import main
+from novq.presfile import BLOCKS
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").iterdir())
 NOISE = ["0", "1", "7", "-", "+", "*", "/", "^", "(", ")", "(x)", "->", "q", " ", "\n",
          "#", "e1", "e2", "a", "b", "ring Q[q]\n", "space 1 e1\n", "map D\n",
          "coproduct delta\n", "product dot\n", "²", "\x00"]
+BIG = "7" * 4000  # under the digit budget; a product of two is past it
 HUGE = ["10" * 20, "9" * 60, "9" * 5000, "3^4095", "(1/3)^2000", "q^4000", "0/1",
         "1/0", "0"]
 
@@ -54,6 +60,21 @@ def _mutate(rng, text):
     return text
 
 
+def _scale_maps(text, factor):
+    """Every term right of "->" in a map block times factor; scaling D and Q alike keeps
+    the identities that induce and double require."""
+    lines, in_map = text.split("\n"), False
+    for k, line in enumerate(lines):
+        word = line.split(" ", 1)[0]
+        if word in BLOCKS:
+            in_map = word == "map"
+        elif in_map and "->" in line:
+            left, right = line.split("->", 1)
+            right = re.sub(r"^-?|[+-] *", lambda m: m.group() + factor + "*", right.strip())
+            lines[k] = f"{left}-> {right}"
+    return "\n".join(lines)
+
+
 def _argv(rng, path, json_path):
     command = rng.choice(["verify", "induce", "double", "ybe", "locus", "window",
                           "polywindow"])
@@ -64,7 +85,7 @@ def _argv(rng, path, json_path):
         if rng.random() < 0.3:
             argv += ["--dimA", str(rng.randint(-1, 4))]
     elif command == "induce":
-        argv = [command, path, "--q", rng.choice(["sym", "-1/2", "0", "3", "1/0", "x"])]
+        argv = [command, path, "--q", rng.choice(["sym", "-1/2", "0", "3", "1/0", "x", BIG])]
     elif command == "ybe":
         argv = [command, path, "--check", rng.choice(["aybe", "nybe", "admissible"])]
     elif command == "window":
@@ -77,7 +98,8 @@ def _argv(rng, path, json_path):
     else:
         argv = [command, path]
     if rng.random() < 0.3:
-        argv += ["--json-out", json_path]
+        argv += ["--json-out", json_path if rng.random() < 0.7
+                 else str(Path(json_path).parent / "missing" / "out.json")]
     return argv
 
 
@@ -86,9 +108,13 @@ def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path):
     texts = [p.read_text(encoding="utf-8") for p in FIXTURES]
     path, json_path = str(tmp_path / "mutant"), str(tmp_path / "out.json")
     for case in range(200):
-        text = _mutate(rng, rng.choice(texts))
-        Path(path).write_text(text, encoding="utf-8")
+        text = rng.choice(texts)
         argv = _argv(rng, path, json_path)
+        if argv[0] in ("induce", "double") and rng.random() < 0.3:
+            text = _scale_maps(text, BIG)  # a well-formed file with huge coefficients
+        else:
+            text = _mutate(rng, text)
+        Path(path).write_text(text, encoding="utf-8")
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             try:

@@ -8,7 +8,7 @@ import oracles as orc
 from genalg import random_quadruple
 from novq import (POLY, Presentation, PresentationError, QLocus, RATIONAL,
                   Scalar, Space, Tensor, all_hold,
-                  check_axiom, induce_novikov, is_admissible_quadruple, load,
+                  check_axiom, induce_nov_coalg, induce_novikov, is_admissible_quadruple, load,
                   polynomial, scan_residuals, vanishing_locus)
 from novq.structures import ALL_Q, CATALOG, EMPTY, FINITE, combine_loci, dualize
 
@@ -246,6 +246,26 @@ def test_check_axiom_contracts_once_per_first_index_not_per_tuple(monkeypatch):
     assert check_axiom("NOV_LSYM", pres).holds  # a full scan, no early exit
     terms = len(compile_axiom("NOV_LSYM").terms)
     assert 0 < sum(calls) <= n * terms < n ** 3
+
+
+def test_check_axiom_contracts_each_hoisted_sum_once(monkeypatch):
+    # counts only: one contraction per hoisted sum, then one per basis vector of the first variable
+    from novq.catalog import compile_axiom
+    pres = load("fixtures/exnov1").lift()
+    D, Q = pres.linmap("D"), pres.linmap("Q")
+    family = Presentation(POLY, pres.space,
+                          binops={"circ": induce_novikov(pres.binop("dot"), D, Q)},
+                          coops={"Delta": induce_nov_coalg(pres.coop("delta"), Q, D)})
+    calls = []
+    combination = Tensor.combination.__func__
+
+    def counted(cls, terms):
+        calls.append(1)
+        return combination(cls, terms)
+
+    monkeypatch.setattr(Tensor, "combination", classmethod(counted))
+    assert check_axiom("NOV_BIALG_3", family).holds  # a full scan, no early exit
+    assert len(calls) == len(compile_axiom("NOV_BIALG_3").sums) + pres.dim
 
 
 def test_check_axiom_stacks_each_constant_once(monkeypatch):
