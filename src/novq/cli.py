@@ -8,6 +8,7 @@ sidecar.  Output is deterministic: same input, same bytes.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -94,8 +95,12 @@ def _fraction(text: str, flag: str) -> Fraction:
     # integers, a/b and plain decimals; an exponent such as 1e-5000 would ask
     # for a number of 5000 digits from a few characters.  A run of digits, which
     # may hold underscores, has the budget of a file's numbers.
+    digits = max((len(run) - run.count("_") for run in re.findall(r"\d(?:_?\d)*", text)),
+                 default=0)
+    if digits > MAX_DIGITS:
+        raise _Usage(f"{flag} wants a rational number, got a number of {digits} digits")
     try:
-        if "e" in text.lower() or re.search(r"\d(?:_?\d){%d}" % MAX_DIGITS, text):
+        if "e" in text.lower():
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -264,7 +269,10 @@ def _run_polywindow(args) -> tuple[int, dict]:
     return _finish_checks(reports)
 
 
+@functools.cache
 def _build() -> argparse.ArgumentParser:
+    # built once per process: prog is fixed, argparse reads the terminal width
+    # and the output streams only when it prints, and parse_args returns a new Namespace
     ap = argparse.ArgumentParser(
         prog="novq",
         description="exact checks and constructions for deformed Novikov structures")
@@ -340,6 +348,9 @@ def _join_value_flags(argv: list) -> list:
     return out
 
 
+_ERROR_KINDS = {_Usage: "usage error", PresFileError: "parse error"}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -354,17 +365,17 @@ def main(argv=None) -> int:
         except PresentationError as e:
             print(f"check failed: {e}", file=sys.stderr)
             code, payload = 1, {"error": str(e)}
+        except (_Usage, PresFileError, OSError) as e:  # OSError: reading or writing a file
+            line = f"{_ERROR_KINDS.get(type(e), 'error')}: {e}"
+            print(line, file=sys.stderr)
+            code, payload = 2, {"error": line}
         if args.json_out:
             doc = {"command": args.command, "exit_code": code, **payload}
             with open(args.json_out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         return code
-    except _Usage as e:
-        print(f"usage error: {e}", file=sys.stderr)
-    except PresFileError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-    except OSError as e:  # reading the input or writing an output
+    except OSError as e:  # writing the sidecar
         print(f"error: {e}", file=sys.stderr)
     finally:
         sys.set_int_max_str_digits(limit)

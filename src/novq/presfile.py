@@ -70,8 +70,9 @@ BLOCKS = {
     "relement": ("relements", 2, 2),
 }
 
-# a token, or in the second group the first character that starts none
-_TOKEN = re.compile(r"(\(x\)|->|[-+*/^()]|[\w']+)|(\S)")
+_TOKEN = re.compile(r"\(x\)|->|[-+*/^()]|[\w']+")
+# a character that starts no token: ">" starts one only after "-"
+_STRAY = re.compile(r"[^\s\w'()*/^+>-]|>(?<!->)")
 
 # Input budgets, so that a short line cannot ask for unbounded work: how
 # deeply coefficients may nest parentheses, how large a power s^e may be, as
@@ -98,32 +99,34 @@ def _number(t: str, lineno: int) -> int:
 
 
 def _tokenize(line: str, lineno: int) -> list[str]:
-    toks = _TOKEN.findall(line)
-    for _, bad in toks:
-        if bad:
-            raise PresFileError(lineno, f"unexpected character {bad!r}")
-    return [tok for tok, _ in toks]
+    if bad := _STRAY.search(line):
+        raise PresFileError(lineno, f"unexpected character {bad.group()!r}")
+    return _TOKEN.findall(line)
 
 
 class _TermParser:
-    """Recursive-descent parser for one entry line's token list."""
+    """Recursive-descent parser for one entry line's token list.
+
+    tok is the current token, None past the last one; take() returns it and
+    moves on.
+    """
+
+    __slots__ = ("toks", "rest", "tok", "lineno", "ring", "index", "depth")
 
     def __init__(self, toks, lineno, ring, index):
         self.toks = toks
-        self.pos = 0
+        self.rest = iter(toks)
+        self.tok = next(self.rest, None)
         self.lineno = lineno
         self.ring = ring
         self.index = index  # basis name -> position
         self.depth = 0  # open parentheses around the current scalar
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
     def take(self):
-        t = self.peek()
+        t = self.tok
         if t is None:
             raise PresFileError(self.lineno, "unexpected end of line")
-        self.pos += 1
+        self.tok = next(self.rest, None)
         return t
 
     def expect(self, t):
@@ -132,18 +135,26 @@ class _TermParser:
             raise PresFileError(self.lineno, f"expected {t!r}, found {got!r}")
 
     def done(self):
-        if self.pos != len(self.toks):
-            raise PresFileError(self.lineno, f"trailing tokens from {self.peek()!r}")
+        if self.tok is not None:
+            raise PresFileError(self.lineno, f"trailing tokens from {self.tok!r}")
 
-    def _int(self):
-        return _number(self.take(), self.lineno)
-
-    def _is_scalar_start(self, t):
-        return t is not None and (t.isdigit() or t == "q" or t == "(")
-
-    def scalar_atom(self) -> Scalar:
-        t = self.peek()
-        if t == "(":
+    def scalar_atom(self, what: str, neg: bool) -> Scalar:
+        """One factor that is not a basis vector, negated with neg; what names the
+        factor expected."""
+        t = self.tok
+        if t is not None and t.isdigit():
+            self.take()
+            num, den = _number(t, self.lineno), 1
+            if self.tok == "/":
+                self.take()
+                den = _number(self.take(), self.lineno)
+                if den == 0:
+                    raise PresFileError(self.lineno, "zero denominator")
+            if neg and self.tok != "^":  # no power follows: the sign goes on the number
+                num, neg = -num, False
+            f = Fraction(num, den)
+            s = Scalar(RATIONAL, f) if self.ring == RATIONAL else Scalar(POLY, (f,) if num else ())
+        elif t == "(":
             self.take()
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -156,21 +167,11 @@ class _TermParser:
             if self.ring != POLY:
                 raise PresFileError(self.lineno, "q is only available over ring Q[q]")
             s = qvar()
-        elif t is not None and t.isdigit():
-            num = self._int()
-            if self.peek() == "/":
-                self.take()
-                den = self._int()
-                if den == 0:
-                    raise PresFileError(self.lineno, "zero denominator")
-                s = Scalar.of(self.ring, Fraction(num, den))
-            else:
-                s = Scalar.of(self.ring, num)
         else:
-            raise PresFileError(self.lineno, f"expected a scalar, found {t!r}")
-        if self.peek() == "^":
+            raise PresFileError(self.lineno, f"expected {what}, found {t!r}")
+        if self.tok == "^":
             self.take()
-            e = self._int()
+            e = _number(self.take(), self.lineno)
             size = 1 + max(s.degree(), 0) + sum(
                 c.numerator.bit_length() + c.denominator.bit_length() for c in s.coeffs())
             if e * size > MAX_POWER:
@@ -180,26 +181,24 @@ class _TermParser:
             for _ in range(e):
                 out = out * s
             s = out
-        return s
+        return -s if neg else s
 
-    def term(self, legs: int):
-        """(coeff, basis indices) of factors joined by *: with legs >= 1 exactly one
-        factor is a basis vector and legs - 1 more follow, each after (x); with
-        legs = 0 every factor is a scalar."""
+    def term(self, legs: int, neg: bool):
+        """(coeff, basis indices) of factors joined by *, negated with neg: with
+        legs >= 1 exactly one factor is a basis vector and legs - 1 more follow,
+        each after (x); with legs = 0 every factor is a scalar."""
         coeff = base = None
+        what = "a term" if legs else "a scalar"
         while True:
-            t = self.peek()
-            if legs and t in self.index:
+            if legs and (i := self.index.get(self.tok)) is not None:
                 if base is not None:
                     raise PresFileError(self.lineno, "two basis vectors in one term")
                 self.take()
-                base = self.index[t]
-            elif legs and not self._is_scalar_start(t):
-                raise PresFileError(self.lineno, f"expected a term, found {t!r}")
+                base = i
             else:
-                s = self.scalar_atom()
+                s = self.scalar_atom(what, neg and coeff is None)
                 coeff = s if coeff is None else coeff * s
-            if self.peek() != "*":
+            if self.tok != "*":
                 break
             self.take()
         out = (base,) if legs else ()
@@ -208,16 +207,15 @@ class _TermParser:
             out += (self.basis(),)
         if legs and base is None:
             raise PresFileError(self.lineno, "term has no basis vector")
-        return Scalar.one(self.ring) if coeff is None else coeff, out
+        return Scalar.of(self.ring, -1 if neg else 1) if coeff is None else coeff, out
 
     def signed_sum(self, legs: int) -> list:
         """(coeff, indices) of each term of "[+|-] term (+|- term)*", signs applied."""
         out = []
-        sign = self.peek() in ("+", "-") and self.take()
+        sign = self.tok in ("+", "-") and self.take()
         while True:
-            c, idx = self.term(legs)
-            out.append((-c if sign == "-" else c, idx))
-            if self.peek() not in ("+", "-"):
+            out.append(self.term(legs, sign == "-"))
+            if self.tok not in ("+", "-"):
                 return out
             sign = self.take()
 
@@ -233,7 +231,7 @@ class _TermParser:
     def linear_rhs(self, legs: int) -> list:
         """An entry line's right side, a lone 0 or a signed sum of terms of legs basis
         vectors each, as (coeff, indices) pairs."""
-        if self.toks[self.pos:] == ["0"]:
+        if self.toks == ["0"]:
             self.take()
             return []
         return self.signed_sum(legs)
@@ -251,8 +249,9 @@ def parse(text: str) -> Presentation:
         if block is not None:
             kind, name, entries, _ = block
             field, order, _ = BLOCKS[kind]
-            t = Tensor.from_entries(ring, (len(space.names),) * order, entries)
-            bags[field][name] = t.transpose() if kind == "map" else t
+            if kind == "map":  # a line gives column j: its entry (j, i) is m[i][j]
+                entries = {(i, j): c for (j, i), c in entries.items()}
+            bags[field][name] = Tensor.from_entries(ring, (len(space.names),) * order, entries)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -266,10 +265,10 @@ def parse(text: str) -> Presentation:
             toks = _tokenize(line, lineno)
             arrow = toks.index("->")
             lhs = toks[:arrow]
-            if len(lhs) != left or not all(t in index for t in lhs):
+            key = tuple(map(index.get, lhs))
+            if len(key) != left or None in key:
                 raise PresFileError(lineno, "left side must be "
                                     + ("one basis vector" if left == 1 else "two basis vectors"))
-            key = tuple(index[t] for t in lhs)
             p = _TermParser(toks[arrow + 1:], lineno, ring, index)
             terms = [(key + legs, c) for c, legs in p.linear_rhs(order - left)]
             p.done()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
-from novq import (POLY, RATIONAL, induce_nov_coalg, induce_novikov, load, parse,
+from novq import (POLY, RATIONAL, cli, induce_nov_coalg, induce_novikov, load, parse,
                   presfile)
 from novq.cli import main
 from novq.presfile import MAX_DIGITS
@@ -489,9 +490,15 @@ def test_input_numbers_keep_the_digit_budget(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"parse error: line 14: a number of {len(long)} digits is too long\n"
+        # the message names the flag and the digit count, not the whole argument
         assert main(["induce", "fixtures/exnov1", "--q", long]) == 2
         err = capsys.readouterr().err
-        assert err == f"usage error: --q wants a rational number, got {long!r}\n"
+        assert err == f"usage error: --q wants a rational number, got a number of " \
+                      f"{len(long)} digits\n"
+        assert main(["induce", "fixtures/exnov1", "--q", "1", "--p", f"-2/{long}_7"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: --p wants a rational number, got a number of " \
+                      f"{len(long) + 1} digits\n"
         assert sys.get_int_max_str_digits() == MAX_DIGITS + 100
         # a run of digits may hold underscores, as in int(), and a run at the budget passes
         assert main(["induce", "fixtures/exnov1", "--q", "1_" * MAX_DIGITS + "1"]) == 2
@@ -499,3 +506,100 @@ def test_input_numbers_keep_the_digit_budget(tmp_path, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
 
+
+
+def test_json_out_records_usage_parse_and_io_errors(tmp_path, capsys):
+    side, bad = tmp_path / "side.json", tmp_path / "garbage"
+    bad.write_text("this is not a presentation\n")
+    for argv in (["induce", "fixtures/exnov1", "--q", "x"],
+                 ["verify", str(bad), "--profile", "novikov"],
+                 ["verify", str(tmp_path / "nope"), "--profile", "novikov"],
+                 ["double", "fixtures/exnov1", "--emit", str(tmp_path / "missing" / "d")]):
+        assert main(argv + ["--json-out", str(side)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(side.read_text()) == {"command": argv[0], "exit_code": 2,
+                                                "error": err[:-1]}
+        side.unlink()
+    # an error whose sidecar cannot be written either reports both
+    side = tmp_path / "missing" / "x.json"
+    assert main(["induce", "fixtures/exnov1", "--q", "x", "--json-out", str(side)]) == 2
+    first, second = capsys.readouterr().err.splitlines()
+    assert first == "usage error: --q wants a rational number, got 'x'"
+    assert second.startswith("error: [Errno") and second.endswith(f"{str(side)!r}")
+
+
+def test_json_out_is_not_written_when_argparse_rejects_the_command_line(tmp_path, capsys):
+    side = tmp_path / "side.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "fixtures/exnov1", "--json-out", str(side)])  # no --profile
+    assert exc.value.code == 2 and not side.exists()
+    assert "the following arguments are required: --profile" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    counts = []
+    for runs in ([["verify", "fixtures/exnov1", "--profile", "novikov"]],
+                 [["verify", "fixtures/exnov1", "--profile", "novikov"],
+                  ["locus", "fixtures/examp2-double"], ["polywindow", "--N", "3"]]):
+        cli._build.cache_clear()
+        built.clear()
+        for argv in runs:
+            assert main(argv) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 1  # the parser, the shared options, the subcommands
+
+
+# --help, argparse's own errors (a missing --profile, a bad --check choice) and a
+# usage error of the program
+PARSER_RUNS = (["--help"], ["verify", "--help"], ["verify", "fixtures/exnov1"],
+               ["ybe", "fixtures/exnov1", "--check", "wat"],
+               ["induce", "fixtures/exnov1", "--q", "x"])
+
+
+def _outcomes(capsys, runs):
+    out = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        out.append((code, got.out, got.err))
+    return out
+
+
+def test_the_cached_parser_prints_what_a_fresh_one_prints(monkeypatch, capsys):
+    # argparse reads prog from argv[0] unless it is given, and the terminal width
+    # when it prints; the second width runs on the parser built at the first
+    monkeypatch.setattr(sys, "argv", ["venv/bin/console-script"])
+    cli._build.cache_clear()
+    seen = {}
+    for columns in (None, "40"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        first = _outcomes(capsys, PARSER_RUNS)
+        later = _outcomes(capsys, PARSER_RUNS)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build", cli._build.__wrapped__)  # a parser built per call
+            fresh = _outcomes(capsys, PARSER_RUNS)
+        assert first == later == fresh
+        assert [code for code, _, _ in first] == [0, 0, 2, 2, 2]
+        assert first[0][1].startswith("usage: novq [-h]")
+        assert first[1][1].startswith("usage: novq verify [-h]")
+        assert first[2][2].startswith("usage: novq verify [-h]")
+        assert first[4][2] == "usage error: --q wants a rational number, got 'x'\n"
+        seen[columns] = first
+    description = "exact checks and constructions for deformed Novikov structures"
+    assert description in seen[None][0][1]
+    assert description.replace(" deformed", "\ndeformed") in seen["40"][0][1]
