@@ -92,15 +92,15 @@ def _zinbiel_double(pres: Presentation) -> Presentation:
 
 
 def _fraction(text: str, flag: str) -> Fraction:
-    # integers, a/b and plain decimals; an exponent such as 1e-5000 would ask
-    # for a number of 5000 digits from a few characters.  A run of digits, which
-    # may hold underscores, has the budget of a file's numbers.
+    # integers, a/b and plain decimals in ASCII, as in a file; an exponent such
+    # as 1e-5000 would ask for a number of 5000 digits from a few characters.  A
+    # run of digits, which may hold underscores, has the budget of a file's numbers.
     digits = max((len(run) - run.count("_") for run in re.findall(r"\d(?:_?\d)*", text)),
                  default=0)
     if digits > MAX_DIGITS:
         raise _Usage(f"{flag} wants a rational number, got a number of {digits} digits")
     try:
-        if "e" in text.lower():
+        if "e" in text.lower() or not text.isascii():
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

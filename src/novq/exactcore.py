@@ -1,12 +1,12 @@
 """Exact scalars over Q and Q[q], plus sparse tensors of structure constants.
 
-Everything in the package bottoms out here.  A scalar is either a rational
-number or a univariate polynomial in the deformation parameter q with
-rational coefficients.  Zero tests are structural (zero fraction, empty
-coefficient tuple); there is no floating point and no tolerance anywhere.
-
-Polynomials are stored as ascending coefficient tuples with no trailing
-zeros, so the zero polynomial is the empty tuple and degree is len-1.
+Everything in the package bottoms out here.  A Scalar is a tuple of
+Fraction coefficients, ascending in the deformation parameter q with no
+trailing zero, so zero is the empty tuple and the degree is len-1.  Its ring
+tag, Q or Q[q], says whether q may occur: over Q the tuple holds at most one
+coefficient, a rational being the constant polynomial.  Zero tests are
+structural (empty coefficient tuple); there is no floating point and no
+tolerance anywhere.
 
 Vectors, maps, forms, r-elements, products and coproducts are all one
 sparse Tensor class that stores only its nonzero entries; products, map
@@ -16,7 +16,7 @@ stored as an int when integral and a Fraction otherwise, a Q[q] entry as a
 Scalar whose coefficients are stored so.  Over Q, each term joins integer
 numerators over its operands' common denominators, and the sum divides
 once per output entry, fraction-free as in Bareiss's elimination.  Scalars
-go in and come out at the tensor's edges with Fraction payloads, as
+go in and come out at the tensor's edges with Fraction coefficients, as
 everywhere outside a tensor.  No other module knows how entries are stored.
 
 rational_roots finds the rational roots of a Q[q] scalar by p-adic lifting
@@ -111,32 +111,35 @@ def _pmul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _arith(on_q: Callable, on_poly: Callable) -> Callable:
+def _arith(kernel: Callable) -> Callable:
     """A binary Scalar operator.  Two Scalars of one ring skip _coerce and the
-    checks of __init__: the payload of the result is already of the right kind."""
+    checks of __init__: the kernel keeps a constant a constant, so the payload
+    of the result is valid for the ring."""
     def op(self, other) -> "Scalar":
         if type(other) is not Scalar or other.ring != self.ring:
             other = self._coerce(other)
-        if self.ring == RATIONAL:
-            return _scalar(RATIONAL, on_q(self.val, other.val))
-        return _scalar(POLY, on_poly(self.val, other.val))
+        return _scalar(self.ring, kernel(self.val, other.val))
     return op
 
 
 class Scalar:
-    """An exact ring element: a Fraction (ring Q) or coefficient tuple (ring Q[q])."""
+    """An exact ring element: an ascending coefficient tuple with no trailing
+    zero, of at most one coefficient over Q."""
 
     __slots__ = ("ring", "val")
 
     def __init__(self, ring: str, val):
-        if ring == RATIONAL:
-            if not isinstance(val, Fraction):
-                raise TypeError("rational scalar payload must be a Fraction")
-        elif ring == POLY:
-            if not isinstance(val, tuple):
-                raise TypeError("polynomial scalar payload must be a tuple")
-        else:
+        if ring != RATIONAL and ring != POLY:
             raise ValueError(f"unknown ring tag {ring!r}")
+        if not isinstance(val, tuple):
+            raise TypeError("scalar payload must be a tuple of coefficients")
+        for c in val:
+            if type(c) is not Fraction and type(c) is not int:
+                raise TypeError(f"expected int or Fraction coefficients, got {type(c).__name__}")
+        if val and not val[-1]:
+            raise TypeError("scalar payload must not end in a zero coefficient")
+        if len(val) > 1 and ring == RATIONAL:
+            raise TypeError("rational scalar payload holds more than one coefficient")
         self.ring = ring
         self.val = val
 
@@ -144,8 +147,8 @@ class Scalar:
 
     @staticmethod
     def of(ring: str, x: RationalLike) -> "Scalar":
-        f = _as_fraction(x)
-        return Scalar(RATIONAL, f) if ring == RATIONAL else Scalar(POLY, _trim((f,)))
+        f = _as_fraction(x)  # refuses a float before x is tested for zero
+        return Scalar(ring, (f,) if x else ())
 
     @staticmethod
     def zero(ring: str) -> "Scalar":
@@ -165,16 +168,14 @@ class Scalar:
 
     def degree(self) -> int:
         """Degree in q; rationals count as degree 0 (or -1 for zero)."""
-        return len(self.coeffs()) - 1
+        return len(self.val) - 1
 
     def coeffs(self) -> tuple[Fraction, ...]:
         """Ascending coefficient tuple, also for rationals."""
-        return self.val if self.ring == POLY else (self.val,) if self.val else ()
+        return self.val
 
     def constant_value(self) -> Fraction:
         """The value as a Fraction, failing if q actually occurs."""
-        if self.ring == RATIONAL:
-            return self.val
         if len(self.val) > 1:
             raise ZeroPolynomialError("polynomial has positive degree, not a constant")
         return _as_fraction(self.val[0]) if self.val else Fraction(0)
@@ -183,7 +184,7 @@ class Scalar:
 
     def lift(self) -> "Scalar":
         """Embed into Q[q] (identity if already there)."""
-        return self if self.ring == POLY else Scalar(POLY, _trim((self.val,)))
+        return self if self.ring == POLY else _scalar(POLY, self.val)
 
     def eval_q(self, point: RationalLike) -> "Scalar":
         """Substitute a rational value for q, landing in Q.
@@ -193,15 +194,13 @@ class Scalar:
         den b^n f(a/b), n the degree, and one Fraction divides it out.
         """
         p = _as_fraction(point)
-        if self.ring == RATIONAL:
-            return self
         a, b = p.numerator, p.denominator
         den = math.lcm(*[c.denominator for c in self.val])
         acc, bpow = 0, 1
         for c in reversed(self.val):
             acc, bpow = acc * a + c.numerator * (den // c.denominator) * bpow, bpow * b
         # bpow is b^(n+1), so acc * b / (den * bpow) is acc / (den b^n)
-        return Scalar(RATIONAL, Fraction(acc * b, den * bpow))
+        return _scalar(RATIONAL, (Fraction(acc * b, den * bpow),) if acc else ())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -212,17 +211,15 @@ class Scalar:
             return other
         return Scalar.of(self.ring, other)
 
-    __add__ = __radd__ = _arith(operator.add, _padd)
-    __sub__ = _arith(operator.sub, _psub)
-    __mul__ = __rmul__ = _arith(operator.mul, _pmul)
+    __add__ = __radd__ = _arith(_padd)
+    __sub__ = _arith(_psub)
+    __mul__ = __rmul__ = _arith(_pmul)
 
     def __rsub__(self, other) -> "Scalar":
         return self._coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        if self.ring == RATIONAL:
-            return _scalar(RATIONAL, -self.val)
-        return _scalar(POLY, tuple(map(operator.neg, self.val)))
+        return _scalar(self.ring, tuple(map(operator.neg, self.val)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -239,10 +236,10 @@ class Scalar:
 
     def __str__(self) -> str:
         """Canonical text form; parses back through the fixture-file grammar."""
-        if self.ring == RATIONAL:
-            return str(self.val)
+        if len(self.val) < 2:
+            return str(self.val[0]) if self.val else "0"
         return join_terms((str(c), "" if k == 0 else "q" if k == 1 else f"q^{k}")
-                          for k, c in enumerate(self.val) if c) or "0"
+                          for k, c in enumerate(self.val) if c)
 
 
 def join_terms(pairs: Iterable[tuple[str, str]]) -> str:
@@ -364,7 +361,7 @@ def _vanishes(f: list[int], a: int, b: int) -> bool:
 
 
 def rational_roots(p: Scalar) -> RootReport:
-    """All rational roots of a nonzero Q[q] scalar, ignoring multiplicity.
+    """All rational roots of a nonzero scalar, ignoring multiplicity.
 
     ``has_nonrational_factor`` is True exactly when deflating every rational
     root still leaves a factor of positive degree.
@@ -378,7 +375,6 @@ def rational_roots(p: Scalar) -> RootReport:
     in exact arithmetic.  The work is polynomial in the degree and in the
     bit size of the coefficients.
     """
-    p = p.lift()
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial vanishes identically")
     shift = 0
@@ -417,15 +413,12 @@ def rational_roots(p: Scalar) -> RootReport:
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
-    """Divide a by b when the division is exact; error otherwise."""
-    if a.ring == RATIONAL and b.ring == RATIONAL:
-        if b.is_zero():
-            raise ZeroPolynomialError("division by zero")
-        return Scalar(RATIONAL, a.val / b.val)
-    # long division in Q[q]; dividing through a Fraction, as int / int is a float
-    rem, div = list(a.lift().val), b.lift().val
+    """Divide a by b when the division is exact; error otherwise.  The quotient
+    is over Q[q] if either operand is."""
+    # long division; dividing through a Fraction, as int / int is a float
+    rem, div = list(a.val), b.val
     if not div:
-        raise ZeroPolynomialError("division by the zero polynomial")
+        raise ZeroPolynomialError("division by zero")
     quot = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
     for k in range(len(quot) - 1, -1, -1):
         factor = quot[k] = _as_fraction(rem[k + len(div) - 1]) / div[-1]
@@ -434,7 +427,7 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
                 rem[k + i] -= factor * d
     if _trim(rem[: len(div) - 1]):
         raise ZeroPolynomialError("division is not exact in Q[q]")
-    return Scalar(POLY, _trim(quot))
+    return Scalar(RATIONAL if a.ring == b.ring == RATIONAL else POLY, _trim(quot))
 
 
 # -- sparse tensors -------------------------------------------------------------
@@ -447,12 +440,13 @@ def _unbox(ring: str, s: Scalar):
         raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
     if ring == POLY:
         return _scalar(POLY, tuple([c.numerator if c.denominator == 1 else c for c in s.val]))
-    return s.val.numerator if s.val.denominator == 1 else s.val
+    v = s.val[0] if s.val else 0
+    return v.numerator if v.denominator == 1 else v
 
 
 def _box(ring: str, v) -> Scalar:
-    if ring == RATIONAL:
-        return _scalar(RATIONAL, v if type(v) is Fraction else Fraction(v))
+    if ring == RATIONAL:  # v is nonzero: a stored entry
+        return _scalar(RATIONAL, (v if type(v) is Fraction else Fraction(v),))
     return _scalar(POLY, tuple([c if type(c) is Fraction else Fraction(c) for c in v.val]))
 
 
@@ -590,7 +584,8 @@ class Tensor:
         out = {}
         for key, s in dict(entries).items():
             key = tuple(key)
-            if len(key) != len(shape) or not all(0 <= i < d for i, d in zip(key, shape)):
+            if len(key) != len(shape) or key and (
+                    min(key) < 0 or not all(map(operator.lt, key, shape))):
                 raise ShapeError(f"index {key} lies outside shape {shape}")
             if v := _unbox(ring, s):
                 out[key] = v

@@ -153,7 +153,7 @@ class _TermParser:
             if neg and self.tok != "^":  # no power follows: the sign goes on the number
                 num, neg = -num, False
             f = Fraction(num, den)
-            s = Scalar(RATIONAL, f) if self.ring == RATIONAL else Scalar(POLY, (f,) if num else ())
+            s = Scalar(self.ring, (f,) if num else ())
         elif t == "(":
             self.take()
             self.depth += 1

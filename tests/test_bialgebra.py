@@ -272,7 +272,7 @@ def test_semidirect_double_is_not_a_manin_triple():
     rep = out["BILIN_INV_NOV"]
     assert rep.verdict == "fails"
     assert rep.witness == ("e1", "e1", "e2'")
-    assert rep.residual.dense[0].val == F(-1, 2)
+    assert rep.residual.dense[0] == F(-1, 2)
 
 
 def test_quadratic_novikov_check():

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +105,30 @@ def test_decimal_exponents_are_usage_errors(capsys):
     decimal = capsys.readouterr().out
     assert main(["induce", "fixtures/exnov1", "--q", "-1/2"]) == 0
     assert capsys.readouterr().out == decimal
+
+
+def test_non_ascii_digits_are_usage_errors(capsys):
+    # Fraction reads the Arabic-Indic three as 3; a file's numbers are ASCII only
+    for flag, text, argv in (("--q", "\u0663", ["induce", "fixtures/exnov1"]),
+                             ("--q", "-1/\u0662", ["window", "fixtures/exnov1",
+                                                  "--min", "-1", "--max", "1"]),
+                             ("--p", "\uff12", ["induce", "fixtures/exnov1", "--q", "1"])):
+        assert main(argv + [flag, text]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == \
+            ("", f"usage error: {flag} wants a rational number, got {text!r}\n")
+    # ASCII integers, fractions and decimals read as before
+    from novq import Presentation
+
+    pres = load("fixtures/exnov1")
+    D, Q = pres.linmap("D"), pres.linmap("Q")
+    for q_text, p_text, q, p in (("3", "1", 3, 1), ("-1/2", "3", F(-1, 2), 3),
+                                 ("-0.5", "-0.5", F(-1, 2), F(-1, 2))):
+        want = Presentation(RATIONAL, pres.space,
+                            binops={"circ": induce_novikov(pres.binop("dot"), D, Q, p=p, q=q)},
+                            coops={"Delta": induce_nov_coalg(pres.coop("delta"), Q, D, q=q)})
+        assert main(["induce", "fixtures/exnov1", "--q", q_text, "--p", p_text]) == 0
+        assert capsys.readouterr().out == presfile.emit(want)
 
 
 def test_double_pipeline_manin(tmp_path, capsys):
@@ -367,7 +392,7 @@ def test_polywindow_degree_budget_is_usage_error(capsys, monkeypatch):
 
 def test_verify_zinbiel_profile_resolves_d_and_q_as_double_does(tmp_path, capsys):
     # the only map not named Q is D, whatever its name; this one is no derivation
-    text = open("fixtures/zinb-deriv").read()
+    text = Path("fixtures/zinb-deriv").read_text(encoding="utf-8")
     broken = text.replace("map D\ne1 -> e1\n", "map Der\ne1 -> e1 + e2\n")
     assert broken != text
     path = tmp_path / "zinb-der"
@@ -426,7 +451,7 @@ def test_induce_scales_the_derivation_by_p(capsys):
 
 def test_a_lone_map_is_a_usage_error_naming_the_missing_slot(tmp_path, capsys):
     # zinb-deriv without its map Q: the one map fills D, whatever its name, and Q is missing
-    text = open("fixtures/zinb-deriv").read()
+    text = Path("fixtures/zinb-deriv").read_text(encoding="utf-8")
     lone = text[:text.index("map Q")]
     for name in ("X", "D"):
         path = tmp_path / f"zinb-{name}"
@@ -454,7 +479,7 @@ def test_a_json_out_that_cannot_be_written_is_an_error(tmp_path, capsys):
 
 def _scaled_exnov1(tmp_path, factor: str):
     """exnov1 with D and Q each scaled by factor."""
-    text = open("fixtures/exnov1").read()
+    text = Path("fixtures/exnov1").read_text(encoding="utf-8")
     text = text.replace("map D\ne2 -> e2", f"map D\ne2 -> {factor}*e2")
     path = tmp_path / "scaled"
     path.write_text(text.replace("map Q\ne1 -> e1", f"map Q\ne1 -> {factor}*e1"))

@@ -27,7 +27,7 @@ def test_affine_bracket_closed_form():
     assert all(back[d] == back[m] + back[n] - 1 for _, m, _, n, _, d, _ in B.nonzero())
     for m in degs:
         for n in degs:
-            br = lambda i, j: [B.entry(i, at[m], j, at[n], k, at[m + n - 1]).val
+            br = lambda i, j: [B.entry(i, at[m], j, at[n], k, at[m + n - 1])
                                for k in range(2)]
             assert br(0, 1) == [0, F(m) + F(n, 2)]
             assert br(0, 0) == [F(-(m - n), 2), 0]

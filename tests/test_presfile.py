@@ -99,8 +99,8 @@ def test_parse_coproduct_map_form_relement():
     assert d[0][0][1] == {0: F(1)} and d[0][1][0] == {0: F(-1)}
     m = orc.map_table(pres.linmap("D"))
     assert m[0][0] == {0: F(1)} and m[1][0] == {0: F(2)}
-    assert pres.form("B").dense[0][1].val == 1
-    assert pres.relement("r").dense[0][1].val == F(1, 3)
+    assert pres.form("B").dense[0][1] == 1
+    assert pres.relement("r").dense[0][1] == F(1, 3)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -1,17 +1,20 @@
 """The Q[q] kernel against the Fraction-tuple oracle, and the tensor edges.
 
 Inside a tensor a Q[q] coefficient is an int when integral; everywhere else
-it is a Fraction.  The kernel must give the oracle's values on any mix of
-the two, keep all-int and all-Fraction payloads as they are, and never
-produce a float.
+it is a Fraction, and a Scalar of either ring is a tuple of them with no
+trailing zero, of at most one coefficient over Q.  The kernel must give the
+oracle's values on any mix of ints and Fractions, keep all-int and
+all-Fraction payloads as they are, and never produce a float.
 """
 
 import operator
 import random
 from fractions import Fraction
 
+import pytest
+
 import scalar_oracle as orc
-from novq import POLY, RATIONAL, Scalar, polynomial
+from novq import POLY, RATIONAL, Scalar, parse, polynomial, qvar
 from novq.exactcore import Tensor, bareiss_det, exact_div
 
 F = Fraction
@@ -96,9 +99,9 @@ def test_eval_q_matches_fraction_horner_on_seeded_points():
                                      rng.randint(-9, 9)])
         for kind in ("fraction", "unboxed", "mixed"):
             got = Scalar(POLY, _as(a, kind)).eval_q(point)
-            assert got.ring == RATIONAL and type(got.val) is Fraction
-            assert got.val == orc.eval_q(a, point), (a, point)
-    assert Scalar(POLY, ()).eval_q(F(2, 3)).val == 0
+            assert got.ring == RATIONAL and len(got.val) <= 1 and _types(got.val) <= {Fraction}
+            assert got == orc.eval_q(a, point), (a, point)
+    assert Scalar(POLY, ()).eval_q(F(2, 3)).val == ()
 
 
 def test_every_edge_gives_fraction_payloads():
@@ -146,7 +149,7 @@ def test_division_and_determinant_stay_exact_on_integral_inputs():
     assert Scalar(POLY, (5,)).constant_value() == 5
     assert type(Scalar(POLY, (5,)).constant_value()) is Fraction
     p = Scalar(POLY, (1, 2)).eval_q(F(1, 3))
-    assert p.val == F(5, 3) and type(p.val) is Fraction
+    assert p == Scalar.of(RATIONAL, F(5, 3)) and type(p.val[0]) is Fraction
 
     rng = random.Random(11)
     for _ in range(60):
@@ -170,3 +173,55 @@ def _cofactor_det(rows):
         term = orc.mul(s, _cofactor_det(minor))
         acc = orc.add(acc, term) if j % 2 == 0 else orc.sub(acc, term)
     return acc
+
+
+def _assert_canonical(s):
+    assert isinstance(s, Scalar) and type(s.val) is tuple, s
+    assert all(type(c) is Fraction for c in s.val), s.val
+    assert not s.val or s.val[-1], s.val
+    assert s.ring == POLY or len(s.val) <= 1, s.val
+
+
+def test_every_producer_hands_out_a_canonical_payload():
+    rng = random.Random(53)
+    rand = {RATIONAL: lambda: Scalar.of(RATIONAL, rng.choice(_poly(rng) or (0,))),
+            POLY: lambda: polynomial(_poly(rng)[:3])}
+    seen = []
+    for _ in range(150):
+        point = F(rng.randint(-9, 9), rng.randint(1, 9))
+        seen += [qvar(), Scalar.of(POLY, rng.choice((0, F(2, 3))))]
+        for ring in (RATIONAL, POLY):
+            x, y = rand[ring](), rand[ring]()
+            seen += [x, y, Scalar.zero(ring), Scalar.one(ring), x + y, x - y, x * y, -x,
+                     x + 1, 1 - x, 2 * x, x.lift(), x.eval_q(point)]
+            if y:
+                seen.append(exact_div(x * y, y))
+            seen.append(bareiss_det([[rand[ring]() for _ in range(3)] for _ in range(3)], ring))
+            t = Tensor.from_dense(ring, [[rand[ring]() for _ in range(3)] for _ in range(2)])
+            u = Tensor.einsum("ij,kj->ik", t, t)
+            seen += [t.entry(rng.randrange(2), rng.randrange(3)), *(e[-1] for e in u.nonzero()),
+                     *(s for row in u.dense for s in row)]
+            at = u.map_scalars(lambda s: seen.append(s) or s.eval_q(point), RATIONAL)
+            seen += [e[-1] for e in at.nonzero()]
+        seen.append(exact_div(polynomial(_poly(rng)), Scalar.of(RATIONAL, rng.randint(1, 9))))
+        p = polynomial(_poly(rng)[:3])
+        pres = parse(f"space 2 e1 e2\nring Q[q]\nproduct dot\ne1 e2 -> ({p})*e1 + ({p})*e2\n"
+                     f"e2 e2 -> ({p} - ({p}))*e2 + 3/6*e1\n")
+        rat = parse(f"space 1 e1\nring Q\nmap D\ne1 -> ({p.eval_q(point)})*e1 - 2/4*e1\n")
+        seen += [e[-1] for t in (pres.binop("dot"), rat.linmap("D")) for e in t.nonzero()]
+    assert len(seen) > 10000
+    for s in seen:
+        _assert_canonical(s)
+
+
+def test_the_constructor_refuses_a_payload_that_is_not_canonical():
+    for ring, val in ((RATIONAL, F(1)), (POLY, F(1)), (POLY, [F(1)]),
+                      (RATIONAL, (F(1), F(2))), (RATIONAL, (F(0), F(1))),
+                      (RATIONAL, (F(0),)), (RATIONAL, (0,)), (POLY, (F(1), F(0))),
+                      (RATIONAL, (0.5,)), (POLY, (F(1), 0.5)), (POLY, ("1",))):
+        with pytest.raises(TypeError):
+            Scalar(ring, val)
+    for ring in (RATIONAL, POLY):
+        with pytest.raises(TypeError):
+            Scalar.of(ring, 0.0)
+    assert not Scalar(RATIONAL, ()) and Scalar(RATIONAL, ()) == Scalar.zero(RATIONAL)

@@ -28,7 +28,7 @@ def _simple_r(ring, n, i, j):
 
 def _t3_entries(t):
     n = len(t.dense)
-    return {(i, j, k): s.val for i in range(n) for j in range(n)
+    return {(i, j, k): s for i in range(n) for j in range(n)
             for k in range(n) for s in (t.dense[i][j][k],) if not s.is_zero()}
 
 
@@ -136,7 +136,7 @@ def test_oop_check_pinned_failure():
     assert rep_prod.verdict == "fails"
     assert rep_prod.witness == ("v1", "v1")
     # e1.e1 = e1 against T(e1.e1 + e1.e1) = 2 e1
-    assert [x.val for x in rep_prod.residual.dense] == [-1, 0]
+    assert list(rep_prod.residual.dense) == [-1, 0]
 
 
 def test_oop_identity_on_zinbiel_modules():
