@@ -4,28 +4,19 @@ Everything in the package bottoms out here.  A Scalar is a tuple of
 Fraction coefficients, ascending in the deformation parameter q with no
 trailing zero, so zero is the empty tuple and the degree is len-1.  Its ring
 tag, Q or Q[q], says whether q may occur: over Q the tuple holds at most one
-coefficient, a rational being the constant polynomial.  Zero tests are
-structural (empty coefficient tuple); there is no floating point and no
-tolerance anywhere.
+coefficient, a rational being the constant polynomial.  There is no floating
+point and no tolerance anywhere.
 
 Vectors, maps, forms, r-elements, products and coproducts are all one
-sparse Tensor class that stores only its nonzero entries; products, map
-applications, leg changes and sums all go through Tensor.combination, a
-signed sum of contractions (Tensor.einsum is one term).  A Q entry is
-stored as an int when integral and a Fraction otherwise, a Q[q] entry as a
-Scalar whose coefficients are stored so.  Over Q, each term joins integer
-numerators over its operands' common denominators, and the sum divides
-once per output entry, fraction-free as in Bareiss's elimination.  Scalars
-go in and come out at the tensor's edges with Fraction coefficients, as
-everywhere outside a tensor.  No other module knows how entries are stored.
-
-rational_roots finds the rational roots of a Q[q] scalar by p-adic lifting
-(R. Loos, Computing rational zeros of integral polynomials by p-adic
-expansion, SIAM J. Comput. 12, 1983): it takes the square-free primitive
-integer part, lifts its roots modulo a small prime by Newton's iteration
-and reads each back as a fraction with the extended Euclidean algorithm, so
-its time is polynomial in the degree and in the bit size of the
-coefficients.
+sparse Tensor class that stores only its nonzero entries: a Q entry as an
+int when integral and a Fraction otherwise, a Q[q] entry as a Scalar whose
+coefficients are stored so.  Products, map applications, leg changes and
+sums all go through Tensor.combination, a signed sum of contractions whose
+joins run on ints: each operand's integer numerators over its common
+denominator, packed at q = 2^k over Q[q] (Kronecker substitution), read
+back and divided once per output entry.  Scalars go in and come out at a
+tensor's edges with Fraction coefficients.  No other module knows how
+entries are stored.
 """
 
 from __future__ import annotations
@@ -57,10 +48,8 @@ RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return x if isinstance(x, Fraction) else Fraction(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
@@ -84,15 +73,6 @@ def _padd(a: tuple, b: tuple) -> tuple:
     return (*map(operator.add, a, b), *a[len(b):])
 
 
-def _psub(a: tuple, b: tuple) -> tuple:
-    n = len(b)
-    if len(a) == n:
-        return _trim(tuple(map(operator.sub, a, b)))
-    if len(a) > n:
-        return (*map(operator.sub, a, b), *a[n:])
-    return (*map(operator.sub, a, b), *map(operator.neg, b[len(a):]))
-
-
 def _pmul(a: tuple, b: tuple) -> tuple:
     # every coefficient is a sum of products, never a padding zero, so it is an
     # int exactly when its products are; the top one is nonzero: nothing to trim
@@ -112,9 +92,8 @@ def _pmul(a: tuple, b: tuple) -> tuple:
 
 
 def _arith(kernel: Callable) -> Callable:
-    """A binary Scalar operator.  Two Scalars of one ring skip _coerce and the
-    checks of __init__: the kernel keeps a constant a constant, so the payload
-    of the result is valid for the ring."""
+    """A binary Scalar operator; the kernel keeps a constant a constant, so two
+    Scalars of one ring skip _coerce and the checks of __init__."""
     def op(self, other) -> "Scalar":
         if type(other) is not Scalar or other.ring != self.ring:
             other = self._coerce(other)
@@ -187,12 +166,8 @@ class Scalar:
         return self if self.ring == POLY else _scalar(POLY, self.val)
 
     def eval_q(self, point: RationalLike) -> "Scalar":
-        """Substitute a rational value for q, landing in Q.
-
-        With p = a/b and the coefficients as integer numerators over their
-        common denominator den, Horner's rule on integers gives
-        den b^n f(a/b), n the degree, and one Fraction divides it out.
-        """
+        """Substitute a rational value a/b for q, landing in Q: Horner's rule on the integer
+        numerators over their common denominator den gives den b^n f(a/b), n the degree."""
         p = _as_fraction(point)
         a, b = p.numerator, p.denominator
         den = math.lcm(*[c.denominator for c in self.val])
@@ -212,7 +187,7 @@ class Scalar:
         return Scalar.of(self.ring, other)
 
     __add__ = __radd__ = _arith(_padd)
-    __sub__ = _arith(_psub)
+    __sub__ = _arith(lambda a, b: _padd(a, tuple(map(operator.neg, b))))
     __mul__ = __rmul__ = _arith(_pmul)
 
     def __rsub__(self, other) -> "Scalar":
@@ -229,7 +204,8 @@ class Scalar:
         return self.ring == other.ring and self.val == other.val
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.val))
+        # a scalar of degree at most 0 equals its number, so it hashes as that number
+        return hash(self.val) if len(self.val) > 1 else hash(self.val[0] if self.val else 0)
 
     def __repr__(self) -> str:
         return f"Scalar({self.ring!r}, {self})"
@@ -302,11 +278,9 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _squarefree(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for a primitive f of positive degree.
-
-    The gcd is the last member of the primitive remainder sequence of f and
-    f' (W. S. Brown, JACM 1971); it is primitive, so the quotient is integral.
-    """
+    """f / gcd(f, f') for a primitive f of positive degree.  The gcd is the last member of
+    the primitive remainder sequence of f and f' (W. S. Brown, JACM 1971); it is
+    primitive, so the quotient is integral."""
     a, b = f, _primitive(_derivative(f))
     while True:
         r = _prem(a, b)
@@ -315,12 +289,7 @@ def _squarefree(f: list[int]) -> list[int]:
         a, b = b, _primitive(r)
     if r:  # a nonzero constant remainder: f and f' are coprime
         return f
-    f, quo = list(f), [0] * (len(f) - len(b) + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c = quo[k] = f[k + len(b) - 1] // b[-1]
-        for i, x in enumerate(b):
-            f[k + i] -= c * x
-    return quo
+    return [int(c) for c in exact_div(_scalar(POLY, tuple(f)), _scalar(POLY, tuple(b))).val]
 
 
 def _mod(f: list[int], p: int) -> list[int]:
@@ -352,28 +321,18 @@ def _horner(f: list[int], x: int, m: int) -> int:
     return acc
 
 
-def _vanishes(f: list[int], a: int, b: int) -> bool:
-    """Whether f(a/b) = 0, from b^deg(f) f(a/b) in integers."""
-    acc, bpow = 0, 1
-    for c in reversed(f):
-        acc, bpow = acc * a + c * bpow, bpow * b
-    return acc == 0
-
-
 def rational_roots(p: Scalar) -> RootReport:
-    """All rational roots of a nonzero scalar, ignoring multiplicity.
+    """All rational roots of a nonzero scalar, ignoring multiplicity, by p-adic lifting (R.
+    Loos, Computing rational zeros of integral polynomials by p-adic expansion, SIAM J.
+    Comput. 12, 1983).  ``has_nonrational_factor`` is True exactly when deflating every
+    rational root still leaves a factor of positive degree.
 
-    ``has_nonrational_factor`` is True exactly when deflating every rational
-    root still leaves a factor of positive degree.
-
-    After q^k is split off, f is the primitive integer square-free part,
-    with end coefficients a0 and an.  Each root a/b in lowest terms has
-    |a| <= |a0| and 0 < b <= |an|.  For the smallest prime p that does not
-    divide an and keeps f square-free modulo p, every root of f modulo p is
-    simple; each is lifted by Newton's iteration until p^k > 2 |a0 an|, read
-    back as a/b by the extended Euclidean algorithm, and kept if f(a/b) = 0
-    in exact arithmetic.  The work is polynomial in the degree and in the
-    bit size of the coefficients.
+    After q^k is split off, f is the primitive integer square-free part, with end
+    coefficients a0 and an; a root a/b in lowest terms has |a| <= |a0| and 0 < b <= |an|.
+    For the smallest prime p that does not divide an and keeps f square-free modulo p,
+    each root of f modulo p is lifted by Newton's iteration until p^k > 2 |a0 an|, read
+    back as a/b by the extended Euclidean algorithm, and kept if f(a/b) = 0 exactly: the
+    work is polynomial in the degree and in the bit size of the coefficients.
     """
     if p.is_zero():
         raise ZeroPolynomialError("the zero polynomial vanishes identically")
@@ -406,7 +365,7 @@ def rational_roots(p: Scalar) -> RootReport:
         while r1 > abs(f[0]):
             k = r0 // r1
             r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-        if _vanishes(f, r1, t1):
+        if not _scalar(POLY, tuple(f)).eval_q(Fraction(r1, t1)):
             roots.add(Fraction(r1, t1))
             found += 1
     return RootReport(frozenset(roots), len(f) - 1 > found)
@@ -433,34 +392,52 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 # -- sparse tensors -------------------------------------------------------------
 
 
+def _exact(v):
+    """A value in canonical stored form: every integral coefficient an int."""
+    if type(v) is Scalar:
+        return _scalar(v.ring, tuple([c.numerator if c.denominator == 1 else c for c in v.val]))
+    return v.numerator if v.denominator == 1 else v
+
+
 def _unbox(ring: str, s: Scalar):
     if not isinstance(s, Scalar):
         raise TypeError("entries must be Scalar values")
     if s.ring != ring:
         raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
-    if ring == POLY:
-        return _scalar(POLY, tuple([c.numerator if c.denominator == 1 else c for c in s.val]))
-    v = s.val[0] if s.val else 0
-    return v.numerator if v.denominator == 1 else v
+    return _exact(s) if ring == POLY else _exact(s.val[0]) if s.val else 0
 
 
 def _box(ring: str, v) -> Scalar:
-    if ring == RATIONAL:  # v is nonzero: a stored entry
-        return _scalar(RATIONAL, (v if type(v) is Fraction else Fraction(v),))
-    return _scalar(POLY, tuple([c if type(c) is Fraction else Fraction(c) for c in v.val]))
+    return _scalar(ring, tuple([c if type(c) is Fraction else Fraction(c)
+                                for c in (v.val if ring == POLY else (v,))]))
 
 
-def _exact(v):
-    """A stored entry in canonical form: an integral Q value as an int, anything else as is."""
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+def _extent(values) -> tuple[int, int]:
+    """(d, n): d the lcm of the denominators of the values' coefficients, a Q value being
+    a constant, and n the largest numerator over d times the most coefficients of a value."""
+    cs = [v.val if type(v) is Scalar else (v,) for v in values]
+    den = math.lcm(*[c.denominator for v in cs for c in v])
+    return den, max([abs(c.numerator) * (den // c.denominator) for v in cs for c in v],
+                    default=0) * max(map(len, cs), default=0)
 
 
-def _numerators(ring: str, entries: dict) -> tuple[int, dict]:
-    """(d, entries as integer numerators over d): d is the lcm of Q denominators, 1 over Q[q]."""
-    den = 1 if ring == POLY else math.lcm(*[v.denominator for v in entries.values()])
-    if den == 1:
-        return 1, entries
-    return den, {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
+def _pack(v, den: int, k: int) -> int:
+    """v's coefficients as integer numerators over den, at q = 2^k: a constant packs to itself."""
+    return sum([c.numerator * (den // c.denominator) << k * i
+                for i, c in enumerate(v.val if type(v) is Scalar else (v,)) if c])
+
+
+def _entry(n: int, den: int, k: int):
+    """The stored entry n / den; over Q[q] (k > 0) n is read in balanced base-2^k digits."""
+    if not k:
+        return n if den == 1 else n // den if not n % den else Fraction(n, den)
+    w, half, carry, digits = k // 8, 1 << (k - 1), 0, []
+    raw = n.to_bytes((n.bit_length() // k + 2) * w, "little", signed=True)
+    for i in range(0, len(raw), w):  # one pass over the bytes: linear in the size of n
+        c = int.from_bytes(raw[i:i + w], "little") + carry
+        carry = c >= half
+        digits.append(c - (carry << k))
+    return _scalar(POLY, _trim(digits if den == 1 else [_entry(c, den, 0) for c in digits]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -482,6 +459,7 @@ class _Plan(NamedTuple):
     steps: tuple
     final: Callable | None  # puts the result legs in output order
     out_legs: tuple  # (operand, leg) giving the size of each output leg
+    summed: tuple  # (operand, leg) giving the size of each summed leg
     same_size: tuple  # pairs of (operand, leg) that carry one label
 
 
@@ -502,36 +480,28 @@ def _plan(spec: str) -> _Plan:
             else:
                 where[label] = (o, p)
 
-    def needed(o: int) -> set:
-        return set(out).union(*ins[o + 1:])
-
     acc = ins[0]
     steps = []
     for o in range(1, len(ins)):
-        legs, need = ins[o], needed(o)
+        legs, need = ins[o], set(out).union(*ins[o + 1:])
         shared = [label for label in legs if label in acc]
         rest = [label for label in legs if label not in acc and label in need]
         keep = [label for label in acc if label in need]
-        steps.append((o,
-                      _picker(tuple(acc.index(label) for label in shared)),
-                      tuple(legs.index(label) for label in shared),
-                      tuple(legs.index(label) for label in rest),
-                      None if len(keep) == len(acc)
-                      else _picker(tuple(acc.index(label) for label in keep))))
+        steps.append((o, _picker(tuple(map(acc.index, shared))), tuple(map(legs.index, shared)),
+                      tuple(map(legs.index, rest)),
+                      None if len(keep) == len(acc) else _picker(tuple(map(acc.index, keep)))))
         acc = "".join(keep + rest)
-    final = None if acc == out else _picker(tuple(acc.index(label) for label in out))
-    return _Plan(len(ins), tuple(steps), final, tuple(where[label] for label in out),
-                 tuple(same_size))
+    final = None if acc == out else _picker(tuple(map(acc.index, out)))
+    return _Plan(len(ins), tuple(steps), final, tuple(map(where.get, out)),
+                 tuple(map(where.get, sorted(labels - set(out)))), tuple(same_size))
 
 
-def _join(plan: _Plan, operands: Sequence["Tensor"], numerators: bool) -> tuple[int, dict]:
-    """(d, the contraction's entries keyed in output order), as integer numerators
-    over d after a join or with numerators set, else as stored, over d = 1."""
-    entries = operands[0]._entries
-    den, acc = _numerators(operands[0].ring, entries) if plan.steps or numerators else (1, entries)
+def _join(plan: _Plan, operands: Sequence["Tensor"], k: int | None) -> dict:
+    """The contraction's entries keyed in output order: integer numerators over the
+    product of the operands' denominators packed at q = 2^k, or as stored if k is None."""
+    acc = operands[0]._entries if k is None else operands[0]._numerators(k)
     for o, shared_of, shared, rest, keep in plan.steps:
-        d, index = operands[o]._index_on(shared, rest)
-        den *= d
+        index = operands[o]._index_on(shared, rest, k)
         out: dict = {}
         get = out.get
         for key, s in acc.items():
@@ -539,13 +509,13 @@ def _join(plan: _Plan, operands: Sequence["Tensor"], numerators: bool) -> tuple[
             if hits:
                 head = key if keep is None else keep(key)
                 for tail, w in hits:
-                    k = head + tail
-                    prev = get(k)
-                    out[k] = s * w if prev is None else prev + s * w
+                    at = head + tail
+                    prev = get(at)
+                    out[at] = s * w if prev is None else prev + s * w
         acc = out
     if plan.final is not None:
         acc = {plan.final(key): s for key, s in acc.items()}
-    return den, acc
+    return acc
 
 
 def _same(t: "Tensor") -> tuple:
@@ -555,15 +525,10 @@ def _same(t: "Tensor") -> tuple:
 
 
 class Tensor:
-    """A sparse order-k tensor over one ring.
-
-    Only nonzero entries are stored, keyed by index tuple, as raw
-    coefficients, so equality and hashing are canonical (an int and the
-    equal Fraction compare and hash alike) and compare ring, shape and
-    entries only.  Every product, map application, change of legs and sum is
-    one call of ``combination``.  Values go in and come out as Scalars;
-    ``from_dense`` and ``dense`` are the one edge to nested sequences.
-    """
+    """A sparse order-k tensor over one ring, storing only its nonzero entries, keyed by index
+    tuple, in canonical form (an int and the equal Fraction compare and hash alike), so
+    equality and hashing compare ring, shape and entries only.  Values go in and come out
+    as Scalars; ``from_dense`` and ``dense`` are the one edge to nested sequences."""
 
     __slots__ = ("ring", "shape", "_entries", "_index")
 
@@ -574,7 +539,7 @@ class Tensor:
         t.ring = ring
         t.shape = shape
         t._entries = entries
-        t._index = None
+        t._index = None  # what the entries determine, made on a first join: see _numerators
         return t
 
     @classmethod
@@ -669,13 +634,10 @@ class Tensor:
     def einsum(cls, spec: str, *operands: "Tensor"):
         """Contract tensors by leg labels, as in "i,j,ijk->k" for a product of two vectors.
 
-        The operands are joined from left to right.  Each later operand is
-        looked up through an index on the legs it shares with the running
-        result, built once and kept on that operand, so a call only visits
-        nonzero entries.  Pass sparse arguments first and the structure
-        constants they hit last.  Labels missing from the output are summed;
-        every leg of the first operand must meet a later operand or the output.
-        """
+        The operands are joined from left to right, each later one through an index on the
+        legs it shares with the running result, kept on that operand, so a call only visits
+        nonzero entries: pass sparse arguments first.  Labels missing from the output are
+        summed; every leg of the first operand must meet a later operand or the output."""
         return cls.combination([(1, spec, operands)])
 
     @classmethod
@@ -683,10 +645,23 @@ class Tensor:
         """The sum of c * einsum(spec, *operands) over (c, spec, operands) terms of one shape.
 
         c is an int or a Scalar of the operands' ring; a zero c skips its
-        contraction, and 1 and -1 add and subtract without a product.  Over Q
-        the joins run on integer numerators over each operand's common
-        denominator, the terms add over one common denominator, and each
-        nonzero output entry is divided once.
+        contraction.  Each operand joins as integer numerators over its common
+        denominator, packed into one int per entry at q = 2^k (a Q entry packs
+        to itself); the terms add over one common denominator d, and each
+        nonzero output entry is read back once, in balanced base-2^k digits,
+        and divided by d.
+
+        Why k suffices: evaluation at 2^k is a ring map from Z[q] to Z, so the
+        packed sums and products are exact for any k, and reading back is
+        exact when every output coefficient's numerator over d is below
+        2^(k-1) in size.  An integer polynomial's 1-norm, at most its largest
+        coefficient times (degree + 1), bounds each of its coefficients and is
+        submultiplicative.  So over its own denominator a term's output
+        coefficient is at most the product of |c| (deg c + 1), of each
+        operand's largest numerator times (degree + 1), and of the sizes of
+        the summed legs.  Brought to d and summed over the terms, these give
+        B, and k = bitlen(2B) + 1 has 2^(k-1) > B; k is rounded up to a
+        multiple of 32, so that near-equal bounds share an operand's index.
         """
         ring = shape = None
         live = []  # (c, plan, operands) with c nonzero
@@ -709,37 +684,58 @@ class Tensor:
                 live.append((c, plan, operands))
         if ring is None:
             raise ValueError("nothing to combine")
-        if len(live) == 1 and live[0][0] == 1:  # one contraction; a leg change keeps its entries
-            den, acc = _join(live[0][1], live[0][2], False)
-        else:
-            parts = [(c, *_join(plan, operands, True)) for c, plan, operands in live]
-            # over Q[q] every d is 1 and c stays as given
-            den = math.lcm(*[d * (c.denominator if ring == RATIONAL else 1) for c, d, _ in parts])
-            acc = {}
-            get = acc.get
-            for c, d, part in parts:
-                m = c if ring == POLY else c.numerator * (den // (d * c.denominator))
-                one, minus = m == 1, m == -1
-                for key, s in part.items():
-                    if not one:
-                        s = -s if minus else m * s
-                    prev = get(key)
-                    acc[key] = s if prev is None else prev + s
-        return cls._make(ring, shape, {key: s if den == 1 else s // den if not s % den
-                                       else Fraction(s, den) for key, s in acc.items() if s})
+        if len(live) == 1 and live[0][0] == 1 and not live[0][1].steps:  # a leg change: as stored
+            return cls._make(ring, shape, _join(live[0][1], live[0][2], None))
+        parts = []  # (c's denominator, the term's, the term's bound over it)
+        for c, plan, operands in live:
+            cd, b = _extent((c,)) if ring == POLY else (c.denominator, 0)
+            d = cd
+            for t in operands:
+                td, tb = t._extent()
+                d, b = d * td, b * tb
+            for o, p in plan.summed:
+                b *= operands[o].shape[p]
+            parts.append((cd, d, b))
+        den = math.lcm(*[d for _, d, _ in parts])
+        k = 0 if ring == RATIONAL else -(  # nothing is read back over Q
+            -((2 * sum([b * (den // d) for _, d, b in parts])).bit_length() + 1) // 32) * 32
+        acc = {}
+        get = acc.get
+        for (c, plan, operands), (cd, d, _) in zip(live, parts):
+            m = (c if type(c) is int else _pack(c, cd, k)) * (den // d)
+            for key, s in _join(plan, operands, k).items():
+                prev = get(key)
+                acc[key] = m * s if prev is None else prev + m * s
+        return cls._make(ring, shape, {key: _entry(s, den, k) for key, s in acc.items() if s})
 
-    def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...]) -> tuple[int, dict]:
-        """(d, entries grouped by shared legs as (rest legs, value)), values from _numerators."""
+    def _extent(self) -> tuple[int, int]:
+        """_extent of the entries; over Q, where nothing is read back, only its d."""
         if self._index is None:
-            self._index = {}
-        index = self._index.get((shared, rest))
+            self._index = {(): _extent(self._entries.values()) if self.ring == POLY else (
+                math.lcm(*[v.denominator for v in self._entries.values()]), 0)}
+        return self._index[()]
+
+    def _numerators(self, k: int) -> dict:
+        """The entries as integer numerators over their lcm denominator, packed at q = 2^k.
+
+        Kept in _index, which _extent makes, beside the join indexes: a tensor never
+        changes, and only a tensor that joins pays for the cache."""
+        den, got = self._extent()[0], self._index.get(k)
+        if got is None:
+            got = self._index[k] = self._entries if den == 1 and not k else {
+                key: _pack(v, den, k) if k else v.numerator * (den // v.denominator)
+                for key, v in self._entries.items()}
+        return got
+
+    def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...], k: int) -> dict:
+        """_numerators at k grouped by shared legs, as (rest legs, value) pairs."""
+        entries = self._numerators(k)
+        index = self._index.get((shared, rest, k))
         if index is None:
-            of, tail = _picker(shared), _picker(rest)
-            den, entries = _numerators(self.ring, self._entries)
-            groups: dict = {}
+            of, tail, index = _picker(shared), _picker(rest), {}
             for key, s in entries.items():
-                groups.setdefault(of(key), []).append((tail(key), s))
-            index = self._index[(shared, rest)] = den, groups
+                index.setdefault(of(key), []).append((tail(key), s))
+            self._index[(shared, rest, k)] = index
         return index
 
     # -- reading -------------------------------------------------------------
@@ -771,13 +767,10 @@ class Tensor:
     @property
     def dense(self) -> tuple:
         """The entries as nested tuples of Scalars in row-major order, zeros included."""
-        shape = self.shape
-
         def build(key):
-            if len(key) == len(shape) - 1:
-                return tuple(self.entry(*key, i) for i in range(shape[-1]))
-            return tuple(build(key + (i,)) for i in range(shape[len(key)]))
-
+            if len(key) == len(self.shape):
+                return self.entry(*key)
+            return tuple(build(key + (i,)) for i in range(self.shape[len(key)]))
         return build(())
 
     # -- arithmetic ----------------------------------------------------------
@@ -792,7 +785,10 @@ class Tensor:
         return self._make(self.ring, self.shape, {k: -s for k, s in self._entries.items()})
 
     def scale(self, s: Scalar):
-        return Tensor.combination([(s, *_same(self))])
+        """Every entry times s: one product per entry, Scalar arithmetic over Q[q], no join."""
+        c = s if type(s) is int else _unbox(self.ring, s)
+        return self._make(self.ring, self.shape, {key: t for key, v in self._entries.items()
+                                                  if (t := _exact(v * c))})
 
     def transpose(self):
         """The order-2 tensor with its two legs swapped."""

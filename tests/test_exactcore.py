@@ -34,6 +34,18 @@ def test_poly_trimming_and_degree():
     assert r.val == (Fraction(0), Fraction(1))
 
 
+def test_a_scalar_of_degree_at_most_zero_hashes_as_its_number():
+    # it equals that number, and equal objects hash alike: sets and dicts find it by it
+    for s, x in ((Scalar.one(RATIONAL), 1), (Scalar.zero(RATIONAL), 0),
+                 (Scalar.of(RATIONAL, Fraction(-3, 4)), Fraction(-3, 4)),
+                 (polynomial((1,)), 1), (polynomial(()), 0),
+                 (polynomial((Fraction(5, 2),)), Fraction(5, 2))):
+        assert s == x and hash(s) == hash(x)
+        assert s in {x} and x in {s} and {x: "v"}[s] == "v" and {s: "v"}[x] == "v"
+    assert Scalar.one(RATIONAL) in {1} and polynomial((1,)) in {1, 2}
+    assert {qvar(): 1}[polynomial((0, 1))] == 1 and qvar() not in {0, 1}
+
+
 def test_eval_and_lift_roundtrip():
     p = polynomial((3, -2, 1))  # 3 - 2q + q^2
     assert p.eval_q(Fraction(1, 2)) == Scalar.of(RATIONAL, Fraction(3) - 1 + Fraction(1, 4))
