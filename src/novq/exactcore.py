@@ -14,9 +14,10 @@ coefficients are stored so.  Products, map applications, leg changes and
 sums all go through Tensor.combination, a signed sum of contractions whose
 joins run on ints: each operand's integer numerators over its common
 denominator, packed at q = 2^k over Q[q] (Kronecker substitution), read
-back and divided once per output entry.  Scalars go in and come out at a
-tensor's edges with Fraction coefficients.  No other module knows how
-entries are stored.
+back and divided once per output entry; an operand that alone carries the
+last output leg and fills half of its rows joins one int per row, a row per
+multiply-add.  Scalars go in and come out at a tensor's edges with Fraction
+coefficients.  No other module knows how entries are stored.
 """
 
 from __future__ import annotations
@@ -25,11 +26,15 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
+from .plans import _Plan, _picker, _plan
+
 RATIONAL = "Q"
 POLY = "Q[q]"
+_RUN = (re.compile(b"[^\\x00]"), re.compile(b"[^\\xff]"))  # a byte that ends a run of zero digits
 
 
 class RingMismatchError(TypeError):
@@ -412,13 +417,13 @@ def _box(ring: str, v) -> Scalar:
                                 for c in (v.val if ring == POLY else (v,))]))
 
 
-def _extent(values) -> tuple[int, int]:
-    """(d, n): d the lcm of the denominators of the values' coefficients, a Q value being
-    a constant, and n the largest numerator over d times the most coefficients of a value."""
+def _extent(values) -> tuple[int, int, int]:
+    """(d, n, l): d the lcm of the denominators of the values' coefficients, a Q value being
+    a constant, l the most coefficients of a value and n their largest numerator over d times l."""
     cs = [v.val if type(v) is Scalar else (v,) for v in values]
-    den = math.lcm(*[c.denominator for v in cs for c in v])
+    den, l = math.lcm(*[c.denominator for v in cs for c in v]), max(map(len, cs), default=0)
     return den, max([abs(c.numerator) * (den // c.denominator) for v in cs for c in v],
-                    default=0) * max(map(len, cs), default=0)
+                    default=0) * l, l
 
 
 def _pack(v, den: int, k: int) -> int:
@@ -427,73 +432,28 @@ def _pack(v, den: int, k: int) -> int:
                 for i, c in enumerate(v.val if type(v) is Scalar else (v,)) if c])
 
 
+def _digits(n: int, k: int) -> list[int]:
+    """n's balanced base-2^k digits, lowest first, for k a multiple of 8: one pass over n."""
+    w, half, carry, i = k // 8, 1 << (k - 1), 0, 0
+    raw = n.to_bytes((n.bit_length() // k + 2) * w, "little", signed=True)
+    digits = [0] * (len(raw) // w)
+    while i < len(raw):
+        if raw[i] == 255 * carry:  # a run of zero digits, bytes 0x00 or 0xff after a carry?
+            if not (at := _RUN[carry].search(raw, i)):
+                break
+            i = at.start() - at.start() % w
+        c = int.from_bytes(raw[i:i + w], "little") + carry
+        carry = c >= half
+        digits[i // w], i = c - (carry << k), i + w
+    return digits
+
+
 def _entry(n: int, den: int, k: int):
     """The stored entry n / den; over Q[q] (k > 0) n is read in balanced base-2^k digits."""
     if not k:
         return n if den == 1 else n // den if not n % den else Fraction(n, den)
-    w, half, carry, digits = k // 8, 1 << (k - 1), 0, []
-    raw = n.to_bytes((n.bit_length() // k + 2) * w, "little", signed=True)
-    for i in range(0, len(raw), w):  # one pass over the bytes: linear in the size of n
-        c = int.from_bytes(raw[i:i + w], "little") + carry
-        carry = c >= half
-        digits.append(c - (carry << k))
+    digits = _digits(n, k)
     return _scalar(POLY, _trim(digits if den == 1 else [_entry(c, den, 0) for c in digits]))
-
-
-@functools.lru_cache(maxsize=None)
-def _picker(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """A function taking an index tuple to the tuple of its entries at positions."""
-    if not positions:
-        return lambda key: ()
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda key: (key[p],)
-    return operator.itemgetter(*positions)
-
-
-class _Plan(NamedTuple):
-    operands: int
-    # one join per later operand: (operand, picks the shared legs of the running
-    # result, shared legs of the operand, its legs to carry on, picks the legs of
-    # the running result to carry on or None for all of them)
-    steps: tuple
-    final: Callable | None  # puts the result legs in output order
-    out_legs: tuple  # (operand, leg) giving the size of each output leg
-    summed: tuple  # (operand, leg) giving the size of each summed leg
-    same_size: tuple  # pairs of (operand, leg) that carry one label
-
-
-@functools.lru_cache(maxsize=None)
-def _plan(spec: str) -> _Plan:
-    lhs, arrow, out = spec.partition("->")
-    ins = lhs.split(",")
-    labels = set(lhs) - {","}
-    if (not arrow or any(len(set(s)) != len(s) for s in (*ins, out))
-            or not set(out) <= labels or not set(ins[0]) <= set(out).union(*ins[1:])):
-        raise ValueError(f"bad contraction spec {spec!r}")
-    where: dict[str, tuple[int, int]] = {}
-    same_size = []
-    for o, legs in enumerate(ins):
-        for p, label in enumerate(legs):
-            if label in where:
-                same_size.append((where[label], (o, p)))
-            else:
-                where[label] = (o, p)
-
-    acc = ins[0]
-    steps = []
-    for o in range(1, len(ins)):
-        legs, need = ins[o], set(out).union(*ins[o + 1:])
-        shared = [label for label in legs if label in acc]
-        rest = [label for label in legs if label not in acc and label in need]
-        keep = [label for label in acc if label in need]
-        steps.append((o, _picker(tuple(map(acc.index, shared))), tuple(map(legs.index, shared)),
-                      tuple(map(legs.index, rest)),
-                      None if len(keep) == len(acc) else _picker(tuple(map(acc.index, keep)))))
-        acc = "".join(keep + rest)
-    final = None if acc == out else _picker(tuple(map(acc.index, out)))
-    return _Plan(len(ins), tuple(steps), final, tuple(map(where.get, out)),
-                 tuple(map(where.get, sorted(labels - set(out)))), tuple(same_size))
 
 
 def _join(plan: _Plan, operands: Sequence["Tensor"], k: int | None) -> dict:
@@ -649,19 +609,27 @@ class Tensor:
         denominator, packed into one int per entry at q = 2^k (a Q entry packs
         to itself); the terms add over one common denominator d, and each
         nonzero output entry is read back once, in balanced base-2^k digits,
-        and divided by d.
+        and divided by d.  If one operand of each term alone carries the last
+        output leg, of size w > 1, and its z entries of at most l coefficients
+        fill half its rows (2 z l >= its dense size times s, s the most
+        coefficients of an output entry), it joins as one int per row, slot j
+        at bit j k s, on the spec without the leg, and each nonzero output row
+        splits into its w slots.  Over Q without rows nothing is read: k = 0.
 
-        Why k suffices: evaluation at 2^k is a ring map from Z[q] to Z, so the
-        packed sums and products are exact for any k, and reading back is
-        exact when every output coefficient's numerator over d is below
-        2^(k-1) in size.  An integer polynomial's 1-norm, at most its largest
-        coefficient times (degree + 1), bounds each of its coefficients and is
-        submultiplicative.  So over its own denominator a term's output
-        coefficient is at most the product of |c| (deg c + 1), of each
-        operand's largest numerator times (degree + 1), and of the sizes of
-        the summed legs.  Brought to d and summed over the terms, these give
-        B, and k = bitlen(2B) + 1 has 2^(k-1) > B; k is rounded up to a
-        multiple of 32, so that near-equal bounds share an operand's index.
+        Why k suffices: evaluation at q = 2^k, t = 2^(ks) is a ring map from
+        Z[q, t] to Z, so the packed sums and products are exact for any k; t
+        occurs in one operand only, so an output row is the sum of t^j times
+        entry j.  Reading back is exact when every output coefficient's
+        numerator over d is below 2^(k-1) in size: an entry's value is then
+        below (2^(k-1) - 1)(2^(ks) - 1)/(2^k - 1) < 2^(ks-1).  An integer
+        polynomial's 1-norm, at most its largest coefficient times (degree +
+        1), bounds each of its coefficients and is submultiplicative.  So over
+        its own denominator a term's output coefficient is at most the product
+        of |c| (deg c + 1), of each operand's largest numerator times (degree +
+        1), and of the sizes of the summed legs.  Brought to d and summed over
+        the terms, these give B, and k = bitlen(2B) + 1 has 2^(k-1) > B; k is
+        rounded up to a multiple of 32, so that near-equal bounds share an
+        operand's index.
         """
         ring = shape = None
         live = []  # (c, plan, operands) with c nonzero
@@ -686,34 +654,52 @@ class Tensor:
             raise ValueError("nothing to combine")
         if len(live) == 1 and live[0][0] == 1 and not live[0][1].steps:  # a leg change: as stored
             return cls._make(ring, shape, _join(live[0][1], live[0][2], None))
-        parts = []  # (c's denominator, the term's, the term's bound over it)
+        row = shape and shape[-1] > 1 and all(  # a holder per term, half full as below, s = 1
+            p.row and ops[p.row[0]]._extent()[3] for _, p, ops in live)
+        full = row and ring == RATIONAL  # over Q only packed rows need the numerators' bound
+        parts, top = [], 1  # per term (c's denominator, the term's, its bound); top: s above
         for c, plan, operands in live:
-            cd, b = _extent((c,)) if ring == POLY else (c.denominator, 0)
+            cd, b, l = _extent((c,)) if ring == POLY else (c.denominator, abs(c.numerator), 1)
             d = cd
             for t in operands:
-                td, tb = t._extent()
-                d, b = d * td, b * tb
+                td, tb, tl, _ = t._extent(full)
+                d, b, l = d * td, b * tb, l + tl - 1
             for o, p in plan.summed:
                 b *= operands[o].shape[p]
             parts.append((cd, d, b))
+            top = max(top, l)
+        row = row and all(ops[p.row[0]]._extent()[3] >= top for _, p, ops in live)
         den = math.lcm(*[d for _, d, _ in parts])
-        k = 0 if ring == RATIONAL else -(  # nothing is read back over Q
+        k = 0 if ring == RATIONAL and not row else -(  # nothing is read back over Q unpacked
             -((2 * sum([b * (den // d) for _, d, b in parts])).bit_length() + 1) // 32) * 32
+        kq = k if ring == POLY else 0  # the width of one coefficient; a Q entry packs to itself
         acc = {}
         get = acc.get
         for (c, plan, operands), (cd, d, _) in zip(live, parts):
-            m = (c if type(c) is int else _pack(c, cd, k)) * (den // d)
-            for key, s in _join(plan, operands, k).items():
+            m = (c if type(c) is int else _pack(c, cd, kq)) * (den // d)
+            if row:  # the holder's rows join on the spec without the leg
+                o, leg, spec = plan.row
+                plan = _plan(spec)
+                operands = (*operands[:o], operands[o]._rows(leg, kq, k * top), *operands[o + 1:])
+            for key, s in _join(plan, operands, kq).items():
                 prev = get(key)
                 acc[key] = m * s if prev is None else prev + m * s
-        return cls._make(ring, shape, {key: _entry(s, den, k) for key, s in acc.items() if s})
+        if not row:
+            return cls._make(ring, shape, {key: _entry(s, den, kq) for key, s in acc.items() if s})
+        return cls._make(ring, shape, {key + (j,): _entry(v, den, kq) for key, s in acc.items()
+                                       if s for j, v in enumerate(_digits(int(s), k * top)) if v})
 
-    def _extent(self) -> tuple[int, int]:
-        """_extent of the entries; over Q, where nothing is read back, only its d."""
-        if self._index is None:
-            self._index = {(): _extent(self._entries.values()) if self.ring == POLY else (
-                math.lcm(*[v.denominator for v in self._entries.values()]), 0)}
-        return self._index[()]
+    def _extent(self, full: bool = False) -> tuple[int, int, int, int]:
+        """_extent of the entries and 2 z l // the dense size, z the number of entries (rows
+        pack where it reaches s).  Over Q, where only rows are read back, n is 0 until full."""
+        got = self._index and self._index[()]
+        if not got or full and not got[1]:
+            vs = self._entries.values()
+            d, n, l = _extent(vs) if full or self.ring == POLY else (
+                math.lcm(*[v.denominator for v in vs]), 0, 1)
+            got = d, n, l, 2 * len(vs) * l // (math.prod(self.shape) or 1)
+            self._index = {**(self._index or {}), (): got}
+        return got
 
     def _numerators(self, k: int) -> dict:
         """The entries as integer numerators over their lcm denominator, packed at q = 2^k.
@@ -725,6 +711,19 @@ class Tensor:
             got = self._index[k] = self._entries if den == 1 and not k else {
                 key: _pack(v, den, k) if k else v.numerator * (den // v.denominator)
                 for key, v in self._entries.items()}
+        return got
+
+    def _rows(self, leg: int, k: int, width: int) -> "Tensor":
+        """The tensor without leg whose entries are the rows of _numerators(k) along leg, slot
+        j at bit j * width, and are their own numerators; kept in _index."""
+        got = self._index.get(("rows", leg, k, width))
+        if got is None:
+            others = tuple(p for p in range(len(self.shape)) if p != leg)
+            rows = {at: sum([int(v) << j * width for (j,), v in hits])  # int: a stored n/1
+                    for at, hits in self._index_on(others, (leg,), k).items()}
+            got = self._index["rows", leg, k, width] = self._make(
+                self.ring, tuple(map(self.shape.__getitem__, others)), rows)
+            got._index = {(): (1, 0, 1, 0), k: rows}
         return got
 
     def _index_on(self, shared: tuple[int, ...], rest: tuple[int, ...], k: int) -> dict:

@@ -21,6 +21,7 @@ bounded by N every intermediate stays inside the truncation and the axioms
 are certified exactly.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,8 +58,9 @@ class WindowSpec:
 
 def _weights(ring: str, at: dict, firsts, seconds, third, weight) -> Tensor:
     """weight(a, b, c) at (at[a], at[b], at[c]), c = third(a, b), a in firsts, b in seconds."""
+    box = functools.cache(lambda v: Scalar.of(ring, v))  # one Scalar per distinct weight
     return Tensor.from_entries(ring, (len(at),) * 3, {
-        (at[a], at[b], at[c]): Scalar.of(ring, weight(a, b, c))
+        (at[a], at[b], at[c]): box(weight(a, b, c))
         for a in firsts for b in seconds if (c := third(a, b)) in at})
 
 
@@ -141,11 +143,11 @@ def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> Window
     degs = sorted(at)
     lab = lambda i, x: f"{names[i]}t^{degs[x]}"
     tdegs = lambda *xs: ",".join(f"t^{degs[x]}" for x in xs)
-    reports = {}
+    reports, one = {}, Scalar.one(ring)
 
     def family(axiom_id, tuples, terms, lead, label):
         dom = Tensor.from_entries(ring, (len(at),) * terms[0][1].index(","),
-                                  {tuple(at[d] for d in t): Scalar.one(ring) for t in tuples})
+                                  {tuple(at[d] for d in t): one for t in tuples})
         total = Tensor.combination([(sign, spec, (dom, *ops)) for sign, spec, *ops in terms])
         items = ((label(*head), res) for head, res in total.slices(lead))
         reports[axiom_id] = scan_residuals(axiom_id, ring, items)

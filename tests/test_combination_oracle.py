@@ -278,3 +278,194 @@ def test_no_scalar_arithmetic_inside_a_join(monkeypatch, tmp_path):
     monkeypatch.setattr(Tensor, "combination", classmethod(spy))
     assert cli.main(["verify", family, "--profile", "novikov-bialgebra"]) in (0, 1)
     assert seen["joins"] >= 10 and seen[POLY] == 0 and seen[RATIONAL] == 0
+
+
+# -- packed rows ---------------------------------------------------------------
+# When one operand alone carries the last output leg of every term and fills half
+# of its rows (twice its entries times its most coefficients per entry reach its
+# dense size times the most coefficients of an output entry), combination packs
+# that operand one int per row of the leg and splits each output row into its
+# slots.  The spy below records the rows each call packs, so every case asserts
+# both the oracle's sum and whether the packed path ran.
+
+
+def _rows_spy(monkeypatch) -> list:
+    packed, rows = [], Tensor._rows
+
+    def spy(self, leg, k, width):
+        packed.append((self.shape, leg, width))
+        return rows(self, leg, k, width)
+
+    monkeypatch.setattr(Tensor, "_rows", spy)
+    return packed
+
+
+def _assert_packs(packed: list, terms, packs: bool = True) -> Tensor:
+    del packed[:]
+    got = _assert_matches(terms)
+    assert bool(packed) == packs, (packs, packed)
+    return got
+
+
+def _dense(rng, ring, shape) -> Tensor:
+    """A tensor of the given shape whose every coefficient is nonzero: over Q[q] every entry
+    has degree 1, so it packs against operands and coefficients of degree at most 1."""
+    value = (lambda: _value(rng, ring)) if ring == RATIONAL else (
+        lambda: polynomial((rng.choice((-2, -1, 1, F(1, 2))), rng.choice((-1, 1, F(1, 3))))))
+    return Tensor.from_entries(ring, shape, {key: value()
+                                             for key in itertools.product(*map(range, shape))})
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY])
+def test_packed_rows_match_the_oracle_wherever_the_holder_sits(monkeypatch, ring):
+    rng = random.Random(f"rows/where/{ring}")
+    packed = _rows_spy(monkeypatch)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        a, b = _operand(rng, ring, 2, n, 0.5), _dense(rng, ring, (n, n))
+        v, u = _operand(rng, ring, 1, n, 0.7), _dense(rng, ring, (n,))
+        c = _coefficient(rng, ring) or 1
+        _assert_packs(packed, [(c, "ij,jk->ik", (a, b))])  # a later operand holds k
+        _assert_packs(packed, [(c, "jk,ij->ik", (b, a))])  # the first operand holds k
+        _assert_packs(packed, [(c, "i,j->ij", (v, u))])  # u holds only the packed leg
+        _assert_packs(packed, [(1, "ij,jk->ik", (a, b)), (c, "kj,ij->ik", (b, a)),
+                               (-2, "i,k->ik", (v, u)), (c, "ki->ik", (b,))])
+        assert {width for _, _, width in packed} == {packed[0][2]}  # one stride per call
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY])
+def test_a_leg_carried_by_two_operands_is_not_packed(monkeypatch, ring):
+    rng = random.Random(f"rows/shared/{ring}")
+    packed = _rows_spy(monkeypatch)
+    for _ in range(8):
+        n = rng.randint(2, 3)
+        a, b = _dense(rng, ring, (n, n)), _dense(rng, ring, (n, n))
+        _assert_packs(packed, [(1, "ik,jk->ijk", (a, b))], packs=False)
+        _assert_packs(packed, [(1, "ik,k->ik", (a, _dense(rng, ring, (n,))))], packs=False)
+        # one term whose holder is not alone keeps every term of the call unpacked
+        _assert_packs(packed, [(1, "ij,jk->ik", (a, b)), (-1, "ik,jk->ik", (a, b))],
+                      packs=False)
+        _assert_packs(packed, [(1, "ij,jk->ik", (a, b)), (-1, "ij,jk->ik", (b, a))])
+
+
+def test_packed_rows_of_fractions_with_distinct_denominators(monkeypatch):
+    rng = random.Random("rows/fractions")
+    packed = _rows_spy(monkeypatch)
+    dens = (1, 2, 3, 7, 11, 10 ** 20 + 39)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        a, b = (Tensor.from_entries(RATIONAL, (n, n), {
+            key: Scalar.of(RATIONAL, F(rng.randint(-9, 9) or 1, rng.choice(dens)))
+            for key in itertools.product(range(n), repeat=2)}) for _ in range(2))
+        c = Scalar.of(RATIONAL, F(rng.randint(1, 5), rng.choice(dens)))
+        got = _assert_packs(packed, [(c, "ij,jk->ik", (a, b)),
+                                     (Scalar.of(RATIONAL, F(-1, 3)), "ji,jk->ik", (a, b))])
+        for v in got._entries.values():
+            assert type(v) is (int if F(v).denominator == 1 else F), v
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY])
+def test_packed_rows_that_cancel(monkeypatch, ring):
+    rng = random.Random(f"rows/cancel/{ring}")
+    packed = _rows_spy(monkeypatch)
+    a, b = _operand(rng, ring, 2, 4, 0.7), _dense(rng, ring, (4, 4))
+    c = _value(rng, ring)
+    assert _assert_packs(packed, [(c, "ij,jk->ik", (a, b)), (-c, "ij,jk->ik", (a, b))]).is_zero()
+    # only the rows of the first index 0 survive: every other row cancels to zero
+    head = Tensor.from_entries(ring, (4, 4), {(0, j): Scalar.one(ring) for j in range(4)})
+    got = _assert_packs(packed, [(1, "ij,jk->ik", (a, b)), (-1, "ij,jk->ik", (a - head, b))])
+    assert {key[0] for key in got._entries} <= {0}
+
+
+def test_packed_rows_of_mixed_degrees_keep_their_stride(monkeypatch):
+    # a has degree 1 at (0, 0) and 0 elsewhere, b degree 2 with positive top coefficients
+    # everywhere, c degree 0 to 2: the output entry (0, 0) reaches the output degree bound,
+    # 3 + deg c, so a stride one digit short would carry its top coefficient into the next
+    # slot, while b, with three coefficients per entry against at most six per output
+    # entry, is dense enough to pack
+    rng = random.Random("rows/stride")
+    packed = _rows_spy(monkeypatch)
+
+    def poly(deg, low=-5):
+        return polynomial([rng.randint(low, 5) for _ in range(deg)] + [rng.randint(1, 5)])
+
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        keys = list(itertools.product(range(n), repeat=2))
+        a = Tensor.from_entries(POLY, (n, n), {key: poly(1 if key == (0, 0) else 0)
+                                               for key in keys})
+        b = Tensor.from_entries(POLY, (n, n), {key: poly(2, 1) for key in keys})
+        c = poly(rng.randint(0, 2))
+        got = _assert_packs(packed, [(c, "ij,jk->ik", (a, b)), (1, "ij,kj->ik", (a, b))])
+        assert got.entry(0, 0).degree() == 3 + c.degree()
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY])
+def test_positive_constants_attain_the_bound_through_a_packed_row(monkeypatch, ring):
+    # 3 M N is the bound and the output entry itself; it lies in [2^31, 2^32), so a slot
+    # one bit narrower than the bound needs, 2^31 <= 3 M N, reads it back wrong
+    m, n = 2 ** 15 + 3, 30011
+    assert 2 ** 31 <= 3 * m * n < 2 ** 32
+    a = Tensor.from_entries(ring, (3, 3), {(i, j): Scalar.of(ring, m) for i in range(3)
+                                           for j in range(3)})
+    b = Tensor.from_entries(ring, (3, 3), {(i, j): Scalar.of(ring, n) for i in range(3)
+                                           for j in range(3)})
+    packed = _rows_spy(monkeypatch)
+    got = _assert_packs(packed, [(1, "ij,jk->ik", (a, b))])
+    assert got.entry(2, 1) == Scalar.of(ring, 3 * m * n)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY])
+def test_a_holder_packs_from_half_full(monkeypatch, ring):
+    # b holds k; a's entries are constants, so over Q[q] an output entry has at most as
+    # many coefficients as an entry of b, and b packs from half of its entries
+    rng = random.Random(f"rows/half/{ring}")
+    packed = _rows_spy(monkeypatch)
+    a = Tensor.from_entries(ring, (3, 4), {key: Scalar.of(ring, rng.randint(1, 9))
+                                           for key in itertools.product(range(3), range(4))})
+    value = (lambda: Scalar.of(ring, rng.randint(1, 9))) if ring == RATIONAL else (
+        lambda: polynomial((rng.randint(1, 9), rng.randint(1, 9))))
+    keys = list(itertools.product(range(4), range(3)))
+    for full, packs in ((6, True), (5, False), (12, True), (1, False)):
+        b = Tensor.from_entries(ring, (4, 3), {key: value() for key in keys[:full]})
+        _assert_packs(packed, [(1, "ij,jk->ik", (a, b))], packs)
+    if ring == POLY:  # each entry counts as wide as the widest: 11 coefficients still pack
+        b = Tensor.from_entries(ring, (4, 3), {key: value() if key != (0, 0) else
+                                               Scalar.of(ring, 2) for key in keys[:6]})
+        _assert_packs(packed, [(1, "ij,jk->ik", (a, b))])
+
+
+def test_a_holder_of_constants_packs_only_against_a_low_degree(monkeypatch):
+    # the slots of b's rows are as wide as an output entry, so against a of degree d the
+    # 12 constants of b fill 1 / (d + 1) of them: half at d = 1, a third at d = 2
+    rng = random.Random("rows/stride/constants")
+    packed = _rows_spy(monkeypatch)
+    keys = list(itertools.product(range(4), range(3)))
+    for deg, full, packs in ((1, 12, True), (1, 11, False), (2, 12, False), (4000, 12, False)):
+        a = Tensor.from_entries(POLY, (3, 4), {
+            key: polynomial([0] * deg + [rng.randint(1, 9)])
+            for key in itertools.product(range(3), range(4))})
+        b = Tensor.from_entries(POLY, (4, 3), {key: Scalar.of(POLY, rng.randint(-9, 9) or 1)
+                                               for key in keys[:full]})
+        _assert_packs(packed, [(1, "ij,jk->ik", (a, b))], packs)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, POLY])
+def test_packed_rows_in_seeded_checks_match_the_interpreter(monkeypatch, ring):
+    # the Novikov identities on the product induced from a seeded admissible quadruple,
+    # dense enough to pack, with one entry perturbed so that they leave residuals
+    from interp_oracle import interp_check_axiom
+    packed = _rows_spy(monkeypatch)
+    for seed in range(3):
+        rng = random.Random(f"rows/family/{seed}/{ring}")
+        n = 3 + seed
+        quad = random_quadruple(rng, n)
+        quad = quad.lift() if ring == POLY else quad
+        circ = induce_novikov(quad.binop("dot"), quad.linmap("D"), quad.linmap("Q"),
+                              q=None if ring == POLY else F(rng.randint(-3, 3), 2))
+        bump = Scalar.one(ring) if ring == RATIONAL else polynomial((1, 0, 1))
+        for t in (circ, circ + Tensor.from_entries(ring, circ.shape, {(0, 1, n - 1): bump})):
+            pres = Presentation(ring, quad.space, binops={"circ": t})
+            for axiom in ("NOV_LSYM", "NOV_RCOMM"):
+                assert check_axiom(axiom, pres) == interp_check_axiom(axiom, pres)
+    assert packed
