@@ -2,12 +2,12 @@
 
 Each catalog entry is a syntax tree for a multilinear residual, a sum at
 its top.  compile_axiom turns each top-level summand into one contraction
-whose first operand is a basis vector of the first variable; every
-variable is a named leg, and the other variables stay free.  Maps on legs,
-leg swaps and permutations relabel legs, and the identity map adds no
-factor.  Every sum below the top is hoisted: contracted once per check, it
-is one factor of the terms that use it.  No other module knows the tree
-format.
+whose first operand, which check_axiom binds to a selector of first
+indices, carries the first variable's leg alone; every variable is a named
+leg, and the other variables stay free.  Maps on legs, leg swaps and
+permutations relabel legs, and the identity map adds no factor.  Every sum
+below the top is hoisted: contracted once per check, it is one factor of
+the terms that use it.  No other module knows the tree format.
 """
 
 from __future__ import annotations
@@ -432,11 +432,11 @@ class Compiled(NamedTuple):
     """Terms (q-coefficient, einsum spec, slots) whose sum is an axiom's residual.
 
     There is one term per summand of the tree's top-level sum.  A term's
-    first operand is the basis vector of the first variable, which its
-    spec contracts away, and its slots name the others: (kind, key) a tensor
-    of the presentation or the module, ("sum", j) the j-th hoisted sum.  Its
-    output legs are the other variables in declaration order, then the
-    value's.  sums lists each hoisted sum as terms over slots alone, with
+    first operand, on the first variable's leg A alone, is check_axiom's
+    selector of first indices; its slots name the others: (kind, key) a
+    tensor of the presentation or the module, ("sum", j) the j-th hoisted
+    sum.  Its output legs are the other variables in declaration order, then
+    the value's.  sums lists each hoisted sum as terms over slots alone, with
     the legs of the variables it holds, in declaration order, before its
     value's.
     """
@@ -500,7 +500,7 @@ def compile_axiom(axiom_id: str) -> Compiled:
             return f1 + f2, out
         raise ValueError(f"unknown expression {kind!r}")
 
-    basis = (None, ("A",))  # the first variable's basis vector
+    basis = (None, ("A",))  # check_axiom's selector of first indices
     terms = tuple(_render((polynomial(k), (basis, *f), o), tuple(legs.values())[1:])
                   for k, x in axdef.expr[1] for f, o in [expand(x)])
     return Compiled(terms, tuple(sums))
@@ -509,8 +509,8 @@ def compile_axiom(axiom_id: str) -> Compiled:
 def _render(term, lead: tuple, tail: tuple = ()) -> tuple:
     """(coefficient, spec, slots) of a built term with output legs lead + its own + tail.
 
-    The term's first factor leads, the basis vector (slot None) in a top-level
-    term; each next factor is the first that shares a leg with those before it."""
+    The term's first factor leads, in a top-level term check_axiom's selector (slot
+    None); each next factor is the first that shares a leg with those before it."""
     coef, rest, out = term[0], list(term[1]), term[2]
     order = [rest.pop(0)]
     seen = set(order[0][1])

@@ -4,13 +4,12 @@ A presentation bundles one basis with any number of binary products,
 coproducts, linear maps, bilinear forms and order-2 tensors, all over a
 single ring (Q or Q[q]).  Each of them, and each operator family of a
 module, is one sparse Tensor from exactcore; Presentation's docstring gives
-the legs of each kind.  Axioms
-are data from the catalog module, compiled there into signed sums of
-contractions.  check_axiom binds a compiled axiom's slots to the tensors of
-a presentation, a hoisted sum contracted when a term first names it, and
-sums its terms with Tensor.combination once per basis vector of the first
-variable, the other variables left as free legs; the residual of each basis
-tuple is read off those slices in row-major order.
+the legs of each kind.  Axioms are data from the catalog module, compiled
+there into signed sums of contractions.  check_axiom binds a compiled
+axiom's slots to the tensors of a presentation, a hoisted sum contracted
+when a term first names it, and sums its terms with Tensor.combination at
+most twice: through a diagonal selector of first index 0, then of all the
+others, the other variables left free; residuals come in row-major order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -349,14 +348,15 @@ def check_axiom(
             out.append((c, spec, [consts[slot] for slot in slots]))
         return out
 
-    terms, lead = bound(compiled.terms), len(axdef.variables) - 1
+    # a selector ZA of first indices leads each term; Z, a leg no compiled spec uses, keeps them
+    terms = [(c, "Z" + spec.replace("->", "->Z"), ops) for c, spec, ops in bound(compiled.terms)]
+    lead, n, one = len(axdef.variables) - 1, len(spaces[0]), Scalar.one(pres.ring)
 
     def items():
-        for i in range(len(spaces[0])):
-            first = Tensor.basis(pres.ring, len(spaces[0]), i)
-            t = Tensor.combination([(c, spec, (first, *ops)) for c, spec, ops in terms])
-            for rest, residual in t.slices(lead):
-                idx = (i, *rest)
+        for block in (range(1), range(1, n))[:n]:  # 0 alone keeps early exits; n = 1: one
+            pick = Tensor.from_entries(pres.ring, (n, n), {(i, i): one for i in block})
+            t = Tensor.combination([(c, spec, (pick, *ops)) for c, spec, ops in terms])
+            for idx, residual in t.slices(lead + 1):
                 if tuple_filter is None or tuple_filter(idx):
                     yield tuple(nm[j] for nm, j in zip(spaces, idx)), residual
 

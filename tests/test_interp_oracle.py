@@ -111,3 +111,31 @@ def test_sliced_check_axiom_matches_on_fixtures_and_filtered_families():
         pres = polyalg_family(4, q)
         for aid in POLYALG_AXIOMS:
             _both(aid, pres, tuple_filter=keep)
+
+
+def test_sliced_check_axiom_matches_on_failures_planted_at_the_last_first_index():
+    # the check contracts first index 0 alone, then every other one in one call:
+    # a failure planted at first index n - 1 is found in the second call
+    rng = random.Random(2121)
+    late = set()
+    for n in (3, 4):
+        for ring in (RATIONAL, POLY):
+            pres, repnov, repadm = _case(rng, n, ring, plant=False)
+            one = Scalar.one(ring) if ring == RATIONAL else polynomial((F(-1, 2), 1))
+            plant = Tensor.from_entries(ring, (n,) * 3, {(n - 1, n - 2, rng.randrange(n)): one})
+            binops = {**pres.binops, "dot": pres.binop("dot") + plant,
+                      "circ": pres.binop("circ") + plant}
+            pres = Presentation(ring, pres.space, binops=binops, coops=pres.coops,
+                                maps=pres.maps, forms=pres.forms)
+            for aid in EXPR_AXIOMS:
+                axdef = CATALOG[aid]
+                kw = {}
+                if any(sp == "V" for _, sp in axdef.variables):
+                    kw["rep"] = repnov if aid.startswith("REP_NOV") else repadm
+                if ring == RATIONAL and axdef.uses_q:
+                    kw["q"] = F(rng.randint(-4, 4), rng.randint(1, 3))
+                for keep in (None, lambda idx: idx[0] == n - 1):
+                    got = _both(aid, pres, tuple_filter=keep, **kw)
+                    if got.witness and got.witness[0] == pres.space.names[-1]:
+                        late.add((aid, ring, got.verdict))
+    assert {("COMM", RATIONAL, "fails"), ("COMM", POLY, "holds_on_locus")} <= late, late

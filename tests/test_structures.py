@@ -341,3 +341,39 @@ def test_module_rejects_mixed_rings():
     with pytest.raises(RingMismatchError):
         RepAdmDiff(("v1", "v2"), _family(RATIONAL, 2, 2), Tensor.identity(RATIONAL, 2),
                    Tensor.identity(POLY, 2))
+
+
+def test_check_axiom_contracts_first_index_zero_then_the_rest(monkeypatch):
+    # counts only: after the hoisted sums, one contraction for first index 0, then one
+    # for every other first index, and none after a Q check fails in the first
+    from novq.catalog import compile_axiom
+    # the selector's leg Z is free: no compiled term or hoisted sum uses it
+    assert not any("Z" in spec for aid in CATALOG for ts in (compile_axiom(aid).terms,
+                                                             *compile_axiom(aid).sums)
+                   for _, spec, _ in ts)
+    pres = load("fixtures/examp2-double")  # n = 6
+    sums = len(compile_axiom("BIALG_Q_1").sums)
+    calls = []
+    combination = Tensor.combination.__func__
+
+    def counted(cls, terms):
+        calls.append(1)
+        return combination(cls, terms)
+
+    monkeypatch.setattr(Tensor, "combination", classmethod(counted))
+
+    def count(*args, **kw):
+        calls.clear()
+        return check_axiom(*args, **kw), len(calls)
+
+    report, made = count("BIALG_Q_1", pres, q=Fraction(-1, 2))
+    assert report.holds and made == sums + 2
+    report, made = count("BIALG_Q_1", pres, q=1)
+    assert (str(report), made) == ("BIALG_Q_1: fails at (e1, e1)", sums + 1)
+    report, made = count("BIALG_Q_2", pres.lift())
+    assert report.holds and made == len(compile_axiom("BIALG_Q_2").sums) + 2
+    e = Tensor.from_entries(POLY, (1, 1, 1), {(0, 0, 0): Scalar.one(POLY)})
+    line = Presentation(POLY, Space(("e",)), binops={"dot": e}, coops={"delta": e},
+                        maps={"D": Tensor.identity(POLY, 1), "Q": Tensor.identity(POLY, 1)})
+    report, made = count("BIALG_Q_1", line)  # a full scan: it holds on a locus
+    assert (str(report), made) == ("BIALG_Q_1: holds_on_locus {-1/2}", sums + 1)
