@@ -8,7 +8,7 @@ dual basis, named by structures._doubled_names: each name toggles its prime,
 then gains primes until no name repeats.
 """
 
-from .exactcore import POLY, Scalar, Tensor
+from .exactcore import POLY, Tensor
 from .structures import (
     AxiomReport,
     Presentation,
@@ -216,12 +216,11 @@ def family_difference_locus(pa: Presentation, pb: Presentation, circ: str = "cir
 def _subalgebra_report(axiom_id: str, op: Tensor, names, inside: range) -> AxiomReport:
     """Whether the basis vectors inside span a subalgebra: the residual of (e_i, e_j)
     is the part of e_i e_j outside, one contraction of op with selectors."""
-    one = Scalar.one(op.ring)
     outside = [k for k in range(op.dim) if k not in inside]
 
     def selector(rows) -> Tensor:
         return Tensor.from_entries(op.ring, (len(rows), op.dim),
-                                   {(a, k): one for a, k in enumerate(rows)})
+                                   {(a, k): 1 for a, k in enumerate(rows)})
 
     pick = selector(inside)
     leaks = Tensor.einsum("ai,bj,ijk,ck->abc", pick, pick, op, selector(outside))

@@ -429,20 +429,26 @@ _NODES = {
 
 
 class Compiled(NamedTuple):
-    """Terms (q-coefficient, einsum spec, slots) whose sum is an axiom's residual.
+    """Terms (coefficient, einsum spec, slots) whose sum is an axiom's residual.
 
-    There is one term per summand of the tree's top-level sum.  A term's
-    first operand, on the first variable's leg A alone, is check_axiom's
-    selector of first indices; its slots name the others: (kind, key) a
-    tensor of the presentation or the module, ("sum", j) the j-th hoisted
-    sum.  Its output legs are the other variables in declaration order, then
-    the value's.  sums lists each hoisted sum as terms over slots alone, with
-    the legs of the variables it holds, in declaration order, before its
-    value's.
+    There is one term per summand of the tree's top-level sum.  Its
+    coefficient goes into Tensor.combination as it is: an int where q does
+    not occur, else a Q[q] Scalar.  A term's first operand, on the first
+    variable's leg A alone, is check_axiom's selector of first indices; its
+    slots name the others: (kind, key) a tensor of the presentation or the
+    module, ("sum", j) the j-th hoisted sum.  Its output legs are the other
+    variables in declaration order, then the value's.  sums lists each
+    hoisted sum as terms over slots alone, with the legs of the variables it
+    holds, in declaration order, before its value's.
     """
 
     terms: tuple
     sums: tuple
+
+
+def _coefficient(k: tuple):
+    """The coefficient of ascending q-coefficients k: an int if q does not occur."""
+    return k[0] if len(k) == 1 else polynomial(k)
 
 
 @functools.cache
@@ -465,7 +471,7 @@ def compile_axiom(axiom_id: str) -> Compiled:
             return (), (legs[e[1]],)
         if kind in ("lin", "mlin"):  # one factor, contracted once per check
             if e not in hoisted:
-                terms = [(polynomial(k), *expand(x, inp)) for k, x in e[1]]
+                terms = [(_coefficient(k), *expand(x, inp)) for k, x in e[1]]
                 used = tuple(sorted({x for _, f in terms[0][1] for x in f if type(x) is str}))
                 sums.append(tuple(_render(t, used, tail) for t in terms))
                 hoisted[e] = ("sum", len(sums) - 1), used, len(terms[0][2])
@@ -501,7 +507,7 @@ def compile_axiom(axiom_id: str) -> Compiled:
         raise ValueError(f"unknown expression {kind!r}")
 
     basis = (None, ("A",))  # check_axiom's selector of first indices
-    terms = tuple(_render((polynomial(k), (basis, *f), o), tuple(legs.values())[1:])
+    terms = tuple(_render((_coefficient(k), (basis, *f), o), tuple(legs.values())[1:])
                   for k, x in axdef.expr[1] for f, o in [expand(x)])
     return Compiled(terms, tuple(sums))
 

@@ -29,15 +29,15 @@ from .structures import (
 )
 
 
-def _param(ring: str, x) -> Scalar:
+def _param(ring: str, x) -> Scalar | Fraction:
     if isinstance(x, Scalar):
         if x.ring != ring:
             raise PresentationError("parameter ring does not match the structure ring")
         return x
-    return Scalar.of(ring, Fraction(x))
+    return Fraction(x)
 
 
-def _qparam(ring: str, q) -> Scalar:
+def _qparam(ring: str, q) -> Scalar | Fraction:
     if q is None:
         if ring != POLY:
             raise PresentationError("over Q the deformation parameter must be given")

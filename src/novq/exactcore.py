@@ -16,13 +16,13 @@ joins run on ints: each operand's integer numerators over its common
 denominator, packed at q = 2^k over Q[q] (Kronecker substitution), read
 back and divided once per output entry; an operand that alone carries the
 last output leg and fills half of its rows joins one int per row, a row per
-multiply-add.  Scalars go in and come out at a tensor's edges with Fraction
-coefficients.  No other module knows how entries are stored.
+multiply-add.  Values go in at a tensor's edges as Scalars or numbers (ints
+and Fractions) and come out as Scalars with Fraction coefficients.  No
+other module knows how entries are stored.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -404,9 +404,12 @@ def _exact(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def _unbox(ring: str, s: Scalar):
+def _unbox(ring: str, s):
+    if type(s) is int or type(s) is Fraction:  # a number, of either ring; not a bool
+        s = _exact(s)
+        return s if ring == RATIONAL else _scalar(POLY, (s,) if s else ())
     if not isinstance(s, Scalar):
-        raise TypeError("entries must be Scalar values")
+        raise TypeError(f"entries must be Scalars, ints or Fractions, got {type(s).__name__}")
     if s.ring != ring:
         raise RingMismatchError(f"entry from {s.ring} in a {ring} container")
     return _exact(s) if ring == POLY else _exact(s.val[0]) if s.val else 0
@@ -487,8 +490,9 @@ def _same(t: "Tensor") -> tuple:
 class Tensor:
     """A sparse order-k tensor over one ring, storing only its nonzero entries, keyed by index
     tuple, in canonical form (an int and the equal Fraction compare and hash alike), so
-    equality and hashing compare ring, shape and entries only.  Values go in and come out
-    as Scalars; ``from_dense`` and ``dense`` are the one edge to nested sequences."""
+    equality and hashing compare ring, shape and entries only.  Values go in as Scalars or
+    numbers and come out as Scalars; ``from_dense`` and ``dense`` are the one edge to nested
+    sequences."""
 
     __slots__ = ("ring", "shape", "_entries", "_index")
 
@@ -504,7 +508,7 @@ class Tensor:
 
     @classmethod
     def from_entries(cls, ring: str, shape: Sequence[int], entries):
-        """A tensor from (index tuple, Scalar) pairs or a mapping; zero values are dropped."""
+        """A tensor from (index tuple, Scalar or number) pairs or a mapping; zeros are dropped."""
         shape = tuple(shape)
         out = {}
         for key, s in dict(entries).items():
@@ -518,9 +522,9 @@ class Tensor:
 
     @classmethod
     def from_dense(cls, ring: str, nested):
-        """A tensor from nested sequences of Scalars; the nesting gives the legs."""
-        shape, level = [], nested
-        while not isinstance(level, Scalar):
+        """A tensor from nested sequences of Scalars or numbers; the nesting gives the legs."""
+        shape, level, leaf = [], nested, (Scalar, int, Fraction)
+        while not isinstance(level, leaf):
             shape.append(len(level))
             if not level:
                 break
@@ -528,28 +532,25 @@ class Tensor:
         entries = {}
 
         def walk(seq, key):
-            if isinstance(seq, Scalar) or len(seq) != shape[len(key)]:
+            if isinstance(seq, leaf) or len(seq) != shape[len(key)]:
                 raise ShapeError("ragged nested sequence")
             for i, x in enumerate(seq):
                 if len(key) < len(shape) - 1:
                     walk(x, key + (i,))
-                elif v := _unbox(ring, x):
-                    entries[key + (i,)] = v
+                else:
+                    entries[key + (i,)] = x
 
         walk(nested, ())
-        return cls._make(ring, tuple(shape), entries)
+        return cls.from_entries(ring, shape, entries)
 
     @classmethod
     def basis(cls, ring: str, dim: int, i: int):
         """The basis vector e_i of a space of dimension dim."""
-        if not 0 <= i < dim:
-            raise ShapeError(f"basis index {i} outside dimension {dim}")
-        return cls._make(ring, (dim,), {(i,): _unbox(ring, Scalar.one(ring))})
+        return cls.from_entries(ring, (dim,), {(i,): 1})
 
     @classmethod
     def identity(cls, ring: str, dim: int):
-        one = _unbox(ring, Scalar.one(ring))
-        return cls._make(ring, (dim, dim), {(i, i): one for i in range(dim)})
+        return cls.from_entries(ring, (dim, dim), {(i, i): 1 for i in range(dim)})
 
     @classmethod
     def stack(cls, parts: Sequence["Tensor"]):
@@ -604,7 +605,7 @@ class Tensor:
     def combination(cls, terms):
         """The sum of c * einsum(spec, *operands) over (c, spec, operands) terms of one shape.
 
-        c is an int or a Scalar of the operands' ring; a zero c skips its
+        c is a number or a Scalar of the operands' ring; a zero c skips its
         contraction.  Each operand joins as integer numerators over its common
         denominator, packed into one int per entry at q = 2^k (a Q entry packs
         to itself); the terms add over one common denominator d, and each
@@ -783,9 +784,9 @@ class Tensor:
     def __neg__(self):
         return self._make(self.ring, self.shape, {k: -s for k, s in self._entries.items()})
 
-    def scale(self, s: Scalar):
+    def scale(self, s):
         """Every entry times s: one product per entry, Scalar arithmetic over Q[q], no join."""
-        c = s if type(s) is int else _unbox(self.ring, s)
+        c = _unbox(self.ring, s)
         return self._make(self.ring, self.shape, {key: t for key, v in self._entries.items()
                                                   if (t := _exact(v * c))})
 

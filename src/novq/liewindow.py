@@ -21,11 +21,10 @@ bounded by N every intermediate stays inside the truncation and the axioms
 are certified exactly.
 """
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import POLY, RATIONAL, Scalar, Tensor, qvar
+from .exactcore import POLY, RATIONAL, Tensor, qvar
 from .structures import (
     Presentation,
     PresentationError,
@@ -58,9 +57,8 @@ class WindowSpec:
 
 def _weights(ring: str, at: dict, firsts, seconds, third, weight) -> Tensor:
     """weight(a, b, c) at (at[a], at[b], at[c]), c = third(a, b), a in firsts, b in seconds."""
-    box = functools.cache(lambda v: Scalar.of(ring, v))  # one Scalar per distinct weight
     return Tensor.from_entries(ring, (len(at),) * 3, {
-        (at[a], at[b], at[c]): box(weight(a, b, c))
+        (at[a], at[b], at[c]): weight(a, b, c)
         for a in firsts for b in seconds if (c := third(a, b)) in at})
 
 
@@ -143,11 +141,11 @@ def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> Window
     degs = sorted(at)
     lab = lambda i, x: f"{names[i]}t^{degs[x]}"
     tdegs = lambda *xs: ",".join(f"t^{degs[x]}" for x in xs)
-    reports, one = {}, Scalar.one(ring)
+    reports = {}
 
     def family(axiom_id, tuples, terms, lead, label):
         dom = Tensor.from_entries(ring, (len(at),) * terms[0][1].index(","),
-                                  {tuple(at[d] for d in t): one for t in tuples})
+                                  {tuple(at[d] for d in t): 1 for t in tuples})
         total = Tensor.combination([(sign, spec, (dom, *ops)) for sign, spec, *ops in terms])
         items = ((label(*head), res) for head, res in total.slices(lead))
         reports[axiom_id] = scan_residuals(axiom_id, ring, items)
@@ -193,15 +191,11 @@ def polyalg_family(N: int, q=None) -> Presentation:
     """
     if N < 2:
         raise ValueError("need at least degree 2 for a nontrivial coproduct")
-    if q is None:
-        ring, qs = POLY, qvar()
-    else:
-        ring, qs = RATIONAL, Scalar.of(RATIONAL, Fraction(q))
-    one = Scalar.one(ring)
-    dim = N + 1
-    c = {(m, n, m + n - 1): (one - qs) * Scalar.of(ring, n)
+    ring, qs = (POLY, qvar()) if q is None else (RATIONAL, Fraction(q))
+    dim, a, b = N + 1, 1 - qs, qs - 1  # the factors 1 - q and q - 1 of the closed forms
+    c = {(m, n, m + n - 1): a * n
          for m in range(dim) for n in range(dim) if 0 <= m + n - 1 <= N}
-    d = {(n, n - 1 - i, i - 1): (qs - one) * Scalar.of(ring, i)
+    d = {(n, n - 1 - i, i - 1): b * i
          for n in range(dim) for i in range(1, n)}
     return Presentation(ring=ring, space=Space(tuple(f"x{i}" for i in range(dim))),
                         binops={"circ": Tensor.from_entries(ring, (dim,) * 3, c)},

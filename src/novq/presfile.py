@@ -138,9 +138,9 @@ class _TermParser:
         if self.tok is not None:
             raise PresFileError(self.lineno, f"trailing tokens from {self.tok!r}")
 
-    def scalar_atom(self, what: str, neg: bool) -> Scalar:
+    def scalar_atom(self, what: str, neg: bool):
         """One factor that is not a basis vector, negated with neg; what names the
-        factor expected."""
+        factor expected.  It is an int or a Fraction, or a Scalar where q occurs."""
         t = self.tok
         if t is not None and t.isdigit():
             self.take()
@@ -152,8 +152,7 @@ class _TermParser:
                     raise PresFileError(self.lineno, "zero denominator")
             if neg and self.tok != "^":  # no power follows: the sign goes on the number
                 num, neg = -num, False
-            f = Fraction(num, den)
-            s = Scalar(self.ring, (f,) if num else ())
+            s = num if den == 1 else Fraction(num, den)
         elif t == "(":
             self.take()
             self.depth += 1
@@ -172,12 +171,13 @@ class _TermParser:
         if self.tok == "^":
             self.take()
             e = _number(self.take(), self.lineno)
-            size = 1 + max(s.degree(), 0) + sum(
-                c.numerator.bit_length() + c.denominator.bit_length() for c in s.coeffs())
+            cs = s.coeffs() if isinstance(s, Scalar) else (s,) if s else ()
+            size = max(len(cs), 1) + sum(
+                c.numerator.bit_length() + c.denominator.bit_length() for c in cs)
             if e * size > MAX_POWER:
                 raise PresFileError(self.lineno, f"power with exponent {e} of a base of size "
                                                  f"{size} exceeds the budget of {MAX_POWER}")
-            out = Scalar.one(self.ring)
+            out = 1
             for _ in range(e):
                 out = out * s
             s = out
@@ -207,7 +207,7 @@ class _TermParser:
             out += (self.basis(),)
         if legs and base is None:
             raise PresFileError(self.lineno, "term has no basis vector")
-        return Scalar.of(self.ring, -1 if neg else 1) if coeff is None else coeff, out
+        return (-1 if neg else 1) if coeff is None else coeff, out
 
     def signed_sum(self, legs: int) -> list:
         """(coeff, indices) of each term of "[+|-] term (+|- term)*", signs applied."""
@@ -219,8 +219,8 @@ class _TermParser:
                 return out
             sign = self.take()
 
-    def scalar_expr(self) -> Scalar:
-        return sum((c for c, _ in self.signed_sum(0)), Scalar.zero(self.ring))
+    def scalar_expr(self):
+        return sum(c for c, _ in self.signed_sum(0))
 
     def basis(self) -> int:
         t = self.take()
@@ -317,9 +317,9 @@ def parse(text: str) -> Presentation:
                 raise PresFileError(lineno, f"{head} line needs exactly one name")
             if parts[1] == "q":
                 raise PresFileError(lineno, "the name q is reserved for the parameter")
+            close_block()  # the open block's name too is taken
             if any(parts[1] in bag for bag in bags.values()):
                 raise PresFileError(lineno, f"duplicate name {parts[1]!r}")
-            close_block()
             block = (head, parts[1], {}, set())
         else:
             raise PresFileError(lineno, f"unrecognized line {line!r}")

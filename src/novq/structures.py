@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 
 from .exactcore import (POLY, RATIONAL, RingMismatchError, Scalar, Tensor, bareiss_det,
                         rational_roots)
-from .catalog import CATALOG, _catalog, compile_axiom  # noqa: F401 (importable here)
+from .catalog import CATALOG, compile_axiom
 
 
 class PresentationError(ValueError):
@@ -342,19 +342,18 @@ def check_axiom(
                 if slot not in consts:
                     consts[slot] = (Tensor.combination(bound(compiled.sums[slot[1]]))
                                     if slot[0] == "sum" else _constant(pres, binds, rep, *slot))
-            # over Q without a point only constants occur: uses_q marks the axioms with q
-            c = (c.eval_q(qpoint) if qpoint is not None else c if pres.ring == POLY
-                 else Scalar.of(RATIONAL, c.constant_value()))
+            # a q-free coefficient is an int; over Q only these occur without a point
+            c = c.eval_q(qpoint) if qpoint is not None and type(c) is Scalar else c
             out.append((c, spec, [consts[slot] for slot in slots]))
         return out
 
     # a selector ZA of first indices leads each term; Z, a leg no compiled spec uses, keeps them
     terms = [(c, "Z" + spec.replace("->", "->Z"), ops) for c, spec, ops in bound(compiled.terms)]
-    lead, n, one = len(axdef.variables) - 1, len(spaces[0]), Scalar.one(pres.ring)
+    lead, n = len(axdef.variables) - 1, len(spaces[0])
 
     def items():
         for block in (range(1), range(1, n))[:n]:  # 0 alone keeps early exits; n = 1: one
-            pick = Tensor.from_entries(pres.ring, (n, n), {(i, i): one for i in block})
+            pick = Tensor.from_entries(pres.ring, (n, n), {(i, i): 1 for i in block})
             t = Tensor.combination([(c, spec, (pick, *ops)) for c, spec, ops in terms])
             for idx, residual in t.slices(lead + 1):
                 if tuple_filter is None or tuple_filter(idx):

@@ -24,12 +24,13 @@ from novq import (POLY, Presentation, RATIONAL, RepAdmDiff, RepNov, Scalar,
                   novikov_bialgebra_locus, nybe_residual, oop_check, parse,
                   prenov_double_family, r_admissibility, scan_residuals,
                   semidirect_novikov, zinbiel_double)
+from novq.catalog import _catalog
 from novq.cli import main as cli_main
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
 from novq.liewindow import (POLYALG_AXIOMS, WindowSpec, _bracket, _cobracket,
                             _positions, polyalg_window_check,
                             window_lie_bialgebra_check)
-from novq.structures import ALL_Q, FINITE, _catalog
+from novq.structures import ALL_Q, FINITE
 
 F = Fraction
 

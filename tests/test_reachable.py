@@ -3,7 +3,9 @@
 A name counts as reached when `novq/__init__.py` imports it or when some
 code in `src/novq` outside its own definition names it (as a bare name or as
 an attribute).  Anything else is dead code or a missing export; a private
-helper that only tests name is dead code too.
+helper that only tests name is dead code too.  Likewise every module-level
+import of a module other than `__init__.py`, which re-exports, is named by
+that module outside the import (`from __future__` imports name nothing).
 """
 
 import ast
@@ -35,3 +37,22 @@ def unreachable() -> list[str]:
 
 def test_every_public_def_is_exported_or_used():
     assert unreachable() == []
+
+
+def unused_imports() -> list[str]:
+    """module:name for each module-level import that its own module never names."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = [(alias.asname or alias.name).split(".")[0] for stmt in tree.body
+                    if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    and getattr(stmt, "module", None) != "__future__" for alias in stmt.names]
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [f"{path.stem}:{name}" for name in imported if name not in named]
+    return out
+
+
+def test_every_module_level_import_is_named():
+    assert unused_imports() == []
