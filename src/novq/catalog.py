@@ -2,12 +2,12 @@
 
 Each catalog entry is a syntax tree for a multilinear residual, a sum at
 its top.  compile_axiom turns each top-level summand into one contraction
-whose first operand, which check_axiom binds to a selector of first
-indices, carries the first variable's leg alone; every variable is a named
-leg, and the other variables stay free.  Maps on legs, leg swaps and
-permutations relabel legs, and the identity map adds no factor.  Every sum
-below the top is hoisted: contracted once per check, it is one factor of
-the terms that use it.  No other module knows the tree format.
+led by a selector on the first variable's leg A and a leg Z that leads the
+output (Compiled states this convention); the other variables stay free.
+Maps on legs, leg swaps and permutations relabel legs, and the identity map
+adds no factor.  Every sum below the top is hoisted, after the sums inside
+it: contracted once per check, it is one factor of the terms that use it.
+No other module knows the tree format.
 """
 
 from __future__ import annotations
@@ -433,13 +433,15 @@ class Compiled(NamedTuple):
 
     There is one term per summand of the tree's top-level sum.  Its
     coefficient goes into Tensor.combination as it is: an int where q does
-    not occur, else a Q[q] Scalar.  A term's first operand, on the first
-    variable's leg A alone, is check_axiom's selector of first indices; its
+    not occur, else a Q[q] Scalar.  Its first operand is the caller's
+    selector of first indices, a diagonal matrix on legs ZA: A meets the
+    first variable's leg, and Z, on no other operand, leads the output.  Its
     slots name the others: (kind, key) a tensor of the presentation or the
-    module, ("sum", j) the j-th hoisted sum.  Its output legs are the other
-    variables in declaration order, then the value's.  sums lists each
+    module, ("sum", j) the j-th hoisted sum.  Its output legs are Z, the
+    other variables in declaration order, then the value's.  sums lists each
     hoisted sum as terms over slots alone, with the legs of the variables it
-    holds, in declaration order, before its value's.
+    holds, in declaration order, before its value's; a sum names only sums
+    before it, so they can be contracted in order.
     """
 
     terms: tuple
@@ -506,8 +508,8 @@ def compile_axiom(axiom_id: str) -> Compiled:
             return f1 + f2, out
         raise ValueError(f"unknown expression {kind!r}")
 
-    basis = (None, ("A",))  # check_axiom's selector of first indices
-    terms = tuple(_render((_coefficient(k), (basis, *f), o), tuple(legs.values())[1:])
+    basis = (None, ("Z", "A"))  # the selector of first indices; Compiled gives its legs
+    terms = tuple(_render((_coefficient(k), (basis, *f), o), ("Z", *list(legs.values())[1:]))
                   for k, x in axdef.expr[1] for f, o in [expand(x)])
     return Compiled(terms, tuple(sums))
 
@@ -515,8 +517,8 @@ def compile_axiom(axiom_id: str) -> Compiled:
 def _render(term, lead: tuple, tail: tuple = ()) -> tuple:
     """(coefficient, spec, slots) of a built term with output legs lead + its own + tail.
 
-    The term's first factor leads, in a top-level term check_axiom's selector (slot
-    None); each next factor is the first that shares a leg with those before it."""
+    The term's first factor leads, in a top-level term the selector (slot None, legs ZA);
+    each next factor is the first that shares a leg with those before it."""
     coef, rest, out = term[0], list(term[1]), term[2]
     order = [rest.pop(0)]
     seen = set(order[0][1])

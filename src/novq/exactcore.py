@@ -158,12 +158,6 @@ class Scalar:
         """Ascending coefficient tuple, also for rationals."""
         return self.val
 
-    def constant_value(self) -> Fraction:
-        """The value as a Fraction, failing if q actually occurs."""
-        if len(self.val) > 1:
-            raise ZeroPolynomialError("polynomial has positive degree, not a constant")
-        return _as_fraction(self.val[0]) if self.val else Fraction(0)
-
     # -- ring maps ----------------------------------------------------------
 
     def lift(self) -> "Scalar":

@@ -6,10 +6,10 @@ single ring (Q or Q[q]).  Each of them, and each operator family of a
 module, is one sparse Tensor from exactcore; Presentation's docstring gives
 the legs of each kind.  Axioms are data from the catalog module, compiled
 there into signed sums of contractions.  check_axiom binds a compiled
-axiom's slots to the tensors of a presentation, a hoisted sum contracted
-when a term first names it, and sums its terms with Tensor.combination at
-most twice: through a diagonal selector of first index 0, then of all the
-others, the other variables left free; residuals come in row-major order.
+axiom's slots to a presentation's tensors, contracts the hoisted sums in
+order, and sums the terms with Tensor.combination at most twice, through
+the selector on legs ZA that they lead with: of first index 0, then of all
+the others, the other variables left free; residuals come in row-major order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -338,24 +338,23 @@ def check_axiom(
         """Terms with their coefficients at q and the tensors their slots name."""
         out = []
         for c, spec, slots in terms:
-            for slot in slots:  # a hoisted sum is contracted when a term first names it
+            for slot in slots:  # a hoisted sum is contracted before any term names it
                 if slot not in consts:
-                    consts[slot] = (Tensor.combination(bound(compiled.sums[slot[1]]))
-                                    if slot[0] == "sum" else _constant(pres, binds, rep, *slot))
+                    consts[slot] = _constant(pres, binds, rep, *slot)
             # a q-free coefficient is an int; over Q only these occur without a point
             c = c.eval_q(qpoint) if qpoint is not None and type(c) is Scalar else c
             out.append((c, spec, [consts[slot] for slot in slots]))
         return out
 
-    # a selector ZA of first indices leads each term; Z, a leg no compiled spec uses, keeps them
-    terms = [(c, "Z" + spec.replace("->", "->Z"), ops) for c, spec, ops in bound(compiled.terms)]
-    lead, n = len(axdef.variables) - 1, len(spaces[0])
+    for j, summands in enumerate(compiled.sums):  # a sum names only the sums before it
+        consts["sum", j] = Tensor.combination(bound(summands))
+    terms, n = bound(compiled.terms), len(spaces[0])
 
     def items():
         for block in (range(1), range(1, n))[:n]:  # 0 alone keeps early exits; n = 1: one
             pick = Tensor.from_entries(pres.ring, (n, n), {(i, i): 1 for i in block})
             t = Tensor.combination([(c, spec, (pick, *ops)) for c, spec, ops in terms])
-            for idx, residual in t.slices(lead + 1):
+            for idx, residual in t.slices(len(spaces)):
                 if tuple_filter is None or tuple_filter(idx):
                     yield tuple(nm[j] for nm, j in zip(spaces, idx)), residual
 

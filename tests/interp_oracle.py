@@ -36,8 +36,8 @@ def _qc(coeffs, ctx: _Ctx) -> Scalar:
         return p.eval_q(ctx.qpoint)
     if ctx.pres.ring == POLY:
         return p
-    if p.degree() <= 0:
-        return Scalar.of(RATIONAL, p.constant_value())
+    if p.degree() <= 0:  # q does not occur: the coefficients are () or (c,)
+        return Scalar.of(RATIONAL, sum(p.coeffs()))
     raise ValueError("checking a q-dependent identity over Q needs an explicit q value")
 
 

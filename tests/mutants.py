@@ -44,8 +44,32 @@ MUTANTS = (
     Mutant("structures.py", "{(i, i): 1 for i in block}",
            "{(i, (i + 1) % n): 1 for i in block}", "tests/test_structures.py",
            "check_axiom's selector off its diagonal by one"),
-    Mutant("structures.py", "t.slices(lead + 1)", "t.slices(lead)", "tests/test_structures.py",
-           "check_axiom's slices miss the selector's leg"),
+    Mutant("structures.py", "t.slices(len(spaces))", "t.slices(len(spaces) - 1)",
+           "tests/test_structures.py", "check_axiom's slices miss the selector's leg"),
+    Mutant("structures.py", "for j, summands in enumerate(compiled.sums):",
+           "for j, summands in reversed(list(enumerate(compiled.sums))):",
+           "tests/test_catalog.py", "check_axiom contracts a hoisted sum before the sums it names"),
+    Mutant("structures.py", "            if first is None:\n                first = (",
+           "            if first is None or ring == POLY:\n                first = (",
+           "tests/test_structures.py", "scan_residuals keeps the last witness over Q[q]"),
+    Mutant("exactcore.py", "(2 * sum([b * (den // d) for _, d, b in parts])).bit_length() + 1",
+           "sum([b * (den // d) for _, d, b in parts]).bit_length()",
+           "tests/test_combination_oracle.py",
+           "combination's packed width k = bitlen(B), one bit short of 2^(k-1) > B"),
+    Mutant("exactcore.py", "k * top", "k * max(top - 1, 1)", "tests/test_combination_oracle.py",
+           "combination's row stride one digit short, where rows pack and where they split"),
+    Mutant("plans.py", "None if len(held) != 1", "None if not held",
+           "tests/test_combination_oracle.py", "_plan packs a leg that two operands carry"),
+    Mutant("exactcore.py", "2 * len(vs) * l // (", "2 * len(vs) // (",
+           "tests/test_combination_oracle.py", "the density rule without l"),
+    Mutant("exactcore.py", "._extent()[3] >= top for", "._extent()[3] >= 1 for",
+           "tests/test_combination_oracle.py", "the density rule without the stride s"),
+    Mutant("exactcore.py", "2 * len(vs) * l // (", "len(vs) // (",
+           "tests/test_combination_oracle.py",
+           "the density rule counts entries alone against the dense size"),
+    Mutant("exactcore.py", "i = at.start() - at.start() % w", "i = at.start()",
+           "tests/test_combination_oracle.py",
+           "_digits resumes after a zero run at its first nonzero byte, not at its digit"),
     Mutant("exactcore.py",
            "        s = _exact(s)\n        return s if ring == RATIONAL",
            "        return s if ring == RATIONAL", "tests/test_numbers.py",

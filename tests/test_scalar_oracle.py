@@ -146,8 +146,6 @@ def test_division_and_determinant_stay_exact_on_integral_inputs():
                            ((0, 0, 7), (0, 7), (F(0), F(1)))):
         q = exact_div(Scalar(POLY, num), Scalar(POLY, den))
         assert q.val == want and _types(q.val) <= {Fraction}
-    assert Scalar(POLY, (5,)).constant_value() == 5
-    assert type(Scalar(POLY, (5,)).constant_value()) is Fraction
     p = Scalar(POLY, (1, 2)).eval_q(F(1, 3))
     assert p == Scalar.of(RATIONAL, F(5, 3)) and type(p.val[0]) is Fraction
 

@@ -343,14 +343,31 @@ def test_module_rejects_mixed_rings():
                    Tensor.identity(POLY, 2))
 
 
+def test_a_symbolic_check_keeps_its_first_nonzero_residual_as_its_witness():
+    # over Q[q] the scan goes on past the first nonzero residual to intersect root sets,
+    # and the witness is still the first in row-major order
+    space = Space(("e1", "e2", "e3"))
+
+    def comm(entries):
+        dot = Tensor.from_entries(POLY, (3, 3, 3), entries)
+        return check_axiom("COMM", Presentation(POLY, space, binops={"dot": dot}))
+
+    report = comm({(0, 1, 0): polynomial((-1, 1))})  # (q - 1) e1 at (e1, e2) and (e2, e1)
+    assert (str(report), report.witness) == ("COMM: holds_on_locus {1}", ("e1", "e2"))
+    assert report.residual == Tensor.from_entries(POLY, (3,), {(0,): polynomial((-1, 1))})
+    report = comm({(0, 1, 0): polynomial((-1, 1)), (0, 2, 0): polynomial((-2, 1))})
+    assert str(report) == "COMM: fails at (e1, e2)"
+
+
 def test_check_axiom_contracts_first_index_zero_then_the_rest(monkeypatch):
     # counts only: after the hoisted sums, one contraction for first index 0, then one
     # for every other first index, and none after a Q check fails in the first
     from novq.catalog import compile_axiom
-    # the selector's leg Z is free: no compiled term or hoisted sum uses it
-    assert not any("Z" in spec for aid in CATALOG for ts in (compile_axiom(aid).terms,
-                                                             *compile_axiom(aid).sums)
-                   for _, spec, _ in ts)
+    # the selector's leg Z leads every compiled term and its output, and no hoisted sum uses it
+    for aid in CATALOG:
+        compiled = compile_axiom(aid)
+        assert all(spec.startswith("ZA,") and "->Z" in spec for _, spec, _ in compiled.terms)
+        assert not any("Z" in spec for ts in compiled.sums for _, spec, _ in ts)
     pres = load("fixtures/examp2-double")  # n = 6
     sums = len(compile_axiom("BIALG_Q_1").sums)
     calls = []
