@@ -8,6 +8,12 @@ Maps on legs, leg swaps and permutations relabel legs, and the identity map
 adds no factor.  Every sum below the top is hoisted, after the sums inside
 it: contracted once per check, it is one factor of the terms that use it.
 No other module knows the tree format.
+
+Five templates write each of the paper's defining identities once, over
+products given as functions: the associator (ASSOC), left symmetry (NOV_LSYM,
+DEFORM_1, DEFORM_2, SPEC_DEF_5, SPEC_DEF_6), right commutativity (NOV_RCOMM,
+DEFORM_3, DEFORM_4, PRE_NOV_4), admissibility (ADMISS, ZINB_ADMISS) and
+skew-symmetry (COMM, FORM_SYM).
 """
 
 from __future__ import annotations
@@ -64,12 +70,38 @@ _sum, _mlin = (lambda *terms: ("lin", terms)), (lambda *terms: ("mlin", terms))
 _tm = lambda m1, m2, t: ("tmap2", (m1, m2), t)  # noqa: E731
 _t = lambda coeffs, e: (tuple(coeffs), e)  # noqa: E731
 _p, _n = (lambda e: ((1,), e)), (lambda e: ((-1,), e))  # a term with coefficient 1 or -1
+_minus = lambda terms: tuple(_t([-k for k in ks], e) for ks, e in terms)  # noqa: E731
 
 
 def _mstar(k, e):
     # left multiplication by e for the symmetrized product x*y + y*x
     return _mlin(_p(_ml(k, e)), _p(_mr(k, e)))
 
+
+# Templates: p the outer product, r the inner (p unless given); mixed (p, r): q^1 of p + q r.
+def _assoc(p, r, x=_a, y=_b) -> tuple:  # the associator (x r y) p c - x r (y p c)
+    return _p(p(r(x, y), _c)), _n(r(x, p(y, _c)))
+
+
+def _lsym(p, r=None) -> tuple:  # left symmetry: the associator is symmetric in a, b
+    return _assoc(p, r or p) + _minus(_assoc(p, r or p, _b, _a))
+
+
+def _rcomm(p, r=None) -> tuple:  # right commutativity: (a r b) p c - (a r c) p b
+    return _p(p((r or p)(_a, _b), _c)), _n(p((r or p)(_a, _c), _b))
+
+
+def _admiss(p) -> tuple:  # admissibility: Q(a p b) - Q(a) p b + a p D(b)
+    return _p(_m("Q", p(_a, _b))), _n(p(_m("Q", _a), _b)), _p(p(_a, _m("D", _b)))
+
+
+def _skew(p) -> tuple:  # skew-symmetry: a p b - b p a
+    return _p(p(_a, _b)), _n(p(_b, _a))
+
+
+_dot, _circ, _zin, _lp, _rp, _f = (functools.partial(_op, k) for k in (  # the products
+    "dot", "circ", "zin", "lpre", "rpre", "f"))
+_dotQ, _dotD = (lambda x, y: _dot(x, _m("Q", y))), (lambda x, y: _dot(x, _m("D", y)))
 
 _A1 = (("a", "A"),)
 _AA = (("a", "A"), ("b", "A"))
@@ -87,59 +119,32 @@ def _catalog() -> dict[str, AxiomDef]:
     def add(axiom_id, variables, expr, uses_q=False, description=""):
         defs.append(AxiomDef(axiom_id, tuple(variables), expr, uses_q, description))
 
-    add("COMM", _AA,
-        _sum(_p(_op("dot", _a, _b)), _n(_op("dot", _b, _a))),
-        description="the product is commutative")
+    add("COMM", _AA, _sum(*_skew(_dot)), description="the product is commutative")
 
-    add("ASSOC", _AAA,
-        _sum(_p(_op("dot", _op("dot", _a, _b), _c)),
-             _n(_op("dot", _a, _op("dot", _b, _c)))),
-        description="the product is associative")
+    add("ASSOC", _AAA, _sum(*_assoc(_dot, _dot)), description="the product is associative")
 
-    add("NOV_LSYM", _AAA,
-        _sum(_p(_op("circ", _op("circ", _a, _b), _c)),
-             _n(_op("circ", _a, _op("circ", _b, _c))),
-             _n(_op("circ", _op("circ", _b, _a), _c)),
-             _p(_op("circ", _b, _op("circ", _a, _c)))),
+    add("NOV_LSYM", _AAA, _sum(*_lsym(_circ)),
         description="the associator is symmetric in its first two arguments")
 
-    add("NOV_RCOMM", _AAA,
-        _sum(_p(_op("circ", _op("circ", _a, _b), _c)),
-             _n(_op("circ", _op("circ", _a, _c), _b))),
-        description="right multiplications commute")
+    add("NOV_RCOMM", _AAA, _sum(*_rcomm(_circ)), description="right multiplications commute")
 
     add("DERIV", _AA,
-        _sum(_p(_m("D", _op("dot", _a, _b))),
-             _n(_op("dot", _a, _m("D", _b))),
-             _n(_op("dot", _m("D", _a), _b))),
+        _sum(_p(_m("D", _dot(_a, _b))), _n(_dot(_a, _m("D", _b))), _n(_dot(_m("D", _a), _b))),
         description="D is a derivation of the product")
 
-    add("ADMISS", _AA,
-        _sum(_p(_m("Q", _op("dot", _a, _b))),
-             _n(_op("dot", _m("Q", _a), _b)),
-             _p(_op("dot", _a, _m("D", _b)))),
+    add("ADMISS", _AA, _sum(*_admiss(_dot)),
         description="Q twists the product against the derivation D")
 
     add("ZINBIEL", _AAA,
-        _sum(_p(_op("zin", _a, _op("zin", _b, _c))),
-             _n(_op("zin", _op("zin", _b, _a), _c)),
-             _n(_op("zin", _op("zin", _a, _b), _c))),
+        _sum(_p(_zin(_a, _zin(_b, _c))), _n(_zin(_zin(_b, _a), _c)), _n(_zin(_zin(_a, _b), _c))),
         description="the product obeys the left Zinbiel identity")
 
-    add("ZINB_ADMISS", _AA,
-        _sum(_p(_m("Q", _op("zin", _a, _b))),
-             _n(_op("zin", _m("Q", _a), _b)),
-             _p(_op("zin", _a, _m("D", _b)))),
+    add("ZINB_ADMISS", _AA, _sum(*_admiss(_zin)),
         description="first twisting identity of Q against D for a Zinbiel product")
 
     add("ZINB_ADMISS_ALT", _AA,
-        _sum(_p(_m("Q", _op("zin", _a, _b))),
-             _n(_op("zin", _a, _m("Q", _b))),
-             _p(_op("zin", _m("D", _a), _b))),
+        _sum(_p(_m("Q", _zin(_a, _b))), _n(_zin(_a, _m("Q", _b))), _p(_zin(_m("D", _a), _b))),
         description="second twisting identity of Q against D for a Zinbiel product")
-
-    _lp = lambda x, y: _op("lpre", x, y)
-    _rp = lambda x, y: _op("rpre", x, y)
 
     add("PRE_NOV_1", _AAA,
         _sum(_p(_rp(_a, _rp(_b, _c))),
@@ -160,9 +165,7 @@ def _catalog() -> dict[str, AxiomDef]:
              _n(_lp(_rp(_a, _c), _b))),
         description="splitting identity for the two pre-products, part 3")
 
-    add("PRE_NOV_4", _AAA,
-        _sum(_p(_lp(_lp(_a, _b), _c)),
-             _n(_lp(_lp(_a, _c), _b))),
+    add("PRE_NOV_4", _AAA, _sum(*_rcomm(_lp)),
         description="splitting identity for the two pre-products, part 4")
 
     add("COASSOC", _A1,
@@ -199,7 +202,7 @@ def _catalog() -> dict[str, AxiomDef]:
         description="co-version of right multiplication commutativity")
 
     add("ASI_1", _AA,
-        _sum(_p(_cop("delta", _op("dot", _a, _b))),
+        _sum(_p(_cop("delta", _dot(_a, _b))),
              _n(_tm(None, _ml("dot", _a), _cop("delta", _b))),
              _n(_tm(_mr("dot", _b), None, _cop("delta", _a)))),
         description="the coproduct is a derivation-like map for the product")
@@ -214,7 +217,7 @@ def _catalog() -> dict[str, AxiomDef]:
     _symd = lambda x: _sum(_p(_cop("Delta", x)), _p(_tau(_cop("Delta", x))))
 
     add("NOV_BIALG_1", _AA,
-        _sum(_p(_cop("Delta", _op("circ", _a, _b))),
+        _sum(_p(_cop("Delta", _circ(_a, _b))),
              _n(_tm(_mr("circ", _b), None, _cop("Delta", _a))),
              _n(_tm(None, _mstar("circ", _a), _symd(_b)))),
         description="compatibility of the coproduct with the product, part 1")
@@ -234,7 +237,7 @@ def _catalog() -> dict[str, AxiomDef]:
         description="compatibility of the coproduct with the product, part 3")
 
     add("REP_NOV_1", _AAV,
-        _sum(_p(_rep("l", _sum(_p(_op("circ", _a, _b)), _n(_op("circ", _b, _a))), _w)),
+        _sum(_p(_rep("l", _sum(_p(_circ(_a, _b)), _n(_circ(_b, _a))), _w)),
              _n(_rep("l", _a, _rep("l", _b, _w))),
              _p(_rep("l", _b, _rep("l", _a, _w)))),
         description="left operators represent the commutator")
@@ -242,13 +245,12 @@ def _catalog() -> dict[str, AxiomDef]:
     add("REP_NOV_2", _AAV,
         _sum(_p(_rep("l", _a, _rep("r", _b, _w))),
              _n(_rep("r", _b, _rep("l", _a, _w))),
-             _n(_rep("r", _op("circ", _a, _b), _w)),
+             _n(_rep("r", _circ(_a, _b), _w)),
              _p(_rep("r", _b, _rep("r", _a, _w)))),
         description="mixed commutator of left and right operators")
 
     add("REP_NOV_3", _AAV,
-        _sum(_p(_rep("l", _op("circ", _a, _b), _w)),
-             _n(_rep("r", _b, _rep("l", _a, _w)))),
+        _sum(_p(_rep("l", _circ(_a, _b), _w)), _n(_rep("r", _b, _rep("l", _a, _w)))),
         description="left operator of a product factors through the right operator")
 
     add("REP_NOV_4", _AAV,
@@ -257,8 +259,7 @@ def _catalog() -> dict[str, AxiomDef]:
         description="right operators commute")
 
     add("REP_MOD", _AAV,
-        _sum(_p(_rep("l", _op("dot", _a, _b), _w)),
-             _n(_rep("l", _a, _rep("l", _b, _w)))),
+        _sum(_p(_rep("l", _dot(_a, _b), _w)), _n(_rep("l", _a, _rep("l", _b, _w)))),
         description="left operators give a module over the commutative product")
 
     add("REP_DIFF", _AV,
@@ -279,51 +280,22 @@ def _catalog() -> dict[str, AxiomDef]:
              _p(_rep("l", _a, _rmap("alpha", _w)))),
         description="beta twists the action against Q and alpha")
 
-    _f = lambda x, y: _op("f", x, y)
-    _cr = lambda x, y: _op("circ", x, y)
-
-    add("DEFORM_1", _AAA,
-        _sum(_p(_f(_f(_a, _b), _c)),
-             _n(_f(_a, _f(_b, _c))),
-             _n(_f(_f(_b, _a), _c)),
-             _p(_f(_b, _f(_a, _c)))),
+    add("DEFORM_1", _AAA, _sum(*_lsym(_f)),
         description="the deforming product satisfies the left symmetry identity")
 
-    add("DEFORM_2", _AAA,
-        _sum(_p(_f(_a, _cr(_b, _c))),
-             _n(_f(_cr(_a, _b), _c)),
-             _p(_f(_cr(_b, _a), _c)),
-             _n(_f(_b, _cr(_a, _c))),
-             _p(_cr(_a, _f(_b, _c))),
-             _n(_cr(_f(_a, _b), _c)),
-             _p(_cr(_f(_b, _a), _c)),
-             _n(_cr(_b, _f(_a, _c)))),
+    add("DEFORM_2", _AAA, _sum(*_minus(_lsym(_f, _circ) + _lsym(_circ, _f))),
         description="mixed left symmetry between the product and its deformation")
 
-    add("DEFORM_3", _AAA,
-        _sum(_p(_f(_f(_a, _b), _c)),
-             _n(_f(_f(_a, _c), _b))),
+    add("DEFORM_3", _AAA, _sum(*_rcomm(_f)),
         description="the deforming product has commuting right multiplications")
 
-    add("DEFORM_4", _AAA,
-        _sum(_p(_cr(_f(_a, _b), _c)),
-             _n(_cr(_f(_a, _c), _b)),
-             _p(_f(_cr(_a, _b), _c)),
-             _n(_f(_cr(_a, _c), _b))),
+    add("DEFORM_4", _AAA, _sum(*_rcomm(_circ, _f), *_rcomm(_f, _circ)),
         description="mixed right multiplication commutativity")
 
-    add("SPEC_DEF_5", _AAA,
-        _sum(_p(_op("dot", _op("dot", _a, _m("Q", _b)), _m("Q", _c))),
-             _n(_op("dot", _a, _m("Q", _op("dot", _b, _m("Q", _c))))),
-             _n(_op("dot", _op("dot", _b, _m("Q", _a)), _m("Q", _c))),
-             _p(_op("dot", _b, _m("Q", _op("dot", _a, _m("Q", _c)))))),
+    add("SPEC_DEF_5", _AAA, _sum(*_lsym(_dotQ)),
         description="left symmetry of the Q-twisted product")
 
-    add("SPEC_DEF_6", _AAA,
-        _sum(_p(_op("dot", _op("dot", _a, _m("Q", _b)), _m("D", _c))),
-             _n(_op("dot", _a, _m("Q", _op("dot", _b, _m("D", _c))))),
-             _n(_op("dot", _op("dot", _b, _m("Q", _a)), _m("D", _c))),
-             _p(_op("dot", _b, _m("Q", _op("dot", _a, _m("D", _c)))))),
+    add("SPEC_DEF_6", _AAA, _sum(*_lsym(_dotD, _dotQ)),
         description="mixed twisting identity of the Q- and D-twisted products")
 
     _x = _cop("delta", _a)
@@ -373,9 +345,7 @@ def _catalog() -> dict[str, AxiomDef]:
         uses_q=True,
         description="second symmetry of the induced pair in both arguments")
 
-    add("COND_A", _AA,
-        _sum(_p(_op("dot", _a, _m("Q", _b))),
-             _p(_op("dot", _a, _m("D", _b)))),
+    add("COND_A", _AA, _sum(_p(_dotQ(_a, _b)), _p(_dotD(_a, _b))),
         description="Q acts as minus D under multiplication")
 
     add("COND_B", _A1,
@@ -384,17 +354,15 @@ def _catalog() -> dict[str, AxiomDef]:
         description="Q acts as minus D under the coproduct")
 
     add("BILIN_INV_NOV", _AAA,
-        _sum(_p(_pair("B", _op("circ", _a, _b), _c)),
-             _p(_pair("B", _b, _sum(_p(_op("circ", _a, _c)), _p(_op("circ", _c, _a)))))),
+        _sum(_p(_pair("B", _circ(_a, _b), _c)),
+             _p(_pair("B", _b, _sum(_p(_circ(_a, _c)), _p(_circ(_c, _a)))))),
         description="the form is invariant for the product and its symmetrization")
 
     add("BILIN_INV_ASSOC", _AAA,
-        _sum(_p(_pair("B", _op("dot", _a, _b), _c)),
-             _n(_pair("B", _a, _op("dot", _b, _c)))),
+        _sum(_p(_pair("B", _dot(_a, _b), _c)), _n(_pair("B", _a, _dot(_b, _c)))),
         description="the form is invariant for the commutative product")
 
-    add("FORM_SYM", _AA,
-        _sum(_p(_pair("B", _a, _b)), _n(_pair("B", _b, _a))),
+    add("FORM_SYM", _AA, _sum(*_skew(functools.partial(_pair, "B"))),
         description="the form is symmetric")
 
     add("FORM_NONDEG", (), None,
@@ -474,6 +442,8 @@ def compile_axiom(axiom_id: str) -> Compiled:
         if kind in ("lin", "mlin"):  # one factor, contracted once per check
             if e not in hoisted:
                 terms = [(_coefficient(k), *expand(x, inp)) for k, x in e[1]]
+                if not all(f for _, f, _ in terms):  # a bare variable or the identity map
+                    raise ValueError(f"{axiom_id}: a summand of an inner sum has no factor")
                 used = tuple(sorted({x for _, f in terms[0][1] for x in f if type(x) is str}))
                 sums.append(tuple(_render(t, used, tail) for t in terms))
                 hoisted[e] = ("sum", len(sums) - 1), used, len(terms[0][2])

@@ -654,7 +654,7 @@ class Tensor:
         full = row and ring == RATIONAL  # over Q only packed rows need the numerators' bound
         parts, top = [], 1  # per term (c's denominator, the term's, its bound); top: s above
         for c, plan, operands in live:
-            cd, b, l = _extent((c,)) if ring == POLY else (c.denominator, abs(c.numerator), 1)
+            cd, b, l = _extent((c,)) if type(c) is Scalar else (c.denominator, abs(c.numerator), 1)
             d = cd
             for t in operands:
                 td, tb, tl, _ = t._extent(full)

@@ -74,6 +74,19 @@ MUTANTS = (
            "        s = _exact(s)\n        return s if ring == RATIONAL",
            "        return s if ring == RATIONAL", "tests/test_numbers.py",
            "_unbox stores an integral Fraction as a Fraction"),
+    Mutant("catalog.py", "_assoc(p, r or p, _b, _a)", "_assoc(p, r or p, _a, _b)",
+           "tests/test_catalog.py",
+           "left symmetry's second associator on (a, b, c): the template is vacuous"),
+    Mutant("catalog.py", "_n(p((r or p)(_a, _c), _b))", "_n(p((r or p)(_a, _b), _c))",
+           "tests/test_catalog.py",
+           "right commutativity's second term on (a, b, c): the template is vacuous"),
+    Mutant("catalog.py", "_n(p(_b, _a))", "_n(p(_a, _b))", "tests/test_catalog.py",
+           "skew-symmetry's second term on (a, b): the template is vacuous"),
+    Mutant("catalog.py", "_lsym(_dotD, _dotQ)", "_lsym(_dotQ, _dotD)", "tests/test_catalog.py",
+           "SPEC_DEF_6 with its two products swapped"),
+    Mutant("catalog.py", "_lsym(_f, _circ) + _lsym(_circ, _f)",
+           "_lsym(_f, _circ) + _lsym(_f, _circ)", "tests/test_catalog.py",
+           "DEFORM_2 with the products of one mixed instance swapped"),
     Mutant("presfile.py",
            "            close_block()  # the open block's name too is taken\n"
            "            if any(parts[1] in bag for bag in bags.values()):\n"

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import oracles as orc
+import pytest
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
 from novq import RATIONAL, Presentation, Scalar, Space, Tensor, check_axiom, load
@@ -108,3 +110,96 @@ def test_bialg_q_2_where_every_coefficient_vanishes():
         assert symbolic == interp_check_axiom("BIALG_Q_2", pres.lift())
         assert symbolic.locus.contains(F(-1, 2))
     assert (F(-1, 2), "fails") not in verdicts and (F(1, 3), "fails") in verdicts
+
+
+def test_a_summand_with_no_factor_in_a_hoisted_sum_is_refused(monkeypatch):
+    # (a - D a) b - b a: the summand a of the inner sum is a bare variable, with no factor
+    # to lead its contraction, in either order of the two summands
+    a, b = ("var", "a"), ("var", "b")
+    for k, summands in enumerate([(((1,), a), ((-1,), ("map", "D", a))),
+                                  (((-1,), ("map", "D", a)), ((1,), a))]):
+        inner = ("lin", summands)
+        expr = ("lin", (((1,), ("op", "dot", inner, b)), ((-1,), ("op", "dot", b, a))))
+        aid = f"BARE_SUMMAND_{k}"
+        monkeypatch.setitem(CATALOG, aid, AxiomDef(aid, (("a", "A"), ("b", "A")), expr))
+        with pytest.raises(ValueError, match=f"^{aid}: a summand of an inner sum has no factor$"):
+            compile_axiom(aid)
+
+
+# -- naive oracles for the template-built axioms that no other test expands ----------
+#
+# Each residual below is spelled from the definition with the bare index loops of
+# tests/oracles.py; none goes through the catalog's templates.
+
+def _q_part(residual: list, d: int, sign: int = 1) -> list:
+    """The q^d coefficient of each entry, times sign, as a constant poly dict."""
+    return [orc.pconst(sign * r.get(d, 0)) for r in residual]
+
+
+def _spec_def_6(dq, dd, a, b, c) -> list:
+    # (a . Q b) . D c - a . Q(b . D c), minus the same with a and b swapped, read off the
+    # tables dq of x . Q(y) and dd of x . D(y)
+    n = len(dq)
+    out = []
+    for k in range(n):
+        r = orc.pzero()
+        for m in range(n):
+            for x, y, sign in ((a, b, 1), (b, a, -1)):
+                left = orc.pmul(dq[x][y][m], dd[m][c][k])  # (x . Q y)_m (e_m . D c)_k
+                right = orc.pmul(dd[y][c][m], dq[x][m][k])  # (y . D c)_m (x . Q e_m)_k
+                r = orc.padd(r, orc.pmul(orc.pconst(sign), orc.psub(left, right)))
+        out.append(r)
+    return out
+
+
+def _oracles(pres: Presentation) -> dict:
+    """axiom id -> (arity, the naive residual at basis indices)."""
+    tables = {k: orc.op_table(pres.binop(k)) for k in ("circ", "f", "dot", "zin", "lpre")}
+    ct, ft, dot = tables["circ"], tables["f"], tables["dot"]
+    dt, qt = orc.map_table(pres.linmap("D")), orc.map_table(pres.linmap("Q"))
+    form = orc.tensor2_table(pres.form("B"))
+    n = pres.dim
+    # the family circ + q f: DEFORM_1-4 are the q^2 and q^1 parts of its two identities
+    fam = [[[orc.padd(ct[i][j][k], orc.pmul(orc.QSYM, ft[i][j][k])) for k in range(n)]
+            for j in range(n)] for i in range(n)]
+    dot_q = orc.induced_product(dot, dt, qt, 0, orc.pconst(1))  # a . Q(b)
+    dot_d = orc.induced_product(dot, dt, qt, 1, orc.pzero())  # a . D(b)
+    return {
+        "DEFORM_1": (3, lambda a, b, c: _q_part(orc.nov_lsym_residual(fam, a, b, c), 2)),
+        "DEFORM_2": (3, lambda a, b, c: _q_part(orc.nov_lsym_residual(fam, a, b, c), 1, -1)),
+        "DEFORM_3": (3, lambda a, b, c: _q_part(orc.nov_rcomm_residual(fam, a, b, c), 2)),
+        "DEFORM_4": (3, lambda a, b, c: _q_part(orc.nov_rcomm_residual(fam, a, b, c), 1)),
+        "SPEC_DEF_5": (3, lambda a, b, c: orc.nov_lsym_residual(dot_q, a, b, c)),
+        "SPEC_DEF_6": (3, lambda a, b, c: _spec_def_6(dot_q, dot_d, a, b, c)),
+        "ZINB_ADMISS": (2, lambda a, b: orc.admiss_residual(tables["zin"], dt, qt, a, b)),
+        "PRE_NOV_4": (3, lambda a, b, c: orc.nov_rcomm_residual(tables["lpre"], a, b, c)),
+        "FORM_SYM": (2, lambda a, b: [orc.psub(form[a][b], form[b][a])]),
+    }
+
+
+def test_template_built_axioms_agree_with_naive_residuals():
+    rng, seen = random.Random(2024), set()
+    for case in range(12):
+        n = 2 + case % 2
+        # sparse entries, so that some identities hold and some fail past the first tuple
+        weights = (0,) * (2 + case % 5) + (1, -1, F(1, 2))
+
+        def rand(order):
+            return Tensor.from_entries(RATIONAL, (n,) * order, {
+                key: rng.choice(weights) for key in itertools.product(range(n), repeat=order)})
+        pres = Presentation(RATIONAL, Space(tuple(f"e{i}" for i in range(n))),
+                            binops={k: rand(3) for k in ("circ", "f", "dot", "zin", "lpre")},
+                            maps={"D": rand(2), "Q": rand(2)}, forms={"B": rand(2)})
+        for aid, (arity, residual_at) in _oracles(pres).items():
+            want = next(((tup, res) for tup in itertools.product(range(n), repeat=arity)
+                         if any(res := residual_at(*tup))), None)
+            got = check_axiom(aid, pres)
+            if want is None:
+                assert got.verdict == "holds", (case, aid)
+                continue
+            assert got.verdict == "fails", (case, aid)
+            assert got.witness == tuple(pres.space.names[i] for i in want[0]), (case, aid)
+            assert [orc.from_scalar(x) for x in got.residual.dense] == want[1], (case, aid)
+            if want[0] != (0,) * arity:
+                seen.add(aid)
+    assert seen == set(_oracles(pres))  # each fails past its first tuple in some case
