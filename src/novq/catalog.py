@@ -9,11 +9,12 @@ adds no factor.  Every sum below the top is hoisted, after the sums inside
 it: contracted once per check, it is one factor of the terms that use it.
 No other module knows the tree format.
 
-Five templates write each of the paper's defining identities once, over
-products given as functions: the associator (ASSOC), left symmetry (NOV_LSYM,
-DEFORM_1, DEFORM_2, SPEC_DEF_5, SPEC_DEF_6), right commutativity (NOV_RCOMM,
-DEFORM_3, DEFORM_4, PRE_NOV_4), admissibility (ADMISS, ZINB_ADMISS) and
-skew-symmetry (COMM, FORM_SYM).
+Templates write each of the paper's defining identities once, over products
+and maps given as functions: _assoc, _lsym, _rcomm, _admiss, _deriv, _skew.
+A module axiom is its algebra's axiom on A + V, with the product
+(a + u)(b + v) = ab + l(a)v + r(b)u of _split and the maps D + alpha,
+Q + beta of _mapv; PRE_NOV_1-3 are those of (A, lpre + rpre) acting on
+itself (_pre).
 """
 
 from __future__ import annotations
@@ -78,21 +79,37 @@ def _mstar(k, e):
     return _mlin(_p(_ml(k, e)), _p(_mr(k, e)))
 
 
+def _has(e, v) -> bool:  # whether the expression e contains the variable v
+    return e == v or type(e) is tuple and any(_has(x, v) for x in e)
+
+
+def _split(k, l, r, v=_w):  # the product on A + V: k on A, l(a, u) = a u and r(a, u) = u a
+    return lambda x, y: l(x, y) if _has(y, v) else r(y, x) if _has(x, v) else k(x, y)
+
+
+def _mapv(m, rm, v=_w):  # the map of A + V that is m on A and rm on V
+    return lambda e: _rmap(rm, e) if _has(e, v) else _m(m, e)
+
+
 # Templates: p the outer product, r the inner (p unless given); mixed (p, r): q^1 of p + q r.
-def _assoc(p, r, x=_a, y=_b) -> tuple:  # the associator (x r y) p c - x r (y p c)
-    return _p(p(r(x, y), _c)), _n(r(x, p(y, _c)))
+def _assoc(p, r, x=_a, y=_b, z=_c) -> tuple:  # the associator (x r y) p z - x r (y p z)
+    return _p(p(r(x, y), z)), _n(r(x, p(y, z)))
 
 
-def _lsym(p, r=None) -> tuple:  # left symmetry: the associator is symmetric in a, b
-    return _assoc(p, r or p) + _minus(_assoc(p, r or p, _b, _a))
+def _lsym(p, r=None, x=_a, y=_b, z=_c) -> tuple:  # the associator is symmetric in x, y
+    return _assoc(p, r or p, x, y, z) + _minus(_assoc(p, r or p, y, x, z))
 
 
-def _rcomm(p, r=None) -> tuple:  # right commutativity: (a r b) p c - (a r c) p b
-    return _p(p((r or p)(_a, _b), _c)), _n(p((r or p)(_a, _c), _b))
+def _rcomm(p, r=None, x=_a, y=_b, z=_c) -> tuple:  # (x r y) p z - (x r z) p y
+    return _p(p((r or p)(x, y), z)), _n(p((r or p)(x, z), y))
 
 
-def _admiss(p) -> tuple:  # admissibility: Q(a p b) - Q(a) p b + a p D(b)
-    return _p(_m("Q", p(_a, _b))), _n(p(_m("Q", _a), _b)), _p(p(_a, _m("D", _b)))
+def _admiss(p, Q, D, x=_a, y=_b) -> tuple:  # admissibility: Q(x p y) - Q(x) p y + x p D(y)
+    return _p(Q(p(x, y))), _n(p(Q(x), y)), _p(p(x, D(y)))
+
+
+def _deriv(p, d, x=_a, y=_b) -> tuple:  # the derivation rule: d(x p y) - x p d(y) - d(x) p y
+    return _p(d(p(x, y))), _n(p(x, d(y))), _n(p(d(x), y))
 
 
 def _skew(p) -> tuple:  # skew-symmetry: a p b - b p a
@@ -101,7 +118,15 @@ def _skew(p) -> tuple:  # skew-symmetry: a p b - b p a
 
 _dot, _circ, _zin, _lp, _rp, _f = (functools.partial(_op, k) for k in (  # the products
     "dot", "circ", "zin", "lpre", "rpre", "f"))
-_dotQ, _dotD = (lambda x, y: _dot(x, _m("Q", y))), (lambda x, y: _dot(x, _m("D", y)))
+_Q, _D = (functools.partial(_m, k) for k in "QD")
+_dotQ, _dotD = (lambda x, y: _dot(x, _Q(y))), (lambda x, y: _dot(x, _D(y)))
+_l, _r = (functools.partial(_rep, k) for k in "lr")  # the operator families
+_nov, _com = _split(_circ, _l, _r), _split(_dot, _l, _l)  # on A + V
+_Qb, _Da = _mapv("Q", "beta"), _mapv("D", "alpha")
+_lrp = lambda x, y: _sum(_p(_lp(x, y)), _p(_rp(x, y)))  # noqa: E731
+# (A, lpre + rpre) acting on itself, with v the acted-on variable: a u = a rpre u, u a = u lpre a
+_pre = lambda v: _split(_lrp, _rp, lambda a, u: _lp(u, a), v)  # noqa: E731
+
 
 _A1 = (("a", "A"),)
 _AA = (("a", "A"), ("b", "A"))
@@ -128,41 +153,28 @@ def _catalog() -> dict[str, AxiomDef]:
 
     add("NOV_RCOMM", _AAA, _sum(*_rcomm(_circ)), description="right multiplications commute")
 
-    add("DERIV", _AA,
-        _sum(_p(_m("D", _dot(_a, _b))), _n(_dot(_a, _m("D", _b))), _n(_dot(_m("D", _a), _b))),
-        description="D is a derivation of the product")
+    add("DERIV", _AA, _sum(*_deriv(_dot, _D)), description="D is a derivation of the product")
 
-    add("ADMISS", _AA, _sum(*_admiss(_dot)),
+    add("ADMISS", _AA, _sum(*_admiss(_dot, _Q, _D)),
         description="Q twists the product against the derivation D")
 
     add("ZINBIEL", _AAA,
         _sum(_p(_zin(_a, _zin(_b, _c))), _n(_zin(_zin(_b, _a), _c)), _n(_zin(_zin(_a, _b), _c))),
         description="the product obeys the left Zinbiel identity")
 
-    add("ZINB_ADMISS", _AA, _sum(*_admiss(_zin)),
+    add("ZINB_ADMISS", _AA, _sum(*_admiss(_zin, _Q, _D)),
         description="first twisting identity of Q against D for a Zinbiel product")
 
-    add("ZINB_ADMISS_ALT", _AA,
-        _sum(_p(_m("Q", _zin(_a, _b))), _n(_zin(_a, _m("Q", _b))), _p(_zin(_m("D", _a), _b))),
+    add("ZINB_ADMISS_ALT", _AA, _sum(*_admiss(lambda x, y: _zin(y, x), _Q, _D, _b, _a)),
         description="second twisting identity of Q against D for a Zinbiel product")
 
-    add("PRE_NOV_1", _AAA,
-        _sum(_p(_rp(_a, _rp(_b, _c))),
-             _n(_rp(_sum(_p(_rp(_a, _b)), _p(_lp(_a, _b))), _c)),
-             _n(_rp(_b, _rp(_a, _c))),
-             _p(_rp(_sum(_p(_rp(_b, _a)), _p(_lp(_b, _a))), _c))),
+    add("PRE_NOV_1", _AAA, _sum(*_minus(_lsym(_pre(_c)))),
         description="splitting identity for the two pre-products, part 1")
 
-    add("PRE_NOV_2", _AAA,
-        _sum(_p(_rp(_a, _lp(_b, _c))),
-             _n(_lp(_rp(_a, _b), _c)),
-             _n(_lp(_b, _sum(_p(_lp(_a, _c)), _p(_rp(_a, _c))))),
-             _p(_lp(_lp(_b, _a), _c))),
+    add("PRE_NOV_2", _AAA, _sum(*_lsym(_pre(_b), x=_b, y=_a)),
         description="splitting identity for the two pre-products, part 2")
 
-    add("PRE_NOV_3", _AAA,
-        _sum(_p(_rp(_sum(_p(_lp(_a, _b)), _p(_rp(_a, _b))), _c)),
-             _n(_lp(_rp(_a, _c), _b))),
+    add("PRE_NOV_3", _AAA, _sum(*_rcomm(_pre(_c))),
         description="splitting identity for the two pre-products, part 3")
 
     add("PRE_NOV_4", _AAA, _sum(*_rcomm(_lp)),
@@ -236,48 +248,28 @@ def _catalog() -> dict[str, AxiomDef]:
              _p(_tm(_mr("circ", _b), None, _symd(_a)))),
         description="compatibility of the coproduct with the product, part 3")
 
-    add("REP_NOV_1", _AAV,
-        _sum(_p(_rep("l", _sum(_p(_circ(_a, _b)), _n(_circ(_b, _a))), _w)),
-             _n(_rep("l", _a, _rep("l", _b, _w))),
-             _p(_rep("l", _b, _rep("l", _a, _w)))),
+    add("REP_NOV_1", _AAV, _sum(*_lsym(_nov, z=_w)),
         description="left operators represent the commutator")
 
-    add("REP_NOV_2", _AAV,
-        _sum(_p(_rep("l", _a, _rep("r", _b, _w))),
-             _n(_rep("r", _b, _rep("l", _a, _w))),
-             _n(_rep("r", _circ(_a, _b), _w)),
-             _p(_rep("r", _b, _rep("r", _a, _w)))),
+    add("REP_NOV_2", _AAV, _sum(*_lsym(_nov, x=_w, y=_a, z=_b)),
         description="mixed commutator of left and right operators")
 
-    add("REP_NOV_3", _AAV,
-        _sum(_p(_rep("l", _circ(_a, _b), _w)), _n(_rep("r", _b, _rep("l", _a, _w)))),
+    add("REP_NOV_3", _AAV, _sum(*_rcomm(_nov, z=_w)),
         description="left operator of a product factors through the right operator")
 
-    add("REP_NOV_4", _AAV,
-        _sum(_p(_rep("r", _a, _rep("r", _b, _w))),
-             _n(_rep("r", _b, _rep("r", _a, _w)))),
+    add("REP_NOV_4", _AAV, _sum(*_rcomm(_nov, x=_w, y=_b, z=_a)),
         description="right operators commute")
 
-    add("REP_MOD", _AAV,
-        _sum(_p(_rep("l", _dot(_a, _b), _w)), _n(_rep("l", _a, _rep("l", _b, _w)))),
+    add("REP_MOD", _AAV, _sum(*_assoc(_com, _com, z=_w)),
         description="left operators give a module over the commutative product")
 
-    add("REP_DIFF", _AV,
-        _sum(_p(_rmap("alpha", _rep("l", _a, _w))),
-             _n(_rep("l", _m("D", _a), _w)),
-             _n(_rep("l", _a, _rmap("alpha", _w)))),
+    add("REP_DIFF", _AV, _sum(*_deriv(_com, _Da, y=_w)),
         description="alpha is a derivation over D for the action")
 
-    add("REP_ADM", _AV,
-        _sum(_p(_rmap("beta", _rep("l", _a, _w))),
-             _n(_rep("l", _a, _rmap("beta", _w))),
-             _p(_rep("l", _m("D", _a), _w))),
+    add("REP_ADM", _AV, _sum(*_admiss(_com, _Qb, _Da, _w, _a)),
         description="beta twists the action against D")
 
-    add("REP_ADM_ALT", _AV,
-        _sum(_p(_rmap("beta", _rep("l", _a, _w))),
-             _n(_rep("l", _m("Q", _a), _w)),
-             _p(_rep("l", _a, _rmap("alpha", _w)))),
+    add("REP_ADM_ALT", _AV, _sum(*_admiss(_com, _Qb, _Da, y=_w)),
         description="beta twists the action against Q and alpha")
 
     add("DEFORM_1", _AAA, _sum(*_lsym(_f)),

@@ -17,7 +17,7 @@ keeping the coefficient ring univariate.
 
 from fractions import Fraction
 
-from .exactcore import POLY, Scalar, Tensor, qvar
+from .exactcore import POLY, Scalar, Tensor, as_fraction, qvar
 from .structures import (
     Presentation,
     PresentationError,
@@ -34,7 +34,7 @@ def _param(ring: str, x) -> Scalar | Fraction:
         if x.ring != ring:
             raise PresentationError("parameter ring does not match the structure ring")
         return x
-    return Fraction(x)
+    return as_fraction(x)
 
 
 def _qparam(ring: str, q) -> Scalar | Fraction:

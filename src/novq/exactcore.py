@@ -52,9 +52,9 @@ class ShapeError(ValueError):
 RationalLike = Union[int, Fraction]
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return x if isinstance(x, Fraction) else Fraction(x)
+def as_fraction(x: RationalLike) -> Fraction:
+    if type(x) in (int, Fraction):
+        return x if type(x) is Fraction else Fraction(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
@@ -131,7 +131,7 @@ class Scalar:
 
     @staticmethod
     def of(ring: str, x: RationalLike) -> "Scalar":
-        f = _as_fraction(x)  # refuses a float before x is tested for zero
+        f = as_fraction(x)  # refuses a float before x is tested for zero
         return Scalar(ring, (f,) if x else ())
 
     @staticmethod
@@ -167,7 +167,7 @@ class Scalar:
     def eval_q(self, point: RationalLike) -> "Scalar":
         """Substitute a rational value a/b for q, landing in Q: Horner's rule on the integer
         numerators over their common denominator den gives den b^n f(a/b), n the degree."""
-        p = _as_fraction(point)
+        p = as_fraction(point)
         a, b = p.numerator, p.denominator
         den = math.lcm(*[c.denominator for c in self.val])
         acc, bpow = 0, 1
@@ -196,7 +196,7 @@ class Scalar:
         return _scalar(self.ring, tuple(map(operator.neg, self.val)))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             other = Scalar.of(self.ring, other)
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -237,7 +237,7 @@ def _scalar(ring: str, val) -> Scalar:
 
 def polynomial(coeffs: Iterable[RationalLike]) -> Scalar:
     """Build a Q[q] scalar from ascending coefficients."""
-    return Scalar(POLY, _trim(tuple(_as_fraction(c) for c in coeffs)))
+    return Scalar(POLY, _trim(tuple(as_fraction(c) for c in coeffs)))
 
 
 def qvar() -> Scalar:
@@ -379,7 +379,7 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
         raise ZeroPolynomialError("division by zero")
     quot = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
     for k in range(len(quot) - 1, -1, -1):
-        factor = quot[k] = _as_fraction(rem[k + len(div) - 1]) / div[-1]
+        factor = quot[k] = as_fraction(rem[k + len(div) - 1]) / div[-1]
         if factor:
             for i, d in enumerate(div):
                 rem[k + i] -= factor * d

@@ -24,7 +24,7 @@ are certified exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactcore import POLY, RATIONAL, Tensor, qvar
+from .exactcore import POLY, RATIONAL, Tensor, as_fraction, qvar
 from .structures import (
     Presentation,
     PresentationError,
@@ -46,7 +46,7 @@ class WindowSpec:
     def __post_init__(self):
         if self.deg_min > self.deg_max:
             raise ValueError("empty degree window")
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", as_fraction(self.q))
 
     def degrees(self) -> range:
         return range(self.deg_min, self.deg_max + 1)
@@ -191,7 +191,7 @@ def polyalg_family(N: int, q=None) -> Presentation:
     """
     if N < 2:
         raise ValueError("need at least degree 2 for a nontrivial coproduct")
-    ring, qs = (POLY, qvar()) if q is None else (RATIONAL, Fraction(q))
+    ring, qs = (POLY, qvar()) if q is None else (RATIONAL, as_fraction(q))
     dim, a, b = N + 1, 1 - qs, qs - 1  # the factors 1 - q and q - 1 of the closed forms
     c = {(m, n, m + n - 1): a * n
          for m in range(dim) for n in range(dim) if 0 <= m + n - 1 <= N}

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .exactcore import (POLY, RATIONAL, RingMismatchError, Scalar, Tensor, bareiss_det,
-                        rational_roots)
+from .exactcore import (POLY, RATIONAL, RingMismatchError, Scalar, Tensor, as_fraction,
+                        bareiss_det, rational_roots)
 from .catalog import CATALOG, compile_axiom
 
 
@@ -189,7 +189,7 @@ class Presentation:
 
     def specialize(self, q) -> "Presentation":
         """Evaluate every entry at a rational value of q."""
-        point = Fraction(q)
+        point = as_fraction(q)
         return self._mapped(lambda s: s.eval_q(point), RATIONAL)
 
     def _mapped(self, fn: Callable[[Scalar], Scalar], ring: str) -> "Presentation":
@@ -226,9 +226,8 @@ class QLocus:
         return self.kind == EMPTY
 
     def contains(self, x) -> bool:
-        if self.kind == ALL_Q:
-            return True
-        return Fraction(x) in self.points
+        x = as_fraction(x)
+        return self.kind == ALL_Q or x in self.points
 
     def __str__(self) -> str:
         if self.kind == ALL_Q:
@@ -317,7 +316,7 @@ def check_axiom(
     if q is not None:
         if pres.ring == POLY:
             raise ValueError("specialize the presentation before fixing q")
-        qpoint = Fraction(q)
+        qpoint = as_fraction(q)
     elif axdef.uses_q and pres.ring == RATIONAL:
         raise ValueError(f"{axiom_id} uses q; pass q= or work over Q[q]")
 

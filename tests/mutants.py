@@ -1,9 +1,10 @@
 """The kill list: hand mutations of src/novq that the tests must catch.
 
 Each mutant names a module of the package, an exact source fragment, its
-replacement and the test module that must fail on it.  For each mutant the
-script copies src/ to a temporary directory, replaces every occurrence of
-the fragment there and runs the test module with ``pytest -x`` on that copy.
+replacement and the test module, or one test of it, that must fail on it.
+For each mutant the script copies src/ to a temporary directory, replaces
+every occurrence of the fragment there and runs the test module with
+``pytest -x`` on that copy.
 It fails when a fragment is missing, so a refactor that rewrites a fragment
 must update its mutant, and when a mutant survives: its test module passes.
 pytest does not collect this file (its name does not start with test_).
@@ -11,7 +12,7 @@ pytest does not collect this file (its name does not start with test_).
     python tests/mutants.py
 
 To add a mutant, append a Mutant to MUTANTS with the fragment as it reads in
-the source and the fastest test module that kills it.
+the source and the fastest test module (or test) that kills it.
 """
 
 import os
@@ -30,9 +31,12 @@ class Mutant(NamedTuple):
     module: str  # a file of src/novq
     fragment: str
     replacement: str
-    tests: str  # the test module that must fail
+    tests: str  # the test module, or one test of it, that must fail
     what: str
 
+
+_MODULE_ORACLE = ("tests/test_catalog.py::"
+                  "test_module_and_pre_novikov_axioms_agree_with_naive_residuals")
 
 MUTANTS = (
     Mutant("structures.py", "for block in (range(1), range(1, n))[:n]:",
@@ -74,12 +78,12 @@ MUTANTS = (
            "        s = _exact(s)\n        return s if ring == RATIONAL",
            "        return s if ring == RATIONAL", "tests/test_numbers.py",
            "_unbox stores an integral Fraction as a Fraction"),
-    Mutant("catalog.py", "_assoc(p, r or p, _b, _a)", "_assoc(p, r or p, _a, _b)",
+    Mutant("catalog.py", "_assoc(p, r or p, y, x, z)", "_assoc(p, r or p, x, y, z)",
            "tests/test_catalog.py",
-           "left symmetry's second associator on (a, b, c): the template is vacuous"),
-    Mutant("catalog.py", "_n(p((r or p)(_a, _c), _b))", "_n(p((r or p)(_a, _b), _c))",
+           "left symmetry's second associator on (x, y, z): the template is vacuous"),
+    Mutant("catalog.py", "_n(p((r or p)(x, z), y))", "_n(p((r or p)(x, y), z))",
            "tests/test_catalog.py",
-           "right commutativity's second term on (a, b, c): the template is vacuous"),
+           "right commutativity's second term on (x, y, z): the template is vacuous"),
     Mutant("catalog.py", "_n(p(_b, _a))", "_n(p(_a, _b))", "tests/test_catalog.py",
            "skew-symmetry's second term on (a, b): the template is vacuous"),
     Mutant("catalog.py", "_lsym(_dotD, _dotQ)", "_lsym(_dotQ, _dotD)", "tests/test_catalog.py",
@@ -87,6 +91,14 @@ MUTANTS = (
     Mutant("catalog.py", "_lsym(_f, _circ) + _lsym(_circ, _f)",
            "_lsym(_f, _circ) + _lsym(_f, _circ)", "tests/test_catalog.py",
            "DEFORM_2 with the products of one mixed instance swapped"),
+    Mutant("catalog.py", "l(x, y) if _has(y, v) else r(y, x) if _has(x, v)",
+           "r(x, y) if _has(y, v) else l(y, x) if _has(x, v)", _MODULE_ORACLE,
+           "the product on A + V with its left and right actions swapped"),
+    Mutant("catalog.py", "return e == v or type(e) is tuple and any(_has(x, v) for x in e)",
+           "return e == v", _MODULE_ORACLE,
+           "_has sees the module variable only at the top of an expression"),
+    Mutant("catalog.py", "_rmap(rm, e) if _has(e, v)", "_m(m, e) if _has(e, v)", _MODULE_ORACLE,
+           "the map of A + V applies the algebra's map on V"),
     Mutant("presfile.py",
            "            close_block()  # the open block's name too is taken\n"
            "            if any(parts[1] in bag for bag in bags.values()):\n"

@@ -195,6 +195,127 @@ def cocomm_residual(d, a):
     return [[psub(d[a][j][k], d[a][k][j]) for k in range(n)] for j in range(n)]
 
 
+# -- module and pre-Novikov residuals, as vectors ----------------------------------
+#
+# A vector is a list of poly dicts.  A module's operator family F is a table on legs
+# (i, k, j), F[i][k][j] the v_k coefficient of F(e_i) v_j; a map table m[i][j] is the
+# e_i coefficient of the image of e_j.
+
+def unit(n, i):
+    return [pconst(1 if k == i else 0) for k in range(n)]
+
+
+def vadd(*terms):
+    """The sum of sign * vector over (sign, vector) pairs."""
+    out = [pzero() for _ in terms[0][1]]
+    for sign, x in terms:
+        out = [padd(o, pmul(pconst(sign), y)) for o, y in zip(out, x)]
+    return out
+
+
+def vprod(c, x, y):
+    """x y under the product table c."""
+    n = len(c[0][0])
+    out = [pzero() for _ in range(n)]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k in range(n):
+                out[k] = padd(out[k], pmul(pmul(xi, yj), c[i][j][k]))
+    return out
+
+
+def sum_poly(polys):
+    out = pzero()
+    for x in polys:
+        out = padd(out, x)
+    return out
+
+
+def vmap(m, x):
+    """m x for a map table m."""
+    return [sum_poly(pmul(m[i][j], x[j]) for j in range(len(x))) for i in range(len(m))]
+
+
+def vact(fam, x, u):
+    """F(x) u for an operator family F, x a vector of the algebra, u one of the module."""
+    out = [pzero() for _ in range(len(fam[0]))]
+    for i, xi in enumerate(x):
+        for k in range(len(out)):
+            for j, uj in enumerate(u):
+                out[k] = padd(out[k], pmul(pmul(xi, uj), fam[i][k][j]))
+    return out
+
+
+def rep_nov_residuals(c, l, r, a, b, v):
+    """The four identities of a module (l, r, V) over a Novikov product c, at e_a, e_b, v_v."""
+    n, m = len(c), len(l[0])
+    x, y, u = unit(n, a), unit(n, b), unit(m, v)
+    xy, yx = vprod(c, x, y), vprod(c, y, x)
+    return {
+        # l(a b - b a) v = [l(a), l(b)] v
+        "REP_NOV_1": vadd((1, vact(l, vadd((1, xy), (-1, yx)), u)),
+                          (-1, vact(l, x, vact(l, y, u))), (1, vact(l, y, vact(l, x, u)))),
+        # l(a) r(b) v - r(b) l(a) v = r(a b) v - r(b) r(a) v
+        "REP_NOV_2": vadd((1, vact(l, x, vact(r, y, u))), (-1, vact(r, y, vact(l, x, u))),
+                          (-1, vact(r, xy, u)), (1, vact(r, y, vact(r, x, u)))),
+        # l(a b) v = r(b) l(a) v
+        "REP_NOV_3": vadd((1, vact(l, xy, u)), (-1, vact(r, y, vact(l, x, u)))),
+        # r(a) r(b) v = r(b) r(a) v
+        "REP_NOV_4": vadd((1, vact(r, x, vact(r, y, u))), (-1, vact(r, y, vact(r, x, u)))),
+    }
+
+
+def rep_mod_residual(c, l, a, b, v):
+    """l(a b) v - l(a) l(b) v over a commutative product c."""
+    x, y, u = unit(len(c), a), unit(len(c), b), unit(len(l[0]), v)
+    return vadd((1, vact(l, vprod(c, x, y), u)), (-1, vact(l, x, vact(l, y, u))))
+
+
+def rep_admdiff_residuals(l, D, Q, alpha, beta, a, v):
+    """The three identities of a module (l, alpha, beta, V) over (A, D, Q), at e_a, v_v."""
+    x, u = unit(len(D), a), unit(len(alpha), v)
+    lu = vact(l, x, u)
+    return {
+        # alpha(l(a) v) = l(D a) v + l(a) alpha(v)
+        "REP_DIFF": vadd((1, vmap(alpha, lu)), (-1, vact(l, vmap(D, x), u)),
+                         (-1, vact(l, x, vmap(alpha, u)))),
+        # beta(l(a) v) = l(a) beta(v) - l(D a) v
+        "REP_ADM": vadd((1, vmap(beta, lu)), (-1, vact(l, x, vmap(beta, u))),
+                        (1, vact(l, vmap(D, x), u))),
+        # beta(l(a) v) = l(Q a) v - l(a) alpha(v)
+        "REP_ADM_ALT": vadd((1, vmap(beta, lu)), (-1, vact(l, vmap(Q, x), u)),
+                            (1, vact(l, x, vmap(alpha, u)))),
+    }
+
+
+def zinb_admiss_alt_residual(c, D, Q, a, b):
+    """Q(a b) - a Q(b) + D(a) b for a Zinbiel product c."""
+    x, y = unit(len(c), a), unit(len(c), b)
+    return vadd((1, vmap(Q, vprod(c, x, y))), (-1, vprod(c, x, vmap(Q, y))),
+                (1, vprod(c, vmap(D, x), y)))
+
+
+def pre_nov_residuals(lp, rp, a, b, c):
+    """The first three identities of a pre-Novikov pair (lpre, rpre), at e_a, e_b, e_c."""
+    x, y, z = (unit(len(lp), i) for i in (a, b, c))
+
+    def L(u, w):
+        return vprod(lp, u, w)
+
+    def R(u, w):
+        return vprod(rp, u, w)
+
+    def S(u, w):  # the sum lpre + rpre
+        return vadd((1, L(u, w)), (1, R(u, w)))
+    return {
+        "PRE_NOV_1": vadd((1, R(x, R(y, z))), (-1, R(S(x, y), z)), (-1, R(y, R(x, z))),
+                          (1, R(S(y, x), z))),
+        "PRE_NOV_2": vadd((1, R(x, L(y, z))), (-1, L(R(x, y), z)), (-1, L(y, S(x, z))),
+                          (1, L(L(y, x), z))),
+        "PRE_NOV_3": vadd((1, R(S(x, y), z)), (-1, L(R(x, z), y))),
+    }
+
+
 # -- induced tables ---------------------------------------------------------------
 
 def induced_product(c, D, Q, p, q):

@@ -8,7 +8,8 @@ import oracles as orc
 import pytest
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
-from novq import RATIONAL, Presentation, Scalar, Space, Tensor, check_axiom, load
+from novq import (RATIONAL, Presentation, RepAdmDiff, RepNov, Scalar, Space, Tensor,
+                  check_axiom, load)
 from novq.catalog import CATALOG, AxiomDef, compile_axiom
 
 
@@ -177,29 +178,80 @@ def _oracles(pres: Presentation) -> dict:
     }
 
 
+def _agrees(aid, pres, dims, residual_at, rep=None) -> bool:
+    """check_axiom's report equals the first nonzero naive residual over the tuples of
+    dims in row-major order; whether that residual lies past the first tuple."""
+    want = next(((tup, res) for tup in itertools.product(*map(range, dims))
+                 if any(res := residual_at(*tup))), None)
+    got = check_axiom(aid, pres, rep=rep)
+    if want is None:
+        assert got.verdict == "holds", aid
+        return False
+    spaces = [pres.space.names] * len(dims) if rep is None else [
+        pres.space.names] * (len(dims) - 1) + [rep.names]
+    assert got.verdict == "fails", aid
+    assert got.witness == tuple(nm[i] for nm, i in zip(spaces, want[0])), aid
+    assert [orc.from_scalar(x) for x in got.residual.dense] == want[1], aid
+    return want[0] != (0,) * len(dims)
+
+
+def _sparse(rng, weights):
+    def rand(*shape):
+        return Tensor.from_entries(RATIONAL, shape, {
+            key: rng.choice(weights) for key in itertools.product(*map(range, shape))})
+    return rand
+
+
 def test_template_built_axioms_agree_with_naive_residuals():
     rng, seen = random.Random(2024), set()
     for case in range(12):
         n = 2 + case % 2
         # sparse entries, so that some identities hold and some fail past the first tuple
-        weights = (0,) * (2 + case % 5) + (1, -1, F(1, 2))
-
-        def rand(order):
-            return Tensor.from_entries(RATIONAL, (n,) * order, {
-                key: rng.choice(weights) for key in itertools.product(range(n), repeat=order)})
+        rand = _sparse(rng, (0,) * (2 + case % 5) + (1, -1, F(1, 2)))
         pres = Presentation(RATIONAL, Space(tuple(f"e{i}" for i in range(n))),
-                            binops={k: rand(3) for k in ("circ", "f", "dot", "zin", "lpre")},
-                            maps={"D": rand(2), "Q": rand(2)}, forms={"B": rand(2)})
+                            binops={k: rand(n, n, n) for k in ("circ", "f", "dot", "zin", "lpre")},
+                            maps={"D": rand(n, n), "Q": rand(n, n)}, forms={"B": rand(n, n)})
         for aid, (arity, residual_at) in _oracles(pres).items():
-            want = next(((tup, res) for tup in itertools.product(range(n), repeat=arity)
-                         if any(res := residual_at(*tup))), None)
-            got = check_axiom(aid, pres)
-            if want is None:
-                assert got.verdict == "holds", (case, aid)
-                continue
-            assert got.verdict == "fails", (case, aid)
-            assert got.witness == tuple(pres.space.names[i] for i in want[0]), (case, aid)
-            assert [orc.from_scalar(x) for x in got.residual.dense] == want[1], (case, aid)
-            if want[0] != (0,) * arity:
+            if _agrees(aid, pres, (n,) * arity, residual_at):
                 seen.add(aid)
     assert seen == set(_oracles(pres))  # each fails past its first tuple in some case
+
+
+def test_module_and_pre_novikov_axioms_agree_with_naive_residuals():
+    # the axioms built on A + V, or on (A, lpre + rpre) acting on itself, against residuals
+    # spelled from their definitions over the product, map and module tables
+    rng, seen = random.Random(2025), set()
+    for case in range(16):
+        n, m = 2 + case % 2, 2 + case // 2 % 2  # a module of the algebra's dimension or not
+        rand = _sparse(rng, (0,) * (3 + case % 4) + (1, -1, F(1, 2)))
+        pres = Presentation(RATIONAL, Space(tuple(f"e{i}" for i in range(n))),
+                            binops={k: rand(n, n, n) for k in ("circ", "dot", "zin", "lpre",
+                                                               "rpre")},
+                            maps={"D": rand(n, n), "Q": rand(n, n)})
+        vnames = tuple(f"v{i}" for i in range(m))
+        nov = RepNov(vnames, rand(n, m, m), rand(n, m, m))
+        adm = RepAdmDiff(vnames, rand(n, m, m), rand(m, m), rand(m, m))
+        c, dot, zin, lp, rp = (orc.op_table(pres.binop(k)) for k in ("circ", "dot", "zin",
+                                                                     "lpre", "rpre"))
+        D, Q = orc.map_table(pres.linmap("D")), orc.map_table(pres.linmap("Q"))
+        nl, nr, al = orc.op_table(nov.l), orc.op_table(nov.r), orc.op_table(adm.l)
+        alpha, beta = orc.map_table(adm.alpha), orc.map_table(adm.beta)
+        checks = [(aid, (n, n, m), lambda a, b, v, aid=aid: orc.rep_nov_residuals(
+                      c, nl, nr, a, b, v)[aid], nov) for aid in ("REP_NOV_1", "REP_NOV_2",
+                                                                  "REP_NOV_3", "REP_NOV_4")]
+        checks.append(("REP_MOD", (n, n, m),
+                       lambda a, b, v: orc.rep_mod_residual(dot, al, a, b, v), adm))
+        checks += [(aid, (n, m), lambda a, v, aid=aid: orc.rep_admdiff_residuals(
+                        al, D, Q, alpha, beta, a, v)[aid], adm)
+                   for aid in ("REP_DIFF", "REP_ADM", "REP_ADM_ALT")]
+        checks += [(aid, (n, n, n), lambda a, b, x, aid=aid: orc.pre_nov_residuals(
+                        lp, rp, a, b, x)[aid], None)
+                   for aid in ("PRE_NOV_1", "PRE_NOV_2", "PRE_NOV_3")]
+        checks.append(("DERIV", (n, n), lambda a, b: orc.deriv_residual(dot, D, a, b), None))
+        checks.append(("ZINB_ADMISS_ALT", (n, n),
+                       lambda a, b: orc.zinb_admiss_alt_residual(zin, D, Q, a, b), None))
+        for aid, dims, residual_at, rep in checks:
+            if _agrees(aid, pres, dims, residual_at, rep):
+                seen.add(aid)
+    assert len(checks) == 13
+    assert seen == {aid for aid, *_ in checks}  # each fails past its first tuple in some case

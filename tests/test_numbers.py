@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from novq import POLY, PresFileError, RATIONAL, Scalar, Tensor, parse
+from novq import (POLY, PresFileError, QLocus, RATIONAL, Scalar, Tensor, WindowSpec,
+                  check_axiom, induce_nov_coalg, induce_novikov, load, parse, polyalg_family)
 from novq.catalog import CATALOG, compile_axiom
 from novq.exactcore import ShapeError
 from novq.presfile import MAX_POWER
@@ -67,3 +68,34 @@ def test_the_power_budget_sizes_a_number_as_the_scalar_it_equals():
         got = parse(f"space 1 a\nring {ring}\nproduct dot\na a -> -{base}^{e - 1}*a\n")
         entry = got.binop("dot").entry(0, 0, 0)
         assert entry.degree() == e - 1 if value is None else entry == -value ** (e - 1)
+
+
+def test_exact_parameters_take_ints_and_fractions_and_refuse_other_numbers():
+    # a float would be checked at its binary value, 0.1 at 3602879701896397/2^55, and a bool
+    # as 0 or 1; each entry point refuses them as a tensor entry does, naming the type
+    ex = load("fixtures/exnov1")
+    dot, D, Q, delta = ex.binop("dot"), ex.linmap("D"), ex.linmap("Q"), ex.coop("delta")
+    sym = ex.lift()
+    takes = {
+        "check_axiom": lambda x: check_axiom("BIALG_Q_1", ex, q=x).verdict,
+        "specialize": lambda x: sym.specialize(x),
+        "WindowSpec": lambda x: WindowSpec(-1, 1, x).q,
+        "polyalg_family": lambda x: polyalg_family(3, x),
+        "QLocus.contains": lambda x: (QLocus("all_q").contains(x),
+                                      QLocus("finite", frozenset({Fraction(1, 2)})).contains(x)),
+        "induce_novikov q": lambda x: induce_novikov(dot, D, Q, q=x),
+        "induce_novikov p": lambda x: induce_novikov(dot, D, Q, p=x, q=1),
+        "induce_nov_coalg": lambda x: induce_nov_coalg(delta, Q, D, q=x),
+    }
+    for what, take in takes.items():
+        assert take(Fraction(1, 2)) == take(Fraction(2, 4)), what
+        assert take(1) == take(Fraction(1)), what
+        for bad in (0.5, True, "1/2"):
+            with pytest.raises(TypeError, match=f"^expected an integer or Fraction, got "
+                                                f"{type(bad).__name__}$"):
+                take(bad)
+    assert QLocus("all_q").contains(3) and not QLocus("empty").contains(Fraction(1, 2))
+    # a scalar takes no bool either, and equals none
+    with pytest.raises(TypeError, match="^expected an integer or Fraction, got bool$"):
+        Scalar.of(RATIONAL, True)
+    assert Scalar.one(RATIONAL) == 1 and Scalar.one(RATIONAL) != True  # noqa: E712

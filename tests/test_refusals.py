@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 from novq import (POLY, RATIONAL, Presentation, PresentationError, Scalar, Space, Tensor,
-                  WindowSpec, aybe_residual, check_axiom, check_manin_triple,
-                  family_difference_locus, induce_novikov, load, oop_check, polyalg_family,
-                  qvar, semidirect_novikov, window_lie_bialgebra_check)
+                  WindowSpec, ZeroPolynomialError, aybe_residual, check_axiom,
+                  check_manin_triple, family_difference_locus, induce_novikov, load, oop_check,
+                  polyalg_family, qvar, scan_residuals, semidirect_novikov,
+                  window_lie_bialgebra_check)
+from novq.catalog import CATALOG, AxiomDef, compile_axiom
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
-from novq.exactcore import RingMismatchError
+from novq.exactcore import RingMismatchError, ShapeError, bareiss_det, exact_div
 
 EXNOV1 = load(Path(__file__).resolve().parent.parent / "fixtures" / "exnov1")
 
@@ -148,3 +150,50 @@ def test_liewindow_refuses_a_short_family_and_a_presentation_it_cannot_window():
     with pytest.raises(PresentationError,
                        match=r"^not a differential ASI bialgebra: COMM: fails at \(e1, e2\)"):
         window_lie_bialgebra_check(broken, w)
+
+
+def test_compile_axiom_refuses_an_unknown_expression(monkeypatch):
+    expr = ("lin", (((1,), ("op", "dot", ("var", "a"), ("bogus", "b"))),))
+    monkeypatch.setitem(CATALOG, "BOGUS_NODE", AxiomDef("BOGUS_NODE", (("a", "A"),), expr))
+    with pytest.raises(ValueError, match="^unknown expression 'bogus'$"):
+        compile_axiom("BOGUS_NODE")
+
+
+def test_scalars_refuse_an_unknown_ring_and_division_by_zero():
+    with pytest.raises(ValueError, match=r"^unknown ring tag 'Z\[q\]'$"):
+        Scalar("Z[q]", ())
+    with pytest.raises(ZeroPolynomialError, match="^division by zero$"):
+        exact_div(Scalar.one(RATIONAL), Scalar.zero(POLY))
+
+
+def test_tensor_constructors_refuse_what_does_not_fit():
+    a, b = Tensor.identity(RATIONAL, 2), Tensor.identity(RATIONAL, 3)
+    with pytest.raises(ShapeError, match="^ragged nested sequence$"):
+        Tensor.from_dense(RATIONAL, [[1, 2], [3]])
+    with pytest.raises(ShapeError, match="^nothing to stack$"):
+        Tensor.stack([])
+    with pytest.raises(RingMismatchError, match=r"^cannot mix Q with Q\[q\]$"):
+        Tensor.stack([a, _lift(a)])
+    with pytest.raises(ShapeError, match="^stacked tensors differ in shape$"):
+        Tensor.stack([a, b])
+    with pytest.raises(RingMismatchError, match=r"^cannot mix Q with Q\[q\]$"):
+        Tensor.from_blocks(RATIONAL, (4, 4), [((0, 0), a), ((2, 2), _lift(a))])
+    with pytest.raises(ShapeError, match=r"^block of shape \(3, 3\) does not fit into \(4, 4\)$"):
+        Tensor.from_blocks(RATIONAL, (4, 4), [((0, 0), a), ((2, 2), b)])
+
+
+def test_contractions_refuse_a_bad_spec_a_wrong_operand_count_and_no_terms():
+    a = Tensor.identity(RATIONAL, 2)
+    with pytest.raises(ValueError, match="^'ij->ij' takes 1 operands, got 2$"):
+        Tensor.combination([(1, "ij->ij", (a, a))])
+    with pytest.raises(ValueError, match="^nothing to combine$"):
+        Tensor.combination([])
+    with pytest.raises(ValueError, match="^bad contraction spec 'ij'$"):
+        Tensor.einsum("ij", a)
+    with pytest.raises(ShapeError, match="^determinant needs a square matrix$"):
+        bareiss_det([[Scalar.one(RATIONAL), Scalar.zero(RATIONAL)]], RATIONAL)
+
+
+def test_scan_residuals_refuses_a_residual_that_is_no_scalar_or_tensor():
+    with pytest.raises(TypeError, match="^unexpected residual value int$"):
+        scan_residuals("COMM", RATIONAL, [(("e1",), 3)])
