@@ -1,13 +1,15 @@
-"""Bialgebra-level checks: compatibility residuals, doubles, Manin triples.
+"""Bialgebra-level constructions and checks: doubles, loci, Manin triples.
 
-Each check bundle runs on the presentation and slot names it is handed, so a
-witness names that presentation's basis; the builders assume their inputs
-pass the bundles, and the q locus utilities sit on top of symbolic reports.
+The builders assume their inputs pass the catalog's structures (DIFF_ASI,
+ADM_ZINBIEL), which a caller checks with structures.check_all on its own
+presentation, so a witness names that presentation's basis; the q locus
+utilities sit on top of symbolic reports of NOV_BIALG.
 Doubles return ordinary presentations on the input's names followed by the
 dual basis, named by structures._doubled_names: each name toggles its prime,
 then gains primes until no name repeats.
 """
 
+from .catalog import NOV_BIALG, NOVIKOV
 from .exactcore import POLY, Tensor
 from .structures import (
     AxiomReport,
@@ -17,6 +19,7 @@ from .structures import (
     RepNov,
     Space,
     _doubled_names,
+    check_all,
     check_axiom,
     combine_loci,
     scan_residuals,
@@ -36,54 +39,12 @@ from .constructions import (
 )
 from .ybe import Delta_qr, canonical_r, delta_r
 
-DIFF_ASI_AXIOMS = ("COMM", "ASSOC", "DERIV", "ADMISS", "COASSOC", "COCOMM",
-                   "CODERIV", "CO_ADMISS", "ASI_1", "ASI_2")
-NOV_BIALG_AXIOMS = ("NOV_LSYM", "NOV_RCOMM", "NOV_COALG_1", "NOV_COALG_2",
-                    "NOV_BIALG_1", "NOV_BIALG_2", "NOV_BIALG_3")
-BIALG_Q_AXIOMS = ("BIALG_Q_1", "BIALG_Q_2", "BIALG_Q_3")
-
 
 def standard_form(ring: str, dim_a: int) -> Tensor:
     """The hyperbolic pairing on A + A*: B(e_i, e_j') = B(e_j', e_i) = [i = j]."""
     ident = Tensor.identity(ring, dim_a)
     return Tensor.from_blocks(ring, (2 * dim_a, 2 * dim_a),
                               [((0, dim_a), ident), ((dim_a, 0), ident)])
-
-
-def check_admissible_zinbiel(pres: Presentation, zin: str = "zin", D: str | None = "D",
-                             Q: str | None = "Q") -> dict:
-    """Zinbiel, D a derivation, Q admissible against D; a map given as None skips its checks."""
-    reports = {"ZINBIEL": check_axiom("ZINBIEL", pres, {"zin": zin})}
-    if D is not None:
-        reports["DERIV"] = check_axiom("DERIV", pres, {"dot": zin, "D": D})
-        if Q is not None:
-            reports["ZINB_ADMISS"] = check_axiom("ZINB_ADMISS", pres, {"zin": zin, "D": D, "Q": Q})
-    return reports
-
-
-def check_diff_asi_bialgebra(pres: Presentation, dot: str = "dot", delta: str = "delta",
-                             D: str = "D", Q: str = "Q") -> dict:
-    """All axioms of a commutative cocommutative differential ASI bialgebra."""
-    binds = {"dot": dot, "delta": delta, "D": D, "Q": Q}
-    return {aid: check_axiom(aid, pres, binds) for aid in DIFF_ASI_AXIOMS}
-
-
-def check_novikov_bialgebra(pres: Presentation, circ: str = "circ", Delta: str = "Delta") -> dict:
-    """Novikov algebra + coalgebra axioms plus the three compatibilities."""
-    binds = {"circ": circ, "Delta": Delta}
-    return {aid: check_axiom(aid, pres, binds) for aid in NOV_BIALG_AXIOMS}
-
-
-def bialg_q_residuals(pres: Presentation, q=None, dot: str = "dot", delta: str = "delta",
-                      D: str = "D", Q: str = "Q") -> dict:
-    """The three compatibility residuals of the induced pair, one report each.
-
-    Over Q[q] leave q=None for the symbolic verdict; over Q pass the point.
-    The reports vanish simultaneously exactly where (circ_q, Delta_q) is a
-    Novikov bialgebra.
-    """
-    binds = {"dot": dot, "delta": delta, "D": D, "Q": Q}
-    return {aid: check_axiom(aid, pres, binds, q=q) for aid in BIALG_Q_AXIOMS}
 
 
 def _induced_family(pres: Presentation, dot: str, delta: str, D: str, Q: str) -> Presentation:
@@ -104,7 +65,7 @@ def novikov_bialgebra_locus(pres: Presentation, dot: str = "dot", delta: str = "
     identically.  Points beyond Q are out of scope (the locus carries a flag
     when a non-rational common zero cannot be ruled out).
     """
-    reports = check_novikov_bialgebra(_induced_family(pres, dot, delta, D, Q))
+    reports = check_all(NOV_BIALG, _induced_family(pres, dot, delta, D, Q))
     return combine_loci(r.locus for r in reports.values())
 
 
@@ -243,18 +204,9 @@ def check_manin_triple(pres: Presentation, circ: str = "circ") -> dict:
     names = pres.space.names
     tmp = Presentation(ring=pres.ring, space=pres.space, binops={circ: op},
                        forms={"B": standard_form(pres.ring, dim_left)})
-    binds = {"circ": circ}
     return {
         "SUBALG_LEFT": _subalgebra_report("SUBALG_LEFT", op, names, range(dim_left)),
         "SUBALG_RIGHT": _subalgebra_report("SUBALG_RIGHT", op, names, range(dim_left, n)),
-        "NOV_LSYM": check_axiom("NOV_LSYM", tmp, binds),
-        "NOV_RCOMM": check_axiom("NOV_RCOMM", tmp, binds),
-        "BILIN_INV_NOV": check_axiom("BILIN_INV_NOV", tmp, binds),
+        **check_all(NOVIKOV + ("BILIN_INV_NOV",), tmp, {"circ": circ}),
     }
 
-
-def quadratic_novikov_check(pres: Presentation, circ: str = "circ", B: str = "B") -> dict:
-    """Symmetric, nondegenerate and invariant form over a Novikov product."""
-    binds = {"circ": circ, "B": B}
-    return {aid: check_axiom(aid, pres, binds)
-            for aid in ("FORM_SYM", "FORM_NONDEG", "BILIN_INV_NOV")}

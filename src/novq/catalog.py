@@ -14,7 +14,8 @@ and maps given as functions: _assoc, _lsym, _rcomm, _admiss, _deriv, _skew.
 A module axiom is its algebra's axiom on A + V, with the product
 (a + u)(b + v) = ab + l(a)v + r(b)u of _split and the maps D + alpha,
 Q + beta of _mapv; PRE_NOV_1-3 are those of (A, lpre + rpre) acting on
-itself (_pre).
+itself (_pre).  The paper's structures close the catalog, each the tuple
+of ids that defines it; structures.check_all checks one.
 """
 
 from __future__ import annotations
@@ -364,6 +365,19 @@ def _catalog() -> dict[str, AxiomDef]:
 
 
 CATALOG: dict[str, AxiomDef] = _catalog()
+
+
+# -- structures: ids in the order they are checked and reported; a structure built
+# on another starts with its tuple
+NOVIKOV = ("NOV_LSYM", "NOV_RCOMM")
+ADMISSIBLE = ("COMM", "ASSOC", "DERIV", "ADMISS")  # commutative differential, Q admissible
+ADM_ZINBIEL = ("ZINBIEL", "DERIV", "ZINB_ADMISS")  # DERIV with its slot dot bound to zin
+DIFF_ASI = ADMISSIBLE + ("COASSOC", "COCOMM", "CODERIV", "CO_ADMISS", "ASI_1", "ASI_2")
+NOV_BIALG = NOVIKOV + ("NOV_COALG_1", "NOV_COALG_2", "NOV_BIALG_1", "NOV_BIALG_2",
+                       "NOV_BIALG_3")
+BIALG_Q = ("BIALG_Q_1", "BIALG_Q_2", "BIALG_Q_3")  # zero where the induced pair is NOV_BIALG
+QUADRATIC = ("FORM_SYM", "FORM_NONDEG", "BILIN_INV_NOV")
+DEFORM = ("DEFORM_1", "DEFORM_2", "DEFORM_3", "DEFORM_4")  # circ + q f is Novikov for all q
 
 
 # -- compiler ------------------------------------------------------------------

@@ -14,16 +14,15 @@ import re
 import sys
 from fractions import Fraction
 
-from .bialgebra import (check_admissible_zinbiel, check_diff_asi_bialgebra,
-                        check_manin_triple, check_novikov_bialgebra,
-                        double_construction, novikov_bialgebra_locus,
-                        quadratic_novikov_check, zinbiel_double)
+from .bialgebra import (check_manin_triple, double_construction, novikov_bialgebra_locus,
+                        zinbiel_double)
+from .catalog import ADM_ZINBIEL, ADMISSIBLE, DIFF_ASI, NOV_BIALG, NOVIKOV, QUADRATIC
 from .constructions import induce_nov_coalg, induce_novikov
 from .exactcore import POLY, RATIONAL
 from .liewindow import WindowSpec, polyalg_window_check, window_lie_bialgebra_check
 from .presfile import MAX_DIGITS, PresFileError, emit, load
-from .structures import (Presentation, PresentationError, check_axiom,
-                         is_admissible_quadruple, scan_residuals)
+from .structures import (Presentation, PresentationError, check_all, check_axiom,
+                         scan_residuals)
 from .ybe import aybe_residual, nybe_residual, r_admissibility
 
 
@@ -50,8 +49,8 @@ def _pick(table: dict, preferred: str, what: str) -> str:
     raise _Usage(f"cannot choose a {what} among {names}; name one {preferred!r}")
 
 
-def _pick_maps(pres: Presentation, optional: bool = False) -> tuple:
-    """(D, Q): D is picked among the maps not named Q, then Q among the others.
+def _pick_maps(pres: Presentation, optional: bool = False) -> dict:
+    """{"D": .., "Q": ..}: D is picked among the maps not named Q, then Q among the others.
 
     A lone map leaves one slot empty, and the usage error names it.  With
     optional, a map that cannot be picked is None instead.
@@ -68,13 +67,19 @@ def _pick_maps(pres: Presentation, optional: bool = False) -> tuple:
             raise
 
     dmap = pick("D", "Q")
-    return dmap, pick("Q", dmap)
+    return {"D": dmap, "Q": pick("Q", dmap)}
 
 
-def _pick_slots(pres: Presentation) -> tuple[str, str, str, str]:
-    """(dot, delta, D, Q), picked in that order."""
-    return (_pick(pres.binops, "dot", "product"), _pick(pres.coops, "delta", "coproduct"),
-            *_pick_maps(pres))
+def _pick_slots(pres: Presentation) -> dict:
+    """The binds of dot, delta, D and Q, picked in that order."""
+    return {"dot": _pick(pres.binops, "dot", "product"),
+            "delta": _pick(pres.coops, "delta", "coproduct"), **_pick_maps(pres)}
+
+
+def _zinbiel_slots(pres: Presentation, optional: bool = False) -> dict:
+    """The binds of zin, then D and Q; ADM_ZINBIEL's DERIV names the product dot."""
+    zin = _pick(pres.binops, "zin", "product")
+    return {"zin": zin, "dot": zin, **_pick_maps(pres, optional)}
 
 
 def _require(reports: dict) -> None:
@@ -85,10 +90,10 @@ def _require(reports: dict) -> None:
 
 
 def _zinbiel_double(pres: Presentation) -> Presentation:
-    """The double of a file without a coproduct, once its Zinbiel bundle holds."""
-    slots = (_pick(pres.binops, "zin", "product"), *_pick_maps(pres))
-    _require(check_admissible_zinbiel(pres, *slots))
-    return zinbiel_double(pres, *slots)
+    """The double of a file without a coproduct, once ADM_ZINBIEL holds."""
+    binds = _zinbiel_slots(pres)
+    _require(check_all(ADM_ZINBIEL, pres, binds))
+    return zinbiel_double(pres, binds["zin"], binds["D"], binds["Q"])
 
 
 def _fraction(text: str, flag: str) -> Fraction:
@@ -145,18 +150,17 @@ def _run_verify(args) -> tuple[int, dict]:
     pres = load(args.file)
     profile = args.profile
     if profile == "novikov":
-        circ = _pick(pres.binops, "circ", "product")
-        reports = {a: check_axiom(a, pres, {"circ": circ})
-                   for a in ("NOV_LSYM", "NOV_RCOMM")}
+        reports = check_all(NOVIKOV, pres, {"circ": _pick(pres.binops, "circ", "product")})
     elif profile == "zinbiel":
-        dmap, qmap = _pick_maps(pres, optional=True)
-        reports = check_admissible_zinbiel(pres, _pick(pres.binops, "zin", "product"),
-                                           dmap, qmap)
+        # DERIV needs D, and ZINB_ADMISS both maps; a map that cannot be picked is None
+        binds = _zinbiel_slots(pres, optional=True)
+        keep = 1 if binds["D"] is None else 2 if binds["Q"] is None else 3
+        reports = check_all(ADM_ZINBIEL[:keep], pres, binds)
     elif profile == "diff-asi":
-        reports = check_diff_asi_bialgebra(pres, *_pick_slots(pres))
+        reports = check_all(DIFF_ASI, pres, _pick_slots(pres))
     elif profile == "novikov-bialgebra":
-        reports = check_novikov_bialgebra(pres, _pick(pres.binops, "circ", "product"),
-                                          _pick(pres.coops, "Delta", "coproduct"))
+        reports = check_all(NOV_BIALG, pres, {"circ": _pick(pres.binops, "circ", "product"),
+                                              "Delta": _pick(pres.coops, "Delta", "coproduct")})
     elif profile == "manin":
         circ = _pick(pres.binops, "circ", "product")
         if args.dimA is not None and 2 * args.dimA != pres.dim:
@@ -167,8 +171,8 @@ def _run_verify(args) -> tuple[int, dict]:
                          f"{pres.dim} is odd")
         reports = check_manin_triple(pres, circ)
     else:  # quadratic
-        reports = quadratic_novikov_check(pres, _pick(pres.binops, "circ", "product"),
-                                          _pick(pres.forms, "B", "form"))
+        reports = check_all(QUADRATIC, pres, {"circ": _pick(pres.binops, "circ", "product"),
+                                              "B": _pick(pres.forms, "B", "form")})
     return _finish_checks(reports)
 
 
@@ -182,17 +186,15 @@ def _run_induce(args) -> tuple[int, dict]:
         if pres.ring == POLY:
             pres = pres.specialize(q)
     p = _fraction(args.p, "--p")
-    dot = _pick(pres.binops, "dot", "product")
-    dmap, qmap = _pick_maps(pres)
-    _require(is_admissible_quadruple(pres, dot, dmap, qmap))
-    circ = induce_novikov(pres.binop(dot), pres.linmap(dmap), pres.linmap(qmap), p=p, q=q)
+    binds = {"dot": _pick(pres.binops, "dot", "product"), **_pick_maps(pres)}
+    _require(check_all(ADMISSIBLE, pres, binds))
+    dmap, qmap = pres.linmap(binds["D"]), pres.linmap(binds["Q"])
+    circ = induce_novikov(pres.binop(binds["dot"]), dmap, qmap, p=p, q=q)
     coops = {}
     if pres.coops:
-        delta = _pick(pres.coops, "delta", "coproduct")
-        _require({"CO_ADMISS": check_axiom("CO_ADMISS", pres,
-                                           {"delta": delta, "D": dmap, "Q": qmap})})
-        coops["Delta"] = induce_nov_coalg(pres.coop(delta), pres.linmap(qmap),
-                                          pres.linmap(dmap), q=q)
+        binds["delta"] = _pick(pres.coops, "delta", "coproduct")
+        _require({"CO_ADMISS": check_axiom("CO_ADMISS", pres, binds)})
+        coops["Delta"] = induce_nov_coalg(pres.coop(binds["delta"]), qmap, dmap, q=q)
     out = Presentation(ring=circ.ring, space=pres.space,
                        binops={"circ": circ}, coops=coops)
     return 0, _emit_out(out, args.emit)
@@ -201,9 +203,9 @@ def _run_induce(args) -> tuple[int, dict]:
 def _run_double(args) -> tuple[int, dict]:
     pres = load(args.file)
     if pres.coops:
-        slots = _pick_slots(pres)
-        _require(check_diff_asi_bialgebra(pres, *slots))
-        out = double_construction(pres, *slots)
+        binds = _pick_slots(pres)
+        _require(check_all(DIFF_ASI, pres, binds))
+        out = double_construction(pres, **binds)
     else:
         out = _zinbiel_double(pres)
     return 0, _emit_out(out, args.emit)
@@ -224,7 +226,7 @@ def _run_ybe(args) -> tuple[int, dict]:
         rep = scan_residuals("NYBE", pres.ring,
                              [((rname,), nybe_residual(r, pres.binop(circ)))])
     else:
-        dmap, qmap = _pick_maps(pres)
+        dmap, qmap = _pick_maps(pres).values()
         rep = r_admissibility(r, pres.linmap(dmap), pres.linmap(qmap))
     return _finish_checks({args.check: rep})
 
@@ -233,7 +235,7 @@ def _run_locus(args) -> tuple[int, dict]:
     pres = load(args.file)
     if not pres.coops:
         pres = _zinbiel_double(pres)
-    locus = novikov_bialgebra_locus(pres, *_pick_slots(pres))
+    locus = novikov_bialgebra_locus(pres, **_pick_slots(pres))
     print(locus)
     nonempty = not locus.is_empty()
     return (0 if nonempty else 1), {"locus": str(locus), "nonempty": nonempty}
@@ -249,7 +251,7 @@ def _run_window(args) -> tuple[int, dict]:
     if pres.ring != RATIONAL:
         raise _Usage("window checks want a rational presentation; induce first")
     w = WindowSpec(args.min, args.max, _fraction(args.q, "--q"))
-    res = window_lie_bialgebra_check(pres, w, *_pick_slots(pres))
+    res = window_lie_bialgebra_check(pres, w, **_pick_slots(pres))
     code, rows = _report_rows(res.reports)
     print(f"jacobi triples: {res.jacobi_checked} checked, "
           f"{res.jacobi_skipped} outside the window")

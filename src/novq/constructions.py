@@ -2,8 +2,8 @@
 
 Everything here is a pure constructor on exact structure constants.  The
 builders assume their preconditions and never check them (checks cost more
-than the construction); a caller that needs them runs the check bundles on
-its own presentation first, as the command line does.  A module's operator
+than the construction); a caller that needs them runs structures.check_all
+on its own presentation first, as the command line does.  A module's operator
 family is an order-3 tensor with legs (i, k, j): l[i][k][j] is the v_k
 coefficient of l(e_i) v_j, so each module below is one contraction of
 structure constants.  A dual module's names are the second half of
@@ -25,7 +25,6 @@ from .structures import (
     RepNov,
     Space,
     _doubled_names,
-    check_axiom,
 )
 
 
@@ -176,13 +175,6 @@ def pre_novikov_from_oop(T: Tensor, rep: RepNov) -> tuple[Tensor, Tensor]:
     """(lhd, rhd) with u rhd v = l(T(u))v and u lhd v = r(T(v))u."""
     return (Tensor.einsum("mj,mki->ijk", T, rep.r),
             Tensor.einsum("mi,mkj->ijk", T, rep.l))
-
-
-def deformation_family_check(pres: Presentation, circ: str = "circ", f: str = "f") -> dict:
-    """The four closure identities making circ + qf Novikov for every q."""
-    binds = {"circ": circ, "f": f}
-    return {aid: check_axiom(aid, pres, binds)
-            for aid in ("DEFORM_1", "DEFORM_2", "DEFORM_3", "DEFORM_4")}
 
 
 def regular_rep_novikov(circ: Tensor, names) -> RepNov:

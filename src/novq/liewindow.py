@@ -30,11 +30,12 @@ from .structures import (
     PresentationError,
     Space,
     all_hold,
-    check_axiom,
+    check_all,
     scan_residuals,
 )
+from .catalog import BIALG_Q, DIFF_ASI, NOV_BIALG
 from .constructions import induce_nov_coalg, induce_novikov
-from .bialgebra import NOV_BIALG_AXIOMS, bialg_q_residuals, check_diff_asi_bialgebra
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -106,14 +107,12 @@ def window_lie_bialgebra_check(pres: Presentation, w: WindowSpec, dot: str = "do
     """
     if pres.ring != RATIONAL:
         raise PresentationError("windowing needs a rational presentation; specialize first")
-    pre1 = check_diff_asi_bialgebra(pres, dot, delta, D, Q)
-    if not all_hold(pre1.values()):
-        bad = ", ".join(str(r) for r in pre1.values() if not r.holds)
-        raise PresentationError(f"not a differential ASI bialgebra: {bad}")
-    pre2 = bialg_q_residuals(pres, w.q, dot, delta, D, Q)
-    if not all_hold(pre2.values()):
-        bad = ", ".join(str(r) for r in pre2.values() if not r.holds)
-        raise PresentationError(f"deformation residuals do not vanish at q={w.q}: {bad}")
+    binds = {"dot": dot, "delta": delta, "D": D, "Q": Q}
+    for ids, q, what in ((DIFF_ASI, None, "not a differential ASI bialgebra"),
+                         (BIALG_Q, w.q, f"deformation residuals do not vanish at q={w.q}")):
+        bad = ", ".join(str(r) for r in check_all(ids, pres, binds, q=q).values() if not r.holds)
+        if bad:
+            raise PresentationError(f"{what}: {bad}")
     circ = induce_novikov(pres.binop(dot), pres.linmap(D), pres.linmap(Q), q=w.q)
     Delta = induce_nov_coalg(pres.coop(delta), pres.linmap(Q), pres.linmap(D), q=w.q)
     return _window_reports(circ, Delta, w, pres.space.names)
@@ -179,9 +178,6 @@ def _window_reports(circ: Tensor, Delta: Tensor, w: WindowSpec, names) -> Window
     return WindowResult(reports, checked, len(win) ** 3 * dim ** 3 - checked)
 
 
-POLYALG_AXIOMS = NOV_BIALG_AXIOMS
-
-
 def polyalg_family(N: int, q=None) -> Presentation:
     """The deformed polynomial-algebra bialgebra truncated at degree N.
 
@@ -209,6 +205,4 @@ def polyalg_window_check(N: int, q=None) -> dict:
     those, every intermediate monomial stays inside the truncation, so each
     reported verdict is exact.
     """
-    pres = polyalg_family(N, q)
-    keep = lambda idx: sum(idx) <= N
-    return {aid: check_axiom(aid, pres, tuple_filter=keep) for aid in POLYALG_AXIOMS}
+    return check_all(NOV_BIALG, polyalg_family(N, q), tuple_filter=lambda idx: sum(idx) <= N)

@@ -10,6 +10,8 @@ axiom's slots to a presentation's tensors, contracts the hoisted sums in
 order, and sums the terms with Tensor.combination at most twice, through
 the selector on legs ZA that they lead with: of first index 0, then of all
 the others, the other variables left free; residuals come in row-major order.
+check_all checks each id of one of the catalog's structures, such as
+catalog.DIFF_ASI, and keys the reports by id, in order.
 
 Over Q[q] a residual entry is a polynomial, so a check can also succeed on
 a finite set of rational q values; that set is computed exactly by
@@ -437,16 +439,11 @@ def all_hold(reports: Iterable[AxiomReport]) -> bool:
     return all(r.holds for r in reports)
 
 
-def is_admissible_quadruple(
-    pres: Presentation,
-    dot: str = "dot",
-    D: str = "D",
-    Q: str = "Q",
-) -> dict[str, AxiomReport]:
-    """Commutativity, associativity, D a derivation, Q twisted against D."""
-    binds = {"dot": dot, "D": D, "Q": Q}
-    return {aid: check_axiom(aid, pres, binds)
-            for aid in ("COMM", "ASSOC", "DERIV", "ADMISS")}
+def check_all(ids, pres: Presentation, binds: dict[str, str] | None = None,
+              **kw) -> dict[str, AxiomReport]:
+    """check_axiom on each id in turn, keyed by id: ids is a structure of the catalog
+    (catalog.DIFF_ASI, for one), binds and the keywords are as check_axiom's."""
+    return {aid: check_axiom(aid, pres, binds, **kw) for aid in ids}
 
 
 def _toggle_prime(name: str) -> str:

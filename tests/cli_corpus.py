@@ -11,10 +11,11 @@ stderr, the sidecar and the emitted file (- where there is none), each read
 with <tmp> in place of the temporary directory.  The run count and the time
 taken go to stderr.
 
-Two source trees give the same bytes when their outputs are equal:
+Two source trees give the same bytes when their outputs are equal.  The
+output is committed as tests/cli_corpus.txt, and CI compares a fresh run
+with it:
 
-    PYTHONPATH=<tree>/src python tests/cli_corpus.py > out.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python tests/cli_corpus.py | diff tests/cli_corpus.txt -
 
 pytest does not collect this file (its name does not start with test_).
 """

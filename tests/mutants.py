@@ -45,6 +45,8 @@ MUTANTS = (
     Mutant("structures.py", "for block in (range(1), range(1, n))[:n]:",
            "for block in (range(1, n), range(1))[:n]:", "tests/test_structures.py",
            "check_axiom's blocks reversed: a witness from a late first index"),
+    Mutant("structures.py", "range(1, n))[:n]", "range(n))[:n]", "tests/test_structures.py",
+           "check_axiom's second block repeats first index 0"),
     Mutant("structures.py", "{(i, i): 1 for i in block}",
            "{(i, (i + 1) % n): 1 for i in block}", "tests/test_structures.py",
            "check_axiom's selector off its diagonal by one"),

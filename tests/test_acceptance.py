@@ -16,18 +16,18 @@ from pathlib import Path
 
 import genalg
 import oracles as orc
-from novq import (POLY, Presentation, RATIONAL, RepAdmDiff, RepNov, Scalar,
-                  Space, T_from_r, Tensor, all_hold, aybe_residual, canonical_r,
-                  check_axiom, descendent_commdiff, double_induced_family,
+from novq import (ADMISSIBLE, NOV_BIALG, POLY, Presentation, RATIONAL, RepAdmDiff, RepNov,
+                  Scalar, Space, T_from_r, Tensor, all_hold, aybe_residual, canonical_r,
+                  check_all, check_axiom, descendent_commdiff, double_induced_family,
                   dual_rep_admdiff, dual_rep_novikov, family_difference_locus,
-                  induce_nov_coalg, induce_novikov, is_admissible_quadruple, load,
+                  induce_nov_coalg, induce_novikov, load,
                   novikov_bialgebra_locus, nybe_residual, oop_check, parse,
                   prenov_double_family, r_admissibility, scan_residuals,
                   semidirect_novikov, zinbiel_double)
 from novq.catalog import _catalog
 from novq.cli import main as cli_main
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
-from novq.liewindow import (POLYALG_AXIOMS, WindowSpec, _bracket, _cobracket,
+from novq.liewindow import (WindowSpec, _bracket, _cobracket,
                             _positions, polyalg_window_check,
                             window_lie_bialgebra_check)
 from novq.structures import ALL_Q, FINITE
@@ -146,7 +146,7 @@ def test_criterion_4():
 @_stamped(5, 10.0)
 def test_criterion_5():
     reports = polyalg_window_check(8)
-    assert set(reports) == set(POLYALG_AXIOMS) and len(reports) == 7
+    assert set(reports) == set(NOV_BIALG) and len(reports) == 7
     assert all(r.verdict == "holds" for r in reports.values())
 
 
@@ -199,7 +199,7 @@ def _suite_induced_novikov():
     for case in range(200):
         n = 3 if case % 4 == 0 else 2
         quad = genalg.random_quadruple(rng, n)
-        assert all_hold(is_admissible_quadruple(quad).values())
+        assert all_hold(check_all(ADMISSIBLE, quad).values())
         lifted = quad.lift()
         circ = induce_novikov(lifted.binop("dot"), lifted.linmap("D"),
                               lifted.linmap("Q"))

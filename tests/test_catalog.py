@@ -1,6 +1,7 @@
 """The catalog compiler: one term per summand, hoisted sums, coefficients that all vanish."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,9 +9,13 @@ import oracles as orc
 import pytest
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
-from novq import (RATIONAL, Presentation, RepAdmDiff, RepNov, Scalar, Space, Tensor,
-                  check_axiom, load)
-from novq.catalog import CATALOG, AxiomDef, compile_axiom
+from novq import (RATIONAL, Presentation, RepAdmDiff, RepNov, Scalar, Space, Tensor, catalog,
+                  check_axiom, cli, load)
+from novq.catalog import (ADM_ZINBIEL, ADMISSIBLE, CATALOG, DIFF_ASI, NOV_BIALG, NOVIKOV,
+                          QUADRATIC, AxiomDef, compile_axiom)
+
+STRUCTURES = ("NOVIKOV", "ADMISSIBLE", "ADM_ZINBIEL", "DIFF_ASI", "NOV_BIALG", "BIALG_Q",
+              "QUADRATIC", "DEFORM")
 
 
 def test_every_axiom_compiles_to_at_most_eight_terms():
@@ -20,6 +25,33 @@ def test_every_axiom_compiles_to_at_most_eight_terms():
     assert all(counts[aid] for aid, d in CATALOG.items() if d.expr is not None)
     # compiled once per axiom id
     assert all(compile_axiom(aid) is compile_axiom(aid) for aid in CATALOG)
+
+
+def test_every_structure_names_catalog_ids_once():
+    for name in STRUCTURES:
+        ids = getattr(catalog, name)
+        assert len(ids) > 1 and set(ids) <= set(CATALOG) and len(set(ids)) == len(ids), name
+    # a structure built on another starts with its ids
+    assert DIFF_ASI[:len(ADMISSIBLE)] == ADMISSIBLE and NOV_BIALG[:len(NOVIKOV)] == NOVIKOV
+
+
+def test_each_verify_profile_reports_its_structure_in_order(tmp_path, capsys):
+    # the sidecar's "check" keys are the structure's ids in order, whatever the verdicts
+    want = {"novikov": ("fixtures/exnov1", NOVIKOV),
+            "zinbiel": ("fixtures/zinb-deriv", ADM_ZINBIEL),
+            "diff-asi": ("fixtures/exnov1", DIFF_ASI),
+            "novikov-bialgebra": ("fixtures/exnov1", NOV_BIALG),
+            "manin": ("fixtures/exnov1",
+                      ("SUBALG_LEFT", "SUBALG_RIGHT", *NOVIKOV, "BILIN_INV_NOV")),
+            "quadratic": ("perfbench/fixtures/exnov1-double-q-1_2-form", QUADRATIC)}
+    verify = next(a for a in cli._build()._actions if a.dest == "command").choices["verify"]
+    assert set(want) == set(next(a for a in verify._actions if a.dest == "profile").choices)
+    side = tmp_path / "side.json"
+    for profile, (path, ids) in want.items():
+        assert cli.main(["verify", path, "--profile", profile, "--json-out", str(side)]) in (0, 1)
+        checks = json.loads(side.read_text(encoding="utf-8"))["checks"]
+        assert tuple(row["check"] for row in checks) == ids, profile
+    capsys.readouterr()
 
 
 def test_every_inner_sum_is_hoisted_into_one_factor():

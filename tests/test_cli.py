@@ -465,6 +465,16 @@ def test_a_lone_map_is_a_usage_error_naming_the_missing_slot(tmp_path, capsys):
         assert main(["verify", str(path), "--profile", "zinbiel"]) == 0
         out = capsys.readouterr().out
         assert "DERIV: holds" in out and "ZINB_ADMISS" not in out
+    # a lone map named Q fills Q, so D is missing, and verify checks ZINBIEL alone
+    path = tmp_path / "zinb-Q"
+    path.write_text(lone.replace("map D\n", "map Q\n"))
+    for argv in (["double", str(path)], ["induce", str(path), "--q", "-1/2"]):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "usage error: the file defines no map for D besides 'Q'\n"
+    assert main(["verify", str(path), "--profile", "zinbiel"]) == 0
+    assert capsys.readouterr().out == "ZINBIEL: holds\nall checks hold\n"
 
 
 def test_a_json_out_that_cannot_be_written_is_an_error(tmp_path, capsys):

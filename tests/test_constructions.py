@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import oracles as orc
 from genalg import random_quadruple
-from novq import (POLY, Presentation, RATIONAL, Scalar,
-                  Space, all_hold, check_axiom, descendent_commdiff,
+from novq import (ADMISSIBLE, DEFORM, POLY, Presentation, RATIONAL, Scalar,
+                  Space, all_hold, check_all, check_axiom, descendent_commdiff,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
-                  induce_nov_coalg, induce_novikov, induced_rep_q,
-                  is_admissible_quadruple, load,
+                  induce_nov_coalg, induce_novikov, induced_rep_q, load,
                   pre_novikov_from_zinbiel, Tensor)
-from novq.constructions import (deformation_family_check, pre_novikov_from_oop,
+from novq.constructions import (pre_novikov_from_oop,
                                 regular_rep_admdiff, regular_rep_novikov,
                                 semidirect_novikov, star, zinbiel_from_oop)
 
@@ -67,7 +66,7 @@ def test_induce_nov_coalg_exnov1():
 
 def test_swapped_maps_are_not_an_admissible_quadruple():
     # swapping the two maps breaks the twisted Leibniz rule
-    reports = is_admissible_quadruple(load("fixtures/exnov1"), D="Q", Q="D")
+    reports = check_all(ADMISSIBLE, load("fixtures/exnov1"), {"D": "Q", "Q": "D"})
     assert not all_hold(reports.values())
 
 
@@ -189,7 +188,7 @@ def test_deformation_family_closure():
         base = induce_novikov(dot, D, Q, q=0)          # a . D(b)
         pert = induce_novikov(dot, D, Q, p=0, q=1)     # a . Q(b)
         fam = Presentation(RATIONAL, pres.space, binops={"circ": base, "f": pert})
-        assert all_hold(deformation_family_check(fam).values())
+        assert all_hold(check_all(DEFORM, fam).values())
 
 
 def test_deformation_family_detects_breakage():
@@ -200,7 +199,7 @@ def test_deformation_family_detects_breakage():
     c[1][1][0] = Scalar.one(RATIONAL)  # f(e2, e2) = e1
     fam = Presentation(RATIONAL, pres.space,
                        binops={"circ": base, "f": Tensor.from_dense(RATIONAL, c)})
-    reports = deformation_family_check(fam)
+    reports = check_all(DEFORM, fam)
     assert reports["DEFORM_2"].verdict == "fails"
     assert not all_hold(reports.values())
 

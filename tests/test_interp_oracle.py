@@ -7,10 +7,11 @@ from fractions import Fraction as F
 
 from genalg import random_quadruple
 from interp_oracle import interp_check_axiom
-from novq import (POLY, RATIONAL, Presentation, RepAdmDiff, RepNov, Scalar, Tensor,
-                  check_axiom, induce_nov_coalg, induce_novikov, load, polynomial)
+from novq import (BIALG_Q, NOV_BIALG, POLY, RATIONAL, Presentation, RepAdmDiff, RepNov,
+                  Scalar, Tensor, check_axiom, induce_nov_coalg, induce_novikov, load,
+                  polynomial)
 from novq.constructions import regular_rep_admdiff, regular_rep_novikov
-from novq.liewindow import POLYALG_AXIOMS, polyalg_family
+from novq.liewindow import polyalg_family
 from novq.structures import CATALOG
 
 EXPR_AXIOMS = sorted(aid for aid, d in CATALOG.items() if d.expr is not None)
@@ -102,14 +103,14 @@ def test_sliced_check_axiom_matches_on_fixtures_and_filtered_families():
         induced = Presentation(POLY, p.space, binops={"circ": induce_novikov(
             p.binop("dot"), p.linmap("D"), p.linmap("Q"))}, coops={"Delta": induce_nov_coalg(
                 p.coop("delta"), p.linmap("Q"), p.linmap("D"))})
-        verdicts |= {_both(aid, induced).verdict for aid in POLYALG_AXIOMS}
-        verdicts |= {_both(aid, p).verdict for aid in ("BIALG_Q_1", "BIALG_Q_2", "BIALG_Q_3")}
+        verdicts |= {_both(aid, induced).verdict for aid in NOV_BIALG}
+        verdicts |= {_both(aid, p).verdict for aid in BIALG_Q}
         verdicts |= {_both(aid, p.specialize(F(-1, 2))).verdict for aid in ("ASI_1", "ASI_2")}
     assert {"holds", "holds_on_locus"} <= verdicts
     keep = lambda idx: sum(idx) <= 4
     for q in (None, F(1, 3)):
         pres = polyalg_family(4, q)
-        for aid in POLYALG_AXIOMS:
+        for aid in NOV_BIALG:
             _both(aid, pres, tuple_filter=keep)
 
 

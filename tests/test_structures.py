@@ -6,9 +6,9 @@ import pytest
 import genalg
 import oracles as orc
 from genalg import random_quadruple
-from novq import (POLY, Presentation, PresentationError, QLocus, RATIONAL,
-                  Scalar, Space, Tensor, all_hold,
-                  check_axiom, induce_nov_coalg, induce_novikov, is_admissible_quadruple, load,
+from novq import (ADMISSIBLE, POLY, Presentation, PresentationError, QLocus, RATIONAL,
+                  Scalar, Space, Tensor, all_hold, check_all,
+                  check_axiom, induce_nov_coalg, induce_novikov, load,
                   polynomial, scan_residuals, vanishing_locus)
 from novq.structures import ALL_Q, CATALOG, EMPTY, FINITE, combine_loci, dualize
 
@@ -158,11 +158,11 @@ def test_is_admissible_quadruple():
     rng = random.Random(2)
     for n in (2, 3):
         pres = random_quadruple(rng, n)
-        assert all_hold(is_admissible_quadruple(pres).values())
+        assert all_hold(check_all(ADMISSIBLE, pres).values())
     bad = load("fixtures/exnov1")
     tweaked = Presentation(RATIONAL, bad.space, binops=dict(bad.binops),
                            maps={"D": bad.linmap("D"), "Q": bad.linmap("D")})
-    assert not all_hold(is_admissible_quadruple(tweaked).values())
+    assert not all_hold(check_all(ADMISSIBLE, tweaked).values())
 
 
 def test_dualize_involution():
@@ -370,27 +370,34 @@ def test_check_axiom_contracts_first_index_zero_then_the_rest(monkeypatch):
         assert not any("Z" in spec for ts in compiled.sums for _, spec, _ in ts)
     pres = load("fixtures/examp2-double")  # n = 6
     sums = len(compile_axiom("BIALG_Q_1").sums)
-    calls = []
+    calls, picks = [], []  # every call, and the first indices each top-level call selects
     combination = Tensor.combination.__func__
 
     def counted(cls, terms):
         calls.append(1)
+        if terms[0][1].startswith("ZA,"):
+            picks.append({i for i, _, _ in terms[0][2][0].nonzero()})
         return combination(cls, terms)
 
     monkeypatch.setattr(Tensor, "combination", classmethod(counted))
 
     def count(*args, **kw):
         calls.clear()
+        picks.clear()
         return check_axiom(*args, **kw), len(calls)
 
+    rest = set(range(1, pres.dim))
     report, made = count("BIALG_Q_1", pres, q=Fraction(-1, 2))
-    assert report.holds and made == sums + 2
+    assert report.holds and made == sums + 2 and picks == [{0}, rest]
     report, made = count("BIALG_Q_1", pres, q=1)
     assert (str(report), made) == ("BIALG_Q_1: fails at (e1, e1)", sums + 1)
+    assert picks == [{0}]
     report, made = count("BIALG_Q_2", pres.lift())
     assert report.holds and made == len(compile_axiom("BIALG_Q_2").sums) + 2
+    assert picks == [{0}, rest]
     e = Tensor.from_entries(POLY, (1, 1, 1), {(0, 0, 0): Scalar.one(POLY)})
     line = Presentation(POLY, Space(("e",)), binops={"dot": e}, coops={"delta": e},
                         maps={"D": Tensor.identity(POLY, 1), "Q": Tensor.identity(POLY, 1)})
     report, made = count("BIALG_Q_1", line)  # a full scan: it holds on a locus
     assert (str(report), made) == ("BIALG_Q_1: holds_on_locus {-1/2}", sums + 1)
+    assert picks == [{0}]

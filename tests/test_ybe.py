@@ -5,10 +5,10 @@ import pytest
 
 import oracles as orc
 from genalg import random_antisym_r, random_quadruple
-from novq import (Delta_qr, POLY, Presentation, PresentationError,
+from novq import (DIFF_ASI, Delta_qr, POLY, Presentation, PresentationError,
                   RATIONAL, RepNov, Scalar, Space, Tensor, all_hold,
-                  aybe_residual, canonical_r, check_axiom,
-                  check_diff_asi_bialgebra, delta_r, descendent_commdiff,
+                  aybe_residual, canonical_r, check_all, check_axiom,
+                  delta_r, descendent_commdiff,
                   descendent_novikov, dual_rep_admdiff, dual_rep_novikov,
                   induce_novikov, induced_rep_q, is_antisymmetric, load,
                   nybe_residual, oop_check, pre_novikov_from_zinbiel, r_from_T,
@@ -308,7 +308,7 @@ def test_delta_r_gives_diff_asi_bialgebra():
         pres = Presentation(RATIONAL, dbl.space, binops={"dot": dot},
                             coops={"delta": delta_r(r, dot)},
                             maps={"D": D, "Q": Q})
-        assert all_hold(check_diff_asi_bialgebra(pres).values())
+        assert all_hold(check_all(DIFF_ASI, pres).values())
 
 
 def test_dimension_mismatch_rejected():
