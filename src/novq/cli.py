@@ -49,37 +49,34 @@ def _pick(table: dict, preferred: str, what: str) -> str:
     raise _Usage(f"cannot choose a {what} among {names}; name one {preferred!r}")
 
 
-def _pick_maps(pres: Presentation, optional: bool = False) -> dict:
-    """{"D": .., "Q": ..}: D is picked among the maps not named Q, then Q among the others.
+# Each slot a command binds: its Presentation field and the noun of its usage error.
+_SLOTS = {**dict.fromkeys(("dot", "zin", "circ"), ("binops", "product")),
+          **dict.fromkeys(("delta", "Delta"), ("coops", "coproduct")),
+          **dict.fromkeys("DQ", ("maps", "map")), "B": ("forms", "form"),
+          "r": ("relements", "r-element")}
 
-    A lone map leaves one slot empty, and the usage error names it.  With
-    optional, a map that cannot be picked is None instead.
-    """
-    def pick(slot: str, other: str | None):
-        table = {k: v for k, v in pres.maps.items() if k != other}
+
+def _binds(pres: Presentation, slots, optional: bool = False) -> dict:
+    """The names bound to slots, each picked by _pick in the order given.  D is picked
+    among the maps not named Q, then Q among the others, so a lone map leaves one slot
+    empty and the usage error names it; with optional, a map that cannot be picked is
+    None.  zin binds dot too: ADM_ZINBIEL's DERIV names its product so."""
+    binds = {}
+    for slot in slots:
+        bag, what = _SLOTS[slot]
+        table = getattr(pres, bag)
         try:
-            if pres.maps and not table:
-                raise _Usage(f"the file defines no map for {slot} besides {other!r}")
-            return _pick(table, slot, "map")
+            if bag == "maps":
+                other = binds.get("D") if slot == "Q" else "Q"
+                table = {k: v for k, v in table.items() if k != other}
+                if pres.maps and not table:
+                    raise _Usage(f"the file defines no map for {slot} besides {other!r}")
+            binds[slot] = _pick(table, slot, what)
         except _Usage:
-            if optional:
-                return None
-            raise
-
-    dmap = pick("D", "Q")
-    return {"D": dmap, "Q": pick("Q", dmap)}
-
-
-def _pick_slots(pres: Presentation) -> dict:
-    """The binds of dot, delta, D and Q, picked in that order."""
-    return {"dot": _pick(pres.binops, "dot", "product"),
-            "delta": _pick(pres.coops, "delta", "coproduct"), **_pick_maps(pres)}
-
-
-def _zinbiel_slots(pres: Presentation, optional: bool = False) -> dict:
-    """The binds of zin, then D and Q; ADM_ZINBIEL's DERIV names the product dot."""
-    zin = _pick(pres.binops, "zin", "product")
-    return {"zin": zin, "dot": zin, **_pick_maps(pres, optional)}
+            if not (optional and bag == "maps"):
+                raise
+            binds[slot] = None
+    return {**binds, "dot": binds["zin"]} if "zin" in binds else binds
 
 
 def _require(reports: dict) -> None:
@@ -91,7 +88,7 @@ def _require(reports: dict) -> None:
 
 def _zinbiel_double(pres: Presentation) -> Presentation:
     """The double of a file without a coproduct, once ADM_ZINBIEL holds."""
-    binds = _zinbiel_slots(pres)
+    binds = _binds(pres, ("zin", "D", "Q"))
     _require(check_all(ADM_ZINBIEL, pres, binds))
     return zinbiel_double(pres, binds["zin"], binds["D"], binds["Q"])
 
@@ -146,34 +143,32 @@ def _emit_out(pres: Presentation, path) -> dict:
     return {"emitted": path, "dim": pres.dim, "ring": pres.ring}
 
 
+# Each verify profile: the structure it checks (manin: check_manin_triple's own) and
+# the slots it binds, in pick order.
+_PROFILES = {"novikov": (NOVIKOV, ("circ",)),
+             "zinbiel": (ADM_ZINBIEL, ("zin", "D", "Q")),
+             "diff-asi": (DIFF_ASI, ("dot", "delta", "D", "Q")),
+             "novikov-bialgebra": (NOV_BIALG, ("circ", "Delta")),
+             "manin": (None, ("circ",)),
+             "quadratic": (QUADRATIC, ("circ", "B"))}
+
+
 def _run_verify(args) -> tuple[int, dict]:
     pres = load(args.file)
-    profile = args.profile
-    if profile == "novikov":
-        reports = check_all(NOVIKOV, pres, {"circ": _pick(pres.binops, "circ", "product")})
-    elif profile == "zinbiel":
+    structure, slots = _PROFILES[args.profile]
+    binds = _binds(pres, slots, optional=args.profile == "zinbiel")
+    if args.profile == "zinbiel":
         # DERIV needs D, and ZINB_ADMISS both maps; a map that cannot be picked is None
-        binds = _zinbiel_slots(pres, optional=True)
-        keep = 1 if binds["D"] is None else 2 if binds["Q"] is None else 3
-        reports = check_all(ADM_ZINBIEL[:keep], pres, binds)
-    elif profile == "diff-asi":
-        reports = check_all(DIFF_ASI, pres, _pick_slots(pres))
-    elif profile == "novikov-bialgebra":
-        reports = check_all(NOV_BIALG, pres, {"circ": _pick(pres.binops, "circ", "product"),
-                                              "Delta": _pick(pres.coops, "Delta", "coproduct")})
-    elif profile == "manin":
-        circ = _pick(pres.binops, "circ", "product")
+        structure = structure[:1 if binds["D"] is None else 2 if binds["Q"] is None else 3]
+    elif args.profile == "manin":
         if args.dimA is not None and 2 * args.dimA != pres.dim:
             raise _Usage(f"--dimA {args.dimA} does not split the {pres.dim}-dimensional "
                          "space in half")
         if pres.dim % 2:
             raise _Usage(f"the manin profile splits the space in half, but its dimension "
                          f"{pres.dim} is odd")
-        reports = check_manin_triple(pres, circ)
-    else:  # quadratic
-        reports = check_all(QUADRATIC, pres, {"circ": _pick(pres.binops, "circ", "product"),
-                                              "B": _pick(pres.forms, "B", "form")})
-    return _finish_checks(reports)
+        return _finish_checks(check_manin_triple(pres, binds["circ"]))
+    return _finish_checks(check_all(structure, pres, binds))
 
 
 def _run_induce(args) -> tuple[int, dict]:
@@ -186,13 +181,13 @@ def _run_induce(args) -> tuple[int, dict]:
         if pres.ring == POLY:
             pres = pres.specialize(q)
     p = _fraction(args.p, "--p")
-    binds = {"dot": _pick(pres.binops, "dot", "product"), **_pick_maps(pres)}
+    binds = _binds(pres, ("dot", "D", "Q"))
     _require(check_all(ADMISSIBLE, pres, binds))
     dmap, qmap = pres.linmap(binds["D"]), pres.linmap(binds["Q"])
     circ = induce_novikov(pres.binop(binds["dot"]), dmap, qmap, p=p, q=q)
     coops = {}
     if pres.coops:
-        binds["delta"] = _pick(pres.coops, "delta", "coproduct")
+        binds.update(_binds(pres, ("delta",)))
         _require({"CO_ADMISS": check_axiom("CO_ADMISS", pres, binds)})
         coops["Delta"] = induce_nov_coalg(pres.coop(binds["delta"]), qmap, dmap, q=q)
     out = Presentation(ring=circ.ring, space=pres.space,
@@ -203,7 +198,7 @@ def _run_induce(args) -> tuple[int, dict]:
 def _run_double(args) -> tuple[int, dict]:
     pres = load(args.file)
     if pres.coops:
-        binds = _pick_slots(pres)
+        binds = _binds(pres, _PROFILES["diff-asi"][1])
         _require(check_all(DIFF_ASI, pres, binds))
         out = double_construction(pres, **binds)
     else:
@@ -213,21 +208,18 @@ def _run_double(args) -> tuple[int, dict]:
 
 def _run_ybe(args) -> tuple[int, dict]:
     pres = load(args.file)
-    rname = args.r or _pick(pres.relements, "r", "r-element")
+    rname = args.r or _binds(pres, ("r",))["r"]
     if rname not in pres.relements:
         raise _Usage(f"no r-element named {rname!r}")
     r = pres.relements[rname]
-    if args.check == "aybe":
-        dot = _pick(pres.binops, "dot", "product")
-        rep = scan_residuals("AYBE", pres.ring,
-                             [((rname,), aybe_residual(r, pres.binop(dot)))])
-    elif args.check == "nybe":
-        circ = _pick(pres.binops, "circ", "product")
-        rep = scan_residuals("NYBE", pres.ring,
-                             [((rname,), nybe_residual(r, pres.binop(circ)))])
+    if args.check == "admissible":
+        binds = _binds(pres, ("D", "Q"))
+        rep = r_admissibility(r, pres.linmap(binds["D"]), pres.linmap(binds["Q"]))
     else:
-        dmap, qmap = _pick_maps(pres).values()
-        rep = r_admissibility(r, pres.linmap(dmap), pres.linmap(qmap))
+        slot, residual = (("dot", aybe_residual) if args.check == "aybe"
+                          else ("circ", nybe_residual))
+        op = pres.binop(_binds(pres, (slot,))[slot])
+        rep = scan_residuals(args.check.upper(), pres.ring, [((rname,), residual(r, op))])
     return _finish_checks({args.check: rep})
 
 
@@ -235,7 +227,7 @@ def _run_locus(args) -> tuple[int, dict]:
     pres = load(args.file)
     if not pres.coops:
         pres = _zinbiel_double(pres)
-    locus = novikov_bialgebra_locus(pres, **_pick_slots(pres))
+    locus = novikov_bialgebra_locus(pres, **_binds(pres, _PROFILES["diff-asi"][1]))
     print(locus)
     nonempty = not locus.is_empty()
     return (0 if nonempty else 1), {"locus": str(locus), "nonempty": nonempty}
@@ -251,7 +243,7 @@ def _run_window(args) -> tuple[int, dict]:
     if pres.ring != RATIONAL:
         raise _Usage("window checks want a rational presentation; induce first")
     w = WindowSpec(args.min, args.max, _fraction(args.q, "--q"))
-    res = window_lie_bialgebra_check(pres, w, **_pick_slots(pres))
+    res = window_lie_bialgebra_check(pres, w, **_binds(pres, _PROFILES["diff-asi"][1]))
     code, rows = _report_rows(res.reports)
     print(f"jacobi triples: {res.jacobi_checked} checked, "
           f"{res.jacobi_skipped} outside the window")
@@ -286,9 +278,7 @@ def _build() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run an axiom bundle against a presentation file")
     p.add_argument("file")
-    p.add_argument("--profile", required=True,
-                   choices=["novikov", "zinbiel", "diff-asi", "novikov-bialgebra",
-                            "manin", "quadratic"])
+    p.add_argument("--profile", required=True, choices=list(_PROFILES))
     p.add_argument("--dimA", type=int, default=None,
                    help="left half dimension for the manin profile")
     p.set_defaults(run=_run_verify)

@@ -179,10 +179,8 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.ring != self.ring:
-                raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
-            return other
+        if isinstance(other, Scalar):  # _arith passes a Scalar here only of the other ring
+            raise RingMismatchError(f"cannot mix {self.ring} with {other.ring}")
         return Scalar.of(self.ring, other)
 
     __add__ = __radd__ = _arith(_padd)

@@ -300,7 +300,9 @@ def check_axiom(
     by the presentation.  Module-variable axioms also need ``rep``.  Passing
     a rational ``q`` fixes the deformation parameter in q-dependent axioms
     (only meaningful over Q; over Q[q] the check is symbolic and a finite
-    solution set comes back as a locus).
+    solution set comes back as a locus).  A ``tuple_filter`` keeps the basis
+    index tuples, one index per variable, on which it is true: the residual at
+    any other tuple is neither a witness nor part of the locus.
     """
     try:
         axdef = CATALOG[axiom_id]

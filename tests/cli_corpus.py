@@ -1,15 +1,17 @@
 """The byte-identity corpus: the command line run in-process over every fixture.
 
 The inputs are every file of fixtures/ and perfbench/fixtures/, plus a copy of
-each Q file with its ring line changed to Q[q].  On each input the script runs
-all six verify profiles, manin with --dimA 1, 2 and 3, induce at several q
-(twice with --p) and double, each with --emit, the three ybe checks, locus and
-window at two q; then polywindow at N = 2..6, symbolic and at q = -1/2.  Every
-run writes --json-out.  It prints one line per run: the argv, with the
-temporary directory written <tmp>, the exit code, and the sha256 of stdout,
-stderr, the sidecar and the emitted file (- where there is none), each read
-with <tmp> in place of the temporary directory.  The run count and the time
-taken go to stderr.
+each Q file with its ring line changed to Q[q].  Three more copies of each file
+of fixtures/ reach the command line's slot picking: one with every block renamed
+off its conventional name, one without its map D and one without its map Q.  On
+each input the script runs all six verify profiles, manin with --dimA 1, 2 and
+3, induce at several q (twice with --p) and double, each with --emit, the three
+ybe checks, locus and window at two q; then polywindow at N = 2..6, symbolic and
+at q = -1/2.  Every run writes --json-out.  It prints one line per run: the
+argv, with the temporary directory written <tmp>, the exit code, and the sha256
+of stdout, stderr, the sidecar and the emitted file (- where there is none),
+each read with <tmp> in place of the temporary directory.  The run count and
+the time taken go to stderr.
 
 Two source trees give the same bytes when their outputs are equal.  The
 output is committed as tests/cli_corpus.txt, and CI compares a fresh run
@@ -24,16 +26,29 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 from novq import cli
+from novq.presfile import BLOCKS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 PROFILES = ("novikov", "zinbiel", "diff-asi", "novikov-bialgebra", "manin", "quadratic")
+
+_HEADER = re.compile(rf"^({'|'.join(BLOCKS)}) (\S+)$", re.MULTILINE)
+
+
+def variants(text: str) -> dict:
+    """Copies of a file by suffix: renamed (each block's name gains a 1), no-D and
+    no-Q (the file without that map's block)."""
+    def drop(name: str) -> str:
+        return re.sub(rf"^map {name}\n(?:.+\n)*\n?", "", text, flags=re.MULTILINE)
+
+    return {"renamed": _HEADER.sub(r"\1 \g<2>1", text), "no-D": drop("D"), "no-Q": drop("Q")}
 
 
 def commands(path: str, tmp: str):
@@ -87,6 +102,11 @@ def main() -> int:
                     copy = Path(tmp, f"{folder.replace('/', '-')}-{f.name}-Qq")
                     copy.write_text(text.replace("\nring Q\n", "\nring Q[q]\n"), encoding="utf-8")
                     inputs.append(str(copy))
+        for f in sorted(Path("fixtures").iterdir()):
+            for suffix, text in variants(f.read_text(encoding="utf-8")).items():
+                copy = Path(tmp, f"fixtures-{f.name}-{suffix}")
+                copy.write_text(text, encoding="utf-8")
+                inputs.append(str(copy))
         argvs = [argv for path in inputs for argv in commands(path, tmp)]
         argvs += [["polywindow", "--N", str(n), *q] for n in range(2, 7)
                   for q in ([], ["--q", "-1/2"])]

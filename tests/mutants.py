@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 _MODULE_ORACLE = ("tests/test_catalog.py::"
                   "test_module_and_pre_novikov_axioms_agree_with_naive_residuals")
+_LONE_MAP = "tests/test_cli.py::test_a_lone_map_is_a_usage_error_naming_the_missing_slot"
 
 MUTANTS = (
     Mutant("structures.py", "for block in (range(1), range(1, n))[:n]:",
@@ -109,6 +110,16 @@ MUTANTS = (
            "                raise PresFileError(lineno, f\"duplicate name {parts[1]!r}\")\n"
            "            close_block()\n", "tests/test_input_paths.py",
            "parse checks a block's name against closed blocks only"),
+    Mutant("cli.py", 'other = binds.get("D") if slot == "Q" else "Q"',
+           'other = None if slot == "Q" else "Q"', _LONE_MAP,
+           "_binds picks Q among all maps, so a lone map fills both D and Q"),
+    Mutant("cli.py",
+           "                if pres.maps and not table:\n"
+           "                    raise _Usage(f\"the file defines no map for {slot} besides "
+           "{other!r}\")\n", "", _LONE_MAP,
+           "_binds without its guard: a lone map leaves no slot empty to name"),
+    Mutant("cli.py", "if not (optional and bag", "if not (not optional and bag", _LONE_MAP,
+           "_binds with optional inverted"),
 )
 
 

@@ -82,7 +82,7 @@ def test_locus_goldens():
     assert str(loc) == "{0, -1/2}"
 
 
-def test_bialg_q_residuals_specialized():
+def test_bialg_q_specialized():
     pres = load("fixtures/examp2-double")
     assert all_hold(check_all(BIALG_Q, pres, q=F(-1, 2)).values())
     assert all_hold(check_all(BIALG_Q, pres, q=F(-1)).values())
@@ -90,7 +90,7 @@ def test_bialg_q_residuals_specialized():
     assert not all_hold(out.values())
 
 
-def test_check_novikov_bialgebra_induced_pair():
+def test_nov_bialg_on_the_induced_pair():
     pres = load("fixtures/exnov1")
     for q, good in ((F(-1, 2), True), (F(0), True), (F(1), False)):
         circ = induce_novikov(pres.binop("dot"), pres.linmap("D"),
@@ -266,7 +266,7 @@ def test_semidirect_double_is_not_a_manin_triple():
     assert rep.residual.dense[0] == F(-1, 2)
 
 
-def test_quadratic_novikov_check():
+def test_quadratic_structure_on_the_double():
     dbl = double_construction(load("fixtures/exnov1"))
     circ = induce_novikov(dbl.binop("dot"), dbl.linmap("D"), dbl.linmap("Q"),
                           q=F(-1, 2))

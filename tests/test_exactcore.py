@@ -8,7 +8,7 @@ from genalg import random_antisym_r, random_quadruple
 from novq import (POLY, RATIONAL, Scalar, Tensor, ZeroPolynomialError,
                   induce_nov_coalg, induce_novikov, polynomial, qvar,
                   rational_roots)
-from novq.exactcore import ShapeError, bareiss_det, exact_div
+from novq.exactcore import RingMismatchError, ShapeError, bareiss_det, exact_div
 from novq.ybe import _PROD_LEG_SPECS
 
 
@@ -56,8 +56,10 @@ def test_eval_and_lift_roundtrip():
 
 def test_mixed_ring_ops_rejected():
     a = Scalar.of(RATIONAL, 1)
-    with pytest.raises(Exception):
-        a + qvar()
+    for x, y in ((a, qvar()), (qvar(), a)):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(RingMismatchError):
+                op()
 
 
 def test_rational_roots():
@@ -106,6 +108,9 @@ def test_vector_ops():
     s = v + w
     assert list(s.dense) == [2, 0, 1]
     assert (s - s).is_zero()
+    # a tensor never equals a non-tensor: __eq__ leaves the answer to the other side
+    assert s.__eq__([2, 0, 1]) is NotImplemented and s != [2, 0, 1] and s != 2
+    assert Tensor.from_dense(RATIONAL, []).shape == (0,)
     assert Tensor.from_entries(RATIONAL, (3,), {}).is_zero()
 
 
@@ -174,6 +179,8 @@ def test_bareiss_det():
     # det [[q, 1], [1, q]] = q^2 - 1
     d = bareiss_det([[q, one], [one, q]], POLY)
     assert d.val == (Fraction(-1), Fraction(0), Fraction(1))
+    for ring in (RATIONAL, POLY):  # the empty matrix
+        assert bareiss_det([], ring) == Scalar.one(ring)
 
 
 def test_bareiss_matches_expansion_random():

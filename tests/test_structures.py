@@ -7,7 +7,7 @@ import genalg
 import oracles as orc
 from genalg import random_quadruple
 from novq import (ADMISSIBLE, POLY, Presentation, PresentationError, QLocus, RATIONAL,
-                  Scalar, Space, Tensor, all_hold, check_all,
+                  RepAdmDiff, RepNov, Scalar, Space, Tensor, all_hold, check_all,
                   check_axiom, induce_nov_coalg, induce_novikov, load,
                   polynomial, scan_residuals, vanishing_locus)
 from novq.structures import ALL_Q, CATALOG, EMPTY, FINITE, combine_loci, dualize
@@ -154,7 +154,7 @@ def test_symbolic_holds_survives_specialization():
         assert check_axiom("NOV_LSYM", spec).holds
 
 
-def test_is_admissible_quadruple():
+def test_admissible_structure_on_random_quadruples():
     rng = random.Random(2)
     for n in (2, 3):
         pres = random_quadruple(rng, n)
@@ -163,6 +163,15 @@ def test_is_admissible_quadruple():
     tweaked = Presentation(RATIONAL, bad.space, binops=dict(bad.binops),
                            maps={"D": bad.linmap("D"), "Q": bad.linmap("D")})
     assert not all_hold(check_all(ADMISSIBLE, tweaked).values())
+
+
+def test_lift_of_a_polynomial_presentation_or_module_is_itself():
+    pres = load("fixtures/exnov1").lift()
+    assert pres.ring == POLY and pres.lift() is pres
+    ops = Tensor.from_dense(POLY, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    maps = Tensor.from_dense(POLY, [[1, 0], [1, 1]])
+    for rep in (RepNov(("v1", "v2"), ops, ops), RepAdmDiff(("v1", "v2"), ops, maps, maps)):
+        assert rep.ring == POLY and rep.lift() is rep
 
 
 def test_dualize_involution():
